@@ -271,8 +271,6 @@ def _write_rep_file(path: str, triple: MatrixTriple, params: AlgebraParams) -> N
 def cmd_enumerate_preserving(args) -> dict:
     exponents = tuple(int(e) for e in args.space.split(","))
     space = MonomialSpace(exponents)
-    if args.max_order > 6:
-        raise ValueError("--max-order above 6 is not supported")
     basis = enumerate_preserving_operators(space, args.max_order)
     sections = [
         _section(

@@ -301,11 +301,7 @@ class DiffOp:
     def preserves_space(self, space: "MonomialSpace") -> bool:
         members = set(space.exponents)
         action = self.symbolic_action()
-        for s, poly in action.polys:
-            for k in space.exponents:
-                if k + s not in members and not scalar_is_zero(poly(k)):
-                    return False
-        return True
+        return all(e in members for k in space.exponents for e in action.evaluate(k))
 
     def matrix_on_space(
         self, space: "MonomialSpace", norm_squares: Optional[Sequence] = None
@@ -316,15 +312,16 @@ class DiffOp:
         each entry picks up sqrt(N_col / N_row), taken exactly per entry so no
         shared quadratic extension is ever needed.
         """
-        if not self.preserves_space(space):
-            raise SpaceEscapeError(
-                f"operator does not preserve the space {space.exponents}"
-            )
         pos = {e: i for i, e in enumerate(space.exponents)}
         n = len(space.exponents)
         rows = [[as_scalar(0) for _ in range(n)] for _ in range(n)]
+        action = self.symbolic_action()
         for col, k in enumerate(space.exponents):
-            for e, v in self.symbolic_action().evaluate(k).items():
+            for e, v in action.evaluate(k).items():
+                if e not in pos:
+                    raise SpaceEscapeError(
+                        f"operator does not preserve the space {space.exponents}"
+                    )
                 rows[pos[e]][col] = v
         if norm_squares is not None:
             ns = [Fraction(x) for x in norm_squares]
@@ -544,97 +541,19 @@ def closure_check(
 # -- preserving operators -------------------------------------------------------------
 
 
-def _rational_nullspace(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
-    """Basis of the null space of the given row list, via exact RREF."""
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(width):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][col]
-        mat[r] = [v / inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    free_cols = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(vec)
-    return basis
-
-
-def enumerate_preserving_operators(
-    space: MonomialSpace, max_order: int
-) -> list[DiffOp]:
-    """Basis of the operators sum c_(m,n) x^m D^n, n <= max_order, preserving the space.
-
-    The x-power window is [-max_order, max(exponents) + max_order]; preservation
-    is the exact linear condition that every image exponent outside the space
-    (negative ones included) carries a zero total coefficient.  The basis spans
-    the whole windowed solution space, the identity and the operators that
-    annihilate every basis monomial included, so its length is the dimension
-    of that space, not a number of generators.
-    """
-    if max_order < 0:
-        raise ValueError("max_order must be nonnegative")
-    if max_order > 6:
-        raise ValueError("max_order above 6 is not supported")
-    lo, hi = -max_order, max(space.exponents) + max_order
-    term_keys = [
-        (m, n) for n in range(max_order + 1) for m in range(lo, hi + 1)
-    ]
-    index = {key: i for i, key in enumerate(term_keys)}
-    members = set(space.exponents)
-    rows = []
-    for k in space.exponents:
-        by_exponent: dict[int, list[tuple[int, int]]] = {}
-        for (m, n) in term_keys:
-            if _falling(k, n) == 0:
-                continue
-            by_exponent.setdefault(k + m - n, []).append((m, n))
-        for e, contributors in sorted(by_exponent.items()):
-            if e in members:
-                continue
-            row = [Fraction(0)] * len(term_keys)
-            for m, n in contributors:
-                row[index[(m, n)]] = Fraction(_falling(k, n))
-            rows.append(row)
-    basis = _rational_nullspace(rows, len(term_keys))
-    ops = []
-    for vec in basis:
-        denom_lcm = 1
-        for v in vec:
-            if v:
-                denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-        ints = [int(v * denom_lcm) for v in vec]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        lead = next(v for v in ints if v)
-        scale = Fraction((1 if lead > 0 else -1), g)
-        ops.append(
-            DiffOp({term_keys[i]: vec[i] * denom_lcm * scale for i in range(len(vec))})
-        )
-    return ops
-
-
-# -- Lie closure probing -----------------------------------------------------------------
+#: Largest accepted (max_order + 1) * window width * dimension, the size of
+#: the dense preservation system.  It bounds the per-shift elimination and the
+#: basis size alike; the slowest accepted inputs found take about 2 s (2-vCPU
+#: VM, Python 3.11).
+MAX_ENUMERATION_SIZE = 80_000
 
 
 class _ExactSpan:
-    """Incremental exact row space over the scalars (Gaussian elimination)."""
+    """Incremental exact row space, kept in reduced row echelon form.
+
+    Each row has a 1 in its pivot column and every other row a 0 there, so the
+    rows are the unique RREF basis of the span, whatever the insertion order.
+    """
 
     def __init__(self, width: int):
         self.width = width
@@ -644,8 +563,8 @@ class _ExactSpan:
     def _reduce(self, vec: list[Scalar]) -> list[Scalar]:
         vec = list(vec)
         for row, pc in zip(self.rows, self.pivot_cols):
-            if not scalar_is_zero(vec[pc]):
-                f = vec[pc]
+            f = vec[pc]
+            if not scalar_is_zero(f):
                 vec = [a - f * b for a, b in zip(vec, row)]
         return vec
 
@@ -660,13 +579,87 @@ class _ExactSpan:
             return False
         inv = red[pc]
         red = [v / inv for v in red]
+        for i, row in enumerate(self.rows):
+            f = row[pc]
+            if not scalar_is_zero(f):
+                self.rows[i] = [a - f * b for a, b in zip(row, red)]
         self.rows.append(red)
         self.pivot_cols.append(pc)
         return True
 
+    def nullspace(self) -> list[dict[int, Scalar]]:
+        """Basis of the vectors every row annihilates, one per free column, ascending.
+
+        The vector of free column f is 1 at f and minus row i's entry f at
+        pivot i, given as {column: entry} over its nonzero entries.  Only
+        pivots left of f can be nonzero, so f is its largest column.
+        """
+        pivots = dict(zip(self.pivot_cols, self.rows))
+        basis = []
+        for fc in range(self.width):
+            if fc in pivots:
+                continue
+            vec: dict[int, Scalar] = {fc: Fraction(1)}
+            for pc, row in pivots.items():
+                if not scalar_is_zero(row[fc]):
+                    vec[pc] = -row[fc]
+            basis.append(vec)
+        return basis
+
     @property
     def dimension(self) -> int:
         return len(self.rows)
+
+
+def enumerate_preserving_operators(
+    space: MonomialSpace, max_order: int
+) -> list[DiffOp]:
+    """Basis of the operators sum c_(m,n) x^m D^n, n <= max_order, preserving the space.
+
+    The x-power window is [-max_order, max(exponents) + max_order]; preservation
+    is the exact linear condition that every image exponent outside the space
+    (negative ones included) carries a zero total coefficient.  The basis spans
+    the whole windowed solution space, the identity and the operators that
+    annihilate every basis monomial included, so its length is the dimension
+    of that space, not a number of generators.
+
+    A term x^m D^n sends x^k only to x^(k+s), s = m - n, so the system splits
+    into one block per shift with at most max_order + 1 unknowns.  Each block
+    is solved in RREF, which is unique, and the null vectors are ordered by
+    their free term in (n, m) order, so the basis is that of the dense system.
+    Each vector is scaled to coprime integers with a positive first entry.
+    """
+    if max_order < 0:
+        raise ValueError("max_order must be nonnegative")
+    lo, hi = -max_order, max(space.exponents) + max_order
+    size = (max_order + 1) * (hi - lo + 1) * space.dimension
+    if size > MAX_ENUMERATION_SIZE:
+        raise ValueError(
+            f"(max_order + 1) * window * dimension = {size} exceeds "
+            f"{MAX_ENUMERATION_SIZE}"
+        )
+    members = set(space.exponents)
+    found = []
+    for s in range(lo - max_order, hi + 1):
+        keys = [(s + n, n) for n in range(max_order + 1) if lo <= s + n <= hi]
+        span = _ExactSpan(len(keys))
+        for k in space.exponents:
+            if k + s not in members:
+                span.add([Fraction(_falling(k, n)) for _, n in keys])
+        for vec in span.nullspace():
+            free_m, free_n = keys[max(vec)]
+            found.append(((free_n, free_m), [(keys[i], vec[i]) for i in sorted(vec)]))
+    found.sort(key=lambda item: item[0])
+    ops = []
+    for _, terms in found:
+        denom_lcm = math.lcm(*(v.denominator for _, v in terms))
+        ints = [int(v * denom_lcm) for _, v in terms]
+        scale = Fraction(1 if ints[0] > 0 else -1, math.gcd(*ints))
+        ops.append(DiffOp({key: v * scale for (key, _), v in zip(terms, ints)}))
+    return ops
+
+
+# -- Lie closure probing -----------------------------------------------------------------
 
 
 def _action_coordinates(ops: Sequence[DiffOp]) -> dict[tuple[int, int], int]:
@@ -737,17 +730,20 @@ def lie_closure_probe(
     for mat in mats:
         if mspan.add(flat(mat)):
             basis_mats.append(mat)
-    rounds = 0
+    # semi-naive saturation: pairs of matrices older than the last round were
+    # bracketed already, and their brackets stay in the growing span
+    rounds = done = 0
     for _ in range(max_rounds):
         rounds += 1
         grew = False
         current = list(basis_mats)
         for i in range(len(current)):
-            for j in range(i + 1, len(current)):
+            for j in range(max(i + 1, done), len(current)):
                 br = (current[i] @ current[j]) - (current[j] @ current[i])
                 if mspan.add(flat(br)):
                     basis_mats.append(br)
                     grew = True
+        done = len(current)
         if not grew:
             break
     return LieClosureReport(

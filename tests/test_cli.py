@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 
 
 from sl2deform.cli import main
+from sl2deform.diffops import V3, enumerate_preserving_operators
 from sl2deform.scalars import parse_scalar
 
 
@@ -117,11 +118,18 @@ def test_enumerate_preserving_v3_full_space(capsys):
     assert section(report, "preserving-operators")["dimension"] == 18
 
 
-def test_enumerate_rejects_high_order(capsys):
+def test_enumerate_bounds_the_system_size_not_the_order(capsys):
     code, report = run_cli(
-        capsys, "enumerate-preserving", "--space", "0,1", "--max-order", "7"
+        capsys, "enumerate-preserving", "--space", "0,1,3", "--max-order", "7"
+    )
+    assert code == 0
+    basis = enumerate_preserving_operators(V3, 7)
+    assert section(report, "preserving-operators")["basis"] == [op.to_text() for op in basis]
+    code, report = run_cli(
+        capsys, "enumerate-preserving", "--space", "0,1,1000000", "--max-order", "2"
     )
     assert code == 2
+    assert "exceeds" in section(report, "error")["message"]
 
 
 def test_rep_check_classic_tables(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import itertools
+import math
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -6,6 +9,7 @@ import sympy
 from sl2deform.algebra import AlgebraParams, build_classic_sl2_diffops
 from sl2deform.cases import CaseId
 from sl2deform.diffops import (
+    MAX_ENUMERATION_SIZE,
     DiffOp,
     MonomialSpace,
     NegativeExponentError,
@@ -359,9 +363,53 @@ def test_enumerate_v3_matches_brute_force_and_contains_the_ladders():
         assert sympy.Matrix(rows + [row]).rank() == base_rank, op
 
 
-def test_enumerate_rejects_large_order():
-    with pytest.raises(ValueError):
-        enumerate_preserving_operators(V3, 7)
+def sympy_preserving_basis(space, max_order):
+    """Independent oracle: sympy's null space of the dense system, as scaled operators.
+
+    Each null vector is scaled to coprime integers with a positive first
+    entry in (n, m) term order.
+    """
+    exps = space.exponents
+    lo, hi = -max_order, max(exps) + max_order
+    keys = [(m, n) for n in range(max_order + 1) for m in range(lo, hi + 1)]
+    rows = []
+    for k in exps:
+        for e in sorted({k + m - n for m, n in keys} - set(exps)):
+            row = [sympy.ff(k, n) if k + m - n == e else 0 for m, n in keys]
+            if any(row):
+                rows.append(row)
+    basis = []
+    for vec in sympy.Matrix(rows).nullspace():
+        vec = [Fr(int(v.p), int(v.q)) for v in vec]
+        denom = math.lcm(*(v.denominator for v in vec))
+        ints = [int(v * denom) for v in vec]
+        lead = next(v for v in ints if v)
+        scale = Fr(1 if lead > 0 else -1, math.gcd(*ints))
+        basis.append(DiffOp({key: v * scale for key, v in zip(keys, ints) if v}))
+    return basis
+
+
+def test_enumerate_equals_the_sympy_basis_operator_by_operator():
+    rng = random.Random(31)
+    grid = [(V3, order) for order in range(9)]
+    grid += [(MonomialSpace((0, 1)), 1), (MonomialSpace((0, 1, 3, 7, 12)), 4)]
+    for _ in range(5):
+        top = rng.randint(2, 9)
+        exps = sorted(rng.sample(range(top), rng.randint(0, min(4, top)))) + [top]
+        grid.append((MonomialSpace(tuple(exps)), rng.randint(1, 3)))
+    for space, order in grid:
+        assert enumerate_preserving_operators(space, order) == sympy_preserving_basis(
+            space, order
+        ), (space.exponents, order)
+
+
+def test_enumerate_rejects_an_over_budget_system_at_once():
+    # (max_order + 1) * window * dimension for (0, top) at order 0 is 2 * (top + 1)
+    top = MAX_ENUMERATION_SIZE // 2
+    with pytest.raises(ValueError, match="exceeds"):
+        enumerate_preserving_operators(MonomialSpace((0, top)), 0)
+    with pytest.raises(ValueError, match="exceeds"):
+        enumerate_preserving_operators(MonomialSpace((0, 1, 10**6)), 2)
 
 
 def test_enumerate_is_deterministic():
@@ -401,6 +449,25 @@ def test_six_ladders_plus_diagonals_span_at_least_sl3():
         ops.append(j0)
     report = lie_closure_probe(ops, V3)
     assert report.matrix_lie_span_dimension >= 8
+
+
+def test_probe_saturates_brackets_of_new_brackets():
+    # case 1 raising, case 2 raising and case 3 lowering reach sl(3) only in the
+    # third round; the oracle brackets every pair of its basis in every round
+    ladders = six_ladders()
+    ops = [ladders[0], ladders[2], ladders[5]]
+    report = lie_closure_probe(ops, V3)
+    basis = [sympy.Matrix(op.matrix_on_space(V3).rows) for op in ops]
+    rounds, grew = 0, True
+    while grew:
+        rounds, grew = rounds + 1, False
+        for a, b in itertools.combinations(list(basis), 2):
+            flat = sympy.Matrix([list(m) for m in basis + [a * b - b * a]])
+            if flat.rank() > len(basis):
+                basis.append(a * b - b * a)
+                grew = True
+    assert report.matrix_lie_span_dimension == len(basis) == 8
+    assert report.rounds_used == rounds == 3
 
 
 def test_probe_requires_preserving_inputs():
