@@ -32,11 +32,6 @@ class AlgebraParams:
         for name in ("alpha", "beta", "gamma", "delta"):
             object.__setattr__(self, name, as_scalar(getattr(self, name)))
 
-    @property
-    def leading_pair_is_zero(self) -> bool:
-        """True when alpha = beta = 0; the case solvers reject this region."""
-        return self.alpha == 0 and self.beta == 0
-
 
 @dataclass(frozen=True)
 class MatrixTriple:

@@ -1,57 +1,131 @@
-"""The three solvable three-dimensional ladder cases and their constants.
+"""The three three-dimensional ladder cases, derived from their labels.
 
 On a three-dimensional module (J = 1) a one-step ladder structure leaves
-exactly three label choices: raise by q = 1 from M1 = -1 or M1 = 0, or raise
-by q = 2 from M1 = -1.  Each case carries closed-form solutions for the
-diagonal label c and the structure constant delta, an "intrinsic" locus of
-the cubic coefficient gamma on which the differential realization closes
-identically (not merely on the module), and the explicit operator term
-tables on the module spanned by {1, x, x^3}.
+exactly three label choices (q, M1), the ones ``enumerate_case_labels(2)``
+lists: raise by q = 1 from M1 = -1 or M1 = 0, or raise by q = 2 from M1 = -1.
+Everything else about a case follows from its label and the module spanned
+by {1, x, x^3}:
+
+- the diagonal operator (1/p) x D + (c - 1/p) puts the label M on x^k with
+  k = 1 + p*e(M), where e(M) = a*M^2 + (1/q - a*q - 2*a*M1)*M is the
+  diagonal eigenvalue less c; since p = q^2/2 + q*(M1 + 3/2), p*e(M) is
+  M^2/2 + 3M/2 for every label, so M = -1, 0, 1 sit on x^0, x^1, x^3;
+- each ladder operator is the lowest-order operator of its degree shift that
+  sends one basis monomial to the other and kills the third: the Lagrange
+  polynomial through the exponents, written in falling factorials;
+- the sums S_n = e_dst^n + e_src^n - 2*e_oth^n give the quadratic for c that
+  ``reps.solve_case`` solves, and the shift-0 polynomial of [J+, J-] fixes
+  the intrinsic locus that ``reps.intrinsic_gamma_and_product`` computes.
+
+Only the whole-module label constant as the paper prints it is entered by
+hand: case 3's disagrees with the solved c, so it cannot be derived.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Optional, Union
 
-from .scalars import Scalar
+from .diffops import V3, DiffOp, PolyK
+from .reps import intrinsic_gamma_and_product
+from .scalars import Scalar, as_scalar
 
 Fr = Fraction
 
 
+def p_and_a(q: int, m1: Union[int, Fraction]) -> tuple[Fraction, Fraction]:
+    """Slope denominator p = q^2/2 + q(M1 + 3/2) of the diagonal realization, a = 1/(2p)."""
+    if q < 1:
+        raise ValueError("q must be positive")
+    m1 = Fr(m1)
+    p = Fr(q * q, 2) + q * (m1 + Fr(3, 2))
+    if p == 0:
+        raise ValueError(f"degenerate diagonal realization: p = 0 at (q={q}, M1={m1})")
+    return p, 1 / (2 * p)
+
+
+def enumerate_case_labels(two_j: int) -> list[tuple[int, Fraction]]:
+    """All (q, M1) with both ladder endpoints inside the basis, M1 as a fraction."""
+    labels = []
+    for q in range(1, two_j + 1):
+        for two_m1 in range(-two_j, two_j - 2 * q + 1, 2):
+            labels.append((q, Fr(two_m1, 2)))
+    labels.sort(key=lambda t: (t[0], t[1]))
+    return labels
+
+
+def _ladder(exponents: tuple[int, ...], k_from: int, k_to: int) -> DiffOp:
+    """The operator sending x^k_from to x^k_to and the other basis monomials to 0.
+
+    Its polynomial in k is the Lagrange interpolant that is 1 at k_from and 0
+    at the other exponents; the coefficient of x^(n + shift) D^n is the n-th
+    forward difference of that polynomial at 0, over n!.
+    """
+    values = [
+        math.prod(Fr(t - k, k_from - k) for k in exponents if k != k_from)
+        for t in range(len(exponents))
+    ]
+    terms = {}
+    for n in range(len(exponents)):
+        terms[(n + k_to - k_from, n)] = values[0] / math.factorial(n)
+        values = [b - a for a, b in zip(values, values[1:])]
+    return DiffOp(terms)
+
+
 @dataclass(frozen=True)
 class CaseData:
+    """What one case is, apart from (alpha, beta, gamma); see :func:`derive_case`."""
+
     q: int
     two_m1: int
     p: Fraction                  # slope denominator of the diagonal operator
     a: Fraction                  # quadratic coefficient of the diagonal label
-    # alpha = 0 solution: c = c_const - gamma/(2 beta), delta = gamma^2/(4 beta) - k0 * beta
-    alpha0_delta_coeff: Fraction
-    # alpha != 0 radicand  ra*alpha^2 + rb*beta^2 + rc*alpha*gamma
-    radicand: tuple[Fraction, Fraction, Fraction]
-    radicand_premul: int         # radicand is scaled by this before sqrt (folds a sqrt(3))
-    c_const: Fraction            # c = c_const - beta/(3 alpha) +- S / (c_sqrt_den * alpha)
-    c_sqrt_den: int
-    # delta = da*alpha - (2/27) beta^3/alpha^2 + beta*gamma/(3 alpha)
-    #         +- (db2*beta^2/alpha^2 + dg*gamma/alpha + dc) * S / d_sqrt_den
-    delta_alpha: Fraction
-    delta_b2: Fraction
-    delta_g: Fraction
-    delta_const: Fraction
-    d_sqrt_den: int
-    fg_shift: Fraction           # ladder product fg = cubic(c + fg_shift)
-    # intrinsic locus: gamma = ig_alpha * alpha + beta^2/(3 alpha)
-    ig_alpha: Fraction
-    intrinsic_fg: Fraction       # fg = intrinsic_fg * alpha on the locus
-    upper_needs_negative_alpha: bool
-    intrinsic_c_const: Fraction  # c = intrinsic_c_const - beta/(3 alpha) on the locus
-    raise_terms: tuple[tuple[tuple[int, int], Fraction], ...]
-    lower_terms: tuple[tuple[tuple[int, int], Fraction], ...]
-    separated_index: int         # module basis index split off by the ladders
-    # whole-module diagonal label constant as published; case 3 disagrees with
-    # the solved c and verify-case flags the discrepancy
-    printed_label_const: Fraction
+    # e(M) at the raised label, the source label and the third label
+    energies: tuple[Fraction, Fraction, Fraction]
+    label_sums: tuple[Fraction, Fraction, Fraction]  # S_1, S_2, S_3
+    raise_op: DiffOp
+    lower_op: DiffOp
+    bracket_poly: PolyK          # [raise_op, lower_op] x^k = bracket_poly(k) x^k
+
+
+def derive_case(q: int, m1: Union[int, Fraction]) -> CaseData:
+    """The data of the ladder label (q, M1) on the module {1, x, x^3}.
+
+    Raises ``ValueError`` unless the ladder moves between two of the labels
+    -1, 0, 1.  Which labels sit on which exponents needs no check: p fixes
+    them at 0, 1 and 3 whatever the label.
+    """
+    m1 = Fr(m1)
+    p, a = p_and_a(q, m1)
+    linear = Fr(1, q) - a * q - 2 * a * m1
+    labels = (Fr(-1), Fr(0), Fr(1))
+    energy = {m: a * m * m + linear * m for m in labels}
+    src, dst = m1, m1 + q
+    if src not in labels or dst not in labels:
+        raise ValueError(f"the ladder {src} -> {dst} leaves the labels -1, 0, 1")
+    (oth,) = (m for m in labels if m not in (src, dst))
+    exponent = dict(zip(labels, V3.exponents))
+    raise_op = _ladder(V3.exponents, exponent[src], exponent[dst])
+    lower_op = _ladder(V3.exponents, exponent[dst], exponent[src])
+    # [raise, lower] has shift 0 only, and its k^3 coefficient is -4 * shift
+    # times the k^2 coefficients of the two ladders, so it is always cubic
+    bracket = raise_op.commutator(lower_op).symbolic_action().as_dict()
+    return CaseData(
+        q=q,
+        two_m1=int(2 * m1),
+        p=p,
+        a=a,
+        energies=(energy[dst], energy[src], energy[oth]),
+        label_sums=tuple(
+            energy[dst] ** n + energy[src] ** n - 2 * energy[oth] ** n for n in (1, 2, 3)
+        ),
+        raise_op=raise_op,
+        lower_op=lower_op,
+        bracket_poly=bracket[0],
+    )
 
 
 class CaseId(Enum):
@@ -63,82 +137,41 @@ class CaseId(Enum):
 
     @property
     def data(self) -> CaseData:
-        return _CASE_TABLE[self]
+        return _CASES[self]
 
-    @classmethod
-    def from_int(cls, value: int) -> "CaseId":
-        return cls(value)
+    @property
+    def printed_label_const(self) -> Fraction:
+        """The whole-module diagonal label constant as the paper prints it.
 
-    # -- intrinsic locus helpers ---------------------------------------------
-    def intrinsic_gamma(self, alpha: Scalar, beta: Scalar) -> Scalar:
-        d = self.data
-        return d.ig_alpha * alpha + beta * beta / (3 * alpha)
-
-    def intrinsic_product(self, alpha: Scalar) -> Scalar:
-        return self.data.intrinsic_fg * alpha
-
-    def intrinsic_c(self, alpha: Scalar, beta: Scalar) -> Scalar:
-        return self.data.intrinsic_c_const - beta / (3 * alpha)
-
-    def valid_branch(self, alpha) -> str:
-        """Which sign of the solved c realizes the intrinsic closure for this alpha."""
-        if alpha == 0:
-            raise ValueError("branch selection needs alpha != 0")
-        negative = alpha < 0
-        if self.data.upper_needs_negative_alpha:
-            return "upper" if negative else "lower"
-        return "lower" if negative else "upper"
+        Case 3's disagrees with the solved c and verify-case flags the
+        discrepancy, so it is recorded, not derived.
+        """
+        return _PRINTED_LABEL_CONST[self]
 
 
-_CASE_TABLE = {
-    CaseId.CASE1: CaseData(
-        q=1, two_m1=-2, p=Fr(1), a=Fr(1, 2),
-        alpha0_delta_coeff=Fr(169, 100),
-        radicand=(Fr(-579), Fr(100), Fr(-300)), radicand_premul=1,
-        c_const=Fr(-7, 10), c_sqrt_den=30,
-        delta_alpha=Fr(39, 125), delta_b2=Fr(1, 135), delta_g=Fr(-1, 45),
-        delta_const=Fr(-166, 1125), d_sqrt_den=1,
-        fg_shift=Fr(0),
-        ig_alpha=Fr(-31, 16), intrinsic_fg=Fr(3, 2),
-        upper_needs_negative_alpha=True,
-        intrinsic_c_const=Fr(-3, 4),
-        raise_terms=(((3, 2), Fr(1, 3)), ((2, 1), Fr(-1)), ((1, 0), Fr(1))),
-        lower_terms=(((1, 2), Fr(-1, 2)), ((0, 1), Fr(1))),
-        separated_index=2,
-        printed_label_const=Fr(-3, 4),
-    ),
-    CaseId.CASE2: CaseData(
-        q=1, two_m1=0, p=Fr(2), a=Fr(1, 4),
-        alpha0_delta_coeff=Fr(25, 64),
-        radicand=(Fr(-111), Fr(64), Fr(-192)), radicand_premul=1,
-        c_const=Fr(-1, 8), c_sqrt_den=24,
-        delta_alpha=Fr(-15, 128), delta_b2=Fr(1, 108), delta_g=Fr(-1, 36),
-        delta_const=Fr(-47, 1152), d_sqrt_den=1,
-        fg_shift=Fr(1),
-        ig_alpha=Fr(-5, 8), intrinsic_fg=Fr(3, 16),
-        upper_needs_negative_alpha=False,
-        intrinsic_c_const=Fr(0),
-        raise_terms=(((4, 2), Fr(-1, 2)), ((3, 1), Fr(1))),
-        lower_terms=(((0, 2), Fr(1, 6)),),
-        separated_index=0,
-        printed_label_const=Fr(0),
-    ),
-    CaseId.CASE3: CaseData(
-        q=2, two_m1=-2, p=Fr(3), a=Fr(1, 6),
-        alpha0_delta_coeff=Fr(25, 36),
-        # printed form carries a sqrt(3) prefactor; folding it in scales the
-        # radicand by 3 and the delta coefficient by 1/3
-        radicand=(Fr(47), Fr(12), Fr(-36)), radicand_premul=3,
-        c_const=Fr(-5, 6), c_sqrt_den=18,
-        delta_alpha=Fr(5, 3), delta_b2=Fr(1, 27), delta_g=Fr(-1, 9),
-        delta_const=Fr(-34, 81), d_sqrt_den=3,
-        fg_shift=Fr(2, 3),
-        ig_alpha=Fr(-55, 144), intrinsic_fg=Fr(-1, 18),
-        upper_needs_negative_alpha=False,
-        intrinsic_c_const=Fr(-1, 12),
-        raise_terms=(((5, 2), Fr(1, 3)), ((4, 1), Fr(-1)), ((3, 0), Fr(1))),
-        lower_terms=(((-1, 2), Fr(1, 6)),),
-        separated_index=1,
-        printed_label_const=Fr(-1, 6),  # disagrees with the solved c; flagged in reports
-    ),
+_CASES = {
+    case: derive_case(q, m1)
+    for case, (q, m1) in zip(CaseId, enumerate_case_labels(2), strict=True)
 }
+_PRINTED_LABEL_CONST = {CaseId.CASE1: Fr(-3, 4), CaseId.CASE2: Fr(0), CaseId.CASE3: Fr(-1, 6)}
+
+
+def build_case_realization(
+    case: CaseId,
+    alpha: Scalar,
+    beta: Scalar,
+    f: Scalar,
+    g: Scalar,
+    c: Optional[Scalar] = None,
+) -> tuple[DiffOp, DiffOp, DiffOp]:
+    """The differential triple (diagonal, raising, lowering) of a ladder case.
+
+    The diagonal operator is (1/p) x D + (c - 1/p).  Without an explicit
+    label ``c`` the intrinsic one is used, which requires alpha != 0.
+    """
+    data = case.data
+    if c is None:
+        c = intrinsic_gamma_and_product(case, alpha, beta).c
+    slope = 1 / data.p
+    j0 = DiffOp({(1, 1): slope, (0, 0): as_scalar(c) - slope})
+    return j0, data.raise_op.scale(f), data.lower_op.scale(g)

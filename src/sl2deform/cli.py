@@ -20,14 +20,8 @@ import sys
 from typing import Optional, Sequence
 
 from .algebra import AlgebraParams, MatrixTriple, casimir_matrix, check_deformed_relations
-from .cases import CaseId
-from .diffops import (
-    MonomialSpace,
-    V3,
-    build_case_realization,
-    closure_check,
-    enumerate_preserving_operators,
-)
+from .cases import CaseId, build_case_realization
+from .diffops import MonomialSpace, V3, closure_check, enumerate_preserving_operators
 from .matrices import Matrix, is_scalar_multiple_of_identity
 from .reps import (
     TrivialAlgebraError,
@@ -88,26 +82,17 @@ def _closure_values(report) -> dict:
     return values
 
 
-def _matrix_values(matrix: Matrix) -> list[list[str]]:
-    return matrix.to_strings()
-
-
 def cmd_verify_case(args) -> dict:
-    case = CaseId.from_int(args.case)
+    case = CaseId(args.case)
     alpha = parse_scalar(args.alpha)
     beta = parse_scalar(args.beta)
-    if scalar_is_zero(alpha) and scalar_is_zero(beta):
-        raise TrivialAlgebraError(
-            "alpha = beta = 0 admits only the trivial gamma = delta = 0 algebra"
-        )
 
+    # the parameter region is checked once, by the solvers in reps
     gamma_intrinsic = args.gamma == "intrinsic"
     if gamma_intrinsic:
-        if scalar_is_zero(alpha):
-            raise ValueError("--gamma intrinsic needs alpha != 0")
         intr = intrinsic_gamma_and_product(case, alpha, beta)
         gamma = intr.gamma
-        branch = args.branch or intr.branch_for(alpha)
+        branch = args.branch or intr.branch
     else:
         intr = None
         gamma = parse_scalar(args.gamma)
@@ -189,7 +174,7 @@ def cmd_verify_case(args) -> dict:
         _section(
             "casimir",
             {
-                "matrix": _matrix_values(casimir),
+                "matrix": casimir.to_strings(),
                 "is_scalar_multiple_of_identity": casimir_scalar is not None,
                 "scalar": None if casimir_scalar is None else render_scalar(casimir_scalar),
                 "counts_toward_status": gamma_intrinsic,
@@ -217,7 +202,7 @@ def cmd_verify_case(args) -> dict:
     sections.append(_section("decomposition", {"blocks": block_values}))
 
     if case is CaseId.CASE3 and gamma_intrinsic:
-        printed = case.data.printed_label_const - beta / (3 * alpha)
+        printed = case.printed_label_const - beta / (3 * alpha)
         sections.append(
             _section(
                 "flagged-discrepancies",
@@ -353,7 +338,7 @@ def cmd_rep_check(args) -> dict:
         _section(
             "casimir",
             {
-                "matrix": _matrix_values(casimir),
+                "matrix": casimir.to_strings(),
                 "is_scalar_multiple_of_identity": casimir_scalar is not None,
                 "scalar": None if casimir_scalar is None else render_scalar(casimir_scalar),
             },

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
-from .cases import CaseId
 from .matrices import Matrix
 from .scalars import (
     Scalar,
@@ -172,6 +171,20 @@ class SymbolicAction:
                 out[k + s] = v
         return out
 
+    def rows_on(self, space: "MonomialSpace") -> list[list[Scalar]]:
+        """Matrix rows in the basis x^e of ``space``; the space must be preserved."""
+        pos = {e: i for i, e in enumerate(space.exponents)}
+        n = len(space.exponents)
+        rows = [[as_scalar(0) for _ in range(n)] for _ in range(n)]
+        for col, k in enumerate(space.exponents):
+            for e, v in self.evaluate(k).items():
+                if e not in pos:
+                    raise SpaceEscapeError(
+                        f"operator does not preserve the space {space.exponents}"
+                    )
+                rows[pos[e]][col] = v
+        return rows
+
 
 class DiffOp:
     """Normal-ordered linear differential operator with monomial coefficients."""
@@ -312,17 +325,8 @@ class DiffOp:
         each entry picks up sqrt(N_col / N_row), taken exactly per entry so no
         shared quadratic extension is ever needed.
         """
-        pos = {e: i for i, e in enumerate(space.exponents)}
-        n = len(space.exponents)
-        rows = [[as_scalar(0) for _ in range(n)] for _ in range(n)]
-        action = self.symbolic_action()
-        for col, k in enumerate(space.exponents):
-            for e, v in action.evaluate(k).items():
-                if e not in pos:
-                    raise SpaceEscapeError(
-                        f"operator does not preserve the space {space.exponents}"
-                    )
-                rows[pos[e]][col] = v
+        rows = self.symbolic_action().rows_on(space)
+        n = len(rows)
         if norm_squares is not None:
             ns = [Fraction(x) for x in norm_squares]
             for r in range(n):
@@ -421,14 +425,6 @@ def parse_diffop(text: str) -> DiffOp:
     return DiffOp(terms)
 
 
-def compose(op_a: DiffOp, op_b: DiffOp) -> DiffOp:
-    return op_a.compose(op_b)
-
-
-def commutator_op(op_a: DiffOp, op_b: DiffOp) -> DiffOp:
-    return op_a.commutator(op_b)
-
-
 @dataclass(frozen=True)
 class MonomialSpace:
     """Span of finitely many monomials x^e, e a strictly increasing exponent list."""
@@ -451,37 +447,6 @@ class MonomialSpace:
 
 #: The module spanned by 1, x and x^3 on which the three ladder cases live.
 V3 = MonomialSpace((0, 1, 3))
-
-
-# -- case realizations ------------------------------------------------------------
-
-
-def build_case_realization(
-    case: CaseId,
-    alpha: Scalar,
-    beta: Scalar,
-    f: Scalar,
-    g: Scalar,
-    c: Optional[Scalar] = None,
-) -> tuple[DiffOp, DiffOp, DiffOp]:
-    """The differential triple (diagonal, raising, lowering) of a ladder case.
-
-    The diagonal operator is (1/p) x D + (c - 1/p).  Without an explicit
-    label ``c`` the intrinsic one is used, which requires alpha != 0.
-    """
-    data = case.data
-    alpha, beta = as_scalar(alpha), as_scalar(beta)
-    if c is None:
-        if scalar_is_zero(alpha):
-            raise ValueError(
-                "alpha = 0 leaves the intrinsic diagonal label undefined; pass c"
-            )
-        c = case.intrinsic_c(alpha, beta)
-    slope = 1 / data.p
-    j0 = DiffOp({(1, 1): slope, (0, 0): as_scalar(c) - slope})
-    jp = DiffOp({key: coeff for key, coeff in data.raise_terms}).scale(f)
-    jm = DiffOp({key: coeff for key, coeff in data.lower_terms}).scale(g)
-    return j0, jp, jm
 
 
 # -- closure checking ---------------------------------------------------------------
@@ -662,23 +627,16 @@ def enumerate_preserving_operators(
 # -- Lie closure probing -----------------------------------------------------------------
 
 
-def _action_coordinates(ops: Sequence[DiffOp]) -> dict[tuple[int, int], int]:
-    keys = set()
-    for op in ops:
-        for s, poly in op.symbolic_action().polys:
-            for j, c in enumerate(poly.coeffs):
-                if not scalar_is_zero(c):
-                    keys.add((s, j))
-    return {key: i for i, key in enumerate(sorted(keys))}
-
-
-def _action_vector(op: DiffOp, coords: dict[tuple[int, int], int]) -> list[Scalar]:
-    vec: list[Scalar] = [Fraction(0)] * len(coords)
-    for s, poly in op.symbolic_action().polys:
-        for j, c in enumerate(poly.coeffs):
-            if not scalar_is_zero(c):
-                vec[coords[(s, j)]] = c
-    return vec
+def _action_vectors(actions: Sequence[SymbolicAction]) -> list[list[Scalar]]:
+    """Coefficient vectors of the actions over the (shift, power of k) pairs they use."""
+    entries = [
+        {(s, j): c for s, poly in action.polys for j, c in enumerate(poly.coeffs)
+         if not scalar_is_zero(c)}
+        for action in actions
+    ]
+    keys = sorted(set().union(*entries))
+    zero = Fraction(0)
+    return [[entry.get(key, zero) for key in keys] for entry in entries]
 
 
 @dataclass(frozen=True)
@@ -703,26 +661,24 @@ def lie_closure_probe(
     if max_rounds < 1:
         raise ValueError("max_rounds must be positive")
     ops = list(ops)
-    for op in ops:
-        if not op.preserves_space(space):
-            raise SpaceEscapeError("every probed operator must preserve the space")
-    euler = DiffOp.euler()
-    diagonal_allowance = [euler ** i for i in range(4)]
-    brackets = [
-        ((i, j), ops[i].commutator(ops[j]))
-        for i in range(len(ops))
-        for j in range(i + 1, len(ops))
-    ]
-    ambient = ops + diagonal_allowance + [b for _, b in brackets]
-    coords = _action_coordinates(ambient)
-    span = _ExactSpan(len(coords))
-    for op in ops + diagonal_allowance:
-        span.add(_action_vector(op, coords))
+    # each operator's symbolic action is computed once, for its matrix and its
+    # vector; rows_on raises SpaceEscapeError for one that leaves the space
+    actions = [op.symbolic_action() for op in ops]
+    mats = [Matrix(action.rows_on(space)) for action in actions]
+    diagonal_allowance = [DiffOp.euler() ** i for i in range(4)]
+    pairs = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))]
+    brackets = [ops[i].commutator(ops[j]) for i, j in pairs]
+    vectors = _action_vectors(
+        actions + [op.symbolic_action() for op in diagonal_allowance + brackets]
+    )
+    cut = len(ops) + len(diagonal_allowance)
+    span = _ExactSpan(len(vectors[0]))
+    for vec in vectors[:cut]:
+        span.add(vec)
     failing = tuple(
-        pair for pair, br in brackets if not span.contains(_action_vector(br, coords))
+        pair for pair, vec in zip(pairs, vectors[cut:]) if not span.contains(vec)
     )
 
-    mats = [op.matrix_on_space(space) for op in ops]
     n = space.dimension
     flat = lambda mat: [mat.rows[i][j] for i in range(n) for j in range(n)]
     mspan = _ExactSpan(n * n)

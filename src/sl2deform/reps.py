@@ -8,18 +8,27 @@ lowering operator moves only M1 + q -> M1 with coefficient g.  The linear
 coefficient is pinned by the unit-shift relation [J0, J+] = J+, so the whole
 relation system reduces to 2J + 1 diagonal constraints; only the product
 f*g is ever constrained, never the split.
+
+The three-dimensional cases are solved from the data ``cases.derive_case``
+computes for each: eliminating f*g and delta from the three constraints
+leaves a quadratic in c, and matching the ladder bracket with the cubic in
+J0 on every x^k gives the intrinsic locus.  ``_case_parameters`` is the one
+guard on (alpha, beta, gamma) for both solvers; ``sqrt_exact`` rejects an
+irrational radicand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .algebra import AlgebraParams, MatrixTriple
-from .cases import CaseId
 from .matrices import Matrix, coordinate_block_split
 from .scalars import Scalar, as_scalar, scalar_is_zero, sqrt_exact
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; cases imports this module
+    from .cases import CaseId
 
 Fr = Fraction
 
@@ -78,42 +87,16 @@ class CaseSolution:
 
 @dataclass(frozen=True)
 class IntrinsicData:
-    """The locus on which a case's realization closes independently of the module."""
+    """The locus on which a case's realization closes independently of the module.
+
+    ``c`` is the diagonal label there and ``branch`` the square-root sign of
+    :func:`solve_case` that reaches it, both for the alpha it was built with.
+    """
 
     gamma: Scalar
     fg: Scalar
-    upper_branch_condition: str
-    lower_branch_condition: str
-
-    def branch_for(self, alpha) -> str:
-        """The branch satisfying the sign condition for this concrete alpha."""
-        if alpha == 0:
-            raise ValueError("branch selection needs alpha != 0")
-        negative = alpha < 0
-        if self.upper_branch_condition == "alpha < 0":
-            return "upper" if negative else "lower"
-        return "lower" if negative else "upper"
-
-
-def p_and_a(q: int, m1: Union[int, Fraction]) -> tuple[Fraction, Fraction]:
-    """Slope denominator p = q^2/2 + q(M1 + 3/2) of the diagonal realization, a = 1/(2p)."""
-    if q < 1:
-        raise ValueError("q must be positive")
-    m1 = Fr(m1)
-    p = Fr(q * q, 2) + q * (m1 + Fr(3, 2))
-    if p == 0:
-        raise ValueError(f"degenerate diagonal realization: p = 0 at (q={q}, M1={m1})")
-    return p, 1 / (2 * p)
-
-
-def enumerate_case_labels(two_j: int) -> list[tuple[int, Fraction]]:
-    """All (q, M1) with both ladder endpoints inside the basis, M1 as a fraction."""
-    labels = []
-    for q in range(1, two_j + 1):
-        for two_m1 in range(-two_j, two_j - 2 * q + 1, 2):
-            labels.append((q, Fr(two_m1, 2)))
-    labels.sort(key=lambda t: (t[0], t[1]))
-    return labels
+    c: Scalar
+    branch: str  # "upper" | "lower"
 
 
 def build_new_rep_matrices(spec: RepSpec) -> MatrixTriple:
@@ -155,6 +138,35 @@ def constraint_residuals(spec: RepSpec, params: AlgebraParams) -> list[Scalar]:
     return residuals
 
 
+def _case_parameters(alpha, beta, gamma) -> tuple[Scalar, Scalar, Scalar]:
+    """The parameter region of the case solvers, as scalars.
+
+    alpha = beta = 0 leaves only the trivial algebra.  With alpha != 0 the
+    branch is picked by the sign of a multiple of 1/alpha, so alpha must be
+    rational there; beta and gamma may be irrational as long as the radicand
+    of :func:`solve_case` stays rational, which ``sqrt_exact`` checks.
+    """
+    alpha, beta, gamma = as_scalar(alpha), as_scalar(beta), as_scalar(gamma)
+    if scalar_is_zero(alpha):
+        if scalar_is_zero(beta):
+            raise TrivialAlgebraError(
+                "alpha = beta = 0 admits only the trivial gamma = delta = 0 algebra"
+            )
+    elif not isinstance(alpha, Fraction):
+        raise ValueError("alpha != 0 must be rational")
+    return alpha, beta, gamma
+
+
+def _c_quadratic(case: CaseId, alpha, beta, gamma) -> tuple[Scalar, Scalar, Scalar]:
+    """(A, B, C) of A c^2 + B c + C = 0, what the three constraints leave of c.
+
+    Eliminating f*g and delta sums cubic(c + e) over the raised and source
+    labels less twice the third label's; the c^3 terms cancel.
+    """
+    s1, s2, s3 = case.data.label_sums
+    return 3 * alpha * s1, 3 * alpha * s2 + 2 * beta * s1, gamma * s1 + beta * s2 + alpha * s3
+
+
 def solve_case(
     case: CaseId,
     alpha: Scalar,
@@ -162,69 +174,53 @@ def solve_case(
     gamma: Scalar,
     branch: str = "upper",
 ) -> CaseSolution:
-    """Closed-form (c, delta, f*g) for one of the three-dimensional cases.
+    """Exact (c, delta, f*g) for one of the three-dimensional cases.
 
     With alpha = 0 the solution is unique and ``branch`` is ignored; otherwise
     ``branch`` picks the sign in front of the square root and the radicand
-    must be nonnegative.  The ladder product comes from back-substituting c
-    into the raised-state constraint.
+    must be nonnegative.  delta zeroes the third label's constraint and f*g
+    the raised label's.
     """
-    alpha, beta, gamma = as_scalar(alpha), as_scalar(beta), as_scalar(gamma)
-    data = case.data
+    alpha, beta, gamma = _case_parameters(alpha, beta, gamma)
+    e_dst, _, e_oth = case.data.energies
+    a, b, c0 = _c_quadratic(case, alpha, beta, gamma)
     if scalar_is_zero(alpha):
-        if scalar_is_zero(beta):
-            raise TrivialAlgebraError(
-                "alpha = beta = 0 admits only the trivial gamma = delta = 0 algebra"
-            )
-        c = data.c_const - gamma / (2 * beta)
-        delta = gamma * gamma / (4 * beta) - data.alpha0_delta_coeff * beta
+        c = -c0 / b
         branch_tag = "alpha-zero"
     else:
         if branch not in ("upper", "lower"):
             raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
-        sign = 1 if branch == "upper" else -1
-        ra, rb, rc = data.radicand
-        radicand = ra * alpha * alpha + rb * beta * beta + rc * alpha * gamma
-        root = sqrt_exact(data.radicand_premul * radicand)
-        c = data.c_const - beta / (3 * alpha) + sign * root / (data.c_sqrt_den * alpha)
-        delta = (
-            data.delta_alpha * alpha
-            - Fr(2, 27) * beta ** 3 / (alpha * alpha)
-            + beta * gamma / (3 * alpha)
-            + sign
-            * (
-                data.delta_b2 * beta * beta / (alpha * alpha)
-                + data.delta_g * gamma / alpha
-                + data.delta_const
-            )
-            * root
-            / data.d_sqrt_den
-        )
+        s1 = case.data.label_sums[0]
+        root = sqrt_exact((b * b - 4 * a * c0) / (36 * s1 * s1))
+        c = -b / (2 * a) + (root if branch == "upper" else -root) / alpha
         branch_tag = branch
-    params = AlgebraParams(alpha, beta, gamma, delta)
-    fg = _cubic(c + data.fg_shift, params)
+    bare = AlgebraParams(alpha, beta, gamma, 0)
+    delta = -_cubic(c + e_oth, bare)
+    fg = _cubic(c + e_dst, bare) + delta
     return CaseSolution(c=c, delta=delta, fg=fg, branch=branch_tag)
 
 
 def intrinsic_gamma_and_product(case: CaseId, alpha: Scalar, beta: Scalar) -> IntrinsicData:
-    """gamma and f*g making the case realization close independently of the module.
+    """gamma, f*g and c making the case realization close independently of the module.
 
-    Also reports which square-root branch realizes the intrinsic solution for
-    each sign of alpha.
+    On x^k the bracket [J+, J-] is f*g*Q(k), Q the case's cubic
+    ``bracket_poly``, and J0 is (k - 1)/p + c; matching the coefficients of
+    k^3, k^2 and k^1 of f*g*Q(k) = cubic((k - 1)/p + c) fixes f*g, c and gamma.
+    Also reports the square-root branch of :func:`solve_case` that gives this c.
     """
-    alpha, beta = as_scalar(alpha), as_scalar(beta)
+    alpha, beta, _ = _case_parameters(alpha, beta, 0)
     if scalar_is_zero(alpha):
         raise ValueError("the intrinsic locus needs alpha != 0")
-    if case.data.upper_needs_negative_alpha:
-        upper, lower = "alpha < 0", "alpha > 0"
-    else:
-        upper, lower = "alpha > 0", "alpha < 0"
-    return IntrinsicData(
-        gamma=case.intrinsic_gamma(alpha, beta),
-        fg=case.intrinsic_product(alpha),
-        upper_branch_condition=upper,
-        lower_branch_condition=lower,
-    )
+    data = case.data
+    p = data.p
+    _, q1, q2, q3 = data.bracket_poly.coeffs
+    fg = alpha / (p ** 3 * q3)
+    u = (fg * q2 * p * p - beta) / (3 * alpha)  # c - 1/p
+    gamma = fg * q1 * p - 3 * alpha * u * u - 2 * beta * u
+    c = u + 1 / p
+    a, b, _ = _c_quadratic(case, alpha, beta, gamma)
+    branch = "upper" if (c + b / (2 * a)) / alpha > 0 else "lower"
+    return IntrinsicData(gamma=gamma, fg=fg, c=c, branch=branch)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,10 @@ import re
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
-
 
 class ScalarDomainError(ArithmeticError):
-    """Two exact values live in incompatible extensions (different radicands)."""
+    """A value would leave the single quadratic extension: two different
+    radicands meet, or the square root of an irrational is asked for."""
 
 
 class NegativeRadicandError(ValueError):
@@ -213,28 +212,15 @@ def scalar_is_zero(value: Scalar) -> bool:
     return isinstance(value, (int, Fraction)) and value == 0
 
 
-def scalar_arith(lhs: Scalar, rhs: Scalar, op: str) -> Scalar:
-    """Exact field operation; ``op`` is one of add|sub|mul|div."""
-    lhs, rhs = as_scalar(lhs), as_scalar(rhs)
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "div":
-        if scalar_is_zero(rhs):
-            raise ZeroDivisionError("scalar division by zero")
-        return lhs / rhs
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def sqrt_exact(value) -> Scalar:
     """Exact nonnegative square root of a rational.
 
     Perfect squares come back rational; otherwise the result is a pure radical
     r*sqrt(D) with D the squarefree part, satisfying (r*sqrt(D))**2 == value.
+    The root of an irrational value leaves the quadratic extension.
     """
+    if isinstance(value, QuadExt):
+        raise ScalarDomainError(f"square root of irrational value {render_scalar(value)}")
     value = Fraction(value)
     if value < 0:
         raise NegativeRadicandError(f"square root of negative value {value}")

@@ -28,12 +28,11 @@ from sl2deform.algebra import (
     check_deformed_relations,
     classic_norm_squares,
 )
-from sl2deform.cases import CaseId
+from sl2deform.cases import CaseId, build_case_realization
 from sl2deform.diffops import (
     DiffOp,
     MonomialSpace,
     V3,
-    build_case_realization,
     closure_check,
     enumerate_preserving_operators,
     lie_closure_probe,
@@ -51,6 +50,7 @@ from sl2deform.reps import (
 from sl2deform.scalars import scalar_is_zero
 
 from conftest import rand_fraction
+from published_cases import PUBLISHED
 
 
 def announce(number: int, description: str, ok: bool, detail: str = "") -> bool:
@@ -129,7 +129,7 @@ def test_criterion_2_case_reproduction():
         beta = rand_fraction(rng)
         for case in CaseId:
             intr = intrinsic_gamma_and_product(case, alpha, beta)
-            sol = solve_case(case, alpha, beta, intr.gamma, intr.branch_for(alpha))
+            sol = solve_case(case, alpha, beta, intr.gamma, intr.branch)
             params = AlgebraParams(alpha, beta, intr.gamma, sol.delta)
             spec = case_rep_spec(case, sol)
 
@@ -198,11 +198,10 @@ def test_criterion_4_intrinsic_vs_on_space_separation():
         case = cases[done % 3]
         alpha = rand_fraction(rng, nonzero=True)
         beta = rand_fraction(rng)
-        # dial the radicand directly: gamma is linear in it
+        # dial the published radicand directly: gamma is linear in it
         target = Fr(rng.choice([0, 1, 4, 9, 25, 2, 3, 5, 7, 11, 18, 49]))
-        ra, rb, rc = case.data.radicand
-        gamma = (target - ra * alpha**2 - rb * beta**2) / (rc * alpha)
-        if gamma == case.intrinsic_gamma(alpha, beta):
+        gamma = PUBLISHED[case].gamma_for_radicand(alpha, beta, target)
+        if gamma == intrinsic_gamma_and_product(case, alpha, beta).gamma:
             continue
         branch = rng.choice(["upper", "lower"])
         sol = solve_case(case, alpha, beta, gamma, branch)
@@ -460,7 +459,7 @@ def test_criterion_7_equivalence_oracle():
             alpha = rand_fraction(rng, nonzero=True)
             beta = rand_fraction(rng)
             intr = intrinsic_gamma_and_product(case, alpha, beta)
-            sol = solve_case(case, alpha, beta, intr.gamma, intr.branch_for(alpha))
+            sol = solve_case(case, alpha, beta, intr.gamma, intr.branch)
             f = rand_fraction(rng, nonzero=True)
             samples.append(
                 (case_rep_spec(case, sol, f=f),
@@ -511,10 +510,9 @@ def test_criterion_8_radicand_collapse():
         alpha = rand_fraction(rng, nonzero=True)
         beta = rand_fraction(rng)
         for case in CaseId:
-            gamma = case.intrinsic_gamma(alpha, beta)
-            ra, rb, rc = case.data.radicand
-            radicand = ra * alpha**2 + rb * beta**2 + rc * alpha * gamma
+            intr = intrinsic_gamma_and_product(case, alpha, beta)
+            radicand = PUBLISHED[case].radicand_at(alpha, beta, intr.gamma)
             collapse_ok = radicand == RADICAND_COLLAPSE[case](alpha)
-            sol = solve_case(case, alpha, beta, gamma, case.valid_branch(alpha))
+            sol = solve_case(case, alpha, beta, intr.gamma, intr.branch)
             ok = ok and collapse_ok and isinstance(sol.c, Fr)
     assert announce(8, "intrinsic radicands are perfect squares, c rational", ok)

@@ -12,8 +12,8 @@ from sl2deform.algebra import (
     classic_norm_squares,
     cubic_in,
 )
-from sl2deform.cases import CaseId
-from sl2deform.diffops import V3, build_case_realization
+from sl2deform.cases import CaseId, build_case_realization
+from sl2deform.diffops import V3
 from sl2deform.matrices import Matrix, commutator
 from sl2deform.reps import case_rep_spec, intrinsic_gamma_and_product, solve_case
 from sl2deform.scalars import sqrt_exact
@@ -25,7 +25,7 @@ CLASSIC = AlgebraParams(0, 0, 2, 0)
 
 def solved_case_matrices(case, alpha, beta):
     intr = intrinsic_gamma_and_product(case, alpha, beta)
-    sol = solve_case(case, alpha, beta, intr.gamma, intr.branch_for(alpha))
+    sol = solve_case(case, alpha, beta, intr.gamma, intr.branch)
     spec = case_rep_spec(case, sol)
     ops = build_case_realization(case, alpha, beta, f=spec.f, g=spec.g, c=sol.c)
     triple = MatrixTriple(*(op.matrix_on_space(V3) for op in ops))

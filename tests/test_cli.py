@@ -56,6 +56,63 @@ def test_verify_case_trivial_pair_is_an_error(capsys):
     assert "trivial" in section(report, "error")["message"]
 
 
+def test_verify_case_trivial_pair_is_an_error_with_explicit_gamma(capsys):
+    code, report = run_cli(
+        capsys, "verify-case", "--case", "2", "--alpha", "0", "--beta", "0",
+        "--gamma", "1",
+    )
+    assert code == 2
+    assert "trivial" in section(report, "error")["message"]
+
+
+def test_verify_case_intrinsic_gamma_needs_nonzero_alpha(capsys):
+    code, report = run_cli(
+        capsys, "verify-case", "--case", "1", "--alpha", "0", "--beta", "2"
+    )
+    assert code == 2
+    assert "alpha != 0" in section(report, "error")["message"]
+
+
+def test_verify_case_irrational_alpha_or_radicand_is_an_error(capsys):
+    # alpha != 0 must be rational, and the radicand for c must stay rational
+    for flags, words in (
+        (["--alpha", "sqrt(2)", "--beta", "1"], "must be rational"),
+        (["--alpha", "1", "--beta", "0", "--gamma", "sqrt(2)"], "irrational value"),
+        (["--alpha", "1", "--beta", "sqrt(2)", "--gamma", "sqrt(2)"], "irrational value"),
+    ):
+        code, report = run_cli(capsys, "verify-case", "--case", "1", *flags)
+        assert code == 2, flags
+        message = section(report, "error")["message"]
+        assert words in message and "\n" not in message
+
+
+def test_verify_case_irrational_beta_solves_while_the_radicand_is_rational(capsys):
+    # beta enters the radicand only as beta^2, and not at all on the
+    # intrinsic locus, so c, delta and f*g stay in Q(sqrt(2))
+    for flags, c in (
+        (["--case", "2", "--beta", "sqrt(2)"], "-1/3*sqrt(2)"),
+        (["--case", "2", "--beta", "1+sqrt(2)"], "-1/3 - 1/3*sqrt(2)"),
+        (["--case", "1", "--beta", "sqrt(2)", "--gamma", "-19/3"], None),
+    ):
+        code, report = run_cli(capsys, "verify-case", "--alpha", "1", *flags)
+        assert code == 0, flags
+        assert section(report, "closure-on-space")["passed"] is True
+        if c is not None:
+            assert section(report, "solution")["c"] == c
+
+
+def test_verify_case_alpha_zero_keeps_irrational_beta_and_gamma(capsys):
+    for flags, c in (
+        (["--beta", "sqrt(2)", "--gamma", "1"], "-7/10 - 1/4*sqrt(2)"),
+        (["--beta", "1", "--gamma", "sqrt(3)"], "-7/10 - 1/2*sqrt(3)"),
+    ):
+        code, report = run_cli(
+            capsys, "verify-case", "--case", "1", "--alpha", "0", *flags
+        )
+        assert code == 0, flags
+        assert section(report, "solution")["c"] == c
+
+
 def test_verify_case_negative_radicand_is_an_error(capsys):
     code, report = run_cli(
         capsys, "verify-case", "--case", "1", "--alpha", "1", "--beta", "0",

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from sl2deform.algebra import AlgebraParams, build_classic_sl2_diffops
-from sl2deform.cases import CaseId
+from sl2deform.cases import CaseId, build_case_realization
 from sl2deform.diffops import (
     MAX_ENUMERATION_SIZE,
     DiffOp,
@@ -16,10 +16,7 @@ from sl2deform.diffops import (
     PolyK,
     SpaceEscapeError,
     V3,
-    build_case_realization,
     closure_check,
-    commutator_op,
-    compose,
     enumerate_preserving_operators,
     lie_closure_probe,
     parse_diffop,
@@ -121,30 +118,30 @@ def test_apply_agrees_with_symbolic(rng):
 def test_weyl_relation():
     d = DiffOp.derivative()
     x = DiffOp.x_power(1)
-    assert commutator_op(d, x) == DiffOp.identity()
+    assert d.commutator(x) == DiffOp.identity()
 
 
 def test_classic_bracket_at_spin_one():
     j0, jp, jm = build_classic_sl2_diffops(2)
-    assert commutator_op(jp, jm) == j0 * 2
+    assert jp.commutator(jm) == j0 * 2
 
 
 def test_euler_square_normal_orders():
     e = DiffOp.euler()
-    assert compose(e, e) == DiffOp({(2, 2): 1, (1, 1): 1})
+    assert e.compose(e) == DiffOp({(2, 2): 1, (1, 1): 1})
 
 
 def test_compose_handles_negative_powers():
     # D . x^-1 = -x^-2 + x^-1 D
     d = DiffOp.derivative()
     xinv = DiffOp.x_power(-1)
-    assert compose(d, xinv) == DiffOp({(-2, 0): -1, (-1, 1): 1})
+    assert d.compose(xinv) == DiffOp({(-2, 0): -1, (-1, 1): 1})
 
 
 def test_symbolic_action_is_a_homomorphism(rng):
     for _ in range(15):
         a, b = rand_op(rng), rand_op(rng)
-        left = compose(a, b).symbolic_action().as_dict()
+        left = a.compose(b).symbolic_action().as_dict()
         combined: dict[int, PolyK] = {}
         for sb, pb in b.symbolic_action().as_dict().items():
             for sa, pa in a.symbolic_action().as_dict().items():
@@ -201,7 +198,7 @@ def test_case_realization_matches_rep_matrices():
     for case in CaseId:
         alpha, beta = Fr(2), Fr(-3)
         intr = intrinsic_gamma_and_product(case, alpha, beta)
-        sol = solve_case(case, alpha, beta, intr.gamma, intr.branch_for(alpha))
+        sol = solve_case(case, alpha, beta, intr.gamma, intr.branch)
         spec = case_rep_spec(case, sol)
         ops = build_case_realization(case, alpha, beta, f=spec.f, g=spec.g, c=sol.c)
         built = [op.matrix_on_space(V3) for op in ops]
@@ -252,7 +249,7 @@ def test_case_realizations_close_intrinsically():
     for case in CaseId:
         alpha, beta = Fr(-3), Fr(2)
         intr = intrinsic_gamma_and_product(case, alpha, beta)
-        sol = solve_case(case, alpha, beta, intr.gamma, intr.branch_for(alpha))
+        sol = solve_case(case, alpha, beta, intr.gamma, intr.branch)
         ops = build_case_realization(case, alpha, beta, f=1, g=sol.fg, c=sol.c)
         params = AlgebraParams(alpha, beta, intr.gamma, sol.delta)
         assert closure_check(ops, params, None).passed
@@ -468,6 +465,21 @@ def test_probe_saturates_brackets_of_new_brackets():
                 grew = True
     assert report.matrix_lie_span_dimension == len(basis) == 8
     assert report.rounds_used == rounds == 3
+
+
+def test_probe_computes_each_symbolic_action_once(monkeypatch):
+    calls = []
+    original = DiffOp.symbolic_action
+
+    def counted(op):
+        calls.append(op)
+        return original(op)
+
+    monkeypatch.setattr(DiffOp, "symbolic_action", counted)
+    ops = six_ladders()
+    lie_closure_probe(ops, V3)
+    # six operators, four diagonal allowances and fifteen brackets
+    assert len(calls) == 6 + 4 + 15
 
 
 def test_probe_requires_preserving_inputs():

@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from sl2deform.algebra import AlgebraParams, casimir_matrix, check_deformed_relations
-from sl2deform.cases import CaseId
+from sl2deform.cases import CaseId, enumerate_case_labels, p_and_a
 from sl2deform.matrices import Matrix
 from sl2deform.reps import (
     CaseSolution,
@@ -13,14 +13,13 @@ from sl2deform.reps import (
     case_rep_spec,
     constraint_residuals,
     decompose_rep,
-    enumerate_case_labels,
     intrinsic_gamma_and_product,
-    p_and_a,
     solve_case,
 )
 from sl2deform.scalars import NegativeRadicandError, QuadExt, scalar_is_zero
 
 from conftest import rand_fraction
+from published_cases import PUBLISHED
 
 
 def cubic(t, params):
@@ -199,10 +198,9 @@ def test_both_branches_solve_the_constraints(rng):
         for _ in range(5):
             alpha = rand_fraction(rng, nonzero=True)
             beta = rand_fraction(rng)
-            # pick gamma so the radicand is a chosen nonnegative target
-            ra, rb, rc = case.data.radicand
+            # pick gamma so the published radicand is a chosen nonnegative target
             target = Fr(rng.randint(0, 40))
-            gamma = (target - ra * alpha**2 - rb * beta**2) / (rc * alpha)
+            gamma = PUBLISHED[case].gamma_for_radicand(alpha, beta, target)
             for branch in ("upper", "lower"):
                 sol = solve_case(case, alpha, beta, gamma, branch)
                 params = AlgebraParams(alpha, beta, gamma, sol.delta)
@@ -230,19 +228,23 @@ def test_case2_radicand_collapses_under_intrinsic_gamma(rng):
         alpha = rand_fraction(rng, nonzero=True)
         beta = rand_fraction(rng)
         gamma = intrinsic_gamma_and_product(CaseId.CASE2, alpha, beta).gamma
-        ra, rb, rc = CaseId.CASE2.data.radicand
-        assert ra * alpha**2 + rb * beta**2 + rc * alpha * gamma == (3 * alpha) ** 2
+        assert PUBLISHED[CaseId.CASE2].radicand_at(alpha, beta, gamma) == (3 * alpha) ** 2
 
 
 def test_branch_conditions():
-    intr1 = intrinsic_gamma_and_product(CaseId.CASE1, 1, 0)
-    assert intr1.upper_branch_condition == "alpha < 0"
-    assert intr1.branch_for(Fr(1)) == "lower"
-    assert intr1.branch_for(Fr(-2)) == "upper"
-    intr2 = intrinsic_gamma_and_product(CaseId.CASE2, 1, 0)
-    assert intr2.branch_for(Fr(1)) == "upper"
-    intr3 = intrinsic_gamma_and_product(CaseId.CASE3, -1, 0)
-    assert intr3.branch_for(Fr(-1)) == "lower"
+    # the intrinsic c is on the upper branch for alpha < 0 in case 1 and for
+    # alpha > 0 in cases 2 and 3
+    for case, alpha, branch in [
+        (CaseId.CASE1, Fr(1), "lower"),
+        (CaseId.CASE1, Fr(-2), "upper"),
+        (CaseId.CASE2, Fr(1), "upper"),
+        (CaseId.CASE2, Fr(-1, 3), "lower"),
+        (CaseId.CASE3, Fr(-1), "lower"),
+        (CaseId.CASE3, Fr(5, 2), "upper"),
+    ]:
+        intr = intrinsic_gamma_and_product(case, alpha, 0)
+        assert intr.branch == branch, (case, alpha)
+        assert solve_case(case, alpha, 0, intr.gamma, branch).c == intr.c
 
 
 # -- equivalence with the matrix relations ----------------------------------------------
@@ -256,7 +258,7 @@ def satisfying_samples(rng):
         alpha = rand_fraction(rng, nonzero=True)
         beta = rand_fraction(rng)
         intr = intrinsic_gamma_and_product(case, alpha, beta)
-        sol = solve_case(case, alpha, beta, intr.gamma, intr.branch_for(alpha))
+        sol = solve_case(case, alpha, beta, intr.gamma, intr.branch)
         out.append((case_rep_spec(case, sol),
                     AlgebraParams(alpha, beta, intr.gamma, sol.delta)))
     # two-dimensional ladders: no spectator states, delta closes the system
@@ -330,7 +332,7 @@ def test_gauge_freedom_of_the_product_split(rng):
 
 def solved_triple(case, alpha, beta):
     intr = intrinsic_gamma_and_product(case, alpha, beta)
-    sol = solve_case(case, alpha, beta, intr.gamma, intr.branch_for(alpha))
+    sol = solve_case(case, alpha, beta, intr.gamma, intr.branch)
     params = AlgebraParams(alpha, beta, intr.gamma, sol.delta)
     return build_new_rep_matrices(case_rep_spec(case, sol)), params, sol
 
