@@ -115,15 +115,17 @@ def build_classic_sl2_matrices(two_j: int) -> MatrixTriple:
     j = _half(two_j)
     ms = [_half(t) for t in range(-two_j, two_j + 1, 2)]
     n = len(ms)
-    j0 = Matrix.diagonal(ms)
-    plus_rows = [[as_scalar(0)] * n for _ in range(n)]
-    minus_rows = [[as_scalar(0)] * n for _ in range(n)]
+    plus, minus = {}, {}
     for col, m in enumerate(ms):
         if m < j:
-            plus_rows[col + 1][col] = sqrt_exact((j - m) * (j + m + 1))
+            plus[(col + 1, col)] = sqrt_exact((j - m) * (j + m + 1))
         if m > -j:
-            minus_rows[col - 1][col] = sqrt_exact((j + m) * (j - m + 1))
-    return MatrixTriple(j0=j0, jplus=Matrix(plus_rows), jminus=Matrix(minus_rows))
+            minus[(col - 1, col)] = sqrt_exact((j + m) * (j - m + 1))
+    return MatrixTriple(
+        j0=Matrix.diagonal(ms),
+        jplus=Matrix.from_entries(n, plus),
+        jminus=Matrix.from_entries(n, minus),
+    )
 
 
 def build_classic_sl2_diffops(two_j: int) -> tuple[DiffOp, DiffOp, DiffOp]:

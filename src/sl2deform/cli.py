@@ -21,7 +21,13 @@ from typing import Optional, Sequence
 
 from .algebra import AlgebraParams, MatrixTriple, casimir_matrix, check_deformed_relations
 from .cases import CaseId, build_case_realization
-from .diffops import MonomialSpace, V3, closure_check, enumerate_preserving_operators
+from .diffops import (
+    ClosureReport,
+    MonomialSpace,
+    V3,
+    closure_check,
+    enumerate_preserving_operators,
+)
 from .matrices import Matrix, is_scalar_multiple_of_identity
 from .reps import (
     TrivialAlgebraError,
@@ -32,10 +38,8 @@ from .reps import (
 )
 from .scalars import (
     NegativeRadicandError,
-    as_scalar,
     parse_scalar,
     render_scalar,
-    scalar_is_zero,
 )
 
 PASS, FAIL, ERROR = "pass", "fail", "error"
@@ -105,7 +109,6 @@ def cmd_verify_case(args) -> dict:
     triple_ops = build_case_realization(
         case, alpha, beta, f=spec.f, g=spec.g, c=solution.c
     )
-    j0_op, jp_op, jm_op = triple_ops
 
     checks: list[bool] = []
     sections: list[dict] = []
@@ -132,10 +135,12 @@ def cmd_verify_case(args) -> dict:
         checks.append(solution.fg == intr.fg)
     sections.append(_section("solution", solution_values))
 
+    # one symbolic action per operator gives both its preservation verdict
+    # and its matrix; one set of residual actions gives both closure verdicts
+    actions = [op.symbolic_action() for op in triple_ops]
     preserved = {
-        "diagonal": j0_op.preserves_space(V3),
-        "raising": jp_op.preserves_space(V3),
-        "lowering": jm_op.preserves_space(V3),
+        name: action.preserves(V3)
+        for name, action in zip(("diagonal", "raising", "lowering"), actions)
     }
     checks.append(all(preserved.values()))
     sections.append(
@@ -146,18 +151,14 @@ def cmd_verify_case(args) -> dict:
     checks.append(on_space.passed)
     sections.append(_section("closure-on-space", _closure_values(on_space)))
 
-    intrinsic = closure_check(triple_ops, params, None)
+    intrinsic = ClosureReport.judge(on_space.residuals, None)
     intrinsic_values = _closure_values(intrinsic)
     intrinsic_values["counts_toward_status"] = gamma_intrinsic
     if gamma_intrinsic:
         checks.append(intrinsic.passed)
     sections.append(_section("closure-intrinsic", intrinsic_values))
 
-    triple_mats = MatrixTriple(
-        j0=j0_op.matrix_on_space(V3),
-        jplus=jp_op.matrix_on_space(V3),
-        jminus=jm_op.matrix_on_space(V3),
-    )
+    triple_mats = MatrixTriple(*(action.matrix_on(V3) for action in actions))
     residuals = check_deformed_relations(triple_mats, params)
     checks.append(residuals.all_zero)
     sections.append(
@@ -227,20 +228,15 @@ def cmd_verify_case(args) -> dict:
 
 def _write_rep_file(path: str, triple: MatrixTriple, params: AlgebraParams) -> None:
     n = triple.dimension
-    ladders = []
-    for src in range(n):
-        for dst in range(n):
-            if src == dst:
-                continue
-            up = triple.jplus.rows[dst][src]
-            if not scalar_is_zero(up) and dst > src:
-                ladders.append([src, dst, render_scalar(up)])
-            down = triple.jminus.rows[dst][src]
-            if not scalar_is_zero(down) and dst < src:
-                ladders.append([src, dst, render_scalar(down)])
+    # [src, dst, coefficient], (src, dst) ascending: J+ below the diagonal
+    # and J- above it, each entry at row dst and column src
+    ladders = sorted(
+        [[src, dst, render_scalar(x)] for dst, src, x in triple.jplus.entries() if dst > src]
+        + [[src, dst, render_scalar(x)] for dst, src, x in triple.jminus.entries() if dst < src]
+    )
     payload = {
         "dimension": n,
-        "diagonal": [render_scalar(triple.j0.rows[i][i]) for i in range(n)],
+        "diagonal": [render_scalar(triple.j0[i, i]) for i in range(n)],
         "ladders": ladders,
         "params": {
             "alpha": render_scalar(params.alpha),
@@ -271,56 +267,83 @@ def cmd_enumerate_preserving(args) -> dict:
     return _finish({"command": "enumerate-preserving", "sections": sections}, [True])
 
 
-def _parse_rep_file(payload: dict) -> MatrixTriple:
-    n = int(payload["dimension"])
-    diag = payload["diagonal"]
-    if len(diag) != n:
+def _is_index(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _scalar_field(value, where: str):
+    if not isinstance(value, str):
+        raise ValueError(
+            f'{where} must be a scalar string such as "-1/2" or "3*sqrt(2)", '
+            f"got {json.dumps(value)}"
+        )
+    return parse_scalar(value)
+
+
+def _read_rep_check_input(rep, params) -> tuple[MatrixTriple, AlgebraParams]:
+    """Validate the payloads of ``rep-check`` and build the triple and parameters.
+
+    This is the one check of rep-check's input.  ``params`` is the --params
+    payload, or None for the one the rep file embeds.  The dimension must be a
+    positive integer and the diagonal a list of that many scalars; each
+    ladder entry is a list [src, dst, coefficient] of two distinct in-range
+    indices, no (src, dst) pair given twice; every scalar is a string.
+    Anything else raises ValueError (KeyError for a missing field) with a
+    one-line message.
+    """
+    if not isinstance(rep, dict):
+        raise ValueError("the rep file must hold a JSON object")
+    if params is None:
+        if "params" not in rep:
+            raise ValueError("no --params file given and the rep file embeds none")
+        params = rep["params"]
+    if not isinstance(params, dict):
+        raise ValueError("params must be a JSON object")
+    n = rep["dimension"]
+    if not _is_index(n) or n < 1:
+        raise ValueError(f"dimension must be a positive integer, got {json.dumps(n)}")
+    diag = rep["diagonal"]
+    if not isinstance(diag, list) or len(diag) != n:
         raise ValueError("diagonal length does not match dimension")
-    j0 = Matrix.diagonal([parse_scalar(s) for s in diag])
-    plus_rows = [[as_scalar(0)] * n for _ in range(n)]
-    minus_rows = [[as_scalar(0)] * n for _ in range(n)]
-    for src, dst, coeff_text in payload.get("ladders", []):
-        src, dst = int(src), int(dst)
-        if not (0 <= src < n and 0 <= dst < n) or src == dst:
-            raise ValueError(f"bad ladder entry ({src}, {dst})")
-        coeff = parse_scalar(coeff_text)
-        if dst > src:
-            plus_rows[dst][src] = coeff
-        else:
-            minus_rows[dst][src] = coeff
-    return MatrixTriple(j0=j0, jplus=Matrix(plus_rows), jminus=Matrix(minus_rows))
-
-
-def _parse_params(payload: dict) -> AlgebraParams:
-    return AlgebraParams(
-        alpha=parse_scalar(payload["alpha"]),
-        beta=parse_scalar(payload["beta"]),
-        gamma=parse_scalar(payload["gamma"]),
-        delta=parse_scalar(payload["delta"]),
+    j0 = Matrix.diagonal([_scalar_field(x, "diagonal entry") for x in diag])
+    ladders = rep.get("ladders", [])
+    if not isinstance(ladders, list):
+        raise ValueError("ladders must be a list of [src, dst, coefficient] entries")
+    plus: dict = {}
+    minus: dict = {}
+    for entry in ladders:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ValueError(
+                f"ladder entry {json.dumps(entry)} is not a list [src, dst, coefficient]"
+            )
+        src, dst, text = entry
+        in_range = _is_index(src) and _is_index(dst) and 0 <= src < n and 0 <= dst < n
+        if not in_range or src == dst:
+            raise ValueError(f"bad ladder entry ({json.dumps(src)}, {json.dumps(dst)})")
+        ladder = plus if dst > src else minus
+        if (dst, src) in ladder:
+            raise ValueError(f"duplicate ladder entry ({src}, {dst})")
+        ladder[(dst, src)] = _scalar_field(text, f"ladder entry ({src}, {dst})")
+    triple = MatrixTriple(
+        j0=j0, jplus=Matrix.from_entries(n, plus), jminus=Matrix.from_entries(n, minus)
     )
+    values = {name: _scalar_field(params[name], name)
+              for name in ("alpha", "beta", "gamma", "delta")}
+    return triple, AlgebraParams(**values)
 
 
 def _nonzero_positions(matrix: Matrix) -> list[list]:
-    out = []
-    for i, row in enumerate(matrix.rows):
-        for j, entry in enumerate(row):
-            if not scalar_is_zero(entry):
-                out.append([i, j, render_scalar(entry)])
-    return out
+    return [[i, j, render_scalar(x)] for i, j, x in matrix.entries()]
 
 
 def cmd_rep_check(args) -> dict:
     with open(args.rep, encoding="utf-8") as fh:
         rep_payload = json.load(fh)
+    params_payload = None
     if args.params:
         with open(args.params, encoding="utf-8") as fh:
             params_payload = json.load(fh)
-    elif "params" in rep_payload:
-        params_payload = rep_payload["params"]
-    else:
-        raise ValueError("no --params file given and the rep file embeds none")
-    triple = _parse_rep_file(rep_payload)
-    params = _parse_params(params_payload)
+    triple, params = _read_rep_check_input(rep_payload, params_payload)
 
     residuals = check_deformed_relations(triple, params)
     casimir = casimir_matrix(triple, params)

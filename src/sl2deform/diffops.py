@@ -171,19 +171,34 @@ class SymbolicAction:
                 out[k + s] = v
         return out
 
-    def rows_on(self, space: "MonomialSpace") -> list[list[Scalar]]:
-        """Matrix rows in the basis x^e of ``space``; the space must be preserved."""
+    def preserves(self, space: "MonomialSpace") -> bool:
+        """Whether every monomial of ``space`` is sent into ``space``."""
+        members = set(space.exponents)
+        return all(e in members for k in space.exponents for e in self.evaluate(k))
+
+    def matrix_on(
+        self, space: "MonomialSpace", norm_squares: Optional[Sequence] = None
+    ) -> Matrix:
+        """Matrix in the basis x^e of ``space``, which must be preserved.
+
+        With ``norm_squares`` the basis vector i is sqrt(norm_squares[i]) * x^e_i;
+        each entry picks up sqrt(N_col / N_row), taken exactly per entry so no
+        shared quadratic extension is ever needed.
+        """
         pos = {e: i for i, e in enumerate(space.exponents)}
-        n = len(space.exponents)
-        rows = [[as_scalar(0) for _ in range(n)] for _ in range(n)]
+        entries = {}
         for col, k in enumerate(space.exponents):
             for e, v in self.evaluate(k).items():
                 if e not in pos:
                     raise SpaceEscapeError(
                         f"operator does not preserve the space {space.exponents}"
                     )
-                rows[pos[e]][col] = v
-        return rows
+                entries[(pos[e], col)] = v
+        if norm_squares is not None:
+            ns = [Fraction(x) for x in norm_squares]
+            entries = {(r, c): v * sqrt_exact(ns[c] / ns[r])
+                       for (r, c), v in sorted(entries.items())}
+        return Matrix.from_entries(space.dimension, entries)
 
 
 class DiffOp:
@@ -312,28 +327,14 @@ class DiffOp:
 
     # -- module interaction -------------------------------------------------------
     def preserves_space(self, space: "MonomialSpace") -> bool:
-        members = set(space.exponents)
-        action = self.symbolic_action()
-        return all(e in members for k in space.exponents for e in action.evaluate(k))
+        return self.symbolic_action().preserves(space)
 
     def matrix_on_space(
         self, space: "MonomialSpace", norm_squares: Optional[Sequence] = None
     ) -> Matrix:
-        """Matrix in the basis x^e (optionally rescaled by sqrt(norm_squares[i])).
-
-        With ``norm_squares`` the basis vector i is sqrt(norm_squares[i]) * x^e_i;
-        each entry picks up sqrt(N_col / N_row), taken exactly per entry so no
-        shared quadratic extension is ever needed.
-        """
-        rows = self.symbolic_action().rows_on(space)
-        n = len(rows)
-        if norm_squares is not None:
-            ns = [Fraction(x) for x in norm_squares]
-            for r in range(n):
-                for cix in range(n):
-                    if not scalar_is_zero(rows[r][cix]):
-                        rows[r][cix] = rows[r][cix] * sqrt_exact(ns[cix] / ns[r])
-        return Matrix(rows)
+        """Matrix in the basis x^e (optionally rescaled by sqrt(norm_squares[i]));
+        see :meth:`SymbolicAction.matrix_on`."""
+        return self.symbolic_action().matrix_on(space, norm_squares)
 
     # -- identity ------------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -460,6 +461,24 @@ class ClosureReport:
     passed: bool
     residuals: tuple[tuple[str, SymbolicAction], ...]
 
+    @classmethod
+    def judge(
+        cls,
+        residuals: tuple[tuple[str, SymbolicAction], ...],
+        space: Optional[MonomialSpace],
+    ) -> "ClosureReport":
+        """The verdict on residual actions, on ``space`` or, with None, intrinsically."""
+        if space is None:
+            passed = all(action.is_zero() for _, action in residuals)
+            return cls(mode="intrinsic", passed=passed, residuals=residuals)
+        passed = all(
+            scalar_is_zero(poly(k))
+            for _, action in residuals
+            for _, poly in action.polys
+            for k in space.exponents
+        )
+        return cls(mode="on-space", passed=passed, residuals=residuals)
+
     def residual(self, name: str) -> SymbolicAction:
         return dict(self.residuals)[name]
 
@@ -473,7 +492,8 @@ def closure_check(
 
     ``space=None`` demands the relations as operator identities (all shift
     polynomials identically zero); with a space they only need to hold on the
-    listed monomials.
+    listed monomials.  ``ClosureReport.judge`` gives the other verdict on the
+    same residuals without building them again.
     """
     j0, jp, jm = triple
     ident = DiffOp.identity()
@@ -489,18 +509,7 @@ def closure_check(
         ("bracket", jp.commutator(jm) - rhs),
     )
     actions = tuple((name, op.symbolic_action()) for name, op in residual_ops)
-    if space is None:
-        passed = all(action.is_zero() for _, action in actions)
-        mode = "intrinsic"
-    else:
-        passed = all(
-            scalar_is_zero(poly(k))
-            for _, action in actions
-            for _, poly in action.polys
-            for k in space.exponents
-        )
-        mode = "on-space"
-    return ClosureReport(mode=mode, passed=passed, residuals=actions)
+    return ClosureReport.judge(actions, space)
 
 
 # -- preserving operators -------------------------------------------------------------
@@ -662,9 +671,9 @@ def lie_closure_probe(
         raise ValueError("max_rounds must be positive")
     ops = list(ops)
     # each operator's symbolic action is computed once, for its matrix and its
-    # vector; rows_on raises SpaceEscapeError for one that leaves the space
+    # vector; matrix_on raises SpaceEscapeError for one that leaves the space
     actions = [op.symbolic_action() for op in ops]
-    mats = [Matrix(action.rows_on(space)) for action in actions]
+    mats = [action.matrix_on(space) for action in actions]
     diagonal_allowance = [DiffOp.euler() ** i for i in range(4)]
     pairs = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))]
     brackets = [ops[i].commutator(ops[j]) for i, j in pairs]
@@ -680,7 +689,13 @@ def lie_closure_probe(
     )
 
     n = space.dimension
-    flat = lambda mat: [mat.rows[i][j] for i in range(n) for j in range(n)]
+
+    def flat(mat: Matrix) -> list[Scalar]:
+        vec: list[Scalar] = [Fraction(0)] * (n * n)
+        for i, j, x in mat.entries():
+            vec[i * n + j] = x
+        return vec
+
     mspan = _ExactSpan(n * n)
     basis_mats: list[Matrix] = []
     for mat in mats:

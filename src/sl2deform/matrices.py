@@ -1,63 +1,111 @@
-"""Small dense square matrices over exact scalars.
+"""Small sparse square matrices over exact scalars.
 
 Just enough linear algebra for representation checking: ring operations, the
 commutator, the scalar-multiple-of-identity test, and the coordinate block
-decomposition used to split reducible representations.  No inversion, no
-eigensolving; entries stay exact throughout.
+decomposition used to split reducible representations.  A matrix stores only
+its nonzero entries, so every operation costs time in proportion to them:
+the ladder matrices of this package have one entry per column.  No
+inversion, no eigensolving; entries stay exact throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .scalars import Scalar, as_scalar, render_scalar, scalar_is_zero
 
+_ZERO = Fraction(0)
+
+
+def _nonzero(items: Iterable[tuple[int, Scalar]]) -> dict[int, Scalar]:
+    return {j: x for j, x in items if not scalar_is_zero(x)}
+
 
 class Matrix:
-    """Immutable n x n matrix of exact scalars.
+    """Immutable n x n matrix of exact scalars, stored by its nonzero entries.
 
-    Entries may live in different quadratic extensions; compatibility is
-    enforced lazily, by the scalar arithmetic of whatever operation actually
-    combines two entries.
+    ``_rows[i]`` maps each column of a nonzero entry of row i to that entry,
+    columns ascending.  Entries may live in different quadratic extensions;
+    compatibility is enforced lazily, by the scalar arithmetic of whatever
+    operation actually combines two entries.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("dimension", "_rows")
 
     def __init__(self, rows: Iterable[Iterable]):
-        rows = tuple(tuple(as_scalar(x) for x in row) for row in rows)
+        rows = [[as_scalar(x) for x in row] for row in rows]
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "rows", rows)
+        self._init(n, [_nonzero(enumerate(row)) for row in rows])
+
+    def _init(self, n: int, rows: Sequence[dict[int, Scalar]]) -> None:
+        object.__setattr__(self, "dimension", n)
+        object.__setattr__(self, "_rows", tuple(rows))
+
+    @classmethod
+    def _of(cls, n: int, rows: Sequence[dict[int, Scalar]]) -> "Matrix":
+        out = object.__new__(cls)
+        out._init(n, rows)
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
+    @classmethod
+    def from_entries(cls, n: int, entries: Mapping[tuple[int, int], object]) -> "Matrix":
+        """The n x n matrix with the given {(row, column): value} entries, zero elsewhere."""
+        if n < 0:
+            raise ValueError("dimension must be nonnegative")
+        rows: list[dict[int, Scalar]] = [{} for _ in range(n)]
+        for (i, j), x in sorted(entries.items()):
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"entry ({i}, {j}) lies outside a {n} x {n} matrix")
+            x = as_scalar(x)
+            if not scalar_is_zero(x):
+                rows[i][j] = x
+        return cls._of(n, rows)
 
     @classmethod
     def zeros(cls, n: int) -> "Matrix":
-        return cls([[Fraction(0)] * n for _ in range(n)])
+        return cls.from_entries(n, {})
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls.diagonal([Fraction(1)] * n)
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "Matrix":
-        n = len(entries)
-        return cls(
-            [[as_scalar(entries[i]) if i == j else Fraction(0) for j in range(n)]
-             for i in range(n)]
-        )
+        return cls.from_entries(len(entries), {(i, i): x for i, x in enumerate(entries)})
+
+    @property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Dense row-major view, zeros included."""
+        return tuple(tuple(row) for row in self._dense(_ZERO, lambda x: x))
+
+    def _dense(self, zero, render) -> list[list]:
+        out = []
+        for row in self._rows:
+            dense = [zero] * self.dimension
+            for j, x in row.items():
+                dense[j] = render(x)
+            out.append(dense)
+        return out
+
+    def entries(self) -> Iterator[tuple[int, int, Scalar]]:
+        """The nonzero entries as (row, column, value), row-major."""
+        for i, row in enumerate(self._rows):
+            for j, x in row.items():
+                yield i, j, x
 
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         i, j = key
-        return self.rows[i][j]
+        n = self.dimension
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"entry ({i}, {j}) lies outside a {n} x {n} matrix")
+        return self._rows[i].get(j, _ZERO)
 
     def _check_dim(self, other: "Matrix"):
         if self.dimension != other.dimension:
@@ -65,58 +113,85 @@ class Matrix:
                 f"dimension mismatch: {self.dimension} vs {other.dimension}"
             )
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _combine(self, other: "Matrix", both, lone) -> "Matrix":
+        """Entrywise ``both(a, b)``; an entry only ``other`` has becomes ``lone(b)``."""
         self._check_dim(other)
-        return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        rows = []
+        for ra, rb in zip(self._rows, other._rows):
+            out = {}
+            for j in sorted(ra.keys() | rb.keys()):
+                if j not in rb:
+                    out[j] = ra[j]
+                elif j not in ra:
+                    out[j] = lone(rb[j])
+                else:
+                    x = both(ra[j], rb[j])
+                    if not scalar_is_zero(x):
+                        out[j] = x
+            rows.append(out)
+        return Matrix._of(self.dimension, rows)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, lambda a, b: a + b, lambda b: b)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_dim(other)
-        return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return self._combine(other, lambda a, b: a - b, lambda b: -b)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.rows])
+        return Matrix._of(self.dimension, [{j: -x for j, x in row.items()} for row in self._rows])
 
     def __mul__(self, scalar) -> "Matrix":
         s = as_scalar(scalar)
-        return Matrix([[a * s for a in row] for row in self.rows])
+        return Matrix._of(
+            self.dimension, [_nonzero((j, x * s) for j, x in row.items()) for row in self._rows]
+        )
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Product; entry (i, j) sums a_ik * b_kj in ascending k.
+
+        Only products of two nonzero entries are formed, entry by entry in
+        row-major order, which is the order of the dense triple loop that
+        skips zero factors: the values and any ``ScalarDomainError`` are that
+        loop's.
+        """
         self._check_dim(other)
-        n = self.dimension
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc: Scalar = Fraction(0)
-                for k in range(n):
-                    a, b = self.rows[i][k], other.rows[k][j]
-                    if scalar_is_zero(a) or scalar_is_zero(b):
-                        continue
+        b_rows = other._rows
+        rows = []
+        for a_row in self._rows:
+            pairs: dict[int, list[tuple[Scalar, Scalar]]] = {}
+            for k, a in a_row.items():
+                for j, b in b_rows[k].items():
+                    if j in pairs:
+                        pairs[j].append((a, b))
+                    else:
+                        pairs[j] = [(a, b)]
+            out = {}
+            for j in sorted(pairs):
+                (a, b), *rest = pairs[j]
+                acc = a * b
+                for a, b in rest:
                     acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return Matrix(out)
+                if not scalar_is_zero(acc):
+                    out[j] = acc
+            rows.append(out)
+        return Matrix._of(self.dimension, rows)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.dimension == other.dimension and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.dimension, tuple(tuple(row.items()) for row in self._rows)))
 
     def is_zero(self) -> bool:
-        return all(scalar_is_zero(a) for row in self.rows for a in row)
+        return not any(self._rows)
 
     def to_strings(self) -> list[list[str]]:
         """Row-major rendering for reports."""
-        return [[render_scalar(a) for a in row] for row in self.rows]
+        return self._dense(render_scalar(_ZERO), render_scalar)
 
     def __repr__(self):
         return f"Matrix({self.to_strings()})"
@@ -129,15 +204,8 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 def is_scalar_multiple_of_identity(m: Matrix) -> Optional[Scalar]:
     """The scalar lambda with m == lambda * I, or None if m is not scalar."""
-    lam = m.rows[0][0]
-    for i, row in enumerate(m.rows):
-        for j, entry in enumerate(row):
-            if i == j:
-                if entry != lam:
-                    return None
-            elif not scalar_is_zero(entry):
-                return None
-    return lam
+    lam = m[0, 0]
+    return lam if m == Matrix.identity(m.dimension) * lam else None
 
 
 @dataclass(frozen=True)
@@ -166,11 +234,10 @@ def coordinate_block_split(ops: Sequence[Matrix]) -> BlockSplit:
             raise ValueError("all matrices must share one dimension")
     adj: dict[int, set[int]] = {i: set() for i in range(n)}
     for op in ops:
-        for i in range(n):
-            for j in range(n):
-                if i != j and not scalar_is_zero(op.rows[i][j]):
-                    adj[i].add(j)
-                    adj[j].add(i)
+        for i, j, _ in op.entries():
+            if i != j:
+                adj[i].add(j)
+                adj[j].add(i)
     blocks = []
     unseen = set(range(n))
     while unseen:

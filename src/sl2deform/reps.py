@@ -105,13 +105,11 @@ def build_new_rep_matrices(spec: RepSpec) -> MatrixTriple:
     pos = {t: i for i, t in enumerate(two_ms)}
     diag = [spec.diagonal_value(Fr(t, 2)) for t in two_ms]
     n = len(two_ms)
-    plus_rows = [[as_scalar(0)] * n for _ in range(n)]
-    minus_rows = [[as_scalar(0)] * n for _ in range(n)]
     src, dst = pos[spec.two_m1], pos[spec.two_m1 + 2 * spec.q]
-    plus_rows[dst][src] = spec.f
-    minus_rows[src][dst] = spec.g
     return MatrixTriple(
-        j0=Matrix.diagonal(diag), jplus=Matrix(plus_rows), jminus=Matrix(minus_rows)
+        j0=Matrix.diagonal(diag),
+        jplus=Matrix.from_entries(n, {(dst, src): spec.f}),
+        jminus=Matrix.from_entries(n, {(src, dst): spec.g}),
     )
 
 
@@ -243,7 +241,7 @@ def decompose_rep(rep: MatrixTriple) -> list[RepBlock]:
     split = coordinate_block_split([rep.j0, rep.jplus, rep.jminus])
     out = []
     for block in split.blocks:
-        eigs = tuple(rep.j0.rows[i][i] for i in block)
+        eigs = tuple(rep.j0[i, i] for i in block)
         label: Union[Scalar, tuple[Scalar, ...]] = eigs[0] if len(eigs) == 1 else eigs
         out.append(RepBlock(indices=block, two_j_label=len(block) - 1, c_label=label))
     return out

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction as Fr
+from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
 
 from sl2deform.cli import main
 from sl2deform.diffops import V3, enumerate_preserving_operators
@@ -291,3 +296,203 @@ def test_exit_code_matches_status(capsys):
         code, report = run_cli(capsys, *argv)
         assert code == expected
         assert {0: "pass", 1: "fail", 2: "error"}[code] == report["status"]
+
+
+def test_verify_case_computes_each_symbolic_action_once(capsys, monkeypatch):
+    from sl2deform.diffops import DiffOp
+
+    calls = []
+    original = DiffOp.symbolic_action
+
+    def counted(op):
+        calls.append(op)
+        return original(op)
+
+    monkeypatch.setattr(DiffOp, "symbolic_action", counted)
+    code, _ = run_cli(capsys, "verify-case", "--case", "1", "--alpha", "2", "--beta", "3")
+    assert code == 0
+    # three ladder operators and three residual operators, each once (the
+    # residuals are all the zero operator here, so count objects, not values)
+    assert len(calls) == 6 == len({id(op) for op in calls})
+
+
+# -- rep-check: exact reports and malformed input --------------------------------
+
+
+def spin_rep(two_j, rng, perturb=None):
+    """Classic spin-j rep file, ladders shuffled; ``perturb`` = (src, dst, factor)."""
+    from sl2deform.scalars import render_scalar, sqrt_exact
+
+    j = Fr(two_j, 2)
+    ladders = []
+    for low in range(two_j):
+        m = -j + low
+        for src, dst in ((low, low + 1), (low + 1, low)):
+            factor = perturb[2] if perturb and perturb[:2] == (src, dst) else 1
+            ladders.append([src, dst, render_scalar(sqrt_exact((j - m) * (j + m + 1)) * factor)])
+    rng.shuffle(ladders)
+    return {
+        "dimension": two_j + 1,
+        "diagonal": [str(Fr(t, 2)) for t in range(-two_j, two_j + 1, 2)],
+        "ladders": ladders,
+        "params": {"alpha": "0", "beta": "0", "gamma": "2", "delta": "0"},
+    }
+
+
+def expected_spin_report(two_j, perturb=None):
+    """The rep-check report in closed form.
+
+    Clean, the relations hold and the Casimir is j(j+1) I.  Scaling the
+    ladder entry between basis states low and low + 1 by t moves the product
+    p = (j - m)(j + m + 1), m = -j + low, in [J+, J-] to t*p: the bracket
+    residual is -(t - 1)p at (low, low) and (t - 1)p at (low + 1, low + 1),
+    and the Casimir's entry (low + 1, low + 1) gains (t - 1)p.
+    """
+    n = two_j + 1
+    j = Fr(two_j, 2)
+    casimir = [[Fr(0)] * n for _ in range(n)]
+    for i in range(n):
+        casimir[i][i] = j * (j + 1)
+    bracket = []
+    if perturb:
+        src, dst, t = perturb
+        low = min(src, dst)
+        m = -j + low
+        shift = (t - 1) * (j - m) * (j + m + 1)
+        bracket = [[low, low, str(-shift)], [low + 1, low + 1, str(shift)]]
+        casimir[low + 1][low + 1] += shift
+    scalar = perturb is None
+    report = {
+        "command": "rep-check",
+        "sections": [
+            {"name": "relation-residuals", "values": {
+                "all_zero": not bracket,
+                "raising_nonzero_entries": [],
+                "lowering_nonzero_entries": [],
+                "bracket_nonzero_entries": bracket,
+            }},
+            {"name": "casimir", "values": {
+                "matrix": [[str(x) for x in row] for row in casimir],
+                "is_scalar_multiple_of_identity": scalar,
+                "scalar": str(j * (j + 1)) if scalar else None,
+            }},
+        ],
+        "status": "pass" if scalar else "fail",
+    }
+    return json.dumps(report, indent=2) + "\n"
+
+
+def test_rep_check_spin_reports_equal_the_closed_form(tmp_path, capsys):
+    import random
+
+    rng = random.Random(7)
+    factors = (Fr(2), Fr(1, 2), Fr(-1), Fr(5, 3), Fr(3))
+    for two_j in range(13):
+        variants = [None]
+        if two_j:
+            low = rng.randrange(two_j)
+            src, dst = (low, low + 1) if rng.random() < 0.5 else (low + 1, low)
+            variants.append((src, dst, rng.choice(factors)))
+        for perturb in variants:
+            path = tmp_path / f"spin-{two_j}.json"
+            path.write_text(json.dumps(spin_rep(two_j, rng, perturb)))
+            code = main(["rep-check", "--rep", str(path)])
+            assert capsys.readouterr().out == expected_spin_report(two_j, perturb), perturb
+            assert code == (1 if perturb else 0)
+
+
+def test_rep_check_rejects_malformed_input_in_one_line(tmp_path, capsys):
+    good = {"dimension": 2, "diagonal": ["-1/2", "1/2"],
+            "ladders": [[0, 1, "1"], [1, 0, "1"]],
+            "params": {"alpha": "0", "beta": "0", "gamma": "2", "delta": "0"}}
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(good))
+    assert main(["rep-check", "--rep", str(path)]) == 0
+    capsys.readouterr()
+    params = good["params"]
+    for change, words in (
+        ({"dimension": 0, "diagonal": [], "ladders": []}, "positive integer"),
+        ({"dimension": -1}, "positive integer"),
+        ({"dimension": "2"}, "positive integer"),
+        ({"dimension": True}, "positive integer"),
+        ({"diagonal": ["-1/2"]}, "diagonal length"),
+        ({"diagonal": ["-1/2", 0.5]}, "must be a scalar string"),
+        ({"ladders": [[0, 1, 1], [1, 0, "1"]]}, "must be a scalar string"),
+        ({"ladders": [[0, 1, "1"], [0, 1, "5"]]}, "duplicate ladder entry (0, 1)"),
+        ({"ladders": [[0, 1, "1"], [1, 0]]}, "not a list [src, dst, coefficient]"),
+        ({"ladders": [[0, 1, "1", "2"]]}, "not a list [src, dst, coefficient]"),
+        ({"ladders": ["0,1,1"]}, "not a list [src, dst, coefficient]"),
+        ({"ladders": {"0": 1}}, "must be a list"),
+        ({"ladders": [[0, 0, "1"]]}, "bad ladder entry (0, 0)"),
+        ({"ladders": [[0, 2, "1"]]}, "bad ladder entry (0, 2)"),
+        ({"ladders": [[0, 1.0, "1"]]}, "bad ladder entry (0, 1.0)"),
+        ({"ladders": [[0, 1, "one"]]}, "cannot parse scalar"),
+        ({"params": params | {"alpha": 0}}, "alpha must be a scalar string"),
+        ({"params": params | {"delta": None}}, "delta must be a scalar string"),
+        ({"params": ["0", "0", "2", "0"]}, "params must be a JSON object"),
+    ):
+        path.write_text(json.dumps(good | change))
+        code, report = run_cli(capsys, "rep-check", "--rep", str(path))
+        assert code == 2, change
+        message = section(report, "error")["message"]
+        assert words in message and "\n" not in message, (change, message)
+    path.write_text(json.dumps([good]))
+    code, report = run_cli(capsys, "rep-check", "--rep", str(path))
+    assert code == 2 and "JSON object" in section(report, "error")["message"]
+
+
+_ATOMS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["0", "1", "-1/2", "sqrt(2)", "1 - 3*sqrt(3)", "x", "1/0", ""]),
+)
+_JSON = st.recursive(
+    _ATOMS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=8,
+)
+_SCALAR = st.sampled_from(["0", "1", "2", "-1/2", "sqrt(2)", "3*sqrt(2)", "1 - sqrt(3)"])
+
+
+@st.composite
+def _rep_payloads(draw):
+    """A well-formed rep file, then up to two of its parts replaced by any JSON."""
+    n = draw(st.integers(1, 4))
+    entry = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _SCALAR).map(list)
+    rep = {
+        "dimension": n,
+        "diagonal": draw(st.lists(_SCALAR, min_size=n, max_size=n)),
+        "ladders": draw(st.lists(entry, max_size=6)),
+        "params": draw(st.fixed_dictionaries(
+            {name: _SCALAR for name in ("alpha", "beta", "gamma", "delta")})),
+    }
+    parts = ["dimension", "diagonal", "ladders", "params", "diagonal entry",
+             "ladder entry", "ladder index", "param"]
+    for part in draw(st.lists(st.sampled_from(parts), max_size=2, unique=True)):
+        if part == "diagonal entry":
+            rep["diagonal"][0] = draw(_ATOMS)
+        elif part == "ladder entry" and rep["ladders"]:
+            rep["ladders"][0] = draw(_JSON)
+        elif part == "ladder index" and rep["ladders"]:
+            rep["ladders"][-1][0] = draw(_ATOMS)
+        elif part == "param":
+            rep["params"]["alpha"] = draw(_ATOMS)
+        elif part in rep:
+            rep[part] = draw(_JSON)
+    return rep
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_rep_payloads(), _JSON))
+def test_rep_check_never_raises_on_any_json(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rep.json"
+        path.write_text(json.dumps(payload))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["rep-check", "--rep", str(path)])
+    report = json.loads(out.getvalue())
+    assert report["status"] == {0: "pass", 1: "fail", 2: "error"}[code]
+    if code == 2:
+        assert "\n" not in section(report, "error")["message"]
