@@ -15,6 +15,7 @@ reports are exact strings ("p/q" or "a + b*sqrt(D)"), never floating point.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -401,6 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every main() call in this process, built on first use.
+
+    Parsing keeps no state in the parser, so one tree serves every call.
+    """
+    return build_parser()
+
+
 _VALUE_FLAGS = ("--alpha", "--beta", "--gamma")
 
 
@@ -418,8 +428,7 @@ def _join_value_flags(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_value_flags(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_join_value_flags(sys.argv[1:] if argv is None else argv))
     try:
         report = args.func(args)
     except (

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .matrices import Matrix
 from .scalars import (
+    QuadExt,
     Scalar,
     as_scalar,
     parse_scalar,
@@ -517,16 +518,53 @@ def closure_check(
 
 #: Largest accepted (max_order + 1) * window width * dimension, the size of
 #: the dense preservation system.  It bounds the per-shift elimination and the
-#: basis size alike; the slowest accepted inputs found take about 2 s (2-vCPU
-#: VM, Python 3.11).
+#: basis size alike.  The slowest accepted input found, (3,) at order 198,
+#: takes about 2.3 s through the CLI, most of it building and printing its
+#: basis; the dense 0..29 at order 29 takes 0.3-0.4 s (2-vCPU VM, Python 3.11).
 MAX_ENUMERATION_SIZE = 80_000
 
 
-class _ExactSpan:
-    """Incremental exact row space, kept in reduced row echelon form.
+def _integral(vec: Sequence) -> list:
+    """A rational row times the lcm of its denominators, as a list of ints.
 
-    Each row has a 1 in its pivot column and every other row a 0 there, so the
-    rows are the unique RREF basis of the span, whatever the insertion order.
+    A row holding a QuadExt is copied as it is.
+    """
+    kinds = set(map(type, vec))
+    if kinds <= {int} or QuadExt in kinds:
+        return list(vec)
+    lcm = math.lcm(*(v.denominator for v in vec))
+    return [v.numerator * (lcm // v.denominator) for v in vec]
+
+
+def _canonical(vec: Sequence, pc: int) -> list:
+    """The multiple of a row that the span keeps, ``pc`` being its pivot column.
+
+    A rational row becomes coprime integers with a positive pivot.  A row
+    holding a QuadExt is divided by its pivot: Q(sqrt(d)) has no gcd, and
+    without one the entries of cross-multiplied rows grow exponentially.
+    """
+    vec = _integral(vec)
+    if set(map(type, vec)) <= {int}:
+        g = math.gcd(*vec)
+        if vec[pc] < 0:
+            g = -g
+        return vec if g == 1 else [v // g for v in vec]
+    p = as_scalar(vec[pc])
+    return [v / p for v in vec]
+
+
+class _ExactSpan:
+    """Incremental exact row space, reduced and fraction-free.
+
+    Each row is zero in every other row's pivot column and in every column
+    left of its own pivot, so it is a nonzero multiple of the unique reduced
+    row echelon form row of the span, whatever the insertion order.  Rows are
+    combined by cross-multiplication, ``p*a - f*b`` with p the pivot of one
+    row and f the other row's entry in that column, which needs no division
+    and works over any integral domain (Bareiss, Math. Comp. 22, 1968).  A
+    rational row is scaled to integers once, on entry, and every kept row is
+    scaled as :func:`_canonical` says, so integer rows stay coprime integers
+    and no Fraction is made while they are combined.
     """
 
     def __init__(self, width: int):
@@ -534,29 +572,32 @@ class _ExactSpan:
         self.rows: list[list[Scalar]] = []
         self.pivot_cols: list[int] = []
 
-    def _reduce(self, vec: list[Scalar]) -> list[Scalar]:
-        vec = list(vec)
+    def _reduce(self, vec: Sequence) -> list:
+        vec = _integral(vec)
         for row, pc in zip(self.rows, self.pivot_cols):
             f = vec[pc]
-            if not scalar_is_zero(f):
-                vec = [a - f * b for a, b in zip(vec, row)]
+            if f:
+                p = row[pc]
+                vec = [p * a - f * b for a, b in zip(vec, row)]
         return vec
 
-    def contains(self, vec: list[Scalar]) -> bool:
-        return all(scalar_is_zero(v) for v in self._reduce(vec))
+    def contains(self, vec: Sequence) -> bool:
+        return not any(self._reduce(vec))
 
-    def add(self, vec: list[Scalar]) -> bool:
+    def add(self, vec: Sequence) -> bool:
         """Insert if independent; returns True when the span grew."""
         red = self._reduce(vec)
-        pc = next((i for i, v in enumerate(red) if not scalar_is_zero(v)), None)
+        pc = next((i for i, v in enumerate(red) if v), None)
         if pc is None:
             return False
-        inv = red[pc]
-        red = [v / inv for v in red]
+        red = _canonical(red, pc)
+        p = red[pc]
         for i, row in enumerate(self.rows):
             f = row[pc]
-            if not scalar_is_zero(f):
-                self.rows[i] = [a - f * b for a, b in zip(row, red)]
+            if f:
+                self.rows[i] = _canonical(
+                    [p * a - f * b for a, b in zip(row, red)], self.pivot_cols[i]
+                )
         self.rows.append(red)
         self.pivot_cols.append(pc)
         return True
@@ -564,19 +605,23 @@ class _ExactSpan:
     def nullspace(self) -> list[dict[int, Scalar]]:
         """Basis of the vectors every row annihilates, one per free column, ascending.
 
-        The vector of free column f is 1 at f and minus row i's entry f at
-        pivot i, given as {column: entry} over its nonzero entries.  Only
-        pivots left of f can be nonzero, so f is its largest column.
+        The vector of free column f is the RREF one, 1 at f and minus row
+        i's entry f over its pivot at pivot i, scaled by the lcm of those
+        pivots when the rows involved are integers, so that it is an integer
+        vector.  It is given as {column: entry} over its nonzero entries.
+        Only pivots left of f can be nonzero, so f is its largest column.
         """
         pivots = dict(zip(self.pivot_cols, self.rows))
         basis = []
         for fc in range(self.width):
             if fc in pivots:
                 continue
-            vec: dict[int, Scalar] = {fc: Fraction(1)}
-            for pc, row in pivots.items():
-                if not scalar_is_zero(row[fc]):
-                    vec[pc] = -row[fc]
+            hits = [(pc, row[pc], row[fc]) for pc, row in pivots.items() if row[fc]]
+            if all(type(p) is int and type(x) is int for _, p, x in hits):
+                lead = math.lcm(*(p for _, p, _ in hits))
+                vec = {fc: lead, **{pc: -x * (lead // p) for pc, p, x in hits}}
+            else:
+                vec = {fc: Fraction(1), **{pc: -x / as_scalar(p) for pc, p, x in hits}}
             basis.append(vec)
         return basis
 
@@ -598,10 +643,13 @@ def enumerate_preserving_operators(
     of that space, not a number of generators.
 
     A term x^m D^n sends x^k only to x^(k+s), s = m - n, so the system splits
-    into one block per shift with at most max_order + 1 unknowns.  Each block
-    is solved in RREF, which is unique, and the null vectors are ordered by
-    their free term in (n, m) order, so the basis is that of the dense system.
-    Each vector is scaled to coprime integers with a positive first entry.
+    into one block per shift with at most max_order + 1 unknowns.  The rows
+    of a block are falling factorials k!/(k-n)!, integers, so each block is
+    eliminated fraction-free in integers (:class:`_ExactSpan`), its rows
+    multiples of the unique RREF rows.  Its null vectors are integer multiples
+    of the RREF ones, ordered by their free term in (n, m) order, so the
+    basis is that of the dense system.  Each vector is scaled to coprime
+    integers with a positive first entry.
     """
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
@@ -619,17 +667,15 @@ def enumerate_preserving_operators(
         span = _ExactSpan(len(keys))
         for k in space.exponents:
             if k + s not in members:
-                span.add([Fraction(_falling(k, n)) for _, n in keys])
+                span.add([_falling(k, n) for _, n in keys])
         for vec in span.nullspace():
             free_m, free_n = keys[max(vec)]
             found.append(((free_n, free_m), [(keys[i], vec[i]) for i in sorted(vec)]))
     found.sort(key=lambda item: item[0])
     ops = []
     for _, terms in found:
-        denom_lcm = math.lcm(*(v.denominator for _, v in terms))
-        ints = [int(v * denom_lcm) for _, v in terms]
-        scale = Fraction(1 if ints[0] > 0 else -1, math.gcd(*ints))
-        ops.append(DiffOp({key: v * scale for (key, _), v in zip(terms, ints)}))
+        values = _canonical([v for _, v in terms], 0)
+        ops.append(DiffOp({key: v for (key, _), v in zip(terms, values)}))
     return ops
 
 

@@ -5,9 +5,10 @@ import tempfile
 from fractions import Fraction as Fr
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from sl2deform.cli import main
+from sl2deform.cli import _join_value_flags, build_parser, main
 from sl2deform.diffops import V3, enumerate_preserving_operators
 from sl2deform.scalars import parse_scalar
 
@@ -457,7 +458,11 @@ _SCALAR = st.sampled_from(["0", "1", "2", "-1/2", "sqrt(2)", "3*sqrt(2)", "1 - s
 
 @st.composite
 def _rep_payloads(draw):
-    """A well-formed rep file, then up to two of its parts replaced by any JSON."""
+    """A well-formed rep file, then up to two of its parts replaced by any JSON.
+
+    The edits run in the order of ``parts``: sub-parts first, each while its
+    container is still the well-formed list or dict, then whole containers.
+    """
     n = draw(st.integers(1, 4))
     entry = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _SCALAR).map(list)
     rep = {
@@ -467,9 +472,10 @@ def _rep_payloads(draw):
         "params": draw(st.fixed_dictionaries(
             {name: _SCALAR for name in ("alpha", "beta", "gamma", "delta")})),
     }
-    parts = ["dimension", "diagonal", "ladders", "params", "diagonal entry",
-             "ladder entry", "ladder index", "param"]
-    for part in draw(st.lists(st.sampled_from(parts), max_size=2, unique=True)):
+    parts = ["diagonal entry", "ladder index", "ladder entry", "param",
+             "dimension", "diagonal", "ladders", "params"]
+    drawn = draw(st.lists(st.sampled_from(parts), max_size=2, unique=True))
+    for part in sorted(drawn, key=parts.index):
         if part == "diagonal entry":
             rep["diagonal"][0] = draw(_ATOMS)
         elif part == "ladder entry" and rep["ladders"]:
@@ -496,3 +502,30 @@ def test_rep_check_never_raises_on_any_json(payload):
     assert report["status"] == {0: "pass", 1: "fail", 2: "error"}[code]
     if code == 2:
         assert "\n" not in section(report, "error")["message"]
+
+
+def test_usage_errors_exit_2_with_the_same_text_on_every_call(capsys):
+    # main() parses with one parser per process; its usage errors must read as
+    # those of a freshly built parser, however many calls came before
+    bad = [
+        ([], "the following arguments are required: command"),
+        (["verify-case", "--case", "4", "--alpha", "1", "--beta", "0"],
+         "argument --case: invalid choice"),
+        (["verify-case", "--case", "1", "--beta", "0"],
+         "the following arguments are required: --alpha"),
+        (["enumerate-preserving", "--space", "0,1,3", "--max-order", "2", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["enumerate-preserving", "--space", "0,1,3", "--max-order", "x"],
+         "argument --max-order: invalid int value: 'x'"),
+    ]
+    for argv, words in bad:
+        texts = []
+        for parse in (main, main, lambda a: build_parser().parse_args(_join_value_flags(a))):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            assert exc.value.code == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            texts.append(captured.err)
+        assert texts[0] == texts[1] == texts[2], argv
+        assert texts[0].startswith("usage: sl2deform") and words in texts[0], texts[0]

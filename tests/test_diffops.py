@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from sl2deform.algebra import AlgebraParams, build_classic_sl2_diffops
 from sl2deform.cases import CaseId, build_case_realization
@@ -16,6 +17,7 @@ from sl2deform.diffops import (
     PolyK,
     SpaceEscapeError,
     V3,
+    _ExactSpan,
     closure_check,
     enumerate_preserving_operators,
     lie_closure_probe,
@@ -28,7 +30,7 @@ from sl2deform.reps import (
     intrinsic_gamma_and_product,
     solve_case,
 )
-from sl2deform.scalars import quadext, scalar_is_zero
+from sl2deform.scalars import QuadExt, quadext, scalar_is_zero
 
 from conftest import rand_fraction
 
@@ -413,6 +415,111 @@ def test_enumerate_is_deterministic():
     a = [op.to_text() for op in enumerate_preserving_operators(V3, 2)]
     b = [op.to_text() for op in enumerate_preserving_operators(V3, 2)]
     assert a == b
+
+
+# -- exact elimination kernel ------------------------------------------------------------
+
+
+_QQ_SQRT2 = sympy.QQ.algebraic_field(sympy.sqrt(2))
+_SQRT2 = _QQ_SQRT2.from_sympy(sympy.sqrt(2))
+_KERNEL_FIELDS = {"int": sympy.QQ, "fraction": sympy.QQ, "sqrt2": _QQ_SQRT2}
+
+
+def _kernel_scalar(rng, kind):
+    """A scalar of the given kind; the wider kinds also draw the narrower ones."""
+    draw = rng.random()
+    if draw < 0.3:
+        return 0
+    if kind == "int" or draw < 0.45:
+        return rng.randint(-4, 4)
+    a = rand_fraction(rng, -4, 4, 3)
+    if kind == "fraction" or draw < 0.6:
+        return a
+    return quadext(a, rand_fraction(rng, -3, 3, 2), 2)
+
+
+def _kernel_rows(rng, kind, nrows, width):
+    """nrows rows of the given kind, combinations of at most min(nrows, width) random rows."""
+    basis = [[_kernel_scalar(rng, kind) for _ in range(width)]
+             for _ in range(rng.randint(0, min(nrows, width)))]
+    return [
+        [sum((c * b[j] for c, b in zip(coeffs, basis)), 0) for j in range(width)]
+        for coeffs in ([_kernel_scalar(rng, kind) for _ in basis] for _ in range(nrows))
+    ]
+
+
+def _in_field(field, x):
+    """x as an element of sympy's exact field, QQ or QQ<sqrt(2)>."""
+    if isinstance(x, QuadExt):
+        assert field is _QQ_SQRT2 and x.d == 2
+        return _in_field(field, x.a) + _in_field(field, x.b) * _SQRT2
+    return field.convert(sympy.Rational(x.numerator, x.denominator))
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNEL_FIELDS))
+def test_exact_span_agrees_with_sympy(kind):
+    field = _KERNEL_FIELDS[kind]
+    rng = random.Random(f"exact-span-{kind}")
+    ranks = set()
+    for _ in range(60):
+        nrows, width = rng.randint(1, 8), rng.randint(1, 10)
+        rows = _kernel_rows(rng, kind, nrows, width)
+
+        elements = [[_in_field(field, x) for x in row] for row in rows]
+        matrix = DomainMatrix(elements, (nrows, width), field)
+        # row i is independent of rows 0..i-1 iff column i of the transpose is a pivot
+        _, independent = matrix.transpose().rref()
+        span = _ExactSpan(width)
+        assert [span.add(row) for row in rows] == [i in independent for i in range(nrows)]
+        assert all(type(v) in (int, Fr, QuadExt) for row in span.rows for v in row)
+        rref, pivots = matrix.rref()
+        assert span.dimension == len(pivots)
+        ranks.add((span.dimension, nrows, width))
+
+        null = span.nullspace()
+        free = [c for c in range(width) if c not in pivots]
+        assert [max(vec) for vec in null] == free
+        for vec, fc in zip(null, free):
+            if kind == "int":
+                assert all(type(v) is int for v in vec.values())
+            lead = _in_field(field, vec[fc])
+            got = [_in_field(field, vec.get(c, 0)) / lead for c in range(width)]
+            want = [field.one if c == fc else field.zero for c in range(width)]
+            for i, pc in enumerate(pivots):
+                want[pc] = -rref[i, fc].element
+            assert got == want
+
+        combos = [[_kernel_scalar(rng, kind) for _ in rows] for _ in range(3)]
+        probes = [[sum((c * r[j] for c, r in zip(coeffs, rows)), 0) for j in range(width)]
+                  for coeffs in combos]
+        probes += [[_kernel_scalar(rng, kind) for _ in range(width)] for _ in range(3)]
+        for probe in probes:
+            stacked = elements + [[_in_field(field, x) for x in probe]]
+            inside = DomainMatrix(stacked, (nrows + 1, width), field).rank() == len(pivots)
+            assert span.contains(probe) == inside
+    # full-rank, rank-deficient and all-zero systems all occur
+    assert any(rank < min(n, w) for rank, n, w in ranks)
+    assert any(rank == min(n, w) for rank, n, w in ranks)
+    assert any(rank == 0 for rank, _, _ in ranks)
+
+
+def test_exact_span_keeps_rows_of_ints_and_radicals_exact():
+    # an integer pivot in a row holding a QuadExt, then a rational row
+    r = quadext(1, 1, 2)
+    span = _ExactSpan(3)
+    assert span.add([2, r, 0]) and span.add([0, 3, Fr(1, 2)])
+    assert not span.add([2, r + 6, 1])  # the first row plus twice the second
+    assert all(type(v) in (int, Fr, QuadExt) for row in span.rows for v in row)
+    # RREF rows [1, 0, -r/12] and [0, 1, 1/6]
+    assert span.nullspace() == [{0: r / 12, 1: Fr(-1, 6), 2: 1}]
+
+
+def test_probe_is_unchanged_when_every_operator_is_scaled_by_an_irrational():
+    ladders = six_ladders()
+    unit = quadext(1, 1, 2)
+    scaled = [op.scale(unit) for op in ladders]
+    assert all(isinstance(c, QuadExt) for op in scaled for c in op.terms.values())
+    assert lie_closure_probe(scaled, V3) == lie_closure_probe(ladders, V3)
 
 
 # -- Lie closure probe ---------------------------------------------------------------------------
