@@ -15,6 +15,7 @@ shift polynomials vanish identically in k.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -66,8 +67,13 @@ class PolyK:
         raise AttributeError("PolyK is immutable")
 
     @classmethod
+    @functools.cache
     def falling_factorial(cls, order: int) -> "PolyK":
-        """k(k-1)...(k-order+1); the derivative factor of D^order on x^k."""
+        """k(k-1)...(k-order+1); the derivative factor of D^order on x^k.
+
+        Built once per order: the polynomial is a constant and PolyK is
+        immutable, so every caller shares it.
+        """
         poly = cls([Fraction(1)])
         for i in range(order):
             poly = poly * cls([Fraction(-i), Fraction(1)])

@@ -2,15 +2,21 @@
 
 Every number handled by this package is either a ``fractions.Fraction`` or a
 ``QuadExt`` value ``a + b*sqrt(D)`` with rational ``a``, ``b`` and squarefree
-integer ``D >= 2``.  Arithmetic is exact; a ``QuadExt`` whose radical part
-cancels is demoted back to a ``Fraction`` by every canonicalizing operation.
-Mixing two different radicands is an error, never a silent coercion.
+integer ``D >= 2``.  Arithmetic is exact, and a result whose radical part
+cancels comes back as a ``Fraction``.  Mixing two different radicands is an
+error, never a silent coercion.
+
+A radicand is split into its square and squarefree parts once, where a value
+enters: by :func:`parse_scalar`, :func:`sqrt_exact`, :func:`quadext` or the
+validating ``QuadExt`` constructor.  Arithmetic on ``QuadExt`` values keeps the
+radicand its operands were built with and never factors it again.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import isqrt
 from typing import Union
 
 
@@ -23,10 +29,21 @@ class NegativeRadicandError(ValueError):
     """An exact square root of a negative rational was requested."""
 
 
+# Trial division stops at this prime.  What is left over must then be below
+# about its cube (10**18), so that it has at most two prime factors; above
+# that, splitting would take a general factoring algorithm and is refused.
+# Reaching the limit takes about 0.1 s (Python 3.11 on a 2-vCPU VM).
+MAX_TRIAL_PRIME = 10**6
+
+
 def squarefree_split(n: int) -> tuple[int, int]:
     """Return (s, d) with n = s**2 * d and d squarefree, for n >= 0.
 
-    Trial division up to isqrt(n); the radicands arising in practice are small.
+    Trial division runs while p**3 <= m, m the cofactor not yet divided out.
+    The m left then has at most two prime factors, so it is squarefree unless
+    it is a perfect square, which ``math.isqrt`` decides.  Raises
+    ``ValueError`` when m still exceeds MAX_TRIAL_PRIME**3 once every prime up
+    to MAX_TRIAL_PRIME is divided out.
     """
     if n < 0:
         raise NegativeRadicandError(f"cannot split negative integer {n}")
@@ -34,7 +51,12 @@ def squarefree_split(n: int) -> tuple[int, int]:
         return 0, 1
     s, d = 1, 1
     p = 2
-    while p * p <= n:
+    while p * p * p <= n:
+        if p > MAX_TRIAL_PRIME:
+            raise ValueError(
+                f"radicand too large to split: a factor above {MAX_TRIAL_PRIME}**3 "
+                f"has no prime factor up to {MAX_TRIAL_PRIME}"
+            )
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -44,8 +66,10 @@ def squarefree_split(n: int) -> tuple[int, int]:
             if e % 2:
                 d *= p
         p += 1 if p == 2 else 2
-    d *= n  # leftover prime
-    return s, d
+    r = isqrt(n)
+    if r * r == n:  # the square of a prime, or 1
+        return s * r, d
+    return s, d * n  # a prime or a product of two distinct primes
 
 
 class QuadExt:
@@ -53,7 +77,8 @@ class QuadExt:
 
     Use :func:`quadext` to build values that may be rational; the constructor
     insists on a genuine radical part so that a ``QuadExt`` is never secretly
-    a rational number.
+    a rational number.  It also checks that d is squarefree, which the
+    arithmetic below never does again: every result keeps its operands' d.
     """
 
     __slots__ = ("a", "b", "d")
@@ -65,30 +90,46 @@ class QuadExt:
             raise ValueError("QuadExt requires a nonzero radical part; use quadext()")
         if d < 2 or squarefree_split(d) != (1, d):
             raise ValueError(f"radicand must be squarefree and >= 2, got {d}")
+        self._init(a, b, d)
+
+    def _init(self, a: Fraction, b: Fraction, d: int) -> None:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _make(cls, a: Fraction, b: Fraction, d: int) -> "Scalar":
+        """a + b*sqrt(d) from Fraction parts and a d known to be squarefree
+        and >= 2, with no check; the rational a when b == 0."""
+        if not b:
+            return a
+        out = object.__new__(cls)
+        out._init(a, b, d)
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("QuadExt is immutable")
 
     # -- helpers ------------------------------------------------------------
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
+        return QuadExt._make(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """Field norm (a + b sqrt d)(a - b sqrt d); never zero for b != 0."""
         return self.a * self.a - self.b * self.b * self.d
 
     def _coerce(self, other):
+        """The parts (a, b) of an operand; b is the int 0 for a rational one."""
         if isinstance(other, QuadExt):
             if other.d != self.d:
                 raise ScalarDomainError(
                     f"mixed radicands sqrt({self.d}) and sqrt({other.d})"
                 )
             return other.a, other.b
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other), Fraction(0)
+        if isinstance(other, Fraction):
+            return other, 0
+        if isinstance(other, int):
+            return Fraction(other), 0
         return None
 
     # -- arithmetic ---------------------------------------------------------
@@ -97,19 +138,19 @@ class QuadExt:
         if co is None:
             return NotImplemented
         oa, ob = co
-        return quadext(self.a + oa, self.b + ob, self.d)
+        return QuadExt._make(self.a + oa, self.b + ob if ob else self.b, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return QuadExt._make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         co = self._coerce(other)
         if co is None:
             return NotImplemented
         oa, ob = co
-        return quadext(self.a - oa, self.b - ob, self.d)
+        return QuadExt._make(self.a - oa, self.b - ob if ob else self.b, self.d)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -119,7 +160,9 @@ class QuadExt:
         if co is None:
             return NotImplemented
         oa, ob = co
-        return quadext(
+        if not ob:
+            return QuadExt._make(self.a * oa, self.b * oa, self.d)
+        return QuadExt._make(
             self.a * oa + self.b * ob * self.d,
             self.a * ob + self.b * oa,
             self.d,
@@ -132,13 +175,13 @@ class QuadExt:
         if co is None:
             return NotImplemented
         oa, ob = co
-        if oa == 0 and ob == 0:
-            raise ZeroDivisionError("division of QuadExt by zero")
-        if ob == 0:
-            return quadext(self.a / oa, self.b / oa, self.d)
+        if not ob:
+            if oa == 0:
+                raise ZeroDivisionError("division of QuadExt by zero")
+            return QuadExt._make(self.a / oa, self.b / oa, self.d)
         nrm = oa * oa - ob * ob * self.d
         # (a+b√d)/(oa+ob√d) = (a+b√d)(oa−ob√d)/nrm ; nrm != 0 since √d irrational
-        return quadext(
+        return QuadExt._make(
             (self.a * oa - self.b * ob * self.d) / nrm,
             (self.b * oa - self.a * ob) / nrm,
             self.d,
@@ -150,7 +193,7 @@ class QuadExt:
         if other == 0:
             return Fraction(0)
         nrm = self.norm()
-        return quadext(Fraction(other) * self.a / nrm, -Fraction(other) * self.b / nrm, self.d)
+        return QuadExt._make(other * self.a / nrm, -other * self.b / nrm, self.d)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -191,17 +234,14 @@ def quadext(a, b, d: int) -> Scalar:
     if d < 0:
         raise NegativeRadicandError(f"negative radicand {d}")
     s, d0 = squarefree_split(d)
-    b = b * s
-    if b == 0 or d0 <= 1:
-        # d0 == 1 means d was a perfect square (or 0); sqrt folds into b
-        return a + b if d0 == 1 else a
-    return QuadExt(a, b, d0)
+    if d0 == 1:
+        # d was a perfect square (or 0); sqrt folds into b
+        return a + b * s
+    return QuadExt._make(a, b * s, d0)
 
 
 def as_scalar(value) -> Scalar:
-    if isinstance(value, QuadExt):
-        return value
-    if isinstance(value, Fraction):
+    if type(value) is Fraction or isinstance(value, (Fraction, QuadExt)):
         return value
     if isinstance(value, int):
         return Fraction(value)
@@ -209,6 +249,8 @@ def as_scalar(value) -> Scalar:
 
 
 def scalar_is_zero(value: Scalar) -> bool:
+    if type(value) is Fraction:
+        return not value
     return isinstance(value, (int, Fraction)) and value == 0
 
 
@@ -229,7 +271,7 @@ def sqrt_exact(value) -> Scalar:
     p, q = value.numerator, value.denominator
     # sqrt(p/q) = sqrt(p*q)/q
     s, d = squarefree_split(p * q)
-    return quadext(0, Fraction(s, q), d) if d > 1 else Fraction(s, q)
+    return QuadExt._make(Fraction(0), Fraction(s, q), d) if d > 1 else Fraction(s, q)
 
 
 # -- text format -------------------------------------------------------------

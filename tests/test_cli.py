@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -529,3 +530,112 @@ def test_usage_errors_exit_2_with_the_same_text_on_every_call(capsys):
             texts.append(captured.err)
         assert texts[0] == texts[1] == texts[2], argv
         assert texts[0].startswith("usage: sl2deform") and words in texts[0], texts[0]
+
+
+def test_rep_check_refuses_a_radicand_past_the_budget_in_one_line(tmp_path, capsys):
+    n = 1000000000000000000000007  # a 25-digit prime
+    rep = {"dimension": 2, "diagonal": ["-1/2", "1/2"],
+           "ladders": [[0, 1, f"sqrt({n})"], [1, 0, "1"]],
+           "params": {"alpha": "0", "beta": "0", "gamma": "2", "delta": "0"}}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "rep-check", "--rep", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    message = section(report, "error")["message"]
+    assert message.startswith("ValueError: radicand too large to split") and "\n" not in message
+
+
+# -- argv fuzzing over all three commands ------------------------------------------
+
+_BIG_ROOTS = ["sqrt(1000000000000000000000007)", "sqrt(999999999989)",
+              "3 - 2*sqrt(1000000000000000000000000)", f"sqrt({2**101 * 3})"]
+_SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=4).map(str)
+_ARG_SCALAR = st.one_of(
+    _SMALL, _SMALL,
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6).map(str),
+    st.sampled_from(["sqrt(2)", "1 + sqrt(3)", "2*sqrt(8)", "-1/2*sqrt(5)"] + _BIG_ROOTS),
+    st.sampled_from(["x", "", "1/0", "0.5", "sqrt(-2)", "sqrt(2) + 1"]),
+)
+_FLAG = st.sampled_from(["--case", "--alpha", "--beta", "--gamma", "--branch", "--space",
+                         "--max-order", "--rep", "--params", "--bogus", "-h"])
+
+
+@st.composite
+def _argvs(draw):
+    """(argv, rep, params) for one of the three commands, mostly well-formed.
+
+    The rep file is a classic spin table with 2j <= 3, possibly with one
+    entry or parameter replaced; "REP" and "PARAMS" in argv stand for the
+    files the test writes.  One argv in ten loses a token or gains a flag.
+    """
+    command = draw(st.sampled_from(["verify-case", "enumerate-preserving", "rep-check"]))
+    if command == "verify-case":
+        argv = [command, "--case", draw(st.sampled_from(["1", "2", "3"])),
+                "--alpha", draw(_ARG_SCALAR), "--beta", draw(_ARG_SCALAR)]
+        if draw(st.booleans()):
+            argv += ["--gamma", draw(st.one_of(st.just("intrinsic"), _ARG_SCALAR))]
+        if draw(st.booleans()):
+            argv += ["--branch", draw(st.sampled_from(["upper", "lower"]))]
+    elif command == "enumerate-preserving":
+        exponents = draw(st.sets(st.integers(0, 9), min_size=1, max_size=5).map(sorted))
+        space = draw(st.one_of(st.just(",".join(map(str, exponents))),
+                               st.sampled_from(["", "0,x", "0,,1", " 0, 1", "0,1,1"])))
+        argv = [command, f"--space={space}",
+                "--max-order", draw(st.sampled_from(["0", "1", "2", "3", "-1"]))]
+    else:
+        argv = [command, "--rep", "REP"]
+        if draw(st.booleans()):
+            argv += ["--params", draw(st.sampled_from(["PARAMS", "PARAMS", "missing.json"]))]
+    if draw(st.integers(0, 9)) == 0:
+        if draw(st.booleans()):
+            del argv[draw(st.integers(0, len(argv) - 1))]
+        else:
+            argv.insert(draw(st.integers(1, len(argv))), draw(_FLAG))
+    two_j = draw(st.integers(0, 3))
+    ladders = []
+    for low in range(two_j):
+        product = (two_j - low) * (low + 1)  # (j - m)(j + m + 1) at m = -j + low
+        ladders += [[low, low + 1, f"sqrt({product})"], [low + 1, low, f"sqrt({product})"]]
+    rep = {"dimension": two_j + 1,
+           "diagonal": [str(Fr(t, 2)) for t in range(-two_j, two_j + 1, 2)],
+           "ladders": ladders,
+           "params": {"alpha": "0", "beta": "0", "gamma": "2", "delta": "0"}}
+    params = dict(rep["params"])
+    where = draw(st.sampled_from(["none", "none", "diagonal", "ladder", "param", "params"]))
+    if where == "diagonal":
+        rep["diagonal"][draw(st.integers(0, two_j))] = draw(_ARG_SCALAR)
+    elif where == "ladder" and ladders:
+        ladders[draw(st.integers(0, len(ladders) - 1))][2] = draw(_ARG_SCALAR)
+    elif where == "param":
+        rep["params"][draw(st.sampled_from(sorted(params)))] = draw(_ARG_SCALAR)
+    elif where == "params":
+        params[draw(st.sampled_from(sorted(params)))] = draw(_ARG_SCALAR)
+    return argv, rep, params
+
+
+@settings(max_examples=120, deadline=None)
+@given(_argvs())
+def test_cli_argv_fuzz_exits_0_1_or_2_with_a_report_or_usage(case):
+    argv, rep, params = case
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"REP": Path(tmp) / "rep.json", "PARAMS": Path(tmp) / "params.json",
+                 "missing.json": Path(tmp) / "missing.json"}
+        files["REP"].write_text(json.dumps(rep))
+        files["PARAMS"].write_text(json.dumps(params))
+        argv = [str(files.get(token, token)) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                # argparse: usage or help text, never a report
+                assert exc.code in (0, 2), argv
+                assert (err.getvalue() if exc.code else out.getvalue()).startswith("usage:")
+                return
+    assert code in (0, 1, 2), argv
+    report = json.loads(out.getvalue())
+    assert report["status"] == {0: "pass", 1: "fail", 2: "error"}[code], argv
+    if code == 2:
+        assert "\n" not in section(report, "error")["message"], argv

@@ -18,6 +18,7 @@ from sl2deform.diffops import (
     SpaceEscapeError,
     V3,
     _ExactSpan,
+    _falling,
     closure_check,
     enumerate_preserving_operators,
     lie_closure_probe,
@@ -76,6 +77,15 @@ def test_negative_exponent_escape_is_an_error():
 
 
 # -- symbolic action ----------------------------------------------------------------
+
+
+def test_falling_factorial_is_built_once_per_order_and_has_the_right_values():
+    for n in range(13):
+        poly = PolyK.falling_factorial(n)
+        assert poly is PolyK.falling_factorial(n)
+        assert poly.degree == n and poly.coeffs[-1] == 1
+        for k in range(-3, 16):
+            assert poly(k) == _falling(k, n), (n, k)
 
 
 def test_euler_symbolic_action():

@@ -1,9 +1,13 @@
+import random
+import time
 from fractions import Fraction as Fr
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from sl2deform.scalars import (
+    MAX_TRIAL_PRIME,
     NegativeRadicandError,
     QuadExt,
     ScalarDomainError,
@@ -51,6 +55,12 @@ def test_mixed_radicands_error():
         quadext(0, 1, 2) + quadext(0, 1, 3)
     with pytest.raises(ScalarDomainError):
         quadext(0, 1, 2) * quadext(0, 1, 5)
+    # the radicands are named in operand order
+    root2, root3 = sqrt_exact(2), sqrt_exact(3)
+    with pytest.raises(ScalarDomainError, match=r"^mixed radicands sqrt\(2\) and sqrt\(3\)$"):
+        root2 * root3
+    with pytest.raises(ScalarDomainError, match=r"^mixed radicands sqrt\(3\) and sqrt\(2\)$"):
+        root3 * root2
 
 
 def test_rational_and_quadext_mix_freely():
@@ -109,6 +119,46 @@ def test_squarefree_split():
     assert s * s * d == 2 * 2 * 7 * 7 * 7 and d == 7
 
 
+def _sympy_split(n):
+    s = d = 1
+    for p, e in sympy.factorint(n).items():
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+    return s, d
+
+
+def test_squarefree_split_agrees_with_sympy_up_to_the_budget():
+    rng = random.Random(1807)
+    cases = [rng.randrange(1, 10**k) for k in (3, 6, 9, 12, 15, 18) for _ in range(40)]
+    # what trial division up to the cube root leaves: one or two large primes
+    p6, q6 = sympy.prevprime(10**6), sympy.prevprime(10**6 - 100)
+    p9, q9 = sympy.prevprime(10**9), sympy.prevprime(10**9 - 100)
+    p4, p12, p17 = sympy.prevprime(10**4), sympy.prevprime(10**12), sympy.prevprime(10**17)
+    cases += [p6 * p6, p9 * p9, p6 * p9, p6 * p12, p9 * q9, 2 * p17, p17]
+    cases += [p6 * p6 * q6, q6 * q6 * p6, p4 * p4 * p9, p4 * p4 * p6 * 3, 3 * 3 * p12]
+    cases += [10**18, 2**59, 3**37, 1]
+    for n in cases:
+        assert n <= 10**18
+        assert squarefree_split(n) == _sympy_split(n), n
+
+
+def test_squarefree_split_refuses_a_radicand_past_the_budget_quickly():
+    prime = sympy.nextprime(10**24)
+    semiprime = sympy.nextprime(10**12) * sympy.nextprime(10**13)
+    for n in (prime, semiprime, prime * 4):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="radicand too large to split"):
+            squarefree_split(n)
+        assert time.perf_counter() - start < 2
+    for entry in (lambda n: parse_scalar(f"sqrt({n})"), sqrt_exact,
+                  lambda n: quadext(1, 1, n)):
+        with pytest.raises(ValueError, match="radicand too large to split"):
+            entry(prime)
+    # large radicands whose cofactor after the small primes is small still split
+    assert squarefree_split(2**101 * 3) == (2**50, 6)
+    assert squarefree_split(MAX_TRIAL_PRIME**4) == (MAX_TRIAL_PRIME**2, 1)
+
+
 @given(rationals)
 def test_sqrt_squares_back(v):
     v = abs(v)
@@ -125,9 +175,34 @@ def test_rational_field_axioms(x, y, z):
         assert (x / y) * y == x
 
 
-@given(rationals, rationals, rationals, rationals, rationals, rationals)
-def test_quadext_field_axioms_same_radicand(a1, b1, a2, b2, a3, b3):
-    d = 5
+_RADICANDS = (2, 3, 5, 999999999989)
+_FIELDS = {}
+
+
+def _in_field(x, d):
+    """x as an element of sympy's exact field QQ<sqrt(d)>."""
+    if d not in _FIELDS:
+        field = sympy.QQ.algebraic_field(sympy.sqrt(d))
+        _FIELDS[d] = field, field.from_sympy(sympy.sqrt(d))
+    field, root = _FIELDS[d]
+    if isinstance(x, QuadExt):
+        assert x.d == d
+        return _in_field(x.a, d) + _in_field(x.b, d) * root
+    return field.convert(sympy.Rational(x.numerator, x.denominator))
+
+
+def _assert_canonical(value, d):
+    """A Fraction, or a QuadExt with Fraction parts, a radical part and radicand d."""
+    if type(value) is Fr:
+        return
+    assert type(value) is QuadExt, value
+    assert type(value.a) is type(value.b) is Fr, value
+    assert value.b != 0 and value.d == d, value
+
+
+@given(rationals, rationals, rationals, rationals, rationals, rationals,
+       st.sampled_from(_RADICANDS))
+def test_quadext_field_axioms_same_radicand(a1, b1, a2, b2, a3, b3, d):
     x, y, z = quadext(a1, b1, d), quadext(a2, b2, d), quadext(a3, b3, d)
     assert (x + y) + z == x + (y + z)
     assert (x * y) * z == x * (y * z)
@@ -135,6 +210,20 @@ def test_quadext_field_axioms_same_radicand(a1, b1, a2, b2, a3, b3):
     assert scalar_is_zero(x + (-x)) or x + (-x) == 0
     if not scalar_is_zero(y):
         assert (x / y) * y == x
+    # every result is canonical, keeps d and equals sympy's value in QQ<sqrt(d)>
+    fx, fy = _in_field(x, d), _in_field(y, d)
+    results = [(x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy), (-x, -fx),
+               (x**0, fx**0), (x**3, fx**3), (x + a2, fx + _in_field(a2, d)),
+               (a2 - x, _in_field(a2, d) - fx), (a2 * x, _in_field(a2, d) * fx)]
+    if not scalar_is_zero(y):
+        results.append((x / y, fx / fy))
+        results.append((a1 / y, _in_field(a1, d) / fy))
+    if isinstance(x, QuadExt):
+        results.append((x.conjugate(), 2 * _in_field(x.a, d) - fx))
+        results.append((x.norm(), fx * (2 * _in_field(x.a, d) - fx)))
+    for value, expected in results:
+        _assert_canonical(value, d)
+        assert _in_field(value, d) == expected
 
 
 @given(rationals, nonzero_rationals)
