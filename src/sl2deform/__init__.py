@@ -27,10 +27,7 @@ from .diffops import (
     DiffOp,
     LieClosureReport,
     MonomialSpace,
-    NegativeExponentError,
-    PolyK,
     SpaceEscapeError,
-    SymbolicAction,
     V3,
     closure_check,
     enumerate_preserving_operators,
@@ -82,9 +79,7 @@ __all__ = [
     "Matrix",
     "MatrixTriple",
     "MonomialSpace",
-    "NegativeExponentError",
     "NegativeRadicandError",
-    "PolyK",
     "QuadExt",
     "RelationResiduals",
     "RepBlock",
@@ -92,7 +87,6 @@ __all__ = [
     "Scalar",
     "ScalarDomainError",
     "SpaceEscapeError",
-    "SymbolicAction",
     "TrivialAlgebraError",
     "V3",
     "build_case_realization",

@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .diffops import V3, DiffOp, PolyK
+from .diffops import V3, DiffOp
 from .reps import intrinsic_gamma_and_product
 from .scalars import Scalar, as_scalar
 
@@ -88,7 +88,8 @@ class CaseData:
     label_sums: tuple[Fraction, Fraction, Fraction]  # S_1, S_2, S_3
     raise_op: DiffOp
     lower_op: DiffOp
-    bracket_poly: PolyK          # [raise_op, lower_op] x^k = bracket_poly(k) x^k
+    # [raise_op, lower_op] x^k = sum_i bracket_poly[i] k^i x^k
+    bracket_poly: tuple[Fraction, ...]
 
 
 def derive_case(q: int, m1: Union[int, Fraction]) -> CaseData:
@@ -112,7 +113,7 @@ def derive_case(q: int, m1: Union[int, Fraction]) -> CaseData:
     lower_op = _ladder(V3.exponents, exponent[dst], exponent[src])
     # [raise, lower] has shift 0 only, and its k^3 coefficient is -4 * shift
     # times the k^2 coefficients of the two ladders, so it is always cubic
-    bracket = raise_op.commutator(lower_op).symbolic_action().as_dict()
+    bracket = raise_op.commutator(lower_op).symbolic_action()
     return CaseData(
         q=q,
         two_m1=int(2 * m1),

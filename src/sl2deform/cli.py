@@ -39,8 +39,10 @@ from .reps import (
 )
 from .scalars import (
     NegativeRadicandError,
+    digit_limit,
     parse_scalar,
     render_scalar,
+    scalar_is_zero,
 )
 
 PASS, FAIL, ERROR = "pass", "fail", "error"
@@ -72,17 +74,24 @@ def _error_report(command: str, message: str) -> dict:
     }
 
 
-def _render_action(action) -> dict:
-    return {str(shift): repr(poly) for shift, poly in action.polys}
+def _render_action(op) -> dict:
+    """{shift: "PolyK[(c0)*k^0 + ...]"}, the nonzero coefficients of each shift."""
+    return {
+        str(shift): "PolyK[" + " + ".join(
+            f"({render_scalar(c)})*k^{i}" for i, c in enumerate(coeffs)
+            if not scalar_is_zero(c)
+        ) + "]"
+        for shift, coeffs in op.symbolic_action().items()
+    }
 
 
 def _closure_values(report) -> dict:
     values: dict = {"passed": report.passed}
     if not report.passed:
         values["nonzero_residuals"] = {
-            name: _render_action(act)
-            for name, act in report.residuals
-            if not act.is_zero()
+            name: _render_action(op)
+            for name, op in report.residuals
+            if not op.is_zero()
         }
     return values
 
@@ -136,18 +145,16 @@ def cmd_verify_case(args) -> dict:
         checks.append(solution.fg == intr.fg)
     sections.append(_section("solution", solution_values))
 
-    # one symbolic action per operator gives both its preservation verdict
-    # and its matrix; one set of residual actions gives both closure verdicts
-    actions = [op.symbolic_action() for op in triple_ops]
     preserved = {
-        name: action.preserves(V3)
-        for name, action in zip(("diagonal", "raising", "lowering"), actions)
+        name: op.preserves_space(V3)
+        for name, op in zip(("diagonal", "raising", "lowering"), triple_ops)
     }
     checks.append(all(preserved.values()))
     sections.append(
         _section("preserves-space", {"space": "0,1,3", **preserved})
     )
 
+    # one set of residual operators gives both closure verdicts
     on_space = closure_check(triple_ops, params, V3)
     checks.append(on_space.passed)
     sections.append(_section("closure-on-space", _closure_values(on_space)))
@@ -159,7 +166,7 @@ def cmd_verify_case(args) -> dict:
         checks.append(intrinsic.passed)
     sections.append(_section("closure-intrinsic", intrinsic_values))
 
-    triple_mats = MatrixTriple(*(action.matrix_on(V3) for action in actions))
+    triple_mats = MatrixTriple(*(op.matrix_on_space(V3) for op in triple_ops))
     residuals = check_deformed_relations(triple_mats, params)
     checks.append(residuals.all_zero)
     sections.append(
@@ -251,7 +258,8 @@ def _write_rep_file(path: str, triple: MatrixTriple, params: AlgebraParams) -> N
 
 
 def cmd_enumerate_preserving(args) -> dict:
-    exponents = tuple(int(e) for e in args.space.split(","))
+    with digit_limit("an input exponent"):
+        exponents = tuple(int(e) for e in args.space.split(","))
     space = MonomialSpace(exponents)
     basis = enumerate_preserving_operators(space, args.max_order)
     sections = [

@@ -5,12 +5,15 @@ An operator is a finite sum of terms ``coeff * x^m * D^n`` with integer x-power
 derivative order ``n``, and exact scalar coefficients.  Composition normal
 orders all derivatives to the right, so operator equality is term-by-term.
 
-Acting on a monomial x^k the term x^m D^n contributes
-``k(k-1)...(k-n+1) x^(k+m-n)``; collecting the falling-factorial polynomials
-per exponent shift s = m - n gives the *symbolic action*, the effect on x^k
-with k left indeterminate.  An operator identity holds "intrinsically" (for
-every monomial, hence independently of any chosen module) exactly when all
-shift polynomials vanish identically in k.
+An operator is its terms, and it is evaluated on x^k directly: the term
+x^m D^n sends x^k to ``k(k-1)...(k-n+1) x^(k+m-n)`` (:meth:`DiffOp.image`), and
+its matrix on a monomial space is read off those images.  The terms of one
+exponent shift s = m - n carry falling factorials of distinct degrees, each
+with leading coefficient 1, so an operator vanishes on every monomial exactly
+when it has no terms.  An operator identity therefore holds "intrinsically"
+(for every monomial, hence independently of any chosen module) exactly when
+the two sides have the same terms.  :meth:`DiffOp.symbolic_action` writes the
+per-shift polynomials in k out, for reports only.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .matrices import Matrix
 from .scalars import (
@@ -37,10 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .algebra import AlgebraParams
 
 
-class NegativeExponentError(ArithmeticError):
-    """Applying an operator produced a monomial of negative exponent."""
-
-
 class SpaceEscapeError(ValueError):
     """An operator was asked for its matrix on a space it does not preserve."""
 
@@ -52,160 +51,13 @@ def _falling(k: int, n: int) -> int:
     return out
 
 
-class PolyK:
-    """Dense polynomial in the symbolic exponent k, exact coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [as_scalar(c) for c in coeffs]
-        while cs and scalar_is_zero(cs[-1]):
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("PolyK is immutable")
-
-    @classmethod
-    @functools.cache
-    def falling_factorial(cls, order: int) -> "PolyK":
-        """k(k-1)...(k-order+1); the derivative factor of D^order on x^k.
-
-        Built once per order: the polynomial is a constant and PolyK is
-        immutable, so every caller shares it.
-        """
-        poly = cls([Fraction(1)])
-        for i in range(order):
-            poly = poly * cls([Fraction(-i), Fraction(1)])
-        return poly
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "PolyK") -> "PolyK":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return PolyK(out)
-
-    def __sub__(self, other: "PolyK") -> "PolyK":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, s) -> "PolyK":
-        s = as_scalar(s)
-        return PolyK([c * s for c in self.coeffs])
-
-    def __mul__(self, other: "PolyK") -> "PolyK":
-        if not isinstance(other, PolyK):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return PolyK()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return PolyK(out)
-
-    def __call__(self, k) -> Scalar:
-        acc: Scalar = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * k + c
-        return acc
-
-    def shifted(self, s: int) -> "PolyK":
-        """The polynomial k -> self(k + s)."""
-        out = PolyK()
-        base = PolyK([Fraction(s), Fraction(1)])
-        power = PolyK([Fraction(1)])
-        for c in self.coeffs:
-            out = out + power.scale(c)
-            power = power * base
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyK):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if self.is_zero():
-            return "PolyK(0)"
-        body = " + ".join(
-            f"({render_scalar(c)})*k^{i}" for i, c in enumerate(self.coeffs)
-            if not scalar_is_zero(c)
-        )
-        return f"PolyK[{body}]"
-
-
-@dataclass(frozen=True)
-class SymbolicAction:
-    """Effect on x^k, k indeterminate: shift -> polynomial coefficient of x^(k+shift)."""
-
-    polys: tuple[tuple[int, PolyK], ...]
-
-    @classmethod
-    def from_dict(cls, mapping: Mapping[int, PolyK]) -> "SymbolicAction":
-        items = tuple(
-            (s, p) for s, p in sorted(mapping.items()) if not p.is_zero()
-        )
-        return cls(items)
-
-    def as_dict(self) -> dict[int, PolyK]:
-        return dict(self.polys)
-
-    def is_zero(self) -> bool:
-        return not self.polys
-
-    def shifts(self) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.polys)
-
-    def evaluate(self, k: int) -> dict[int, Scalar]:
-        """Image exponent -> coefficient for a concrete monomial x^k."""
-        out: dict[int, Scalar] = {}
-        for s, poly in self.polys:
-            v = poly(k)
-            if not scalar_is_zero(v):
-                out[k + s] = v
-        return out
-
-    def preserves(self, space: "MonomialSpace") -> bool:
-        """Whether every monomial of ``space`` is sent into ``space``."""
-        members = set(space.exponents)
-        return all(e in members for k in space.exponents for e in self.evaluate(k))
-
-    def matrix_on(
-        self, space: "MonomialSpace", norm_squares: Optional[Sequence] = None
-    ) -> Matrix:
-        """Matrix in the basis x^e of ``space``, which must be preserved.
-
-        With ``norm_squares`` the basis vector i is sqrt(norm_squares[i]) * x^e_i;
-        each entry picks up sqrt(N_col / N_row), taken exactly per entry so no
-        shared quadratic extension is ever needed.
-        """
-        pos = {e: i for i, e in enumerate(space.exponents)}
-        entries = {}
-        for col, k in enumerate(space.exponents):
-            for e, v in self.evaluate(k).items():
-                if e not in pos:
-                    raise SpaceEscapeError(
-                        f"operator does not preserve the space {space.exponents}"
-                    )
-                entries[(pos[e], col)] = v
-        if norm_squares is not None:
-            ns = [Fraction(x) for x in norm_squares]
-            entries = {(r, c): v * sqrt_exact(ns[c] / ns[r])
-                       for (r, c), v in sorted(entries.items())}
-        return Matrix.from_entries(space.dimension, entries)
+@functools.cache
+def _falling_coefficients(n: int) -> tuple[int, ...]:
+    """Coefficients of k(k-1)...(k-n+1) in powers of k, constant term first."""
+    coeffs = [1]
+    for i in range(n):  # times (k - i)
+        coeffs = [a - i * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return tuple(coeffs)
 
 
 class DiffOp:
@@ -232,10 +84,6 @@ class DiffOp:
         raise AttributeError("DiffOp is immutable")
 
     # -- constructors ---------------------------------------------------------
-    @classmethod
-    def zero(cls) -> "DiffOp":
-        return cls()
-
     @classmethod
     def identity(cls) -> "DiffOp":
         return cls({(0, 0): Fraction(1)})
@@ -305,51 +153,71 @@ class DiffOp:
         return out
 
     # -- action -----------------------------------------------------------------
-    def symbolic_action(self) -> SymbolicAction:
-        per_shift: dict[int, PolyK] = {}
-        for (m, n), c in self.terms.items():
-            poly = PolyK.falling_factorial(n).scale(c)
-            s = m - n
-            per_shift[s] = per_shift.get(s, PolyK()) + poly
-        return SymbolicAction.from_dict(per_shift)
+    def image(self, k: int) -> dict[int, Scalar]:
+        """Exact image of x^k, {exponent: nonzero coefficient}.
 
-    def apply_to_monomial(self, k: int) -> list[tuple[int, Scalar]]:
-        """Exact image of x^k as (exponent, coefficient) pairs, exponent ascending.
-
-        A nonzero coefficient on a negative exponent is an error, not a drop:
-        the result would leave the monomial module entirely.
+        The term c x^m D^n sends x^k to c k!/(k-n)! x^(k+m-n); a negative
+        exponent is kept like any other.
         """
-        if k < 0:
-            raise ValueError("monomial exponent must be nonnegative")
-        image = self.symbolic_action().evaluate(k)
-        bad = {e: v for e, v in image.items() if e < 0}
-        if bad:
-            rendered = ", ".join(
-                f"{render_scalar(v)}*x^{e}" for e, v in sorted(bad.items())
-            )
-            raise NegativeExponentError(
-                f"image of x^{k} has negative exponents: {rendered}"
-            )
-        return sorted(image.items())
+        out: dict[int, Scalar] = {}
+        for (m, n), c in self.terms.items():
+            w = _falling(k, n)
+            if w:
+                e = k + m - n
+                out[e] = out[e] + c * w if e in out else c * w
+        return {e: v for e, v in out.items() if not scalar_is_zero(v)}
+
+    def symbolic_action(self) -> dict[int, tuple[Scalar, ...]]:
+        """The action on x^k with k left indeterminate, for display.
+
+        Maps each shift s = m - n to the coefficients, in powers of k, of the
+        polynomial P_s with self x^k = sum_s P_s(k) x^(k+s).  Within a shift
+        the falling factorials have distinct degrees and leading coefficient
+        1, so a nonzero operator has a nonzero P_s for each shift it uses.
+        """
+        per_shift: dict[int, list[Scalar]] = {}
+        for (m, n), c in self.terms.items():
+            ff = _falling_coefficients(n)
+            poly = per_shift.setdefault(m - n, [])
+            poly.extend([Fraction(0)] * (len(ff) - len(poly)))
+            for i, f in enumerate(ff):
+                if f:
+                    poly[i] = poly[i] + c * f
+        return {s: tuple(per_shift[s]) for s in sorted(per_shift)}
 
     # -- module interaction -------------------------------------------------------
     def preserves_space(self, space: "MonomialSpace") -> bool:
-        return self.symbolic_action().preserves(space)
+        """Whether every monomial of ``space`` is sent into ``space``."""
+        members = set(space.exponents)
+        return all(e in members for k in space.exponents for e in self.image(k))
 
     def matrix_on_space(
         self, space: "MonomialSpace", norm_squares: Optional[Sequence] = None
     ) -> Matrix:
-        """Matrix in the basis x^e (optionally rescaled by sqrt(norm_squares[i]));
-        see :meth:`SymbolicAction.matrix_on`."""
-        return self.symbolic_action().matrix_on(space, norm_squares)
+        """Matrix in the basis x^e of ``space``, which must be preserved.
+
+        With ``norm_squares`` the basis vector i is sqrt(norm_squares[i]) * x^e_i;
+        each entry picks up sqrt(N_col / N_row), taken exactly per entry so no
+        shared quadratic extension is ever needed.
+        """
+        pos = {e: i for i, e in enumerate(space.exponents)}
+        entries = {}
+        for col, k in enumerate(space.exponents):
+            for e, v in self.image(k).items():
+                if e not in pos:
+                    raise SpaceEscapeError(
+                        f"operator does not preserve the space {space.exponents}"
+                    )
+                entries[(pos[e], col)] = v
+        if norm_squares is not None:
+            ns = [Fraction(x) for x in norm_squares]
+            entries = {(r, c): v * sqrt_exact(ns[c] / ns[r])
+                       for (r, c), v in sorted(entries.items())}
+        return Matrix.from_entries(space.dimension, entries)
 
     # -- identity ------------------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def order(self) -> int:
-        return max((n for _, n in self.terms), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
@@ -466,28 +334,20 @@ class ClosureReport:
 
     mode: str                                  # "intrinsic" or "on-space"
     passed: bool
-    residuals: tuple[tuple[str, SymbolicAction], ...]
+    residuals: tuple[tuple[str, DiffOp], ...]
 
     @classmethod
     def judge(
         cls,
-        residuals: tuple[tuple[str, SymbolicAction], ...],
+        residuals: tuple[tuple[str, DiffOp], ...],
         space: Optional[MonomialSpace],
     ) -> "ClosureReport":
-        """The verdict on residual actions, on ``space`` or, with None, intrinsically."""
+        """The verdict on residual operators, on ``space`` or, with None, intrinsically."""
         if space is None:
-            passed = all(action.is_zero() for _, action in residuals)
+            passed = all(op.is_zero() for _, op in residuals)
             return cls(mode="intrinsic", passed=passed, residuals=residuals)
-        passed = all(
-            scalar_is_zero(poly(k))
-            for _, action in residuals
-            for _, poly in action.polys
-            for k in space.exponents
-        )
+        passed = not any(op.image(k) for _, op in residuals for k in space.exponents)
         return cls(mode="on-space", passed=passed, residuals=residuals)
-
-    def residual(self, name: str) -> SymbolicAction:
-        return dict(self.residuals)[name]
 
 
 def closure_check(
@@ -497,8 +357,8 @@ def closure_check(
 ) -> ClosureReport:
     """Check the ladder and cubic-bracket relations for a differential triple.
 
-    ``space=None`` demands the relations as operator identities (all shift
-    polynomials identically zero); with a space they only need to hold on the
+    ``space=None`` demands the relations as operator identities (every
+    residual the zero operator); with a space they only need to hold on the
     listed monomials.  ``ClosureReport.judge`` gives the other verdict on the
     same residuals without building them again.
     """
@@ -510,13 +370,12 @@ def closure_check(
         + j0.scale(params.gamma)
         + ident.scale(params.delta)
     )
-    residual_ops = (
+    residuals = (
         ("raising", j0.commutator(jp) - jp),
         ("lowering", j0.commutator(jm) + jm),
         ("bracket", jp.commutator(jm) - rhs),
     )
-    actions = tuple((name, op.symbolic_action()) for name, op in residual_ops)
-    return ClosureReport.judge(actions, space)
+    return ClosureReport.judge(residuals, space)
 
 
 # -- preserving operators -------------------------------------------------------------
@@ -688,18 +547,6 @@ def enumerate_preserving_operators(
 # -- Lie closure probing -----------------------------------------------------------------
 
 
-def _action_vectors(actions: Sequence[SymbolicAction]) -> list[list[Scalar]]:
-    """Coefficient vectors of the actions over the (shift, power of k) pairs they use."""
-    entries = [
-        {(s, j): c for s, poly in action.polys for j, c in enumerate(poly.coeffs)
-         if not scalar_is_zero(c)}
-        for action in actions
-    ]
-    keys = sorted(set().union(*entries))
-    zero = Fraction(0)
-    return [[entry.get(key, zero) for key in keys] for entry in entries]
-
-
 @dataclass(frozen=True)
 class LieClosureReport:
     closed_as_operators: bool
@@ -722,16 +569,16 @@ def lie_closure_probe(
     if max_rounds < 1:
         raise ValueError("max_rounds must be positive")
     ops = list(ops)
-    # each operator's symbolic action is computed once, for its matrix and its
-    # vector; matrix_on raises SpaceEscapeError for one that leaves the space
-    actions = [op.symbolic_action() for op in ops]
-    mats = [action.matrix_on(space) for action in actions]
+    # matrix_on_space raises SpaceEscapeError for an operator leaving the space
+    mats = [op.matrix_on_space(space) for op in ops]
     diagonal_allowance = [DiffOp.euler() ** i for i in range(4)]
     pairs = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))]
     brackets = [ops[i].commutator(ops[j]) for i, j in pairs]
-    vectors = _action_vectors(
-        actions + [op.symbolic_action() for op in diagonal_allowance + brackets]
-    )
+    # operators are compared in their term coordinates (m, n)
+    every = ops + diagonal_allowance + brackets
+    keys = sorted(set().union(*(op.terms for op in every)))
+    zero = Fraction(0)
+    vectors = [[op.terms.get(key, zero) for key in keys] for op in every]
     cut = len(ops) + len(diagonal_allowance)
     span = _ExactSpan(len(vectors[0]))
     for vec in vectors[:cut]:

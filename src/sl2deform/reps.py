@@ -211,7 +211,7 @@ def intrinsic_gamma_and_product(case: CaseId, alpha: Scalar, beta: Scalar) -> In
         raise ValueError("the intrinsic locus needs alpha != 0")
     data = case.data
     p = data.p
-    _, q1, q2, q3 = data.bracket_poly.coeffs
+    _, q1, q2, q3 = data.bracket_poly
     fg = alpha / (p ** 3 * q3)
     u = (fg * q2 * p * p - beta) / (3 * alpha)  # c - 1/p
     gamma = fg * q1 * p - 3 * alpha * u * u - 2 * beta * u

@@ -14,10 +14,12 @@ radicand its operands were built with and never factors it again.
 
 from __future__ import annotations
 
+import contextlib
 import re
+import sys
 from fractions import Fraction
 from math import isqrt
-from typing import Union
+from typing import Iterator, Union
 
 
 class ScalarDomainError(ArithmeticError):
@@ -34,6 +36,25 @@ class NegativeRadicandError(ValueError):
 # that, splitting would take a general factoring algorithm and is refused.
 # Reaching the limit takes about 0.1 s (Python 3.11 on a 2-vCPU VM).
 MAX_TRIAL_PRIME = 10**6
+
+
+@contextlib.contextmanager
+def digit_limit(what: str) -> Iterator[None]:
+    """Report an integer past Python's limit on int <-> str conversion as a
+    one-line ValueError naming ``what``, instead of Python's own advice.
+
+    Python sets the limit (4300 digits by default) against quadratic-time
+    conversions; it is reported here, not lifted.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        if "int_max_str_digits" not in str(exc):
+            raise
+        raise ValueError(
+            f"{what} has an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, the most that is converted to or from text"
+        ) from None
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -265,7 +286,7 @@ def sqrt_exact(value) -> Scalar:
         raise ScalarDomainError(f"square root of irrational value {render_scalar(value)}")
     value = Fraction(value)
     if value < 0:
-        raise NegativeRadicandError(f"square root of negative value {value}")
+        raise NegativeRadicandError(f"square root of negative value {render_scalar(value)}")
     if value == 0:
         return Fraction(0)
     p, q = value.numerator, value.denominator
@@ -287,25 +308,33 @@ _RAT_RE = re.compile(rf"^\s*(?P<r>{_RAT})\s*$")
 
 
 def parse_scalar(text: str) -> Scalar:
-    m = _RAT_RE.match(text)
-    if m:
-        return Fraction(m.group("r"))
-    m = _SQRT_RE.match(text)
-    if m:
-        a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
-        b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
-        if m.group("sign") == "-":
-            b = -b
-        return quadext(a, b, int(m.group("d")))
+    try:  # not a with block: this runs for every scalar of every input
+        m = _RAT_RE.match(text)
+        if m:
+            return Fraction(m.group("r"))
+        m = _SQRT_RE.match(text)
+        if m:
+            a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
+            b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
+            if m.group("sign") == "-":
+                b = -b
+            return quadext(a, b, int(m.group("d")))
+    except ValueError:
+        with digit_limit("an input scalar"):
+            raise
     raise ValueError(f"cannot parse scalar {text!r}")
 
 
 def render_scalar(value: Scalar) -> str:
     value = as_scalar(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    radical = f"{abs(value.b)}*sqrt({value.d})"
-    if value.a == 0:
-        return radical if value.b > 0 else f"-{radical}"
-    joiner = " + " if value.b > 0 else " - "
-    return f"{value.a}{joiner}{radical}"
+    try:  # not a with block: this runs for every scalar of every report
+        if isinstance(value, Fraction):
+            return str(value)
+        radical = f"{abs(value.b)}*sqrt({value.d})"
+        if value.a == 0:
+            return radical if value.b > 0 else f"-{radical}"
+        joiner = " + " if value.b > 0 else " - "
+        return f"{value.a}{joiner}{radical}"
+    except ValueError:
+        with digit_limit("a report value"):
+            raise

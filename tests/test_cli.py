@@ -300,7 +300,7 @@ def test_exit_code_matches_status(capsys):
         assert {0: "pass", 1: "fail", 2: "error"}[code] == report["status"]
 
 
-def test_verify_case_computes_each_symbolic_action_once(capsys, monkeypatch):
+def test_verify_case_computes_no_symbolic_action_when_it_passes(capsys, monkeypatch):
     from sl2deform.diffops import DiffOp
 
     calls = []
@@ -313,9 +313,14 @@ def test_verify_case_computes_each_symbolic_action_once(capsys, monkeypatch):
     monkeypatch.setattr(DiffOp, "symbolic_action", counted)
     code, _ = run_cli(capsys, "verify-case", "--case", "1", "--alpha", "2", "--beta", "3")
     assert code == 0
-    # three ladder operators and three residual operators, each once (the
-    # residuals are all the zero operator here, so count objects, not values)
-    assert len(calls) == 6 == len({id(op) for op in calls})
+    # verdicts and matrices come from the terms; only a nonzero residual is
+    # rendered through the symbolic action
+    assert calls == []
+    code, report = run_cli(capsys, "verify-case", "--case", "1", "--alpha", "2",
+                           "--beta", "3", "--branch", "upper")
+    assert code == 1
+    rendered = section(report, "closure-intrinsic")["nonzero_residuals"]
+    assert len(calls) == len(rendered) > 0
 
 
 # -- rep-check: exact reports and malformed input --------------------------------
@@ -545,6 +550,28 @@ def test_rep_check_refuses_a_radicand_past_the_budget_in_one_line(tmp_path, caps
     assert code == 2
     message = section(report, "error")["message"]
     assert message.startswith("ValueError: radicand too large to split") and "\n" not in message
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["enumerate-preserving", "--space", "0," + "9" * 5000, "--max-order", "1"],
+     "an input exponent has an integer of more than"),
+    (["verify-case", "--case", "2", "--alpha", "0", "--beta", "7" * 1600, "--gamma", "1"],
+     "a report value has an integer of more than"),
+    (["verify-case", "--case", "2", "--alpha", "0", "--beta", "1", "--gamma", "7" * 1600],
+     "a report value has an integer of more than"),
+], ids=["space-input", "beta-report-value", "gamma-report-value"])
+def test_past_the_digit_limit_exits_2_in_the_cli_own_words(capsys, argv, words):
+    # Python refuses int <-> str conversions past a digit limit and advises a
+    # sys call; the CLI names the limit and whether an input or a report value
+    # went past it
+    import sys
+
+    code, report = run_cli(capsys, *argv)
+    assert code == 2
+    message = section(report, "error")["message"]
+    assert message == (f"ValueError: {words} {sys.get_int_max_str_digits()} digits, "
+                       "the most that is converted to or from text")
+    assert "set_int_max_str_digits" not in message
 
 
 # -- argv fuzzing over all three commands ------------------------------------------

@@ -86,6 +86,22 @@ def test_sqrt_with_square_factor():
     assert root * root == Fr(12)
 
 
+def test_digit_limit_is_named_for_inputs_and_report_values():
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    for text in ("9" * (limit + 1), f"1/{'3' * (limit + 1)}", f"2*sqrt({'7' * (limit + 1)})"):
+        with pytest.raises(ValueError, match=f"^an input scalar has an integer of more than {limit} digits"):
+            parse_scalar(text)
+    for value in (Fr(10 ** limit), Fr(1, 10 ** limit), quadext(Fr(10 ** limit), 1, 2)):
+        with pytest.raises(ValueError, match=f"^a report value has an integer of more than {limit} digits"):
+            render_scalar(value)
+    # the guard leaves every other error as it was
+    with pytest.raises(ValueError, match="cannot parse scalar"):
+        parse_scalar("x")
+    assert render_scalar(Fr(10 ** (limit - 1))) == "1" + "0" * (limit - 1)
+
+
 def test_sqrt_negative_rejected():
     with pytest.raises(NegativeRadicandError):
         sqrt_exact(Fr(-1, 4))
