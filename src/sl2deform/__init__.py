@@ -19,7 +19,7 @@ from .algebra import (
     casimir_matrix,
     check_deformed_relations,
     classic_norm_squares,
-    cubic_in,
+    cubic,
 )
 from .cases import CaseId, build_case_realization, enumerate_case_labels, p_and_a
 from .diffops import (
@@ -101,7 +101,7 @@ __all__ = [
     "commutator",
     "constraint_residuals",
     "coordinate_block_split",
-    "cubic_in",
+    "cubic",
     "decompose_rep",
     "enumerate_case_labels",
     "enumerate_preserving_operators",

@@ -5,14 +5,19 @@ operators J+- with [J0, J+-] = +-J+- and [J+, J-] equal to a cubic polynomial
 alpha*J0^3 + beta*J0^2 + gamma*J0 + delta.  The classic algebra is the special
 point (0, 0, 2, 0).  This module builds the classic spin matrices and their
 first-order differential realization, evaluates relation residuals for any
-concrete matrix triple, and forms the Casimir element.
+concrete matrix triple, and forms the Casimir element.  J0 must be diagonal
+(every representation here is given in a weight basis), which
+``MatrixTriple`` checks once; the relations then need no matrix product
+beyond [J+, J-], and the Casimir element none beyond J+J-.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 from .diffops import DiffOp
 from .matrices import Matrix, commutator
@@ -35,16 +40,24 @@ class AlgebraParams:
 
 @dataclass(frozen=True)
 class MatrixTriple:
-    """Concrete matrices (J0, J+, J-) of one representation."""
+    """Concrete matrices (J0, J+, J-) of one representation, in a basis where
+    J0 is diagonal; ``diagonal`` holds its entries h_0 .. h_(n-1)."""
 
     j0: Matrix
     jplus: Matrix
     jminus: Matrix
+    diagonal: tuple[Scalar, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = {self.j0.dimension, self.jplus.dimension, self.jminus.dimension}
         if len(dims) != 1:
             raise ValueError(f"triple members differ in dimension: {sorted(dims)}")
+        for i, j, _ in self.j0.entries():
+            if i != j:
+                raise ValueError(f"J0 must be diagonal, but its entry ({i}, {j}) is nonzero")
+        object.__setattr__(
+            self, "diagonal", tuple(self.j0[i, i] for i in range(self.dimension))
+        )
 
     @property
     def dimension(self) -> int:
@@ -70,34 +83,72 @@ class RelationResiduals:
         return self.raising.is_zero() and self.lowering.is_zero() and self.bracket.is_zero()
 
 
-def cubic_in(matrix: Matrix, params: AlgebraParams) -> Matrix:
-    """alpha*M^3 + beta*M^2 + gamma*M + delta*I, by Horner's scheme."""
-    ident = Matrix.identity(matrix.dimension)
-    acc = matrix * params.alpha + ident * params.beta
-    acc = acc @ matrix + ident * params.gamma
-    return acc @ matrix + ident * params.delta
+# The relations and the Casimir element are evaluated entry by entry, since J0
+# is diagonal.  Each entry takes the same scalar operations, with the same
+# operands on the left, as the matrix expressions they replace (commutators,
+# Horner's scheme in J0, the Casimir sum); and each step runs over every entry
+# before the next begins, as a matrix operation would.  So the values, and the
+# first ScalarDomainError of operands from different fields, are those of the
+# matrix expressions.
+
+
+def cubic(ts: Sequence[Scalar], params: AlgebraParams) -> list[Scalar]:
+    """alpha*t^3 + beta*t^2 + gamma*t + delta at each t of ``ts``, by Horner's
+    scheme, t on the left of alpha and on the right of each partial sum."""
+    acc = [t * params.alpha for t in ts]
+    acc = [x + params.beta for x in acc]
+    for coeff in (params.gamma, params.delta):
+        acc = [x * t for x, t in zip(acc, ts)]
+        acc = [x + coeff for x in acc]
+    return acc
+
+
+def _shift_residual(h: Sequence[Scalar], ladder: Matrix, step) -> Matrix:
+    """step([J0, L], L), entrywise: the entry x of L at (i, j) gives
+    step(h_i*x - x*h_j, x)."""
+    entries = list(ladder.entries())
+    left = [h[i] * x for i, _, x in entries]
+    right = [x * h[j] for _, j, x in entries]
+    diff = [u - v for u, v in zip(left, right)]
+    return Matrix.from_entries(
+        ladder.dimension,
+        {(i, j): step(e, x) for (i, j, x), e in zip(entries, diff)},
+    )
 
 
 def check_deformed_relations(rep: MatrixTriple, params: AlgebraParams) -> RelationResiduals:
+    h = rep.diagonal
     return RelationResiduals(
-        raising=commutator(rep.j0, rep.jplus) - rep.jplus,
-        lowering=commutator(rep.j0, rep.jminus) + rep.jminus,
-        bracket=commutator(rep.jplus, rep.jminus) - cubic_in(rep.j0, params),
+        raising=_shift_residual(h, rep.jplus, operator.sub),
+        lowering=_shift_residual(h, rep.jminus, operator.add),
+        bracket=commutator(rep.jplus, rep.jminus) - Matrix.diagonal(cubic(h, params)),
     )
+
+
+def _add_scaled(acc: list[Scalar], powers: list[Scalar], coeff: Scalar) -> list[Scalar]:
+    """acc_i + powers_i*coeff at each i, every product before the first sum."""
+    scaled = [x * coeff for x in powers]
+    return [x + y for x, y in zip(acc, scaled)]
 
 
 def casimir_matrix(rep: MatrixTriple, params: AlgebraParams) -> Matrix:
-    """The central element J+J- + (a/4)J0^4 + (b/3 - a/2)J0^3 + ... on this rep."""
+    """The central element J+J- + (a/4)J0^4 + (b/3 - a/2)J0^3 + ... on this rep.
+
+    J+J- is the one matrix product; the quartic in J0 is added to its diagonal,
+    one term after another, at each h_i.
+    """
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
-    j0 = rep.j0
-    j0sq = j0 @ j0
-    return (
-        rep.jplus @ rep.jminus
-        + (j0sq @ j0sq) * (a / 4)
-        + (j0sq @ j0) * (b / 3 - a / 2)
-        + j0sq * (a / 4 - b / 2 + g / 2)
-        + j0 * (b / 6 - g / 2 + d)
-    )
+    h = rep.diagonal
+    product = rep.jplus @ rep.jminus
+    sq = [t * t for t in h]
+    acc = [product[i, i] for i in range(rep.dimension)]
+    acc = _add_scaled(acc, [s * s for s in sq], a / 4)
+    acc = _add_scaled(acc, [s * t for s, t in zip(sq, h)], b / 3 - a / 2)
+    acc = _add_scaled(acc, sq, a / 4 - b / 2 + g / 2)
+    acc = _add_scaled(acc, h, b / 6 - g / 2 + d)
+    entries = {(i, j): x for i, j, x in product.entries() if i != j}
+    entries.update(((i, i), x) for i, x in enumerate(acc))
+    return Matrix.from_entries(rep.dimension, entries)
 
 
 def _half(two_m: int) -> Fraction:

@@ -244,7 +244,7 @@ def _write_rep_file(path: str, triple: MatrixTriple, params: AlgebraParams) -> N
     )
     payload = {
         "dimension": n,
-        "diagonal": [render_scalar(triple.j0[i, i]) for i in range(n)],
+        "diagonal": [render_scalar(x) for x in triple.diagonal],
         "ladders": ladders,
         "params": {
             "alpha": render_scalar(params.alpha),

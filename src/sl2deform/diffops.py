@@ -30,6 +30,7 @@ from .scalars import (
     QuadExt,
     Scalar,
     as_scalar,
+    digit_limit,
     parse_scalar,
     render_scalar,
     scalar_is_zero,
@@ -521,10 +522,12 @@ def enumerate_preserving_operators(
     lo, hi = -max_order, max(space.exponents) + max_order
     size = (max_order + 1) * (hi - lo + 1) * space.dimension
     if size > MAX_ENUMERATION_SIZE:
-        raise ValueError(
-            f"(max_order + 1) * window * dimension = {size} exceeds "
-            f"{MAX_ENUMERATION_SIZE}"
-        )
+        with digit_limit("the size of the preservation system"):
+            message = (
+                f"(max_order + 1) * window * dimension = {size} exceeds "
+                f"{MAX_ENUMERATION_SIZE}"
+            )
+        raise ValueError(message)
     members = set(space.exponents)
     found = []
     for s in range(lo - max_order, hi + 1):

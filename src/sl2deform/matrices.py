@@ -203,9 +203,18 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 
 def is_scalar_multiple_of_identity(m: Matrix) -> Optional[Scalar]:
-    """The scalar lambda with m == lambda * I, or None if m is not scalar."""
+    """The scalar lambda with m == lambda * I, or None if m is not scalar.
+
+    Row i must be {i: lambda}, or empty when lambda is 0; ``IndexError`` for
+    the 0 x 0 matrix, which has no lambda.
+    """
     lam = m[0, 0]
-    return lam if m == Matrix.identity(m.dimension) * lam else None
+    if scalar_is_zero(lam):
+        return lam if m.is_zero() else None
+    for i, row in enumerate(m._rows):
+        if len(row) != 1 or row.get(i) != lam:
+            return None
+    return lam
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
-from .algebra import AlgebraParams, MatrixTriple
+from .algebra import AlgebraParams, MatrixTriple, cubic
 from .matrices import Matrix, coordinate_block_split
 from .scalars import Scalar, as_scalar, scalar_is_zero, sqrt_exact
 
@@ -113,10 +113,6 @@ def build_new_rep_matrices(spec: RepSpec) -> MatrixTriple:
     )
 
 
-def _cubic(t: Scalar, params: AlgebraParams) -> Scalar:
-    return ((params.alpha * t + params.beta) * t + params.gamma) * t + params.delta
-
-
 def constraint_residuals(spec: RepSpec, params: AlgebraParams) -> list[Scalar]:
     """The 2J+1 diagonal constraint residuals, raised state first.
 
@@ -126,13 +122,14 @@ def constraint_residuals(spec: RepSpec, params: AlgebraParams) -> list[Scalar]:
     satisfy the deformed relations.
     """
     fg = spec.f * spec.g
-    raised = spec.diagonal_value(spec.m1 + spec.q)
-    source = spec.diagonal_value(spec.m1)
-    residuals = [_cubic(raised, params) - fg, _cubic(source, params) + fg]
-    for two_m in range(-spec.two_j, spec.two_j + 1, 2):
-        if two_m in (spec.two_m1, spec.two_m1 + 2 * spec.q):
-            continue
-        residuals.append(_cubic(spec.diagonal_value(Fr(two_m, 2)), params))
+    labels = [spec.m1 + spec.q, spec.m1] + [
+        Fr(two_m, 2)
+        for two_m in range(-spec.two_j, spec.two_j + 1, 2)
+        if two_m not in (spec.two_m1, spec.two_m1 + 2 * spec.q)
+    ]
+    residuals = cubic([spec.diagonal_value(m) for m in labels], params)
+    residuals[0] = residuals[0] - fg
+    residuals[1] = residuals[1] + fg
     return residuals
 
 
@@ -193,8 +190,9 @@ def solve_case(
         c = -b / (2 * a) + (root if branch == "upper" else -root) / alpha
         branch_tag = branch
     bare = AlgebraParams(alpha, beta, gamma, 0)
-    delta = -_cubic(c + e_oth, bare)
-    fg = _cubic(c + e_dst, bare) + delta
+    at_oth, at_dst = cubic([c + e_oth, c + e_dst], bare)
+    delta = -at_oth
+    fg = at_dst + delta
     return CaseSolution(c=c, delta=delta, fg=fg, branch=branch_tag)
 
 
@@ -241,7 +239,7 @@ def decompose_rep(rep: MatrixTriple) -> list[RepBlock]:
     split = coordinate_block_split([rep.j0, rep.jplus, rep.jminus])
     out = []
     for block in split.blocks:
-        eigs = tuple(rep.j0[i, i] for i in block)
+        eigs = tuple(rep.diagonal[i] for i in block)
         label: Union[Scalar, tuple[Scalar, ...]] = eigs[0] if len(eigs) == 1 else eigs
         out.append(RepBlock(indices=block, two_j_label=len(block) - 1, c_label=label))
     return out

@@ -2,9 +2,12 @@
 
 Every number handled by this package is either a ``fractions.Fraction`` or a
 ``QuadExt`` value ``a + b*sqrt(D)`` with rational ``a``, ``b`` and squarefree
-integer ``D >= 2``.  Arithmetic is exact, and a result whose radical part
-cancels comes back as a ``Fraction``.  Mixing two different radicands is an
-error, never a silent coercion.
+integer ``D >= 2``.  A ``QuadExt`` stores integers, ``(p + q*sqrt(D))/n`` in
+lowest terms with ``n > 0``, so each of its ``+ - * /`` is a few integer
+products and one ``math.gcd``; a rational operand is read through its public
+``numerator`` and ``denominator``.  Arithmetic is exact, and a result whose
+radical part cancels comes back as a ``Fraction``.  Mixing two different
+radicands is an error, never a silent coercion.
 
 A radicand is split into its square and squarefree parts once, where a value
 enters: by :func:`parse_scalar`, :func:`sqrt_exact`, :func:`quadext` or the
@@ -18,7 +21,7 @@ import contextlib
 import re
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterator, Union
 
 
@@ -94,15 +97,19 @@ def squarefree_split(n: int) -> tuple[int, int]:
 
 
 class QuadExt:
-    """a + b*sqrt(d) with rational a, b != 0 and squarefree d >= 2.
+    """(p + q*sqrt(d))/n, stored as integers: n > 0, q != 0, gcd(p, q, n) == 1
+    and d squarefree and >= 2.
 
-    Use :func:`quadext` to build values that may be rational; the constructor
-    insists on a genuine radical part so that a ``QuadExt`` is never secretly
-    a rational number.  It also checks that d is squarefree, which the
-    arithmetic below never does again: every result keeps its operands' d.
+    The form is canonical, so two values are equal exactly when their four
+    integers are.  ``a`` = p/n and ``b`` = q/n give the rational parts of
+    a + b*sqrt(d) as ``Fraction``s.  Use :func:`quadext` to build values that
+    may be rational; the constructor insists on a genuine radical part so that
+    a ``QuadExt`` is never secretly a rational number.  It also checks that d
+    is squarefree, which the arithmetic below never does again: every result
+    keeps its operands' d.  The attributes are read-only.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("_p", "_q", "_n", "_d")
 
     def __init__(self, a, b, d: int):
         a = Fraction(a)
@@ -111,110 +118,122 @@ class QuadExt:
             raise ValueError("QuadExt requires a nonzero radical part; use quadext()")
         if d < 2 or squarefree_split(d) != (1, d):
             raise ValueError(f"radicand must be squarefree and >= 2, got {d}")
-        self._init(a, b, d)
+        p = a.numerator * b.denominator
+        q = b.numerator * a.denominator
+        n = a.denominator * b.denominator
+        g = gcd(p, q, n)
+        self._p, self._q, self._n, self._d = p // g, q // g, n // g, d
 
-    def _init(self, a: Fraction, b: Fraction, d: int) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+    p = property(lambda self: self._p, doc="Integer rational part, over n.")
+    q = property(lambda self: self._q, doc="Integer coefficient of sqrt(d), over n; never 0.")
+    n = property(lambda self: self._n, doc="Common denominator, > 0.")
+    d = property(lambda self: self._d, doc="Squarefree radicand, >= 2.")
 
-    @classmethod
-    def _make(cls, a: Fraction, b: Fraction, d: int) -> "Scalar":
-        """a + b*sqrt(d) from Fraction parts and a d known to be squarefree
-        and >= 2, with no check; the rational a when b == 0."""
-        if not b:
-            return a
-        out = object.__new__(cls)
-        out._init(a, b, d)
-        return out
+    @property
+    def a(self) -> Fraction:
+        """Rational part p/n."""
+        return Fraction(self._p, self._n)
 
-    def __setattr__(self, *_):
-        raise AttributeError("QuadExt is immutable")
+    @property
+    def b(self) -> Fraction:
+        """Coefficient q/n of sqrt(d); never zero."""
+        return Fraction(self._q, self._n)
 
     # -- helpers ------------------------------------------------------------
     def conjugate(self) -> "QuadExt":
-        return QuadExt._make(self.a, -self.b, self.d)
+        return _quad(self._p, -self._q, self._n, self._d)
 
     def norm(self) -> Fraction:
         """Field norm (a + b sqrt d)(a - b sqrt d); never zero for b != 0."""
-        return self.a * self.a - self.b * self.b * self.d
+        p, q = self._p, self._q
+        return Fraction(p * p - q * q * self._d, self._n * self._n)
 
-    def _coerce(self, other):
-        """The parts (a, b) of an operand; b is the int 0 for a rational one."""
+    def _operand(self, other):
+        """(p, q, n) of an operand over self's d, q = 0 for a rational one;
+        None for anything that is not an exact scalar."""
         if isinstance(other, QuadExt):
-            if other.d != self.d:
+            if other._d != self._d:
                 raise ScalarDomainError(
-                    f"mixed radicands sqrt({self.d}) and sqrt({other.d})"
+                    f"mixed radicands sqrt({self._d}) and sqrt({other._d})"
                 )
-            return other.a, other.b
+            return other._p, other._q, other._n
         if isinstance(other, Fraction):
-            return other, 0
+            return other.numerator, 0, other.denominator
         if isinstance(other, int):
-            return Fraction(other), 0
+            return other, 0, 1
         return None
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic: integer products, then one gcd in _quad ----------------
     def __add__(self, other):
-        co = self._coerce(other)
+        co = self._operand(other)
         if co is None:
             return NotImplemented
-        oa, ob = co
-        return QuadExt._make(self.a + oa, self.b + ob if ob else self.b, self.d)
+        p, q, n = co
+        m = self._n
+        if n == m:
+            return _quad(self._p + p, self._q + q, m, self._d)
+        return _quad(self._p * n + p * m, self._q * n + q * m, m * n, self._d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt._make(-self.a, -self.b, self.d)
+        return _quad(-self._p, -self._q, self._n, self._d)
 
     def __sub__(self, other):
-        co = self._coerce(other)
+        co = self._operand(other)
         if co is None:
             return NotImplemented
-        oa, ob = co
-        return QuadExt._make(self.a - oa, self.b - ob if ob else self.b, self.d)
+        p, q, n = co
+        m = self._n
+        if n == m:
+            return _quad(self._p - p, self._q - q, m, self._d)
+        return _quad(self._p * n - p * m, self._q * n - q * m, m * n, self._d)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        co = self._coerce(other)
+        co = self._operand(other)
         if co is None:
             return NotImplemented
-        oa, ob = co
-        if not ob:
-            return QuadExt._make(self.a * oa, self.b * oa, self.d)
-        return QuadExt._make(
-            self.a * oa + self.b * ob * self.d,
-            self.a * ob + self.b * oa,
-            self.d,
-        )
+        p, q, n = co
+        sp, sq = self._p, self._q
+        if not q:
+            return _quad(sp * p, sq * p, self._n * n, self._d)
+        return _quad(sp * p + sq * q * self._d, sp * q + sq * p, self._n * n, self._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        co = self._coerce(other)
+        co = self._operand(other)
         if co is None:
             return NotImplemented
-        oa, ob = co
-        if not ob:
-            if oa == 0:
+        p, q, n = co
+        sp, sq, d = self._p, self._q, self._d
+        if not q:
+            if not p:
                 raise ZeroDivisionError("division of QuadExt by zero")
-            return QuadExt._make(self.a / oa, self.b / oa, self.d)
-        nrm = oa * oa - ob * ob * self.d
-        # (a+b√d)/(oa+ob√d) = (a+b√d)(oa−ob√d)/nrm ; nrm != 0 since √d irrational
-        return QuadExt._make(
-            (self.a * oa - self.b * ob * self.d) / nrm,
-            (self.b * oa - self.a * ob) / nrm,
-            self.d,
-        )
+            num_p, num_q, den = sp * n, sq * n, self._n * p
+        else:
+            # multiply through by the conjugate; p^2 - q^2 d != 0 as sqrt(d) is irrational
+            num_p = (sp * p - sq * q * d) * n
+            num_q = (sq * p - sp * q) * n
+            den = self._n * (p * p - q * q * d)
+        if den < 0:
+            num_p, num_q, den = -num_p, -num_q, -den
+        return _quad(num_p, num_q, den, d)
 
     def __rtruediv__(self, other):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         if other == 0:
             return Fraction(0)
-        nrm = self.norm()
-        return QuadExt._make(other * self.a / nrm, -other * self.b / nrm, self.d)
+        p, q, d = self._p, self._q, self._d
+        scale = other.numerator * self._n
+        den = other.denominator * (p * p - q * q * d)
+        if den < 0:
+            scale, den = -scale, -den
+        return _quad(scale * p, -scale * q, den, d)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -227,16 +246,19 @@ class QuadExt:
     # -- identity -----------------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            return (self.a, self.b, self.d) == (other.a, other.b, other.d)
+            return (
+                self._p == other._p and self._q == other._q
+                and self._n == other._n and self._d == other._d
+            )
         if isinstance(other, (int, Fraction)):
-            return False  # b != 0 by construction
+            return False  # q != 0 by construction
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        return hash((self.a, self.b, self._d))
 
     def __repr__(self):
-        return f"QuadExt({self.a!r}, {self.b!r}, {self.d})"
+        return f"QuadExt({self.a!r}, {self.b!r}, {self._d})"
 
     def __str__(self):
         return render_scalar(self)
@@ -246,6 +268,25 @@ class QuadExt:
 
 
 Scalar = Union[Fraction, QuadExt]
+
+_new = object.__new__
+
+
+def _quad(p: int, q: int, n: int, d: int) -> Scalar:
+    """(p + q*sqrt(d))/n in lowest terms; the rational p/n when q == 0.
+
+    Trusted: n > 0 and d squarefree and >= 2 are assumed, not checked.
+    """
+    if not q:
+        return Fraction(p, n)
+    out = _new(QuadExt)
+    g = gcd(p, q, n)
+    if g == 1:
+        out._p, out._q, out._n = p, q, n
+    else:
+        out._p, out._q, out._n = p // g, q // g, n // g
+    out._d = d
+    return out
 
 
 def quadext(a, b, d: int) -> Scalar:
@@ -258,7 +299,12 @@ def quadext(a, b, d: int) -> Scalar:
     if d0 == 1:
         # d was a perfect square (or 0); sqrt folds into b
         return a + b * s
-    return QuadExt._make(a, b * s, d0)
+    return _quad(
+        a.numerator * b.denominator,
+        b.numerator * s * a.denominator,
+        a.denominator * b.denominator,
+        d0,
+    )
 
 
 def as_scalar(value) -> Scalar:
@@ -292,7 +338,7 @@ def sqrt_exact(value) -> Scalar:
     p, q = value.numerator, value.denominator
     # sqrt(p/q) = sqrt(p*q)/q
     s, d = squarefree_split(p * q)
-    return QuadExt._make(Fraction(0), Fraction(s, q), d) if d > 1 else Fraction(s, q)
+    return _quad(0, s, q, d) if d > 1 else Fraction(s, q)
 
 
 # -- text format -------------------------------------------------------------
@@ -307,15 +353,21 @@ _SQRT_RE = re.compile(
 _RAT_RE = re.compile(rf"^\s*(?P<r>{_RAT})\s*$")
 
 
+def _rational(text: str) -> Fraction:
+    """The value of a ``_RAT`` match, read with ``int``."""
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+
+
 def parse_scalar(text: str) -> Scalar:
     try:  # not a with block: this runs for every scalar of every input
         m = _RAT_RE.match(text)
         if m:
-            return Fraction(m.group("r"))
+            return _rational(m.group("r"))
         m = _SQRT_RE.match(text)
         if m:
-            a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
-            b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
+            a = _rational(m.group("a")) if m.group("a") else Fraction(0)
+            b = _rational(m.group("b")) if m.group("b") else Fraction(1)
             if m.group("sign") == "-":
                 b = -b
             return quadext(a, b, int(m.group("d")))
@@ -330,10 +382,10 @@ def render_scalar(value: Scalar) -> str:
     try:  # not a with block: this runs for every scalar of every report
         if isinstance(value, Fraction):
             return str(value)
-        radical = f"{abs(value.b)}*sqrt({value.d})"
-        if value.a == 0:
-            return radical if value.b > 0 else f"-{radical}"
-        joiner = " + " if value.b > 0 else " - "
+        radical = f"{Fraction(abs(value.q), value.n)}*sqrt({value.d})"
+        if not value.p:
+            return radical if value.q > 0 else f"-{radical}"
+        joiner = " + " if value.q > 0 else " - "
         return f"{value.a}{joiner}{radical}"
     except ValueError:
         with digit_limit("a report value"):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -10,13 +11,13 @@ from sl2deform.algebra import (
     casimir_matrix,
     check_deformed_relations,
     classic_norm_squares,
-    cubic_in,
+    cubic,
 )
 from sl2deform.cases import CaseId, build_case_realization
 from sl2deform.diffops import V3
 from sl2deform.matrices import Matrix, commutator
 from sl2deform.reps import case_rep_spec, intrinsic_gamma_and_product, solve_case
-from sl2deform.scalars import sqrt_exact
+from sl2deform.scalars import quadext, sqrt_exact
 
 from conftest import rand_fraction
 
@@ -140,18 +141,120 @@ def test_gauge_scaling_leaves_bracket_and_casimir_alone(rng):
         assert casimir_matrix(scaled, params) == casimir_matrix(triple, params)
 
 
-def test_cubic_in_matches_direct_expansion(rng):
-    m = Matrix([[rand_fraction(rng) for _ in range(3)] for _ in range(3)])
-    params = AlgebraParams(
-        rand_fraction(rng), rand_fraction(rng), rand_fraction(rng), rand_fraction(rng)
+def test_bracket_residual_is_the_commutator_less_the_direct_cubic(rng):
+    for n in range(1, 6):
+        j0 = Matrix.diagonal([rand_fraction(rng) for _ in range(n)])
+        plus, minus = (
+            Matrix([[rand_fraction(rng) if rng.random() < 0.4 else 0 for _ in range(n)]
+                    for _ in range(n)])
+            for _ in range(2)
+        )
+        params = AlgebraParams(
+            rand_fraction(rng), rand_fraction(rng), rand_fraction(rng), rand_fraction(rng)
+        )
+        direct = (
+            (j0 @ j0 @ j0) * params.alpha
+            + (j0 @ j0) * params.beta
+            + j0 * params.gamma
+            + Matrix.identity(n) * params.delta
+        )
+        residuals = check_deformed_relations(MatrixTriple(j0, plus, minus), params)
+        assert residuals.bracket == commutator(plus, minus) - direct
+        assert Matrix.diagonal(cubic([j0[i, i] for i in range(n)], params)) == direct
+
+
+def test_a_non_diagonal_j0_is_refused_in_one_line():
+    j0 = Matrix.from_entries(3, {(0, 0): 1, (2, 1): Fr(1, 2)})
+    with pytest.raises(ValueError, match=r"^J0 must be diagonal, but its entry \(2, 1\) is nonzero$"):
+        MatrixTriple(j0, Matrix.zeros(3), Matrix.zeros(3))
+    # J+ and J- may hold any entries, on the diagonal too
+    triple = MatrixTriple(Matrix.identity(3), j0, j0)
+    assert triple.diagonal == (1, 1, 1)
+
+
+# -- oracle: the relations and the Casimir element as whole-matrix expressions --
+#
+# These are the general matrix expressions the entrywise code replaced, with
+# J0 multiplied as a matrix.  The entrywise code must give the same matrices,
+# entries in the same order, or raise the same error with the same message.
+
+
+def _matrix_cubic(m, params):
+    ident = Matrix.identity(m.dimension)
+    acc = m * params.alpha + ident * params.beta
+    acc = acc @ m + ident * params.gamma
+    return acc @ m + ident * params.delta
+
+
+def _matrix_relations(rep, params):
+    return (
+        commutator(rep.j0, rep.jplus) - rep.jplus,
+        commutator(rep.j0, rep.jminus) + rep.jminus,
+        commutator(rep.jplus, rep.jminus) - _matrix_cubic(rep.j0, params),
     )
-    direct = (
-        (m @ m @ m) * params.alpha
-        + (m @ m) * params.beta
-        + m * params.gamma
-        + Matrix.identity(3) * params.delta
+
+
+def _matrix_casimir(rep, params):
+    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
+    j0 = rep.j0
+    j0sq = j0 @ j0
+    return (
+        rep.jplus @ rep.jminus
+        + (j0sq @ j0sq) * (a / 4)
+        + (j0sq @ j0) * (b / 3 - a / 2)
+        + j0sq * (a / 4 - b / 2 + g / 2)
+        + j0 * (b / 6 - g / 2 + d)
     )
-    assert cubic_in(m, params) == direct
+
+
+def _outcome(fn):
+    """The nonzero entries of each matrix fn() gives, or its error's type and message."""
+    try:
+        return [list(m.entries()) for m in fn()]
+    except ArithmeticError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+_FIELDS = {"Q": (1,), "Q(sqrt 2)": (1, 2), "Q(sqrt 3)": (1, 3), "mixed": (1, 2, 3)}
+
+
+def _scalar(rng, radicands, zero_odds):
+    if rng.random() < zero_odds:
+        return Fr(0)
+    d = rng.choice(radicands)
+    value = rand_fraction(rng, nonzero=True)
+    return value if d == 1 else quadext(rand_fraction(rng), value, d)
+
+
+@pytest.mark.parametrize("field", sorted(_FIELDS))
+def test_entrywise_relations_and_casimir_match_the_matrix_expressions(field):
+    radicands = _FIELDS[field]
+    rng = random.Random(f"algebra-oracle-{field}")
+    errors = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        j0 = Matrix.diagonal([_scalar(rng, radicands, 0.2) for _ in range(n)])
+        density = rng.choice((0.1, 0.3, 0.6))
+        plus, minus = (
+            Matrix.from_entries(n, {(i, j): _scalar(rng, radicands, 0.0)
+                                    for i in range(n) for j in range(n)
+                                    if rng.random() < density})
+            for _ in range(2)
+        )
+        rep = MatrixTriple(j0, plus, minus)
+        params = AlgebraParams(*(_scalar(rng, radicands, 0.25) for _ in range(4)))
+
+        def entrywise():
+            res = check_deformed_relations(rep, params)
+            return res.raising, res.lowering, res.bracket
+
+        got = _outcome(entrywise)
+        assert got == _outcome(lambda: _matrix_relations(rep, params))
+        casimir = _outcome(lambda: [casimir_matrix(rep, params)])
+        assert casimir == _outcome(lambda: [_matrix_casimir(rep, params)])
+        errors += isinstance(got, tuple) + isinstance(casimir, tuple)
+    # the mixed field reaches the error paths; a single field never does
+    assert (errors > 50) if field == "mixed" else (errors == 0)
 
 
 def test_triple_dimension_validation():

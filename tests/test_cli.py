@@ -555,11 +555,14 @@ def test_rep_check_refuses_a_radicand_past_the_budget_in_one_line(tmp_path, caps
 @pytest.mark.parametrize("argv, words", [
     (["enumerate-preserving", "--space", "0," + "9" * 5000, "--max-order", "1"],
      "an input exponent has an integer of more than"),
+    # the exponent parses, but the size of its preservation system is too long to print
+    (["enumerate-preserving", "--space", "0," + "9" * 4300, "--max-order", "9"],
+     "the size of the preservation system has an integer of more than"),
     (["verify-case", "--case", "2", "--alpha", "0", "--beta", "7" * 1600, "--gamma", "1"],
      "a report value has an integer of more than"),
     (["verify-case", "--case", "2", "--alpha", "0", "--beta", "1", "--gamma", "7" * 1600],
      "a report value has an integer of more than"),
-], ids=["space-input", "beta-report-value", "gamma-report-value"])
+], ids=["space-input", "system-size", "beta-report-value", "gamma-report-value"])
 def test_past_the_digit_limit_exits_2_in_the_cli_own_words(capsys, argv, words):
     # Python refuses int <-> str conversions past a digit limit and advises a
     # sys call; the CLI names the limit and whether an input or a report value

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction as Fr
@@ -266,3 +267,82 @@ def test_parse_formats():
         parse_scalar("1 + sqrt(2) + sqrt(3)")
     with pytest.raises(ValueError):
         parse_scalar("0.5")
+
+
+def _assert_integer_form(value):
+    """A Fraction, or a QuadExt stored as (p + q*sqrt(d))/n in lowest terms."""
+    if type(value) is Fr:
+        return
+    assert type(value) is QuadExt, value
+    p, q, n, d = value.p, value.q, value.n, value.d
+    assert all(type(v) is int for v in (p, q, n, d)), value
+    assert n > 0 and q != 0 and math.gcd(p, q, n) == 1, (p, q, n)
+    assert d >= 2 and squarefree_split(d) == (1, d), d
+    assert (value.a, value.b) == (Fr(p, n), Fr(q, n))
+
+
+def _routes(a, b, d, k, w):
+    """a + b*sqrt(d) built every way the package offers; k > 0 and w != 0."""
+    routes = [
+        quadext(a, b, d),
+        quadext(a, b / k, d * k * k),  # square factors folded into b
+        parse_scalar(f"{a} + {b}*sqrt({d})"),
+        parse_scalar(f"{a} - {-b}*sqrt({d})"),
+        a + b * sqrt_exact(d),
+        a + b / k * sqrt_exact(d * k * k),
+        sqrt_exact(Fr(d * k * k, 4)) * (2 * b / k) + a,
+        (quadext(a, b, d) + w) - w,
+        (quadext(a, b, d) * w) / w,
+        -(-quadext(a, b, d)),
+    ]
+    if a or b:
+        routes.append(w / (w / quadext(a, b, d)))
+    if b:
+        routes += [QuadExt(a, b, d), quadext(a, b, d).conjugate().conjugate()]
+    return routes
+
+
+_FIELD_D = st.sampled_from((2, 3, 5, 6, 7, 10))
+
+
+@given(rationals, rationals, _FIELD_D, st.integers(1, 6), rationals, nonzero_rationals)
+def test_every_route_to_a_value_gives_one_canonical_integer_form(a, b, d, k, wa, wb):
+    w = quadext(wa, wb, d)
+    routes = _routes(a, b, d, k, w)
+    first = routes[0]
+    for value in routes:
+        _assert_integer_form(value)
+        assert value == first and hash(value) == hash(first), (value, first)
+    assert (type(first) is Fr) == (not b)
+    # results of every operation are in integer form too
+    for value in (first + w, first - w, first * w, w - first, wa - first, first * wb,
+                  first / w, first / wb, wb / w, first ** 2, -first):
+        _assert_integer_form(value)
+
+
+_OPERAND_D = st.sampled_from((1, 2, 3, 5))  # 1: a rational operand
+
+
+@given(rationals, nonzero_rationals, _OPERAND_D, rationals, nonzero_rationals, _OPERAND_D,
+       st.sampled_from(["+", "-", "*", "/"]))
+def test_scalar_domain_error_exactly_for_mixed_radicands(a1, b1, d1, a2, b2, d2, op):
+    x = a1 if d1 == 1 else quadext(a1, b1, d1)
+    y = a2 if d2 == 1 else quadext(a2, b2, d2)
+    apply = {"+": lambda: x + y, "-": lambda: x - y,
+             "*": lambda: x * y, "/": lambda: x / y}[op]
+    if d1 != 1 and d2 != 1 and d1 != d2:
+        with pytest.raises(ScalarDomainError,
+                           match=rf"^mixed radicands sqrt\({d1}\) and sqrt\({d2}\)$"):
+            apply()
+    elif op == "/" and scalar_is_zero(y):
+        with pytest.raises(ZeroDivisionError):
+            apply()
+    else:
+        value = apply()
+        _assert_integer_form(value)
+        d = max(d1, d2)
+        if d > 1:
+            assert _in_field(value, d) == {
+                "+": lambda u, v: u + v, "-": lambda u, v: u - v,
+                "*": lambda u, v: u * v, "/": lambda u, v: u / v,
+            }[op](_in_field(x, d), _in_field(y, d))
