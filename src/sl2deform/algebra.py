@@ -7,12 +7,14 @@ point (0, 0, 2, 0).  This module builds the classic spin matrices and their
 first-order differential realization, evaluates relation residuals for any
 concrete matrix triple, and forms the Casimir element.  J0 must be diagonal
 (every representation here is given in a weight basis), which
-``MatrixTriple`` checks once; the relations then need no matrix product
-beyond [J+, J-], and the Casimir element none beyond J+J-.
+``MatrixTriple`` checks once; the relations then need no matrix products
+beyond J+J- and J-J+, and the Casimir element none beyond J+J-, which the
+triple forms once for both.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -20,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .diffops import DiffOp
-from .matrices import Matrix, commutator
+from .matrices import Matrix
 from .scalars import Scalar, as_scalar, sqrt_exact
 
 
@@ -62,6 +64,11 @@ class MatrixTriple:
     @property
     def dimension(self) -> int:
         return self.j0.dimension
+
+    @functools.cached_property
+    def ladder_product(self) -> Matrix:
+        """J+ J-, formed on first use; the bracket and the Casimir element share it."""
+        return self.jplus @ self.jminus
 
 
 @dataclass(frozen=True)
@@ -121,7 +128,8 @@ def check_deformed_relations(rep: MatrixTriple, params: AlgebraParams) -> Relati
     return RelationResiduals(
         raising=_shift_residual(h, rep.jplus, operator.sub),
         lowering=_shift_residual(h, rep.jminus, operator.add),
-        bracket=commutator(rep.jplus, rep.jminus) - Matrix.diagonal(cubic(h, params)),
+        bracket=(rep.ladder_product - rep.jminus @ rep.jplus
+                 - Matrix.diagonal(cubic(h, params))),
     )
 
 
@@ -134,12 +142,12 @@ def _add_scaled(acc: list[Scalar], powers: list[Scalar], coeff: Scalar) -> list[
 def casimir_matrix(rep: MatrixTriple, params: AlgebraParams) -> Matrix:
     """The central element J+J- + (a/4)J0^4 + (b/3 - a/2)J0^3 + ... on this rep.
 
-    J+J- is the one matrix product; the quartic in J0 is added to its diagonal,
-    one term after another, at each h_i.
+    J+J- is the one matrix product, the triple's ``ladder_product``; the
+    quartic in J0 is added to its diagonal, one term after another, at each h_i.
     """
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
     h = rep.diagonal
-    product = rep.jplus @ rep.jminus
+    product = rep.ladder_product
     sq = [t * t for t in h]
     acc = [product[i, i] for i in range(rep.dimension)]
     acc = _add_scaled(acc, [s * s for s in sq], a / 4)

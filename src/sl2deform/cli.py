@@ -419,11 +419,11 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-_VALUE_FLAGS = ("--alpha", "--beta", "--gamma")
+_VALUE_FLAGS = ("--alpha", "--beta", "--gamma", "--space")
 
 
 def _join_value_flags(argv: Sequence[str]) -> list[str]:
-    """Fuse scalar flags with their values so "-7/3" is not read as an option."""
+    """Fuse value flags with their values so "-7/3" or "-1,2" is not read as an option."""
     out: list[str] = []
     it = iter(argv)
     for token in it:

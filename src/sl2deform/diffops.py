@@ -14,6 +14,12 @@ when it has no terms.  An operator identity therefore holds "intrinsically"
 (for every monomial, hence independently of any chosen module) exactly when
 the two sides have the same terms.  :meth:`DiffOp.symbolic_action` writes the
 per-shift polynomials in k out, for reports only.
+
+Operator products are formed in integers when every coefficient is rational:
+each operand is scaled to integer numerators over the lcm of its
+denominators, and one Fraction is made per term of the result.  Results that
+are canonical by construction skip the validating constructor
+(:meth:`DiffOp._of`).
 """
 
 from __future__ import annotations
@@ -61,6 +67,47 @@ def _falling_coefficients(n: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _products(acc: dict, left, right) -> dict:
+    """Add the normal-ordered product of two term lists into ``acc``, and return it.
+
+    ``left`` and ``right`` are ((m, n), c) pairs, all c ints or all exact
+    scalars; each pair of terms forms c1 * c2 once, and the sums keep their
+    order.  Zero sums are left in ``acc``.
+    """
+    for (m1, n1), c1 in left:
+        for (m2, n2), c2 in right:
+            c = c1 * c2
+            w = 1  # C(n1, i) * m2 (m2 - 1) ... (m2 - i + 1)
+            for i in range(n1 + 1):
+                if not w:
+                    break
+                key = (m1 + m2 - i, n1 + n2 - i)
+                cw = c * w
+                acc[key] = acc[key] + cw if key in acc else cw
+                w = w * (n1 - i) * (m2 - i) // (i + 1)
+    return acc
+
+
+def _scaled_to_integers(values) -> tuple[list[int], int]:
+    """Rationals times the lcm of their denominators, as ints, and that lcm."""
+    lcm = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (lcm // v.denominator) for v in values], lcm
+
+
+def _integral_terms(terms: Mapping) -> Optional[tuple[list, int]]:
+    """((key, integer numerator) pairs, common denominator) of rational terms;
+    None if a coefficient is not a Fraction."""
+    if not all(type(c) is Fraction for c in terms.values()):
+        return None
+    ints, den = _scaled_to_integers(terms.values())
+    return list(zip(terms, ints)), den
+
+
+def _over(acc: dict, den: int) -> "DiffOp":
+    """The operator with terms {key: v / den} over the nonzero ints v of ``acc``."""
+    return DiffOp._of({key: Fraction(v, den) for key, v in sorted(acc.items()) if v})
+
+
 class DiffOp:
     """Normal-ordered linear differential operator with monomial coefficients."""
 
@@ -102,10 +149,29 @@ class DiffOp:
         """x * D, the degree operator on monomials."""
         return cls({(1, 1): Fraction(1)})
 
+    @classmethod
+    def _of(cls, terms: dict[tuple[int, int], Scalar]) -> "DiffOp":
+        """An operator from terms that are already canonical, unchecked.
+
+        Trusted: ``terms`` is sorted by key, holds no zero coefficient, and
+        each coefficient is a Fraction or a QuadExt, never an int, as
+        ``__init__`` would leave them (``to_text`` and ``__hash__`` rely on it).
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     # -- ring structure ---------------------------------------------------------
     def __add__(self, other: "DiffOp") -> "DiffOp":
         merged = dict(self.terms)
-        return DiffOp(list(merged.items()) + list(other.terms.items()))
+        for key, c in other.terms.items():
+            if key in merged:
+                c = merged[key] + c
+                if scalar_is_zero(c):
+                    del merged[key]
+                    continue
+            merged[key] = c
+        return DiffOp._of(dict(sorted(merged.items())))
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
         return self + other.scale(Fraction(-1))
@@ -117,7 +183,7 @@ class DiffOp:
         s = as_scalar(s)
         if scalar_is_zero(s):
             return DiffOp()
-        return DiffOp({key: c * s for key, c in self.terms.items()})
+        return DiffOp._of({key: c * s for key, c in self.terms.items()})
 
     def __mul__(self, s):
         return self.scale(s)
@@ -128,21 +194,32 @@ class DiffOp:
         """Operator product self . other, normal ordered.
 
         Derivatives exchange past powers by D^n x^m = sum_i C(n,i) m(m-1)..(m-i+1)
-        x^(m-i) D^(n-i); the falling factorial also handles negative m.
+        x^(m-i) D^(n-i); the falling factorial also handles negative m.  With
+        rational coefficients the product is formed in integers, over the
+        product of the two operands' common denominators.
         """
-        acc: dict[tuple[int, int], Scalar] = {}
-        for (m1, n1), c1 in self.terms.items():
-            for (m2, n2), c2 in other.terms.items():
-                for i in range(n1 + 1):
-                    w = math.comb(n1, i) * _falling(m2, i)
-                    if w == 0:
-                        continue
-                    key = (m1 + m2 - i, n1 + n2 - i)
-                    cur = acc.get(key, Fraction(0))
-                    acc[key] = cur + c1 * c2 * w
-        return DiffOp(acc)
+        a, b = _integral_terms(self.terms), _integral_terms(other.terms)
+        if a and b:
+            return _over(_products({}, a[0], b[0]), a[1] * b[1])
+        acc = _products({}, self.terms.items(), other.terms.items())
+        return DiffOp._of(
+            {key: v for key, v in sorted(acc.items()) if not scalar_is_zero(v)}
+        )
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
+        """self . other - other . self.
+
+        With rational coefficients both products go into one integer sum, the
+        second negated, so their common terms cancel as ints.  Otherwise the
+        two products are formed and subtracted one after the other, so that a
+        ScalarDomainError of mixed radicands is the one the separate products
+        and their difference would raise.
+        """
+        a, b = _integral_terms(self.terms), _integral_terms(other.terms)
+        if a and b:
+            acc = _products({}, a[0], b[0])
+            _products(acc, [(key, -c) for key, c in b[0]], a[0])
+            return _over(acc, a[1] * b[1])
         return self.compose(other) - other.compose(self)
 
     def __pow__(self, exponent: int) -> "DiffOp":
@@ -241,8 +318,10 @@ class DiffOp:
         for m, n in keys:
             c = self.terms[(m, n)]
             if isinstance(c, Fraction):
-                sign = "-" if c < 0 else "+"
-                body = f"{abs(c)} * x^{m} * D^{n}"
+                num, den = c.numerator, c.denominator
+                sign = "-" if num < 0 else "+"
+                value = abs(num) if den == 1 else f"{abs(num)}/{den}"
+                body = f"{value} * x^{m} * D^{n}"
             else:
                 sign = "+"
                 body = f"({render_scalar(c)}) * x^{m} * D^{n}"
@@ -385,8 +464,8 @@ def closure_check(
 #: Largest accepted (max_order + 1) * window width * dimension, the size of
 #: the dense preservation system.  It bounds the per-shift elimination and the
 #: basis size alike.  The slowest accepted input found, (3,) at order 198,
-#: takes about 2.3 s through the CLI, most of it building and printing its
-#: basis; the dense 0..29 at order 29 takes 0.3-0.4 s (2-vCPU VM, Python 3.11).
+#: takes about 1.1 s through the CLI, most of it building and printing its
+#: basis; the dense 0..29 at order 29 takes about 0.3 s (2-vCPU VM, Python 3.11).
 MAX_ENUMERATION_SIZE = 80_000
 
 
@@ -398,8 +477,7 @@ def _integral(vec: Sequence) -> list:
     kinds = set(map(type, vec))
     if kinds <= {int} or QuadExt in kinds:
         return list(vec)
-    lcm = math.lcm(*(v.denominator for v in vec))
-    return [v.numerator * (lcm // v.denominator) for v in vec]
+    return _scaled_to_integers(vec)[0]
 
 
 def _canonical(vec: Sequence, pc: int) -> list:
@@ -509,7 +587,10 @@ def enumerate_preserving_operators(
     of that space, not a number of generators.
 
     A term x^m D^n sends x^k only to x^(k+s), s = m - n, so the system splits
-    into one block per shift with at most max_order + 1 unknowns.  The rows
+    into one block per shift with at most max_order + 1 unknowns.  A block
+    depends on the shift only through its derivative range and the exponents
+    it sends out of the space, so shifts that agree in both share one
+    elimination; nothing is kept from one call to the next.  The rows
     of a block are falling factorials k!/(k-n)!, integers, so each block is
     eliminated fraction-free in integers (:class:`_ExactSpan`), its rows
     multiples of the unique RREF rows.  Its null vectors are integer multiples
@@ -529,22 +610,33 @@ def enumerate_preserving_operators(
             )
         raise ValueError(message)
     members = set(space.exponents)
+    falling = {k: [_falling(k, n) for n in range(max_order + 1)] for k in space.exponents}
+    # the block of shift s is fixed by its derivative range [a, b] and the
+    # exponents it sends out of the space, so each distinct block is solved
+    # once; a null vector is kept as (column, coefficient) pairs, column i
+    # being the term x^(s+a+i) D^(a+i)
+    blocks: dict[tuple, list[list[tuple[int, Fraction]]]] = {}
     found = []
     for s in range(lo - max_order, hi + 1):
-        keys = [(s + n, n) for n in range(max_order + 1) if lo <= s + n <= hi]
-        span = _ExactSpan(len(keys))
-        for k in space.exponents:
-            if k + s not in members:
-                span.add([_falling(k, n) for _, n in keys])
-        for vec in span.nullspace():
-            free_m, free_n = keys[max(vec)]
-            found.append(((free_n, free_m), [(keys[i], vec[i]) for i in sorted(vec)]))
+        a, b = max(0, lo - s), min(max_order, hi - s)
+        escaping = tuple(k for k in space.exponents if k + s not in members)
+        vectors = blocks.get((a, b, escaping))
+        if vectors is None:
+            span = _ExactSpan(b - a + 1)
+            for k in escaping:
+                span.add(falling[k][a:b + 1])
+            vectors = blocks[(a, b, escaping)] = []
+            for vec in span.nullspace():
+                cols = sorted(vec)
+                values = _canonical([vec[i] for i in cols], 0)
+                vectors.append(list(zip(cols, map(Fraction, values))))
+        for vec in vectors:
+            free_n = a + vec[-1][0]
+            found.append(((free_n, s + free_n), s + a, a, vec))
     found.sort(key=lambda item: item[0])
-    ops = []
-    for _, terms in found:
-        values = _canonical([v for _, v in terms], 0)
-        ops.append(DiffOp({key: v for (key, _), v in zip(terms, values)}))
-    return ops
+    return [
+        DiffOp._of({(m + i, n + i): v for i, v in vec}) for _, m, n, vec in found
+    ]
 
 
 # -- Lie closure probing -----------------------------------------------------------------

@@ -163,6 +163,26 @@ def test_bracket_residual_is_the_commutator_less_the_direct_cubic(rng):
         assert Matrix.diagonal(cubic([j0[i, i] for i in range(n)], params)) == direct
 
 
+def test_relations_and_casimir_form_two_matrix_products(monkeypatch):
+    # J+J- is formed once and shared by the bracket and the Casimir element
+    triple, params = solved_case_matrices(CaseId.CASE1, Fr(2), Fr(3))
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    residuals = check_deformed_relations(triple, params)
+    casimir = casimir_matrix(triple, params)
+    assert products == [(triple.jplus, triple.jminus), (triple.jminus, triple.jplus)]
+    monkeypatch.undo()
+    assert residuals.all_zero
+    assert casimir == Matrix.identity(3) * casimir[0, 0]
+    assert triple.ladder_product == triple.jplus @ triple.jminus
+
+
 def test_a_non_diagonal_j0_is_refused_in_one_line():
     j0 = Matrix.from_entries(3, {(0, 0): 1, (2, 1): Fr(1, 2)})
     with pytest.raises(ValueError, match=r"^J0 must be diagonal, but its entry \(2, 1\) is nonzero$"):

@@ -194,6 +194,13 @@ def test_enumerate_bounds_the_system_size_not_the_order(capsys):
     )
     assert code == 2
     assert "exceeds" in section(report, "error")["message"]
+    # a space that starts with a minus sign is a value, not an option
+    code, report = run_cli(
+        capsys, "enumerate-preserving", "--space", "-1,2", "--max-order", "1"
+    )
+    assert code == 2
+    assert section(report, "error")["message"] == (
+        "ValueError: exponents must be distinct, sorted and nonnegative")
 
 
 def test_rep_check_classic_tables(tmp_path, capsys):

@@ -201,6 +201,95 @@ def test_symbolic_action_is_a_homomorphism(rng):
             assert a.compose(b).image(k) == applied, (a, b, k)
 
 
+# -- oracle: operator arithmetic through the validating constructor ----------------------
+#
+# The product is the plain triple loop over term pairs and exchange terms, and
+# every sum goes through DiffOp(...), which adds and drops terms one by one.
+# The operator arithmetic must give the same terms, in the same order and of
+# the same types, or raise the same error with the same message.
+
+
+def _oracle_compose(a, b):
+    acc = {}
+    for (m1, n1), c1 in a.terms.items():
+        for (m2, n2), c2 in b.terms.items():
+            for i in range(n1 + 1):
+                w = math.comb(n1, i) * _falling(m2, i)
+                if w == 0:
+                    continue
+                key = (m1 + m2 - i, n1 + n2 - i)
+                acc[key] = acc.get(key, Fr(0)) + c1 * c2 * w
+    return DiffOp(acc)
+
+
+def _oracle_scale(a, s):
+    return DiffOp() if s == 0 else DiffOp({key: c * s for key, c in a.terms.items()})
+
+
+def _oracle_add(a, b):
+    return DiffOp(list(a.terms.items()) + list(b.terms.items()))
+
+
+def _oracle_sub(a, b):
+    return _oracle_add(a, _oracle_scale(b, Fr(-1)))
+
+
+def _oracle_commutator(a, b):
+    return _oracle_sub(_oracle_compose(a, b), _oracle_compose(b, a))
+
+
+_FIELDS = {"Q": (), "Q(sqrt 2)": (ROOT2,), "Q(sqrt 3)": (QuadExt(0, 1, 3),),
+           "Q, sqrt 2 and sqrt 3 mixed": (ROOT2, QuadExt(0, 1, 3))}
+
+
+def _field_op(rng, roots):
+    """Up to five terms with x-powers -2..3 and orders 0..3 over Q(roots), so
+    that products share terms; the coefficients are integers one time in four."""
+    max_den = rng.choice([1, 9, 9, 9])
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        c = rand_fraction(rng, max_den=max_den, nonzero=True)
+        if roots and rng.random() < 0.6:
+            c = c + rand_fraction(rng, max_den=max_den, nonzero=True) * rng.choice(roots)
+        terms[(rng.randint(-2, 3), rng.randint(0, 3))] = c
+    return DiffOp(terms)
+
+
+def _outcome(fn, *args):
+    try:
+        op = fn(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return [(key, c, type(c)) for key, c in op.terms.items()]
+
+
+def test_operator_arithmetic_equals_the_validating_oracle(rng):
+    fields = list(_FIELDS)
+    raised = results = 0
+    for _ in range(800):
+        fa, fb = rng.choice(fields), rng.choice(fields)
+        a, b = _field_op(rng, _FIELDS[fa]), _field_op(rng, _FIELDS[fb])
+        roots = _FIELDS[fa] + _FIELDS[fb]
+        s = rng.choice([Fr(0), rand_fraction(rng, nonzero=True),
+                        *(rand_fraction(rng) + r for r in roots)])
+        for got, want in (
+            (_outcome(DiffOp.compose, a, b), _outcome(_oracle_compose, a, b)),
+            (_outcome(DiffOp.commutator, a, b), _outcome(_oracle_commutator, a, b)),
+            (_outcome(DiffOp.__add__, a, b), _outcome(_oracle_add, a, b)),
+            (_outcome(DiffOp.__sub__, a, b), _outcome(_oracle_sub, a, b)),
+            (_outcome(DiffOp.scale, a, s), _outcome(_oracle_scale, a, s)),
+        ):
+            assert got == want, (fa, fb, a, b, s)
+            if isinstance(got, tuple):
+                # only two different radicands can meet
+                assert len(set(r.d for r in roots)) == 2, got
+                raised += 1
+            else:
+                assert all(t in (Fr, QuadExt) for _, _, t in got), got
+                results += bool(got)
+    assert raised > 50 and results > 2000, (raised, results)
+
+
 # -- spaces ------------------------------------------------------------------------------
 
 
@@ -458,6 +547,12 @@ def test_enumerate_equals_the_sympy_basis_operator_by_operator():
     rng = random.Random(31)
     grid = [(V3, order) for order in range(9)]
     grid += [(MonomialSpace((0, 1)), 1), (MonomialSpace((0, 1, 3, 7, 12)), 4)]
+    # orders 5..10: exponents below the order (zero rows at the edge of a
+    # block) and wide gaps, where many shifts share one block
+    grid += [(MonomialSpace(exps), order) for exps, order in (
+        ((0, 5, 11), 5), ((0, 5, 11), 10), ((2, 3, 9, 10), 6), ((2, 3, 9, 10), 8),
+        ((1, 4), 9), ((3,), 7), ((0, 2, 3, 9), 5),
+    )]
     for _ in range(5):
         top = rng.randint(2, 9)
         exps = sorted(rng.sample(range(top), rng.randint(0, min(4, top)))) + [top]

@@ -6,7 +6,8 @@ code and the sha256 of its stdout, and for runs that write files (``--emit-rep``
 on all three cases (both branches, alpha = 0, irrational beta and gamma,
 intrinsic and explicit gamma, wrong-branch and off-locus runs with nonzero
 residuals, error exits), ``--emit-rep`` with the emitted file read back by
-``rep-check``, ``enumerate-preserving`` on a dozen spaces and orders, and
+``rep-check``, ``enumerate-preserving`` on a dozen fixed spaces and orders
+and on 40 seeded spaces at orders 0..9, and
 ``rep-check`` on classic spin tables with 2j = 0..12, clean, perturbed and with
 gamma = sqrt(2).
 
@@ -25,6 +26,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from fractions import Fraction
@@ -194,6 +196,13 @@ def corpus_argvs() -> list[list[str]]:
             runs.append(["rep-check", "--rep", f"spin-{two_j}-lowered.json",
                          "--params", "params-deformed.json"])
     runs.append(["rep-check", "--rep", "missing.json"])
+    # enumerate-preserving on seeded spaces, orders 0..9: exponents below the
+    # order and wide gaps, where many shifts share one block of the system
+    rng = random.Random(1010)
+    for i in range(40):
+        exps = sorted(rng.sample(range(13), rng.randint(1, 5)))
+        runs.append(["enumerate-preserving", "--space", ",".join(map(str, exps)),
+                     "--max-order", str(i % 10)])
     return runs
 
 
