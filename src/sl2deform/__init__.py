@@ -4,10 +4,9 @@ Builds and verifies finite-dimensional representations of the deformed
 algebra [J0, J+-] = +-J+-, [J+, J-] = alpha J0^3 + beta J0^2 + gamma J0 + delta,
 together with their realizations by linear differential operators preserving
 the monomial module spanned by {1, x, x^3}.  The three ladder cases on that
-module are derived from their labels (q, M1) and the module itself: exponents,
-ladder operators, the quadratic for the diagonal label and the intrinsic
-locus.  All arithmetic is exact, over the rationals or a single quadratic
-extension.
+module are derived from their exponent pairs on it: labels, ladder
+operators, the quadratic for the diagonal label and the intrinsic locus.
+All arithmetic is exact, over the rationals or a single quadratic extension.
 """
 
 from .algebra import (
@@ -21,7 +20,7 @@ from .algebra import (
     classic_norm_squares,
     cubic,
 )
-from .cases import CaseId, build_case_realization, enumerate_case_labels, p_and_a
+from .cases import CaseId, build_case_realization
 from .diffops import (
     ClosureReport,
     DiffOp,
@@ -103,12 +102,10 @@ __all__ = [
     "coordinate_block_split",
     "cubic",
     "decompose_rep",
-    "enumerate_case_labels",
     "enumerate_preserving_operators",
     "intrinsic_gamma_and_product",
     "is_scalar_multiple_of_identity",
     "lie_closure_probe",
-    "p_and_a",
     "parse_diffop",
     "parse_scalar",
     "quadext",

@@ -1,15 +1,13 @@
-"""The three three-dimensional ladder cases, derived from their labels.
+"""The three three-dimensional ladder cases, derived from their exponent pairs.
 
-On a three-dimensional module (J = 1) a one-step ladder structure leaves
-exactly three label choices (q, M1), the ones ``enumerate_case_labels(2)``
-lists: raise by q = 1 from M1 = -1 or M1 = 0, or raise by q = 2 from M1 = -1.
-Everything else about a case follows from its label and the module spanned
-by {1, x, x^3}:
+A case is a ladder between two exponents k_src < k_dst of a space of three
+monomials.  The labels M = -1, 0, 1 go on the exponents in ascending order,
+and everything else about the case follows from the space and the pair:
 
-- the diagonal operator (1/p) x D + (c - 1/p) puts the label M on x^k with
-  k = 1 + p*e(M), where e(M) = a*M^2 + (1/q - a*q - 2*a*M1)*M is the
-  diagonal eigenvalue less c; since p = q^2/2 + q*(M1 + 3/2), p*e(M) is
-  M^2/2 + 3M/2 for every label, so M = -1, 0, 1 sit on x^0, x^1, x^3;
+- the diagonal operator (1/step) x D + (c - k_mid/step), step = k_dst - k_src
+  and k_mid the middle exponent, has the eigenvalue e(M) + c on the label M,
+  with e(M) = (k_M - k_mid)/step; the ladder raises M1 to M1 + q, and
+  a = (e(1) + e(-1))/2 is the quadratic coefficient of e;
 - each ladder operator is the lowest-order operator of its degree shift that
   sends one basis monomial to the other and kills the third: the Lagrange
   polynomial through the exponents, written in falling factorials;
@@ -17,8 +15,9 @@ by {1, x, x^3}:
   ``reps.solve_case`` solves, and the shift-0 polynomial of [J+, J-] fixes
   the intrinsic locus that ``reps.intrinsic_gamma_and_product`` computes.
 
-Only the whole-module label constant as the paper prints it is entered by
-hand: case 3's disagrees with the solved c, so it cannot be derived.
+The paper's three cases are the ladders 0 -> 1, 1 -> 3 and 0 -> 3 on
+{1, x, x^3}.  Only the whole-module label constant as the paper prints it is
+entered by hand: case 3's disagrees with the solved c, so it cannot be derived.
 """
 
 from __future__ import annotations
@@ -27,34 +26,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
-from .diffops import V3, DiffOp
+from .diffops import V3, DiffOp, MonomialSpace
 from .reps import intrinsic_gamma_and_product
 from .scalars import Scalar, as_scalar
 
 Fr = Fraction
-
-
-def p_and_a(q: int, m1: Union[int, Fraction]) -> tuple[Fraction, Fraction]:
-    """Slope denominator p = q^2/2 + q(M1 + 3/2) of the diagonal realization, a = 1/(2p)."""
-    if q < 1:
-        raise ValueError("q must be positive")
-    m1 = Fr(m1)
-    p = Fr(q * q, 2) + q * (m1 + Fr(3, 2))
-    if p == 0:
-        raise ValueError(f"degenerate diagonal realization: p = 0 at (q={q}, M1={m1})")
-    return p, 1 / (2 * p)
-
-
-def enumerate_case_labels(two_j: int) -> list[tuple[int, Fraction]]:
-    """All (q, M1) with both ladder endpoints inside the basis, M1 as a fraction."""
-    labels = []
-    for q in range(1, two_j + 1):
-        for two_m1 in range(-two_j, two_j - 2 * q + 1, 2):
-            labels.append((q, Fr(two_m1, 2)))
-    labels.sort(key=lambda t: (t[0], t[1]))
-    return labels
 
 
 def _ladder(exponents: tuple[int, ...], k_from: int, k_to: int) -> DiffOp:
@@ -81,7 +59,8 @@ class CaseData:
 
     q: int
     two_m1: int
-    p: Fraction                  # slope denominator of the diagonal operator
+    step: int                    # k_dst - k_src, slope denominator of the diagonal operator
+    k_mid: int                   # the exponent of the label M = 0
     a: Fraction                  # quadratic coefficient of the diagonal label
     # e(M) at the raised label, the source label and the third label
     energies: tuple[Fraction, Fraction, Fraction]
@@ -92,33 +71,34 @@ class CaseData:
     bracket_poly: tuple[Fraction, ...]
 
 
-def derive_case(q: int, m1: Union[int, Fraction]) -> CaseData:
-    """The data of the ladder label (q, M1) on the module {1, x, x^3}.
+def derive_case(space: MonomialSpace, k_src: int, k_dst: int) -> CaseData:
+    """The data of the ladder x^k_src -> x^k_dst on a space of three monomials.
 
-    Raises ``ValueError`` unless the ladder moves between two of the labels
-    -1, 0, 1.  Which labels sit on which exponents needs no check: p fixes
-    them at 0, 1 and 3 whatever the label.
+    Raises ``ValueError`` unless the space has three exponents and both
+    ladder ends are among them with k_src < k_dst.
     """
-    m1 = Fr(m1)
-    p, a = p_and_a(q, m1)
-    linear = Fr(1, q) - a * q - 2 * a * m1
-    labels = (Fr(-1), Fr(0), Fr(1))
-    energy = {m: a * m * m + linear * m for m in labels}
-    src, dst = m1, m1 + q
-    if src not in labels or dst not in labels:
-        raise ValueError(f"the ladder {src} -> {dst} leaves the labels -1, 0, 1")
-    (oth,) = (m for m in labels if m not in (src, dst))
-    exponent = dict(zip(labels, V3.exponents))
-    raise_op = _ladder(V3.exponents, exponent[src], exponent[dst])
-    lower_op = _ladder(V3.exponents, exponent[dst], exponent[src])
+    exponents = space.exponents
+    if len(exponents) != 3 or not k_src < k_dst or k_src not in space or k_dst not in space:
+        raise ValueError(
+            f"a case needs three exponents and a ladder k_src < k_dst between two "
+            f"of them, got {list(exponents)} and {k_src} -> {k_dst}"
+        )
+    step, k_mid = k_dst - k_src, exponents[1]
+    label = dict(zip(exponents, (-1, 0, 1)))
+    src, dst = label[k_src], label[k_dst]
+    (oth,) = (m for m in label.values() if m not in (src, dst))
+    energy = {m: Fr(k - k_mid, step) for k, m in label.items()}
+    raise_op = _ladder(exponents, k_src, k_dst)
+    lower_op = _ladder(exponents, k_dst, k_src)
     # [raise, lower] has shift 0 only, and its k^3 coefficient is -4 * shift
     # times the k^2 coefficients of the two ladders, so it is always cubic
     bracket = raise_op.commutator(lower_op).symbolic_action()
     return CaseData(
-        q=q,
-        two_m1=int(2 * m1),
-        p=p,
-        a=a,
+        q=dst - src,
+        two_m1=2 * src,
+        step=step,
+        k_mid=k_mid,
+        a=(energy[1] + energy[-1]) / 2,
         energies=(energy[dst], energy[src], energy[oth]),
         label_sums=tuple(
             energy[dst] ** n + energy[src] ** n - 2 * energy[oth] ** n for n in (1, 2, 3)
@@ -130,7 +110,7 @@ def derive_case(q: int, m1: Union[int, Fraction]) -> CaseData:
 
 
 class CaseId(Enum):
-    """The three admissible (q, M1) ladder labels on a three-dimensional module."""
+    """The paper's three ladder cases, each an exponent pair on {1, x, x^3}."""
 
     CASE1 = 1
     CASE2 = 2
@@ -151,8 +131,9 @@ class CaseId(Enum):
 
 
 _CASES = {
-    case: derive_case(q, m1)
-    for case, (q, m1) in zip(CaseId, enumerate_case_labels(2), strict=True)
+    CaseId.CASE1: derive_case(V3, 0, 1),
+    CaseId.CASE2: derive_case(V3, 1, 3),
+    CaseId.CASE3: derive_case(V3, 0, 3),
 }
 _PRINTED_LABEL_CONST = {CaseId.CASE1: Fr(-3, 4), CaseId.CASE2: Fr(0), CaseId.CASE3: Fr(-1, 6)}
 
@@ -167,12 +148,12 @@ def build_case_realization(
 ) -> tuple[DiffOp, DiffOp, DiffOp]:
     """The differential triple (diagonal, raising, lowering) of a ladder case.
 
-    The diagonal operator is (1/p) x D + (c - 1/p).  Without an explicit
-    label ``c`` the intrinsic one is used, which requires alpha != 0.
+    The diagonal operator is (1/step) x D + (c - k_mid/step).  Without an
+    explicit label ``c`` the intrinsic one is used, which requires alpha != 0.
     """
     data = case.data
     if c is None:
         c = intrinsic_gamma_and_product(case, alpha, beta).c
-    slope = 1 / data.p
-    j0 = DiffOp({(1, 1): slope, (0, 0): as_scalar(c) - slope})
+    slope = Fr(1, data.step)
+    j0 = DiffOp({(1, 1): slope, (0, 0): as_scalar(c) - data.k_mid * slope})
     return j0, data.raise_op.scale(f), data.lower_op.scale(g)

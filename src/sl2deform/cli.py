@@ -30,20 +30,8 @@ from .diffops import (
     enumerate_preserving_operators,
 )
 from .matrices import Matrix, is_scalar_multiple_of_identity
-from .reps import (
-    TrivialAlgebraError,
-    case_rep_spec,
-    decompose_rep,
-    intrinsic_gamma_and_product,
-    solve_case,
-)
-from .scalars import (
-    NegativeRadicandError,
-    digit_limit,
-    parse_scalar,
-    render_scalar,
-    scalar_is_zero,
-)
+from .reps import case_rep_spec, decompose_rep, intrinsic_gamma_and_product, solve_case
+from .scalars import digit_limit, parse_scalar, render_scalar, scalar_is_zero
 
 PASS, FAIL, ERROR = "pass", "fail", "error"
 _EXIT = {PASS: 0, FAIL: 1, ERROR: 2}
@@ -56,14 +44,6 @@ def _section(name: str, values: dict) -> dict:
 def _finish(report: dict, checks: list[bool]) -> dict:
     report["status"] = PASS if all(checks) else FAIL
     return report
-
-
-def _emit(report: dict, path: Optional[str]) -> None:
-    text = json.dumps(report, indent=2) + "\n"
-    sys.stdout.write(text)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _error_report(command: str, message: str) -> dict:
@@ -345,13 +325,18 @@ def _nonzero_positions(matrix: Matrix) -> list[list]:
     return [[i, j, render_scalar(x)] for i, j, x in matrix.entries()]
 
 
+def _load_json(path: str):
+    """The JSON value of a file; nesting past the recursion limit is a ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def cmd_rep_check(args) -> dict:
-    with open(args.rep, encoding="utf-8") as fh:
-        rep_payload = json.load(fh)
-    params_payload = None
-    if args.params:
-        with open(args.params, encoding="utf-8") as fh:
-            params_payload = json.load(fh)
+    rep_payload = _load_json(args.rep)
+    params_payload = _load_json(args.params) if args.params else None
     triple, params = _read_rep_check_input(rep_payload, params_payload)
 
     residuals = check_deformed_relations(triple, params)
@@ -437,19 +422,22 @@ def _join_value_flags(argv: Sequence[str]) -> list[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(_join_value_flags(sys.argv[1:] if argv is None else argv))
+    path = getattr(args, "report", None)
     try:
-        report = args.func(args)
-    except (
-        TrivialAlgebraError,
-        NegativeRadicandError,
-        ValueError,
-        ArithmeticError,
-        OSError,
-        KeyError,
-        json.JSONDecodeError,
-    ) as exc:
+        try:
+            report = args.func(args)
+        # ValueError covers malformed JSON and the package's own input errors
+        except (ValueError, ArithmeticError, OSError, KeyError) as exc:
+            report = _error_report(args.command, f"{type(exc).__name__}: {exc}")
+        text = json.dumps(report, indent=2) + "\n"
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        # the report file cannot be written: stdout carries only that error
         report = _error_report(args.command, f"{type(exc).__name__}: {exc}")
-    _emit(report, getattr(args, "report", None))
+        text = json.dumps(report, indent=2) + "\n"
+    sys.stdout.write(text)
     return _EXIT[report["status"]]
 
 

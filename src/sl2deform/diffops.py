@@ -365,7 +365,7 @@ def parse_diffop(text: str) -> DiffOp:
             start = i + 1
     pieces.append(text[start:])
     signs.append(sign)
-    if text[0] == "-":
+    if text.startswith("-"):
         signs[0] = -1
         pieces[0] = pieces[0].lstrip("-").strip()
     terms: list[tuple[tuple[int, int], Scalar]] = []
@@ -483,11 +483,12 @@ def _integral(vec: Sequence) -> list:
 def _canonical(vec: Sequence, pc: int) -> list:
     """The multiple of a row that the span keeps, ``pc`` being its pivot column.
 
-    A rational row becomes coprime integers with a positive pivot.  A row
-    holding a QuadExt is divided by its pivot: Q(sqrt(d)) has no gcd, and
-    without one the entries of cross-multiplied rows grow exponentially.
+    The row is one that :func:`_integral` already converted, or a
+    combination of such rows.  An integer row becomes coprime integers with
+    a positive pivot.  A row holding a QuadExt is divided by its pivot:
+    Q(sqrt(d)) has no gcd, and without one the entries of cross-multiplied
+    rows grow exponentially.
     """
-    vec = _integral(vec)
     if set(map(type, vec)) <= {int}:
         g = math.gcd(*vec)
         if vec[pc] < 0:

@@ -10,11 +10,11 @@ relation system reduces to 2J + 1 diagonal constraints; only the product
 f*g is ever constrained, never the split.
 
 The three-dimensional cases are solved from the data ``cases.derive_case``
-computes for each: eliminating f*g and delta from the three constraints
-leaves a quadratic in c, and matching the ladder bracket with the cubic in
-J0 on every x^k gives the intrinsic locus.  ``_case_parameters`` is the one
-guard on (alpha, beta, gamma) for both solvers; ``sqrt_exact`` rejects an
-irrational radicand.
+computes from each case's exponent pair: eliminating f*g and delta from the
+three constraints leaves a quadratic in c, and matching the ladder bracket
+with the cubic in J0 = (k - k_mid)/step + c on every x^k gives the intrinsic
+locus.  ``_case_parameters`` is the one guard on (alpha, beta, gamma) for
+both solvers; ``sqrt_exact`` rejects an irrational radicand.
 """
 
 from __future__ import annotations
@@ -200,20 +200,21 @@ def intrinsic_gamma_and_product(case: CaseId, alpha: Scalar, beta: Scalar) -> In
     """gamma, f*g and c making the case realization close independently of the module.
 
     On x^k the bracket [J+, J-] is f*g*Q(k), Q the case's cubic
-    ``bracket_poly``, and J0 is (k - 1)/p + c; matching the coefficients of
-    k^3, k^2 and k^1 of f*g*Q(k) = cubic((k - 1)/p + c) fixes f*g, c and gamma.
+    ``bracket_poly``, and J0 is (k - k_mid)/step + c; matching the
+    coefficients of k^3, k^2 and k^1 of f*g*Q(k) = cubic((k - k_mid)/step + c)
+    fixes f*g, c and gamma.
     Also reports the square-root branch of :func:`solve_case` that gives this c.
     """
     alpha, beta, _ = _case_parameters(alpha, beta, 0)
     if scalar_is_zero(alpha):
         raise ValueError("the intrinsic locus needs alpha != 0")
     data = case.data
-    p = data.p
+    step = data.step
     _, q1, q2, q3 = data.bracket_poly
-    fg = alpha / (p ** 3 * q3)
-    u = (fg * q2 * p * p - beta) / (3 * alpha)  # c - 1/p
-    gamma = fg * q1 * p - 3 * alpha * u * u - 2 * beta * u
-    c = u + 1 / p
+    fg = alpha / (step ** 3 * q3)
+    u = (fg * q2 * step * step - beta) / (3 * alpha)  # c - k_mid/step
+    gamma = fg * q1 * step - 3 * alpha * u * u - 2 * beta * u
+    c = u + Fr(data.k_mid, step)
     a, b, _ = _c_quadratic(case, alpha, beta, gamma)
     branch = "upper" if (c + b / (2 * a)) / alpha > 0 else "lower"
     return IntrinsicData(gamma=gamma, fg=fg, c=c, branch=branch)

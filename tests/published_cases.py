@@ -1,7 +1,7 @@
 """The published constants of the three ladder cases and their closed forms.
 
 An oracle for ``sl2deform.cases``, which derives every one of these numbers
-from the case labels (q, M1) and the module {1, x, x^3}.  The constants are
+from each case's exponent pair on {1, x, x^3}: 0 -> 1, 1 -> 3 and 0 -> 3.  The constants are
 the paper's; in case 3 the printed form carries a sqrt(3) prefactor, folded
 here into the radicand (times 3) and the delta coefficients (over 3).
 """

@@ -1,13 +1,15 @@
-"""The case data derived from the labels, against the published constants."""
+"""The case data derived from the exponent pairs, against the published constants."""
 
+import itertools
 import random
 from fractions import Fraction as Fr
 
 import pytest
 
-from sl2deform.cases import CaseId, derive_case, enumerate_case_labels, p_and_a
-from sl2deform.diffops import V3, DiffOp
+from sl2deform.cases import CaseId, derive_case
+from sl2deform.diffops import V3, DiffOp, MonomialSpace
 from sl2deform.reps import (
+    RepSpec,
     TrivialAlgebraError,
     intrinsic_gamma_and_product,
     solve_case,
@@ -18,36 +20,66 @@ from conftest import rand_fraction
 from published_cases import PUBLISHED, published_intrinsic, published_solution
 
 
-def test_every_label_sits_on_the_exponents_of_v3():
-    # p fixes p*e(M) = M^2/2 + 3M/2, so M = -1, 0, 1 land on 0, 1, 3 for any
-    # label; the cases differ only in where the ladder starts and ends
-    for q in range(1, 5):
-        for two_m1 in range(-7, 8):
-            try:
-                p, a = p_and_a(q, Fr(two_m1, 2))
-            except ValueError:
-                continue
-            linear = Fr(1, q) - a * q - a * two_m1
-            assert tuple(1 + p * (a * m * m + linear * m) for m in (-1, 0, 1)) == V3.exponents
+def _seeded_spaces(count=30):
+    rng = random.Random("three-monomial-spaces")
+    return [MonomialSpace(tuple(sorted(rng.sample(range(14), 3)))) for _ in range(count)]
+
+
+def test_the_space_0_2_5_from_0_to_5():
+    data = derive_case(MonomialSpace((0, 2, 5)), 0, 5)
+    assert (data.q, data.two_m1, data.a) == (2, -2, Fr(1, 10))
+    assert (data.step, data.k_mid) == (5, 2)
+
+
+def test_every_label_sits_on_its_exponent():
+    # e(M) = (k_M - k_mid)/step is the diagonal eigenvalue less c of the
+    # single-step representation with the case's (q, M1, a), on every space
+    for space in _seeded_spaces():
+        for k_src, k_dst in itertools.combinations(space.exponents, 2):
+            data = derive_case(space, k_src, k_dst)
+            spec = RepSpec(two_j=2, q=data.q, two_m1=data.two_m1, a=data.a, c=0, f=1, g=1)
+            for m, k in zip((-1, 0, 1), space.exponents):
+                assert spec.diagonal_value(m) == Fr(k - data.k_mid, data.step), (space, m)
+
+
+def test_every_ladder_moves_one_monomial_and_brackets_to_a_cubic():
+    for space in _seeded_spaces():
+        for k_src, k_dst in itertools.combinations(space.exponents, 2):
+            data = derive_case(space, k_src, k_dst)
+            for k in space.exponents:
+                assert data.raise_op.image(k) == ({k_dst: 1} if k == k_src else {})
+                assert data.lower_op.image(k) == ({k_src: 1} if k == k_dst else {})
+            bracket = data.raise_op.commutator(data.lower_op).symbolic_action()
+            assert list(bracket) == [0] and bracket[0] == data.bracket_poly
+            assert len(data.bracket_poly) == 4 and data.bracket_poly[3] != 0
 
 
 def test_the_three_labels_are_the_derivable_ones():
     derivable = []
-    for q in range(1, 4):
-        for two_m1 in range(-5, 6):
-            try:
-                derive_case(q, Fr(two_m1, 2))
-            except ValueError:
-                continue
-            derivable.append((q, Fr(two_m1, 2)))
-    assert derivable == enumerate_case_labels(2)
-    assert [(case.data.q, Fr(case.data.two_m1, 2)) for case in CaseId] == derivable
+    for k_src, k_dst in itertools.product(range(5), repeat=2):
+        try:
+            derive_case(V3, k_src, k_dst)
+        except ValueError:
+            continue
+        derivable.append((k_src, k_dst))
+    assert derivable == [(0, 1), (0, 3), (1, 3)]
+    # in CaseId order: M = -1 -> 0, 0 -> 1 and -1 -> 1
+    pairs = [(0, 1), (1, 3), (0, 3)]
+    assert [case.data for case in CaseId] == [derive_case(V3, *pair) for pair in pairs]
+    assert [(case.data.q, case.data.two_m1) for case in CaseId] == [(1, -2), (1, 0), (2, -2)]
 
 
 def test_a_label_that_does_not_fit_is_rejected():
-    for q, m1 in [(2, 0), (3, -1), (1, 1), (1, -2)]:  # ladder leaves -1..1; p = 0
-        with pytest.raises(ValueError):
-            derive_case(q, m1)
+    for space, k_src, k_dst in [
+        (V3, 3, 0),                       # reversed
+        (V3, 1, 1),                       # equal
+        (V3, 0, 2),                       # 2 is not an exponent of the space
+        (V3, -1, 1),
+        (MonomialSpace((0, 1)), 0, 1),    # two exponents
+        (MonomialSpace((0, 1, 3, 6)), 0, 1),  # four exponents
+    ]:
+        with pytest.raises(ValueError, match="three exponents"):
+            derive_case(space, k_src, k_dst)
 
 
 def test_derived_ladders_and_product_shift_are_the_published_ones():

@@ -559,6 +559,36 @@ def test_rep_check_refuses_a_radicand_past_the_budget_in_one_line(tmp_path, caps
     assert message.startswith("ValueError: radicand too large to split") and "\n" not in message
 
 
+def test_an_unwritable_report_path_exits_2_with_only_that_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "r.json"
+    code = main(["enumerate-preserving", "--space", "0,1,3", "--max-order", "1",
+                 "--report", str(missing)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    report = json.loads(captured.out)  # one report, not the passing one first
+    assert report["command"] == "enumerate-preserving" and report["status"] == "error"
+    message = section(report, "error")["message"]
+    assert message.startswith("FileNotFoundError") and "\n" not in message
+    # a command's own error report still goes to a writable path
+    path = tmp_path / "r.json"
+    code, report = run_cli(capsys, "verify-case", "--case", "1", "--alpha", "0",
+                           "--beta", "0", "--report", str(path))
+    assert code == 2 and json.loads(path.read_text()) == report
+
+
+def test_rep_check_refuses_json_nested_past_the_recursion_limit(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({"dimension": 1, "diagonal": ["0"], "ladders": []}))
+    for files in (["--rep", str(deep)], ["--rep", str(rep), "--params", str(deep)]):
+        code = main(["rep-check", *files])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        message = section(json.loads(captured.out), "error")["message"]
+        assert message == f"ValueError: {deep}: JSON nested too deeply"
+
+
 @pytest.mark.parametrize("argv, words", [
     (["enumerate-preserving", "--space", "0," + "9" * 5000, "--max-order", "1"],
      "an input exponent has an integer of more than"),

@@ -675,6 +675,21 @@ def test_exact_span_keeps_rows_of_ints_and_radicals_exact():
     assert span.nullspace() == [{0: r / 12, 1: Fr(-1, 6), 2: 1}]
 
 
+def test_exact_span_keeps_the_same_rows_for_fraction_and_integer_input():
+    # a rational row is converted once, in _reduce; the kept rows are the
+    # coprime integer multiples of the RREF rows, whatever the input scaling
+    rng = random.Random("span-of-scaled-rows")
+    for _ in range(40):
+        width = rng.randint(1, 6)
+        rows = [[rand_fraction(rng) for _ in range(width)] for _ in range(rng.randint(1, 6))]
+        scales = [rng.randint(1, 5) * math.lcm(*(v.denominator for v in row)) for row in rows]
+        scaled = [[int(v * scale) for v in row] for row, scale in zip(rows, scales)]
+        by_fraction, by_int = _ExactSpan(width), _ExactSpan(width)
+        assert [by_fraction.add(row) for row in rows] == [by_int.add(row) for row in scaled]
+        assert by_fraction.rows == by_int.rows
+        assert all(type(v) is int for row in by_fraction.rows for v in row)
+
+
 def test_probe_is_unchanged_when_every_operator_is_scaled_by_an_irrational():
     ladders = six_ladders()
     unit = quadext(1, 1, 2)
@@ -771,3 +786,9 @@ def test_text_round_trip():
 def test_text_format_example():
     assert CASE1_RAISE.to_text() == "1/3 * x^3 * D^2 - 1 * x^2 * D^1 + 1 * x^1 * D^0"
     assert parse_diffop("1/3 * x^3 * D^2 - 1 * x^2 * D^1 + 1 * x^1 * D^0") == CASE1_RAISE
+
+
+def test_empty_operator_text_is_a_parse_error():
+    for text in ("", "  "):
+        with pytest.raises(ValueError, match="cannot parse operator term"):
+            parse_diffop(text)

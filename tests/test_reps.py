@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from sl2deform.algebra import AlgebraParams, casimir_matrix, check_deformed_relations
-from sl2deform.cases import CaseId, enumerate_case_labels, p_and_a
+from sl2deform.cases import CaseId
 from sl2deform.matrices import Matrix
 from sl2deform.reps import (
     CaseSolution,
@@ -33,24 +33,19 @@ def rand_params(rng, **kw):
 # -- label bookkeeping ---------------------------------------------------------
 
 
-def test_p_and_a_for_the_three_cases():
-    assert p_and_a(1, -1) == (Fr(1), Fr(1, 2))
-    assert p_and_a(1, 0) == (Fr(2), Fr(1, 4))
-    assert p_and_a(2, -1) == (Fr(3), Fr(1, 6))
+def test_step_and_a_for_the_three_cases():
+    assert [case.data.step for case in CaseId] == [1, 2, 3]
+    assert [case.data.a for case in CaseId] == [Fr(1, 2), Fr(1, 4), Fr(1, 6)]
 
 
-def test_p_and_a_degenerate():
-    with pytest.raises(ValueError):
-        p_and_a(1, -2)  # p = 0
-
-
-def test_enumerate_case_labels_three_dimensional():
-    assert enumerate_case_labels(2) == [(1, Fr(-1)), (1, Fr(0)), (2, Fr(-1))]
-
-
-def test_enumerate_case_labels_edge_dimensions():
-    assert enumerate_case_labels(0) == []
-    assert enumerate_case_labels(1) == [(1, Fr(-1, 2))]
+def test_the_cases_are_the_three_ladders_of_v3():
+    # (q, M1) of M = -1 -> 0, 0 -> 1 and -1 -> 1, on the exponents 0, 1 and 3
+    assert [(case.data.q, Fr(case.data.two_m1, 2)) for case in CaseId] == [
+        (1, Fr(-1)), (1, Fr(0)), (2, Fr(-1))
+    ]
+    assert [case.data.raise_op.image(k) for case, k in zip(CaseId, (0, 1, 0))] == [
+        {1: 1}, {3: 1}, {3: 1}
+    ]
 
 
 def test_rep_spec_validation():
