@@ -10,6 +10,13 @@ concrete matrix triple, and forms the Casimir element.  J0 must be diagonal
 ``MatrixTriple`` checks once; the relations then need no matrix products
 beyond J+J- and J-J+, and the Casimir element none beyond J+J-, which the
 triple forms once for both.
+
+Each entry of a residual or of the Casimir element is computed on its own,
+by the scalar operations of the whole-matrix expression at that entry, in the
+same order and with the same operand on the left (commutators, Horner's
+scheme in J0, the Casimir sum).  So the values are those of the matrix
+expressions, and a call raises ``ScalarDomainError`` exactly when they would;
+where several entries mix radicands, which of them is named is not fixed.
 """
 
 from __future__ import annotations
@@ -90,36 +97,19 @@ class RelationResiduals:
         return self.raising.is_zero() and self.lowering.is_zero() and self.bracket.is_zero()
 
 
-# The relations and the Casimir element are evaluated entry by entry, since J0
-# is diagonal.  Each entry takes the same scalar operations, with the same
-# operands on the left, as the matrix expressions they replace (commutators,
-# Horner's scheme in J0, the Casimir sum); and each step runs over every entry
-# before the next begins, as a matrix operation would.  So the values, and the
-# first ScalarDomainError of operands from different fields, are those of the
-# matrix expressions.
-
-
 def cubic(ts: Sequence[Scalar], params: AlgebraParams) -> list[Scalar]:
     """alpha*t^3 + beta*t^2 + gamma*t + delta at each t of ``ts``, by Horner's
     scheme, t on the left of alpha and on the right of each partial sum."""
-    acc = [t * params.alpha for t in ts]
-    acc = [x + params.beta for x in acc]
-    for coeff in (params.gamma, params.delta):
-        acc = [x * t for x, t in zip(acc, ts)]
-        acc = [x + coeff for x in acc]
-    return acc
+    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
+    return [((t * a + b) * t + g) * t + d for t in ts]
 
 
 def _shift_residual(h: Sequence[Scalar], ladder: Matrix, step) -> Matrix:
     """step([J0, L], L), entrywise: the entry x of L at (i, j) gives
     step(h_i*x - x*h_j, x)."""
-    entries = list(ladder.entries())
-    left = [h[i] * x for i, _, x in entries]
-    right = [x * h[j] for _, j, x in entries]
-    diff = [u - v for u, v in zip(left, right)]
     return Matrix.from_entries(
         ladder.dimension,
-        {(i, j): step(e, x) for (i, j, x), e in zip(entries, diff)},
+        {(i, j): step(h[i] * x - x * h[j], x) for i, j, x in ladder.entries()},
     )
 
 
@@ -133,12 +123,6 @@ def check_deformed_relations(rep: MatrixTriple, params: AlgebraParams) -> Relati
     )
 
 
-def _add_scaled(acc: list[Scalar], powers: list[Scalar], coeff: Scalar) -> list[Scalar]:
-    """acc_i + powers_i*coeff at each i, every product before the first sum."""
-    scaled = [x * coeff for x in powers]
-    return [x + y for x, y in zip(acc, scaled)]
-
-
 def casimir_matrix(rep: MatrixTriple, params: AlgebraParams) -> Matrix:
     """The central element J+J- + (a/4)J0^4 + (b/3 - a/2)J0^3 + ... on this rep.
 
@@ -146,16 +130,12 @@ def casimir_matrix(rep: MatrixTriple, params: AlgebraParams) -> Matrix:
     quartic in J0 is added to its diagonal, one term after another, at each h_i.
     """
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
-    h = rep.diagonal
+    c4, c3, c2, c1 = a / 4, b / 3 - a / 2, a / 4 - b / 2 + g / 2, b / 6 - g / 2 + d
     product = rep.ladder_product
-    sq = [t * t for t in h]
-    acc = [product[i, i] for i in range(rep.dimension)]
-    acc = _add_scaled(acc, [s * s for s in sq], a / 4)
-    acc = _add_scaled(acc, [s * t for s, t in zip(sq, h)], b / 3 - a / 2)
-    acc = _add_scaled(acc, sq, a / 4 - b / 2 + g / 2)
-    acc = _add_scaled(acc, h, b / 6 - g / 2 + d)
     entries = {(i, j): x for i, j, x in product.entries() if i != j}
-    entries.update(((i, i), x) for i, x in enumerate(acc))
+    for i, t in enumerate(rep.diagonal):
+        s = t * t
+        entries[i, i] = product[i, i] + s * s * c4 + s * t * c3 + s * c2 + t * c1
     return Matrix.from_entries(rep.dimension, entries)
 
 

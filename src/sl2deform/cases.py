@@ -57,6 +57,7 @@ def _ladder(exponents: tuple[int, ...], k_from: int, k_to: int) -> DiffOp:
 class CaseData:
     """What one case is, apart from (alpha, beta, gamma); see :func:`derive_case`."""
 
+    space: MonomialSpace         # the three monomials the case acts on
     q: int
     two_m1: int
     step: int                    # k_dst - k_src, slope denominator of the diagonal operator
@@ -94,6 +95,7 @@ def derive_case(space: MonomialSpace, k_src: int, k_dst: int) -> CaseData:
     # times the k^2 coefficients of the two ladders, so it is always cubic
     bracket = raise_op.commutator(lower_op).symbolic_action()
     return CaseData(
+        space=space,
         q=dst - src,
         two_m1=2 * src,
         step=step,

@@ -25,13 +25,12 @@ from .cases import CaseId, build_case_realization
 from .diffops import (
     ClosureReport,
     MonomialSpace,
-    V3,
     closure_check,
     enumerate_preserving_operators,
 )
 from .matrices import Matrix, is_scalar_multiple_of_identity
 from .reps import case_rep_spec, decompose_rep, intrinsic_gamma_and_product, solve_case
-from .scalars import digit_limit, parse_scalar, render_scalar, scalar_is_zero
+from .scalars import digit_limit, parse_int, parse_scalar, render_scalar, scalar_is_zero
 
 PASS, FAIL, ERROR = "pass", "fail", "error"
 _EXIT = {PASS: 0, FAIL: 1, ERROR: 2}
@@ -65,6 +64,10 @@ def _render_action(op) -> dict:
     }
 
 
+def _render_space(space: MonomialSpace) -> str:
+    return ",".join(str(e) for e in space.exponents)
+
+
 def _closure_values(report) -> dict:
     values: dict = {"passed": report.passed}
     if not report.passed:
@@ -78,6 +81,7 @@ def _closure_values(report) -> dict:
 
 def cmd_verify_case(args) -> dict:
     case = CaseId(args.case)
+    space = case.data.space
     alpha = parse_scalar(args.alpha)
     beta = parse_scalar(args.beta)
 
@@ -126,16 +130,16 @@ def cmd_verify_case(args) -> dict:
     sections.append(_section("solution", solution_values))
 
     preserved = {
-        name: op.preserves_space(V3)
+        name: op.preserves_space(space)
         for name, op in zip(("diagonal", "raising", "lowering"), triple_ops)
     }
     checks.append(all(preserved.values()))
     sections.append(
-        _section("preserves-space", {"space": "0,1,3", **preserved})
+        _section("preserves-space", {"space": _render_space(space), **preserved})
     )
 
     # one set of residual operators gives both closure verdicts
-    on_space = closure_check(triple_ops, params, V3)
+    on_space = closure_check(triple_ops, params, space)
     checks.append(on_space.passed)
     sections.append(_section("closure-on-space", _closure_values(on_space)))
 
@@ -146,7 +150,7 @@ def cmd_verify_case(args) -> dict:
         checks.append(intrinsic.passed)
     sections.append(_section("closure-intrinsic", intrinsic_values))
 
-    triple_mats = MatrixTriple(*(op.matrix_on_space(V3) for op in triple_ops))
+    triple_mats = MatrixTriple(*(op.matrix_on_space(space) for op in triple_ops))
     residuals = check_deformed_relations(triple_mats, params)
     checks.append(residuals.all_zero)
     sections.append(
@@ -183,7 +187,7 @@ def cmd_verify_case(args) -> dict:
         block_values.append(
             {
                 "indices": list(block.indices),
-                "monomials": [f"x^{V3.exponents[i]}" for i in block.indices],
+                "monomials": [f"x^{space.exponents[i]}" for i in block.indices],
                 "two_j_label": block.two_j_label,
                 "c_label": rendered,
             }
@@ -239,14 +243,14 @@ def _write_rep_file(path: str, triple: MatrixTriple, params: AlgebraParams) -> N
 
 def cmd_enumerate_preserving(args) -> dict:
     with digit_limit("an input exponent"):
-        exponents = tuple(int(e) for e in args.space.split(","))
+        exponents = tuple(parse_int(e) for e in args.space.split(","))
     space = MonomialSpace(exponents)
     basis = enumerate_preserving_operators(space, args.max_order)
     sections = [
         _section(
             "preserving-operators",
             {
-                "space": ",".join(str(e) for e in space.exponents),
+                "space": _render_space(space),
                 "max_order": args.max_order,
                 "dimension": len(basis),
                 "basis": [op.to_text() for op in basis],

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .matrices import Matrix
+from .matrices import Matrix, commutator
 from .scalars import (
+    DIGITS,
     QuadExt,
     Scalar,
     as_scalar,
@@ -334,7 +335,7 @@ class DiffOp:
 
 
 _TERM_RE = re.compile(
-    r"^\s*(?P<coeff>\(.*\)|[^*]*?)\s*\*\s*x\^(?P<m>-?\d+)\s*\*\s*D\^(?P<n>\d+)\s*$"
+    rf"^\s*(?P<coeff>\(.*\)|[^*]*?)\s*\*\s*x\^(?P<m>-?{DIGITS})\s*\*\s*D\^(?P<n>{DIGITS})\s*$"
 )
 
 
@@ -705,7 +706,7 @@ def lie_closure_probe(
         current = list(basis_mats)
         for i in range(len(current)):
             for j in range(max(i + 1, done), len(current)):
-                br = (current[i] @ current[j]) - (current[j] @ current[i])
+                br = commutator(current[i], current[j])
                 if mspan.add(flat(br)):
                     basis_mats.append(br)
                     grew = True

@@ -151,31 +151,22 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Product; entry (i, j) sums a_ik * b_kj in ascending k.
 
-        Only products of two nonzero entries are formed, entry by entry in
-        row-major order, which is the order of the dense triple loop that
-        skips zero factors: the values and any ``ScalarDomainError`` are that
-        loop's.
+        Only products of two nonzero entries are formed, each added to its
+        entry as k runs upward, so every entry takes the operations of the
+        dense triple loop that skips zero factors, in that loop's order: the
+        values are that loop's, and a product raises ``ScalarDomainError``
+        exactly when the loop would, though where several entries mix
+        radicands it may name another of them.
         """
         self._check_dim(other)
         b_rows = other._rows
         rows = []
         for a_row in self._rows:
-            pairs: dict[int, list[tuple[Scalar, Scalar]]] = {}
+            acc: dict[int, Scalar] = {}
             for k, a in a_row.items():
                 for j, b in b_rows[k].items():
-                    if j in pairs:
-                        pairs[j].append((a, b))
-                    else:
-                        pairs[j] = [(a, b)]
-            out = {}
-            for j in sorted(pairs):
-                (a, b), *rest = pairs[j]
-                acc = a * b
-                for a, b in rest:
-                    acc = acc + a * b
-                if not scalar_is_zero(acc):
-                    out[j] = acc
-            rows.append(out)
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            rows.append({j: acc[j] for j in sorted(acc) if not scalar_is_zero(acc[j])})
         return Matrix._of(self.dimension, rows)
 
     def __eq__(self, other):

@@ -7,7 +7,9 @@ lowest terms with ``n > 0``, so each of its ``+ - * /`` is a few integer
 products and one ``math.gcd``; a rational operand is read through its public
 ``numerator`` and ``denominator``.  Arithmetic is exact, and a result whose
 radical part cancels comes back as a ``Fraction``.  Mixing two different
-radicands is an error, never a silent coercion.
+radicands is an error, never a silent coercion: the ``ScalarDomainError``
+names the two radicands in operand order, and where a matrix computation
+mixes them at several entries, which entry's clash is reported is not fixed.
 
 A radicand is split into its square and squarefree parts once, where a value
 enters: by :func:`parse_scalar`, :func:`sqrt_exact`, :func:`quadext` or the
@@ -346,11 +348,25 @@ def sqrt_exact(value) -> Scalar:
 # Rational:  "p" or "p/q".   Extension: "a + b*sqrt(D)" (also "a - b*sqrt(D)",
 # "b*sqrt(D)", "sqrt(D)").  render/parse round-trip exactly.
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
+#: The one grammar of an integer read from text, exponents and scalars
+#: alike: ASCII digits, after an optional sign.  ``int`` alone would also
+#: take the digits of other scripts and "_" separators.
+DIGITS = "[0-9]+"
+_INTEGER = rf"[+-]?{DIGITS}"
+_RAT = rf"{_INTEGER}(?:/{DIGITS})?"
 _SQRT_RE = re.compile(
-    rf"^\s*(?:(?P<a>{_RAT})\s*(?P<sign>[+-])\s*)?(?P<b>{_RAT})?\s*\*?\s*sqrt\((?P<d>\d+)\)\s*$"
+    rf"^\s*(?:(?P<a>{_RAT})\s*(?P<sign>[+-])\s*)?(?P<b>{_RAT})?\s*\*?\s*sqrt\((?P<d>{DIGITS})\)\s*$"
 )
 _RAT_RE = re.compile(rf"^\s*(?P<r>{_RAT})\s*$")
+_INT_RE = re.compile(rf"^\s*{_INTEGER}\s*$")
+
+
+def parse_int(text: str) -> int:
+    """The integer ``text`` writes as a sign and ASCII digits, whitespace
+    around it allowed; ValueError for anything else."""
+    if not _INT_RE.match(text):
+        raise ValueError(f"cannot parse integer {text!r}")
+    return int(text)
 
 
 def _rational(text: str) -> Fraction:

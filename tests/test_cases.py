@@ -170,3 +170,9 @@ def test_the_parameter_region_is_guarded_once_for_both_solvers():
     # alpha = 0 keeps irrational beta and gamma
     sol = solve_case(CaseId.CASE1, 0, root2, 1)
     assert sol.branch == "alpha-zero"
+
+
+def test_each_case_carries_the_space_it_was_derived_on():
+    assert [case.data.space for case in CaseId] == [V3] * 3
+    space = MonomialSpace((0, 2, 5))
+    assert derive_case(space, 0, 5).space is space

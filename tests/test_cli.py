@@ -203,6 +203,36 @@ def test_enumerate_bounds_the_system_size_not_the_order(capsys):
         "ValueError: exponents must be distinct, sorted and nonnegative")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate-preserving", "--space", "\u0663", "--max-order", "1"],
+     "ValueError: cannot parse integer '\u0663'"),
+    (["enumerate-preserving", "--space", "1_000,2_000", "--max-order", "1"],
+     "ValueError: cannot parse integer '1_000'"),
+    (["verify-case", "--case", "2", "--alpha", "\u0663", "--beta", "1"],
+     "ValueError: cannot parse scalar '\u0663'"),
+    (["verify-case", "--case", "2", "--alpha", "1_000", "--beta", "1"],
+     "ValueError: cannot parse scalar '1_000'"),
+], ids=["space-arabic-indic", "space-underscore", "alpha-arabic-indic", "alpha-underscore"])
+def test_integers_in_argv_are_ascii_digits_only(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert section(json.loads(captured.out), "error")["message"] == message
+
+
+def test_rep_check_with_two_radicands_exits_2_in_one_line(tmp_path, capsys):
+    rep = {"dimension": 2, "diagonal": ["-1/2", "1/2"],
+           "ladders": [[0, 1, "sqrt(2)"], [1, 0, "sqrt(7)"]],
+           "params": {"alpha": "0", "beta": "0", "gamma": "2", "delta": "0"}}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    code = main(["rep-check", "--rep", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert section(json.loads(captured.out), "error")["message"] == (
+        "ScalarDomainError: mixed radicands sqrt(2) and sqrt(7)")
+
+
 def test_rep_check_classic_tables(tmp_path, capsys):
     from sl2deform.algebra import build_classic_sl2_matrices
     from sl2deform.scalars import render_scalar

@@ -792,3 +792,10 @@ def test_empty_operator_text_is_a_parse_error():
     for text in ("", "  "):
         with pytest.raises(ValueError, match="cannot parse operator term"):
             parse_diffop(text)
+
+
+def test_operator_exponents_are_read_in_ascii_digits_only():
+    assert parse_diffop("2 * x^3 * D^1") == DiffOp({(3, 1): 2})
+    for text in ("2 * x^\u0663 * D^1", "2 * x^3 * D^\u0661", "2 * x^1_0 * D^1"):
+        with pytest.raises(ValueError, match="cannot parse operator term"):
+            parse_diffop(text)

@@ -12,6 +12,7 @@ from sl2deform.scalars import (
     NegativeRadicandError,
     QuadExt,
     ScalarDomainError,
+    parse_int,
     parse_scalar,
     quadext,
     render_scalar,
@@ -85,6 +86,18 @@ def test_sqrt_with_square_factor():
     root = sqrt_exact(12)
     assert root == quadext(0, 2, 3)
     assert root * root == Fr(12)
+
+
+def test_integers_are_read_in_ascii_digits_only():
+    # int() alone takes the digits of other scripts and "_" separators
+    assert parse_int(" -12 ") == -12 and parse_int("+3") == 3
+    for text in ("\u0663", "1_000", "", "1.0", "0x3"):
+        with pytest.raises(ValueError, match=r"^cannot parse integer "):
+            parse_int(text)
+    assert parse_scalar(" -1/2 + 3*sqrt(2) ") == quadext(Fr(-1, 2), 3, 2)
+    for text in ("\u0663", "1_000", "1/\u0663", "sqrt(\u0663)", "sqrt(1_0)", "1_0*sqrt(2)"):
+        with pytest.raises(ValueError, match=r"^cannot parse scalar "):
+            parse_scalar(text)
 
 
 def test_digit_limit_is_named_for_inputs_and_report_values():
