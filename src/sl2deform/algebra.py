@@ -143,14 +143,18 @@ def _half(two_m: int) -> Fraction:
     return Fraction(two_m, 2)
 
 
+def _check_two_j(two_j: int) -> None:
+    if two_j < 0:
+        raise ValueError("two_j must be nonnegative")
+
+
 def build_classic_sl2_matrices(two_j: int) -> MatrixTriple:
     """The (2j+1)-dimensional spin-j matrices, basis ordered m = -j .. +j.
 
     J0 is diagonal with entries m; ladder entries are the exact square roots
     sqrt((j -+ m)(j +- m + 1)), one quadratic extension per entry as needed.
     """
-    if two_j < 0:
-        raise ValueError("two_j must be nonnegative")
+    _check_two_j(two_j)
     j = _half(two_j)
     ms = [_half(t) for t in range(-two_j, two_j + 1, 2)]
     n = len(ms)
@@ -169,8 +173,7 @@ def build_classic_sl2_matrices(two_j: int) -> MatrixTriple:
 
 def build_classic_sl2_diffops(two_j: int) -> tuple[DiffOp, DiffOp, DiffOp]:
     """First-order realization on monomials: x*D - j, -x^2*D + 2j*x, D."""
-    if two_j < 0:
-        raise ValueError("two_j must be nonnegative")
+    _check_two_j(two_j)
     j = _half(two_j)
     j0 = DiffOp({(1, 1): Fraction(1), (0, 0): -j})
     jp = DiffOp({(2, 1): Fraction(-1), (1, 0): 2 * j})
@@ -180,6 +183,7 @@ def build_classic_sl2_diffops(two_j: int) -> tuple[DiffOp, DiffOp, DiffOp]:
 
 def classic_norm_squares(two_j: int) -> list[Fraction]:
     """Squared normalizations (2j)! / ((j+m)!(j-m)!) aligning x^(j+m) with |j,m>."""
+    _check_two_j(two_j)
     out = []
     for t in range(-two_j, two_j + 1, 2):
         jpm = (two_j + t) // 2

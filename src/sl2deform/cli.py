@@ -29,7 +29,7 @@ from .diffops import (
     enumerate_preserving_operators,
 )
 from .matrices import Matrix, is_scalar_multiple_of_identity
-from .reps import case_rep_spec, decompose_rep, intrinsic_gamma_and_product, solve_case
+from .reps import decompose_rep, intrinsic_gamma_and_product, solve_case
 from .scalars import digit_limit, parse_int, parse_scalar, render_scalar, scalar_is_zero
 
 PASS, FAIL, ERROR = "pass", "fail", "error"
@@ -99,9 +99,8 @@ def cmd_verify_case(args) -> dict:
     solution = solve_case(case, alpha, beta, gamma, branch)
     params = AlgebraParams(alpha, beta, gamma, solution.delta)
 
-    spec = case_rep_spec(case, solution)
     triple_ops = build_case_realization(
-        case, alpha, beta, f=spec.f, g=spec.g, c=solution.c
+        case, alpha, beta, f=1, g=solution.fg, c=solution.c
     )
 
     checks: list[bool] = []
@@ -368,6 +367,14 @@ def cmd_rep_check(args) -> dict:
     return _finish({"command": "rep-check", "sections": sections}, [residuals.all_zero])
 
 
+def _int(text: str) -> int:
+    return parse_int(text)
+
+
+# argparse names a flag's type in its errors: "invalid int value: 'x'"
+_int.__name__ = "int"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sl2deform",
@@ -376,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     vc = sub.add_parser("verify-case", help="solve and verify one ladder case end to end")
-    vc.add_argument("--case", type=int, choices=(1, 2, 3), required=True)
+    vc.add_argument("--case", type=_int, choices=(1, 2, 3), required=True)
     vc.add_argument("--alpha", required=True, help="exact scalar, e.g. 2 or -1/3")
     vc.add_argument("--beta", required=True)
     vc.add_argument("--gamma", default="intrinsic", help="'intrinsic' or an exact scalar")
@@ -387,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ep = sub.add_parser("enumerate-preserving", help="basis of space-preserving operators")
     ep.add_argument("--space", required=True, help="comma-separated exponents, e.g. 0,1,3")
-    ep.add_argument("--max-order", type=int, required=True)
+    ep.add_argument("--max-order", type=_int, required=True)
     ep.add_argument("--report", default=None, metavar="PATH")
     ep.set_defaults(func=cmd_enumerate_preserving)
 

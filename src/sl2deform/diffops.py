@@ -223,14 +223,6 @@ class DiffOp:
             return _over(acc, a[1] * b[1])
         return self.compose(other) - other.compose(self)
 
-    def __pow__(self, exponent: int) -> "DiffOp":
-        if exponent < 0:
-            raise ValueError("negative operator powers are not defined")
-        out = DiffOp.identity()
-        for _ in range(exponent):
-            out = out.compose(self)
-        return out
-
     # -- action -----------------------------------------------------------------
     def image(self, k: int) -> dict[int, Scalar]:
         """Exact image of x^k, {exponent: nonzero coefficient}.
@@ -441,16 +433,13 @@ def closure_check(
     ``space=None`` demands the relations as operator identities (every
     residual the zero operator); with a space they only need to hold on the
     listed monomials.  ``ClosureReport.judge`` gives the other verdict on the
-    same residuals without building them again.
+    same residuals without building them again.  The bracket's right-hand
+    side is formed by Horner's scheme, ((alpha J0 + beta) J0 + gamma) J0 + delta.
     """
     j0, jp, jm = triple
     ident = DiffOp.identity()
-    rhs = (
-        (j0 ** 3).scale(params.alpha)
-        + (j0 ** 2).scale(params.beta)
-        + j0.scale(params.gamma)
-        + ident.scale(params.delta)
-    )
+    rhs = (j0.scale(params.alpha) + ident.scale(params.beta)).compose(j0)
+    rhs = (rhs + ident.scale(params.gamma)).compose(j0) + ident.scale(params.delta)
     residuals = (
         ("raising", j0.commutator(jp) - jp),
         ("lowering", j0.commutator(jm) + jm),
@@ -652,23 +641,20 @@ class LieClosureReport:
     rounds_used: int
 
 
-def lie_closure_probe(
-    ops: Sequence[DiffOp], space: MonomialSpace, max_rounds: int = 6
-) -> LieClosureReport:
+def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosureReport:
     """Probe whether pairwise brackets of ``ops`` stay inside their span.
 
-    Operator level: each commutator must lie in span(ops) extended by all
-    diagonal operators of order <= 3 (polynomials of degree <= 3 in x*D),
-    i.e. closure is granted even up to a cubic deformation.  Matrix level:
-    the span of the operators' matrices on the space is saturated under
-    commutators and its dimension reported.
+    Operator level: each commutator must lie in span(ops) extended by x^i D^i,
+    i <= 3, which span the polynomials of degree <= 3 in x*D ((xD)^i is x^i D^i
+    plus lower x^j D^j), i.e. closure is granted even up to a cubic
+    deformation.  Matrix level: the span of the operators' matrices on the
+    space is saturated under commutators until a round adds nothing, and its
+    dimension reported; ``rounds_used`` counts that last round.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be positive")
     ops = list(ops)
     # matrix_on_space raises SpaceEscapeError for an operator leaving the space
     mats = [op.matrix_on_space(space) for op in ops]
-    diagonal_allowance = [DiffOp.euler() ** i for i in range(4)]
+    diagonal_allowance = [DiffOp({(i, i): Fraction(1)}) for i in range(4)]
     pairs = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))]
     brackets = [ops[i].commutator(ops[j]) for i, j in pairs]
     # operators are compared in their term coordinates (m, n)
@@ -698,9 +684,11 @@ def lie_closure_probe(
         if mspan.add(flat(mat)):
             basis_mats.append(mat)
     # semi-naive saturation: pairs of matrices older than the last round were
-    # bracketed already, and their brackets stay in the growing span
+    # bracketed already, and their brackets stay in the growing span; every
+    # round but the last grows it, and its dimension is at most n^2
     rounds = done = 0
-    for _ in range(max_rounds):
+    grew = True
+    while grew:
         rounds += 1
         grew = False
         current = list(basis_mats)
@@ -711,8 +699,6 @@ def lie_closure_probe(
                     basis_mats.append(br)
                     grew = True
         done = len(current)
-        if not grew:
-            break
     return LieClosureReport(
         closed_as_operators=not failing,
         failing_pairs=failing,

@@ -40,6 +40,14 @@ def test_classic_spin_zero_is_trivial():
     assert triple.j0.is_zero() and triple.jplus.is_zero() and triple.jminus.is_zero()
 
 
+@pytest.mark.parametrize(
+    "build", [build_classic_sl2_matrices, build_classic_sl2_diffops, classic_norm_squares]
+)
+def test_classic_builders_refuse_a_negative_spin(build):
+    with pytest.raises(ValueError, match="two_j must be nonnegative"):
+        build(-1)
+
+
 def test_classic_spin_half_ladders_are_unit():
     triple = build_classic_sl2_matrices(1)
     assert triple.jplus.rows[1][0] == Fr(1)

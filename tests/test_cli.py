@@ -560,6 +560,13 @@ def test_usage_errors_exit_2_with_the_same_text_on_every_call(capsys):
          "unrecognized arguments: --bogus"),
         (["enumerate-preserving", "--space", "0,1,3", "--max-order", "x"],
          "argument --max-order: invalid int value: 'x'"),
+        # integers in other scripts' digits or with "_" separators are refused
+        (["verify-case", "--case", "٢", "--alpha", "1", "--beta", "1"],
+         "argument --case: invalid int value: '٢'"),
+        (["enumerate-preserving", "--space", "0,1", "--max-order", "1_0"],
+         "argument --max-order: invalid int value: '1_0'"),
+        (["enumerate-preserving", "--space", "0,1", "--max-order", "٣"],
+         "argument --max-order: invalid int value: '٣'"),
     ]
     for argv, words in bad:
         texts = []

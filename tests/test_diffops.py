@@ -426,6 +426,59 @@ def test_on_space_check_fails_on_any_nonzero_residual():
     assert {name for name, op in report.residuals if not op.is_zero()} >= {"raising", "lowering"}
 
 
+def _power(op, exponent):
+    out = DiffOp.identity()
+    for _ in range(exponent):
+        out = out.compose(op)
+    return out
+
+
+def _residuals_from_powers(triple, params):
+    """The three residuals, F(J0) summed from powers of J0 built by compose."""
+    j0, jp, jm = triple
+    rhs = (_power(j0, 3).scale(params.alpha) + _power(j0, 2).scale(params.beta)
+           + j0.scale(params.gamma) + DiffOp.identity().scale(params.delta))
+    return [
+        ("raising", j0.compose(jp) - jp.compose(j0) - jp),
+        ("lowering", j0.compose(jm) - jm.compose(j0) + jm),
+        ("bracket", jp.compose(jm) - jm.compose(jp) - rhs),
+    ]
+
+
+def test_closure_residuals_equal_those_formed_from_powers_of_j0():
+    rng = random.Random("closure-residuals")
+    checked = []
+    for case in CaseId:
+        for _ in range(4):
+            alpha = rand_fraction(rng, -5, 5, 3, nonzero=True)
+            beta = rand_fraction(rng, -5, 5, 3)
+            intr = intrinsic_gamma_and_product(case, alpha, beta)
+            for gamma in (intr.gamma, rand_fraction(rng, -20, 20, 3)):
+                try:
+                    sol = solve_case(case, alpha, beta, gamma, intr.branch)
+                except ValueError:  # outside the case's parameter region
+                    continue
+                triple = build_case_realization(case, alpha, beta, f=1, g=sol.fg, c=sol.c)
+                checked.append((triple, AlgebraParams(alpha, beta, gamma, sol.delta)))
+    for two_j in range(4):
+        off_locus = AlgebraParams(*(rand_fraction(rng, nonzero=True) for _ in range(4)))
+        checked.append((build_classic_sl2_diffops(two_j), off_locus))
+    # a J0 constant and a beta in Q(sqrt 2)
+    _, jp, jm = build_classic_sl2_diffops(3)
+    j0 = DiffOp({(1, 1): 1, (0, 0): quadext(Fr(-3, 2), 1, 2)})
+    checked.append(((j0, jp, jm), AlgebraParams(1, ROOT2 + 1, Fr(1, 3), 2)))
+    assert len(checked) > 20
+    for triple, params in checked:
+        report = closure_check(triple, params, None)
+        want = _residuals_from_powers(triple, params)
+        assert [(name, op.terms) for name, op in report.residuals] == [
+            (name, op.terms) for name, op in want
+        ]
+        assert [op.to_text() for _, op in report.residuals] == [op.to_text() for _, op in want]
+    # explicit gammas give irrational J0 constants too
+    assert sum(isinstance(t[0].terms.get((0, 0)), QuadExt) for t, _ in checked) > 1
+
+
 def test_intrinsic_pass_implies_on_space_pass(rng):
     params = AlgebraParams(0, 0, 2, 0)
     triple = build_classic_sl2_diffops(3)
@@ -748,6 +801,55 @@ def test_probe_saturates_brackets_of_new_brackets():
                 grew = True
     assert report.matrix_lie_span_dimension == len(basis) == 8
     assert report.rounds_used == rounds == 3
+
+
+def _failing_pairs_by_sympy_rank(ops):
+    """Pairs whose bracket leaves span(ops, (xD)^0 .. (xD)^3), by sympy rank
+    on term coordinates; the powers of x*D are built by compose."""
+    euler = DiffOp.euler()
+    allowance = [DiffOp.identity()]
+    for _ in range(3):
+        allowance.append(allowance[-1].compose(euler))
+    brackets = {(i, j): ops[i].compose(ops[j]) - ops[j].compose(ops[i])
+                for i, j in itertools.combinations(range(len(ops)), 2)}
+    base = list(ops) + allowance
+    keys = sorted(set().union(*(op.terms for op in base + list(brackets.values()))))
+
+    def rank(rows):
+        elements = [[sympy.QQ.convert(sympy.Rational(op.terms.get(key, 0))) for key in keys]
+                    for op in rows]
+        return DomainMatrix(elements, (len(rows), len(keys)), sympy.QQ).rank()
+
+    base_rank = rank(base)
+    return tuple(pair for pair, br in brackets.items() if rank(base + [br]) > base_rank)
+
+
+def test_probe_failing_pairs_equal_those_of_the_powers_of_euler():
+    rng = random.Random("probe-failing-pairs")
+    families = []
+    for order in (1, 2):
+        for _ in range(3):
+            space = MonomialSpace(tuple(sorted(rng.sample(range(6), rng.randint(2, 3)))))
+            families.append((enumerate_preserving_operators(space, order), space))
+    for _ in range(3):
+        families.append(
+            ([op.scale(rand_fraction(rng, nonzero=True)) for op in six_ladders()], V3)
+        )
+    outcomes = set()
+    for ops, space in families:
+        report = lie_closure_probe(ops, space)
+        want = _failing_pairs_by_sympy_rank(ops)
+        assert report.failing_pairs == want, (ops, space)
+        assert report.closed_as_operators == (not want)
+        outcomes.add(bool(want))
+    assert outcomes == {True, False}
+
+
+def test_probe_of_no_matrix_takes_one_round():
+    for ops, space in (([], V3), ([DiffOp({(0, 2): 1})], MonomialSpace((0, 1)))):
+        report = lie_closure_probe(ops, space)
+        assert report.matrix_lie_span_dimension == 0
+        assert report.rounds_used == 1
 
 
 def test_probe_computes_no_symbolic_action(monkeypatch):
