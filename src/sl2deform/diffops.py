@@ -15,11 +15,12 @@ when it has no terms.  An operator identity therefore holds "intrinsically"
 the two sides have the same terms.  :meth:`DiffOp.symbolic_action` writes the
 per-shift polynomials in k out, for reports only.
 
-Operator products are formed in integers when every coefficient is rational:
-each operand is scaled to integer numerators over the lcm of its
-denominators, and one Fraction is made per term of the result.  Results that
-are canonical by construction skip the validating constructor
-(:meth:`DiffOp._of`).
+An operator is stored as numerators over one positive denominator, in lowest
+terms: an int per rational coefficient and a QuadExt over 1 per irrational one.
+Products, sums and images are formed on the numerators, one path for every
+field, and :attr:`DiffOp.terms` gives the coefficients back as Fractions and
+QuadExts.  Results in lowest terms by construction skip the validating
+constructor (:meth:`DiffOp._of`).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .matrices import Matrix, commutator
@@ -71,9 +73,9 @@ def _falling_coefficients(n: int) -> tuple[int, ...]:
 def _products(acc: dict, left, right) -> dict:
     """Add the normal-ordered product of two term lists into ``acc``, and return it.
 
-    ``left`` and ``right`` are ((m, n), c) pairs, all c ints or all exact
-    scalars; each pair of terms forms c1 * c2 once, and the sums keep their
-    order.  Zero sums are left in ``acc``.
+    ``left`` and ``right`` are ((m, n), numerator) pairs; each pair of terms
+    forms c1 * c2 once, and the sums keep their order.  Zero sums are left in
+    ``acc``.
     """
     for (m1, n1), c1 in left:
         for (m2, n2), c2 in right:
@@ -89,30 +91,28 @@ def _products(acc: dict, left, right) -> dict:
     return acc
 
 
-def _scaled_to_integers(values) -> tuple[list[int], int]:
-    """Rationals times the lcm of their denominators, as ints, and that lcm."""
-    lcm = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (lcm // v.denominator) for v in values], lcm
+def _coefficient(v, den: int) -> Scalar:
+    """The scalar v / den of a numerator v (an int, or a QuadExt over 1)."""
+    return v / den if type(v) is QuadExt else Fraction(v, den)
 
 
-def _integral_terms(terms: Mapping) -> Optional[tuple[list, int]]:
-    """((key, integer numerator) pairs, common denominator) of rational terms;
-    None if a coefficient is not a Fraction."""
-    if not all(type(c) is Fraction for c in terms.values()):
-        return None
-    ints, den = _scaled_to_integers(terms.values())
-    return list(zip(terms, ints)), den
-
-
-def _over(acc: dict, den: int) -> "DiffOp":
-    """The operator with terms {key: v / den} over the nonzero ints v of ``acc``."""
-    return DiffOp._of({key: Fraction(v, den) for key, v in sorted(acc.items()) if v})
+def _lowest(acc: dict, den: int) -> "DiffOp":
+    """The operator {key: v / den} over the nonzero numerators v of ``acc``, in
+    lowest terms; a QuadExt sum or product whose radical cancelled, the
+    Fraction k/1, is stored as the int k."""
+    num = {key: v.numerator if type(v) is Fraction else v for key, v in sorted(acc.items()) if v}
+    g = den
+    for v in num.values():
+        g = math.gcd(g, v.p, v.q) if type(v) is QuadExt else math.gcd(g, v)
+    if g != 1:
+        num = {key: v / g if type(v) is QuadExt else v // g for key, v in num.items()}
+    return DiffOp._of(num, den // g)
 
 
 class DiffOp:
     """Normal-ordered linear differential operator with monomial coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[tuple[int, int], object] = ()):
         canon: dict[tuple[int, int], Scalar] = {}
@@ -127,10 +127,21 @@ class DiffOp:
                 canon.pop((m, n), None)
             else:
                 canon[(m, n)] = c
-        object.__setattr__(self, "terms", dict(sorted(canon.items())))
+        # over the lcm of the denominators the numerators are in lowest terms
+        den = math.lcm(*(c.n if type(c) is QuadExt else c.denominator for c in canon.values()))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_num", {
+            key: c * den if type(c) is QuadExt else c.numerator * (den // c.denominator)
+            for key, c in sorted(canon.items())})
 
     def __setattr__(self, *_):
         raise AttributeError("DiffOp is immutable")
+
+    @property
+    def terms(self) -> Mapping[tuple[int, int], Scalar]:
+        """The coefficients, read-only: keys ascending, values Fraction or QuadExt."""
+        den = self._den
+        return MappingProxyType({key: _coefficient(v, den) for key, v in self._num.items()})
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -151,40 +162,41 @@ class DiffOp:
         return cls({(1, 1): Fraction(1)})
 
     @classmethod
-    def _of(cls, terms: dict[tuple[int, int], Scalar]) -> "DiffOp":
-        """An operator from terms that are already canonical, unchecked.
+    def _of(cls, num: dict[tuple[int, int], object], den: int) -> "DiffOp":
+        """An operator from numerators over ``den`` in the form ``__init__`` leaves, unchecked.
 
-        Trusted: ``terms`` is sorted by key, holds no zero coefficient, and
-        each coefficient is a Fraction or a QuadExt, never an int, as
-        ``__init__`` would leave them (``to_text`` and ``__hash__`` rely on it).
+        Trusted: ``num`` is sorted by key and holds no zero, each numerator is
+        an int or a QuadExt over 1, ``den`` is positive, and all are in lowest
+        terms (``__eq__`` and ``__hash__`` rely on it).
         """
         out = object.__new__(cls)
-        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "_num", num)
+        object.__setattr__(out, "_den", den)
         return out
 
     # -- ring structure ---------------------------------------------------------
     def __add__(self, other: "DiffOp") -> "DiffOp":
-        merged = dict(self.terms)
-        for key, c in other.terms.items():
-            if key in merged:
-                c = merged[key] + c
-                if scalar_is_zero(c):
-                    del merged[key]
-                    continue
-            merged[key] = c
-        return DiffOp._of(dict(sorted(merged.items())))
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        acc = {key: v * fa for key, v in self._num.items()}
+        for key, v in other._num.items():
+            v = v * fb
+            acc[key] = acc[key] + v if key in acc else v
+        return _lowest(acc, den)
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + other.scale(Fraction(-1))
+        return self + -other
 
     def __neg__(self) -> "DiffOp":
-        return self.scale(Fraction(-1))
+        return DiffOp._of({key: -v for key, v in self._num.items()}, self._den)
 
     def scale(self, s) -> "DiffOp":
         s = as_scalar(s)
         if scalar_is_zero(s):
             return DiffOp()
-        return DiffOp._of({key: c * s for key, c in self.terms.items()})
+        s_den = s.n if type(s) is QuadExt else s.denominator
+        s_num = s * s_den if type(s) is QuadExt else s.numerator
+        return _lowest({key: v * s_num for key, v in self._num.items()}, self._den * s_den)
 
     def __mul__(self, s):
         return self.scale(s)
@@ -195,32 +207,17 @@ class DiffOp:
         """Operator product self . other, normal ordered.
 
         Derivatives exchange past powers by D^n x^m = sum_i C(n,i) m(m-1)..(m-i+1)
-        x^(m-i) D^(n-i); the falling factorial also handles negative m.  With
-        rational coefficients the product is formed in integers, over the
-        product of the two operands' common denominators.
+        x^(m-i) D^(n-i); the falling factorial also handles negative m.  The
+        product is formed on the numerators, over the product of the two
+        denominators, and reduced by one gcd, whatever the field.
         """
-        a, b = _integral_terms(self.terms), _integral_terms(other.terms)
-        if a and b:
-            return _over(_products({}, a[0], b[0]), a[1] * b[1])
-        acc = _products({}, self.terms.items(), other.terms.items())
-        return DiffOp._of(
-            {key: v for key, v in sorted(acc.items()) if not scalar_is_zero(v)}
-        )
+        acc = _products({}, self._num.items(), other._num.items())
+        return _lowest(acc, self._den * other._den)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
-        """self . other - other . self.
-
-        With rational coefficients both products go into one integer sum, the
-        second negated, so their common terms cancel as ints.  Otherwise the
-        two products are formed and subtracted one after the other, so that a
-        ScalarDomainError of mixed radicands is the one the separate products
-        and their difference would raise.
-        """
-        a, b = _integral_terms(self.terms), _integral_terms(other.terms)
-        if a and b:
-            acc = _products({}, a[0], b[0])
-            _products(acc, [(key, -c) for key, c in b[0]], a[0])
-            return _over(acc, a[1] * b[1])
+        """self . other - other . self, the two products formed and subtracted
+        in that order, so a ScalarDomainError of mixed radicands is the one
+        those steps raise."""
         return self.compose(other) - other.compose(self)
 
     # -- action -----------------------------------------------------------------
@@ -230,13 +227,13 @@ class DiffOp:
         The term c x^m D^n sends x^k to c k!/(k-n)! x^(k+m-n); a negative
         exponent is kept like any other.
         """
-        out: dict[int, Scalar] = {}
-        for (m, n), c in self.terms.items():
+        out: dict[int, object] = {}
+        for (m, n), v in self._num.items():
             w = _falling(k, n)
             if w:
                 e = k + m - n
-                out[e] = out[e] + c * w if e in out else c * w
-        return {e: v for e, v in out.items() if not scalar_is_zero(v)}
+                out[e] = out[e] + v * w if e in out else v * w
+        return {e: _coefficient(v, self._den) for e, v in out.items() if v}
 
     def symbolic_action(self) -> dict[int, tuple[Scalar, ...]]:
         """The action on x^k with k left indeterminate, for display.
@@ -246,15 +243,16 @@ class DiffOp:
         the falling factorials have distinct degrees and leading coefficient
         1, so a nonzero operator has a nonzero P_s for each shift it uses.
         """
-        per_shift: dict[int, list[Scalar]] = {}
-        for (m, n), c in self.terms.items():
+        per_shift: dict[int, list] = {}
+        for (m, n), v in self._num.items():
             ff = _falling_coefficients(n)
             poly = per_shift.setdefault(m - n, [])
-            poly.extend([Fraction(0)] * (len(ff) - len(poly)))
+            poly.extend([0] * (len(ff) - len(poly)))
             for i, f in enumerate(ff):
                 if f:
-                    poly[i] = poly[i] + c * f
-        return {s: tuple(per_shift[s]) for s in sorted(per_shift)}
+                    poly[i] = poly[i] + v * f
+        return {s: tuple(_coefficient(v, self._den) for v in per_shift[s])
+                for s in sorted(per_shift)}
 
     # -- module interaction -------------------------------------------------------
     def preserves_space(self, space: "MonomialSpace") -> bool:
@@ -288,15 +286,15 @@ class DiffOp:
 
     # -- identity ------------------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(tuple(self.terms.items()))
+        return hash((self._den, tuple(self._num.items())))
 
     def __repr__(self):
         return f"DiffOp({self.to_text()!r})"
@@ -304,20 +302,21 @@ class DiffOp:
     # -- text format -----------------------------------------------------------------
     def to_text(self) -> str:
         """Render as e.g. ``1/3 * x^3 * D^2 - 1 * x^2 * D^1 + 1 * x^1 * D^0``."""
-        if not self.terms:
+        if not self._num:
             return "0"
-        keys = sorted(self.terms, key=lambda mn: (-mn[1], -mn[0]))
+        keys = sorted(self._num, key=lambda mn: (-mn[1], -mn[0]))
         pieces = []
         for m, n in keys:
-            c = self.terms[(m, n)]
-            if isinstance(c, Fraction):
-                num, den = c.numerator, c.denominator
+            v = self._num[(m, n)]
+            if type(v) is int:
+                g = math.gcd(v, self._den)
+                num, den = v // g, self._den // g
                 sign = "-" if num < 0 else "+"
                 value = abs(num) if den == 1 else f"{abs(num)}/{den}"
                 body = f"{value} * x^{m} * D^{n}"
             else:
                 sign = "+"
-                body = f"({render_scalar(c)}) * x^{m} * D^{n}"
+                body = f"({render_scalar(v / self._den)}) * x^{m} * D^{n}"
             pieces.append((sign, body))
         first_sign, first_body = pieces[0]
         text = ("-" if first_sign == "-" else "") + first_body
@@ -459,15 +458,13 @@ def closure_check(
 MAX_ENUMERATION_SIZE = 80_000
 
 
-def _integral(vec: Sequence) -> list:
-    """A rational row times the lcm of its denominators, as a list of ints.
-
-    A row holding a QuadExt is copied as it is.
-    """
-    kinds = set(map(type, vec))
-    if kinds <= {int} or QuadExt in kinds:
-        return list(vec)
-    return _scaled_to_integers(vec)[0]
+def _integral(vec: Sequence) -> Sequence:
+    """A row holding a Fraction and no QuadExt, times the lcm of its
+    denominators, as a list of ints; any other row as it is, uncopied."""
+    if Fraction not in map(type, vec) or QuadExt in map(type, vec):
+        return vec
+    lcm = math.lcm(*(v.denominator for v in vec))
+    return [v.numerator * (lcm // v.denominator) for v in vec]
 
 
 def _canonical(vec: Sequence, pc: int) -> list:
@@ -606,7 +603,7 @@ def enumerate_preserving_operators(
     # exponents it sends out of the space, so each distinct block is solved
     # once; a null vector is kept as (column, coefficient) pairs, column i
     # being the term x^(s+a+i) D^(a+i)
-    blocks: dict[tuple, list[list[tuple[int, Fraction]]]] = {}
+    blocks: dict[tuple, list[list[tuple[int, int]]]] = {}
     found = []
     for s in range(lo - max_order, hi + 1):
         a, b = max(0, lo - s), min(max_order, hi - s)
@@ -620,13 +617,13 @@ def enumerate_preserving_operators(
             for vec in span.nullspace():
                 cols = sorted(vec)
                 values = _canonical([vec[i] for i in cols], 0)
-                vectors.append(list(zip(cols, map(Fraction, values))))
+                vectors.append(list(zip(cols, values)))
         for vec in vectors:
             free_n = a + vec[-1][0]
             found.append(((free_n, s + free_n), s + a, a, vec))
     found.sort(key=lambda item: item[0])
     return [
-        DiffOp._of({(m + i, n + i): v for i, v in vec}) for _, m, n, vec in found
+        DiffOp._of({(m + i, n + i): v for i, v in vec}, 1) for _, m, n, vec in found
     ]
 
 
@@ -657,11 +654,11 @@ def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosure
     diagonal_allowance = [DiffOp({(i, i): Fraction(1)}) for i in range(4)]
     pairs = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))]
     brackets = [ops[i].commutator(ops[j]) for i, j in pairs]
-    # operators are compared in their term coordinates (m, n)
+    # operators are compared in their term coordinates (m, n), each by its
+    # numerators: a positive multiple spans the same line
     every = ops + diagonal_allowance + brackets
-    keys = sorted(set().union(*(op.terms for op in every)))
-    zero = Fraction(0)
-    vectors = [[op.terms.get(key, zero) for key in keys] for op in every]
+    keys = sorted(set().union(*(op._num for op in every)))
+    vectors = [[op._num.get(key, 0) for key in keys] for op in every]
     cut = len(ops) + len(diagonal_allowance)
     span = _ExactSpan(len(vectors[0]))
     for vec in vectors[:cut]:

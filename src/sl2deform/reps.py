@@ -156,9 +156,16 @@ def _c_quadratic(case: CaseId, alpha, beta, gamma) -> tuple[Scalar, Scalar, Scal
     """(A, B, C) of A c^2 + B c + C = 0, what the three constraints leave of c.
 
     Eliminating f*g and delta sums cubic(c + e) over the raised and source
-    labels less twice the third label's; the c^3 terms cancel.
+    labels less twice the third label's; the c^3 terms cancel.  Raises
+    ``ValueError`` when S1 = 0, where the quadratic degenerates.
     """
-    s1, s2, s3 = case.data.label_sums
+    data = case.data
+    s1, s2, s3 = data.label_sums
+    if not s1:
+        k_src = data.space.exponents[data.two_m1 // 2 + 1]
+        raise ValueError(f"the ladder x^{k_src} -> x^{k_src + data.step} on "
+                         f"{list(data.space.exponents)} has S1 = 0, where the "
+                         "quadratic in c degenerates")
     return 3 * alpha * s1, 3 * alpha * s2 + 2 * beta * s1, gamma * s1 + beta * s2 + alpha * s3
 
 

@@ -290,6 +290,37 @@ def test_operator_arithmetic_equals_the_validating_oracle(rng):
     assert raised > 50 and results > 2000, (raised, results)
 
 
+def test_every_route_to_an_operator_gives_one_stored_form(rng):
+    # the stored form is numerators over one denominator in lowest terms, so
+    # equality, hashing and text must not depend on how an operator was built
+    ident = DiffOp.identity()
+    for field in ("Q", "Q(sqrt 2)"):
+        for _ in range(60):
+            op = _field_op(rng, _FIELDS[field])
+            other = _field_op(rng, _FIELDS[field])
+            s = rand_fraction(rng, nonzero=True)
+            root_s = s + rand_fraction(rng) * ROOT2
+            routes = [
+                DiffOp(dict(op.terms)),
+                DiffOp(list(op.terms.items())),
+                ident.compose(op),
+                op.compose(ident),
+                op.scale(s).scale(1 / s),
+                op.scale(root_s).scale(1 / root_s),
+                op + other - other,
+                DiffOp(op.terms),
+            ]
+            for built in routes:
+                assert built == op and hash(built) == hash(op), (field, op, built)
+                assert built.to_text() == op.to_text()
+                assert list(built.terms) == sorted(op.terms)
+                assert all(type(c) in (Fr, QuadExt) for c in built.terms.values())
+    # a radical that cancels leaves the rational operator, not a QuadExt form of it
+    half = DiffOp({(1, 1): Fr(1, 2) + ROOT2}) + DiffOp({(1, 1): -ROOT2})
+    assert half == DiffOp({(1, 1): Fr(1, 2)}) and hash(half) == hash(DiffOp({(1, 1): Fr(1, 2)}))
+    assert half.terms == {(1, 1): Fr(1, 2)} and type(half.terms[(1, 1)]) is Fr
+
+
 # -- spaces ------------------------------------------------------------------------------
 
 

@@ -1,9 +1,12 @@
+import re
+import types
 from fractions import Fraction as Fr
 
 import pytest
 
 from sl2deform.algebra import AlgebraParams, casimir_matrix, check_deformed_relations
-from sl2deform.cases import CaseId
+from sl2deform.cases import CaseId, derive_case
+from sl2deform.diffops import MonomialSpace
 from sl2deform.matrices import Matrix
 from sl2deform.reps import (
     CaseSolution,
@@ -172,6 +175,19 @@ def test_case3_alpha_zero_closed_form():
 def test_trivial_pair_rejected():
     with pytest.raises(TrivialAlgebraError):
         solve_case(CaseId.CASE1, 0, 0, 1)
+
+
+@pytest.mark.parametrize("exponents", [(0, 1, 2), (0, 2, 4)])
+def test_an_outer_ladder_with_s1_zero_is_refused_by_both_solvers(exponents):
+    # evenly spaced: the outer ladder's label sum S1 = e_dst + e_src - 2 e_oth is 0
+    case = types.SimpleNamespace(data=derive_case(MonomialSpace(exponents), 0, exponents[2]))
+    assert case.data.label_sums[0] == 0
+    message = re.escape(f"the ladder x^0 -> x^{exponents[2]} on {list(exponents)} has S1 = 0")
+    for alpha in (1, 0):
+        with pytest.raises(ValueError, match=message):
+            solve_case(case, alpha, 1, 1)
+    with pytest.raises(ValueError, match=message):
+        intrinsic_gamma_and_product(case, 1, 1)
 
 
 def test_negative_radicand_rejected():
