@@ -11,12 +11,20 @@ concrete matrix triple, and forms the Casimir element.  J0 must be diagonal
 beyond J+J- and J-J+, and the Casimir element none beyond J+J-, which the
 triple forms once for both.
 
-Each entry of a residual or of the Casimir element is computed on its own,
-by the scalar operations of the whole-matrix expression at that entry, in the
-same order and with the same operand on the left (commutators, Horner's
-scheme in J0, the Casimir sum).  So the values are those of the matrix
-expressions, and a call raises ``ScalarDomainError`` exactly when they would;
-where several entries mix radicands, which of them is named is not fixed.
+Each entry of a residual or of the Casimir element is computed on its own.
+The commutators take the scalar operations of the whole-matrix expression at
+that entry.  The polynomials in J0 on the diagonal (the bracket's cubic and
+the Casimir quartic) are evaluated on numerators: the parameters, the h_i and
+the diagonal of J+J- each become integers (a QuadExt over 1 for an irrational
+value) over the lcm of their denominators, one sum of products is formed per
+entry on those, and it is divided by the common denominator once.  The
+products and sums come in the order of the matrix expression (Horner's
+scheme in J0, the Casimir sum with J+J- first), with the same operand on the
+left, and each partial result is the matrix expression's times a nonzero
+integer, which neither creates nor cancels a radical.  So the values are
+those of the matrix expressions, and a call raises ``ScalarDomainError``
+exactly when they would; where several entries mix radicands, which of them
+is named is not fixed.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from typing import Sequence
 
 from .diffops import DiffOp
 from .matrices import Matrix
-from .scalars import Scalar, as_scalar, sqrt_exact
+from .scalars import Scalar, as_scalar, from_numerator, sqrt_exact, to_numerators
 
 
 @dataclass(frozen=True)
@@ -65,7 +73,7 @@ class MatrixTriple:
             if i != j:
                 raise ValueError(f"J0 must be diagonal, but its entry ({i}, {j}) is nonzero")
         object.__setattr__(
-            self, "diagonal", tuple(self.j0[i, i] for i in range(self.dimension))
+            self, "diagonal", tuple([self.j0[i, i] for i in range(self.dimension)])
         )
 
     @property
@@ -98,10 +106,19 @@ class RelationResiduals:
 
 
 def cubic(ts: Sequence[Scalar], params: AlgebraParams) -> list[Scalar]:
-    """alpha*t^3 + beta*t^2 + gamma*t + delta at each t of ``ts``, by Horner's
-    scheme, t on the left of alpha and on the right of each partial sum."""
-    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
-    return [((t * a + b) * t + g) * t + d for t in ts]
+    """alpha*t^3 + beta*t^2 + gamma*t + delta at each t of ``ts``.
+
+    With t = T/h and the parameters A/p, B/p, G/p, D/p over common
+    denominators, the value is ((T*A + B*h)*T + G*h^2)*T + D*h^3 over p*h^3:
+    Horner's scheme on numerators, T on the left of A and on the right of each
+    partial sum, then one division.
+    """
+    (a, b, g, d), p = to_numerators(
+        (params.alpha, params.beta, params.gamma, params.delta))
+    nums, h = to_numerators(ts)
+    b, g, d = b * h, g * (h * h), d * (h * h * h)
+    den = p * h * h * h
+    return [from_numerator(((t * a + b) * t + g) * t + d, den) for t in nums]
 
 
 def _shift_residual(h: Sequence[Scalar], ladder: Matrix, step) -> Matrix:
@@ -127,16 +144,29 @@ def casimir_matrix(rep: MatrixTriple, params: AlgebraParams) -> Matrix:
     """The central element J+J- + (a/4)J0^4 + (b/3 - a/2)J0^3 + ... on this rep.
 
     J+J- is the one matrix product, the triple's ``ladder_product``; the
-    quartic in J0 is added to its diagonal, one term after another, at each h_i.
+    quartic in J0 is added to its diagonal, one term after another, at each
+    h_i.  With h_i = T/h, the diagonal of J+J- over q and the quartic's
+    coefficients over p, each entry is X + S*S*C4 + S*T*C3 + S*C2 + T*C1 over
+    den = lcm(q, p*h^4), S = T*T, where X and the C's are the numerators
+    scaled to den once per call.
     """
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
-    c4, c3, c2, c1 = a / 4, b / 3 - a / 2, a / 4 - b / 2 + g / 2, b / 6 - g / 2 + d
+    coefficients = a / 4, b / 3 - a / 2, a / 4 - b / 2 + g / 2, b / 6 - g / 2 + d
     product = rep.ladder_product
+    n = rep.dimension
+    xs, q = to_numerators([product[i, i] for i in range(n)])
+    ts, h = to_numerators(rep.diagonal)
+    (c4, c3, c2, c1), p = to_numerators(coefficients)
+    h4 = h * h * h * h
+    den = math.lcm(q, p * h4)
+    fx, f = den // q, den // (p * h4)
+    c4, c3, c2, c1 = c4 * f, c3 * (f * h), c2 * (f * h * h), c1 * (f * h * h * h)
     entries = {(i, j): x for i, j, x in product.entries() if i != j}
-    for i, t in enumerate(rep.diagonal):
+    for i, (x, t) in enumerate(zip(xs, ts)):
         s = t * t
-        entries[i, i] = product[i, i] + s * s * c4 + s * t * c3 + s * c2 + t * c1
-    return Matrix.from_entries(rep.dimension, entries)
+        entries[i, i] = from_numerator(
+            x * fx + s * s * c4 + s * t * c3 + s * c2 + t * c1, den)
+    return Matrix.from_entries(n, entries)
 
 
 def _half(two_m: int) -> Fraction:

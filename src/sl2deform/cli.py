@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Optional, Sequence
 
 from .algebra import AlgebraParams, MatrixTriple, casimir_matrix, check_deformed_relations
@@ -34,6 +35,43 @@ from .scalars import digit_limit, parse_int, parse_scalar, render_scalar, scalar
 
 PASS, FAIL, ERROR = "pass", "fail", "error"
 _EXIT = {PASS: 0, FAIL: 1, ERROR: 2}
+
+
+def to_json(value, indent: str = "\n") -> str:
+    """``value`` as JSON, byte for byte as ``json.dumps`` writes it with ``indent=2``.
+
+    A report holds only str, int, bool, None, lists and dicts with str keys;
+    any other value, a float or a tuple say, raises TypeError.  ``indent`` is
+    the newline and indentation that close ``value``; each level adds two
+    spaces.
+    """
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        try:  # a list of strings, the common case, in one pass
+            body = ("," + inner).join(map(_json_string, value))
+        except TypeError:
+            body = ("," + inner).join([to_json(v, inner) for v in value])
+        return "[" + inner + body + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # a key that is not a str makes _json_string raise TypeError
+        body = ("," + inner).join([_json_string(k) + ": " + to_json(v, inner)
+                                   for k, v in value.items()])
+        return "{" + inner + body + indent + "}"
+    raise TypeError(f"not a report value: {value!r}")
 
 
 def _section(name: str, values: dict) -> dict:
@@ -237,7 +275,7 @@ def _write_rep_file(path: str, triple: MatrixTriple, params: AlgebraParams) -> N
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(to_json(payload) + "\n")
 
 
 def cmd_enumerate_preserving(args) -> dict:
@@ -440,14 +478,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # ValueError covers malformed JSON and the package's own input errors
         except (ValueError, ArithmeticError, OSError, KeyError) as exc:
             report = _error_report(args.command, f"{type(exc).__name__}: {exc}")
-        text = json.dumps(report, indent=2) + "\n"
+        text = to_json(report) + "\n"
         if path:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except OSError as exc:
         # the report file cannot be written: stdout carries only that error
         report = _error_report(args.command, f"{type(exc).__name__}: {exc}")
-        text = json.dumps(report, indent=2) + "\n"
+        text = to_json(report) + "\n"
     sys.stdout.write(text)
     return _EXIT[report["status"]]
 

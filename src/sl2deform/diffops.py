@@ -40,10 +40,12 @@ from .scalars import (
     Scalar,
     as_scalar,
     digit_limit,
+    from_numerator,
     parse_scalar,
     render_scalar,
     scalar_is_zero,
     sqrt_exact,
+    to_numerators,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -91,11 +93,6 @@ def _products(acc: dict, left, right) -> dict:
     return acc
 
 
-def _coefficient(v, den: int) -> Scalar:
-    """The scalar v / den of a numerator v (an int, or a QuadExt over 1)."""
-    return v / den if type(v) is QuadExt else Fraction(v, den)
-
-
 def _lowest(acc: dict, den: int) -> "DiffOp":
     """The operator {key: v / den} over the nonzero numerators v of ``acc``, in
     lowest terms; a QuadExt sum or product whose radical cancelled, the
@@ -127,12 +124,10 @@ class DiffOp:
                 canon.pop((m, n), None)
             else:
                 canon[(m, n)] = c
-        # over the lcm of the denominators the numerators are in lowest terms
-        den = math.lcm(*(c.n if type(c) is QuadExt else c.denominator for c in canon.values()))
+        keys = sorted(canon)
+        nums, den = to_numerators([canon[key] for key in keys])
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_num", {
-            key: c * den if type(c) is QuadExt else c.numerator * (den // c.denominator)
-            for key, c in sorted(canon.items())})
+        object.__setattr__(self, "_num", dict(zip(keys, nums)))
 
     def __setattr__(self, *_):
         raise AttributeError("DiffOp is immutable")
@@ -141,7 +136,7 @@ class DiffOp:
     def terms(self) -> Mapping[tuple[int, int], Scalar]:
         """The coefficients, read-only: keys ascending, values Fraction or QuadExt."""
         den = self._den
-        return MappingProxyType({key: _coefficient(v, den) for key, v in self._num.items()})
+        return MappingProxyType({key: from_numerator(v, den) for key, v in self._num.items()})
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -194,8 +189,7 @@ class DiffOp:
         s = as_scalar(s)
         if scalar_is_zero(s):
             return DiffOp()
-        s_den = s.n if type(s) is QuadExt else s.denominator
-        s_num = s * s_den if type(s) is QuadExt else s.numerator
+        (s_num,), s_den = to_numerators([s])
         return _lowest({key: v * s_num for key, v in self._num.items()}, self._den * s_den)
 
     def __mul__(self, s):
@@ -233,7 +227,7 @@ class DiffOp:
             if w:
                 e = k + m - n
                 out[e] = out[e] + v * w if e in out else v * w
-        return {e: _coefficient(v, self._den) for e, v in out.items() if v}
+        return {e: from_numerator(v, self._den) for e, v in out.items() if v}
 
     def symbolic_action(self) -> dict[int, tuple[Scalar, ...]]:
         """The action on x^k with k left indeterminate, for display.
@@ -251,7 +245,7 @@ class DiffOp:
             for i, f in enumerate(ff):
                 if f:
                     poly[i] = poly[i] + v * f
-        return {s: tuple(_coefficient(v, self._den) for v in per_shift[s])
+        return {s: tuple(from_numerator(v, self._den) for v in per_shift[s])
                 for s in sorted(per_shift)}
 
     # -- module interaction -------------------------------------------------------
@@ -463,8 +457,7 @@ def _integral(vec: Sequence) -> Sequence:
     denominators, as a list of ints; any other row as it is, uncopied."""
     if Fraction not in map(type, vec) or QuadExt in map(type, vec):
         return vec
-    lcm = math.lcm(*(v.denominator for v in vec))
-    return [v.numerator * (lcm // v.denominator) for v in vec]
+    return to_numerators(vec)[0]
 
 
 def _canonical(vec: Sequence, pc: int) -> list:

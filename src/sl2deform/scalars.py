@@ -23,8 +23,8 @@ import contextlib
 import re
 import sys
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Iterator, Union
+from math import gcd, isqrt, lcm
+from typing import Iterator, Sequence, Union
 
 
 class ScalarDomainError(ArithmeticError):
@@ -309,6 +309,24 @@ def quadext(a, b, d: int) -> Scalar:
     )
 
 
+def to_numerators(values: Sequence) -> tuple[list, int]:
+    """The values over the lcm ``den`` of their denominators: their numerators
+    and ``den``, an int per rational value and a QuadExt over 1 per irrational
+    one, in lowest terms: no prime divides ``den`` and every numerator.
+    """
+    den = lcm(*[v._n if type(v) is QuadExt else v.denominator for v in values])
+    return [
+        _quad(v._p * (den // v._n), v._q * (den // v._n), 1, v._d) if type(v) is QuadExt
+        else v.numerator * (den // v.denominator)
+        for v in values
+    ], den
+
+
+def from_numerator(v, den: int) -> Scalar:
+    """The scalar v / den of a numerator v (an int, a Fraction or a QuadExt), den > 0."""
+    return _quad(v._p, v._q, v._n * den, v._d) if type(v) is QuadExt else Fraction(v, den)
+
+
 def as_scalar(value) -> Scalar:
     if type(value) is Fraction or isinstance(value, (Fraction, QuadExt)):
         return value
@@ -346,7 +364,7 @@ def sqrt_exact(value) -> Scalar:
 # -- text format -------------------------------------------------------------
 #
 # Rational:  "p" or "p/q".   Extension: "a + b*sqrt(D)" (also "a - b*sqrt(D)",
-# "b*sqrt(D)", "sqrt(D)").  render/parse round-trip exactly.
+# "b*sqrt(D)", "sqrt(D)", "-sqrt(D)").  render/parse round-trip exactly.
 
 #: The one grammar of an integer read from text, exponents and scalars
 #: alike: ASCII digits, after an optional sign.  ``int`` alone would also
@@ -355,7 +373,7 @@ DIGITS = "[0-9]+"
 _INTEGER = rf"[+-]?{DIGITS}"
 _RAT = rf"{_INTEGER}(?:/{DIGITS})?"
 _SQRT_RE = re.compile(
-    rf"^\s*(?:(?P<a>{_RAT})\s*(?P<sign>[+-])\s*)?(?P<b>{_RAT})?\s*\*?\s*sqrt\((?P<d>{DIGITS})\)\s*$"
+    rf"^\s*(?:(?P<a>{_RAT})\s*(?P<sign>[+-])\s*)?(?P<b>{_RAT}|[+-])?\s*\*?\s*sqrt\((?P<d>{DIGITS})\)\s*$"
 )
 _RAT_RE = re.compile(rf"^\s*(?P<r>{_RAT})\s*$")
 _INT_RE = re.compile(rf"^\s*{_INTEGER}\s*$")
@@ -369,24 +387,35 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
-def _rational(text: str) -> Fraction:
-    """The value of a ``_RAT`` match, read with ``int``."""
+def _ratio(text: str) -> tuple[int, int]:
+    """The numerator and denominator a ``_RAT`` match writes, read with ``int``;
+    a zero denominator raises ZeroDivisionError as ``Fraction`` does."""
     num, _, den = text.partition("/")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    num, den = int(num), int(den) if den else 1
+    if not den:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    return num, den
 
 
 def parse_scalar(text: str) -> Scalar:
     try:  # not a with block: this runs for every scalar of every input
         m = _RAT_RE.match(text)
         if m:
-            return _rational(m.group("r"))
+            return Fraction(*_ratio(m["r"]))
         m = _SQRT_RE.match(text)
         if m:
-            a = _rational(m.group("a")) if m.group("a") else Fraction(0)
-            b = _rational(m.group("b")) if m.group("b") else Fraction(1)
-            if m.group("sign") == "-":
-                b = -b
-            return quadext(a, b, int(m.group("d")))
+            # a + b*sqrt(D) = (an*bd + bn*sqrt(D)*ad) / (ad*bd), in integers
+            an, ad = _ratio(m["a"]) if m["a"] else (0, 1)
+            b = m["b"] or "1"
+            if b in "+-":  # a bare signed radical, "-sqrt(D)"
+                b += "1"
+            bn, bd = _ratio(b)
+            if m["sign"] == "-":
+                bn = -bn
+            s, d = squarefree_split(int(m["d"]))
+            if d == 1:  # D was a perfect square (or 0): sqrt(D) = s
+                return Fraction(an * bd + bn * s * ad, ad * bd)
+            return _quad(an * bd, bn * s * ad, ad * bd, d)
     except ValueError:
         with digit_limit("an input scalar"):
             raise

@@ -302,3 +302,47 @@ def test_entrywise_relations_and_casimir_match_the_matrix_expressions(field):
 def test_triple_dimension_validation():
     with pytest.raises(ValueError):
         MatrixTriple(Matrix.zeros(2), Matrix.zeros(3), Matrix.zeros(3))
+
+
+# -- oracle: the bracket's cubic by Horner's scheme on the scalars themselves --
+
+
+def _scalar_cubic(ts, params):
+    """alpha*t^3 + ... + delta at each t, Horner's scheme on Fractions and QuadExts."""
+    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
+    return [((t * a + b) * t + g) * t + d for t in ts]
+
+
+def _values_or_error(fn):
+    try:
+        return [(type(v), v) for v in fn()]
+    except ArithmeticError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+_CUBIC_FIELDS = {"Q": (1,), "Q(sqrt 2)": (1, 2), "mixed": (1, 2, 3, 5)}
+_SPIN_31 = [Fr(m, 2) for m in range(-31, 32, 2)]  # the diagonal of 2j = 31
+
+
+@pytest.mark.parametrize("field", sorted(_CUBIC_FIELDS))
+def test_cubic_on_numerators_matches_horner_on_scalars(field):
+    radicands = _CUBIC_FIELDS[field]
+    rng = random.Random(f"cubic-oracle-{field}")
+    zero = AlgebraParams(0, 0, 0, 0)
+    cases = [([Fr(0)], zero), (_SPIN_31, zero), ([Fr(0)] * 4, CLASSIC), (_SPIN_31, CLASSIC)]
+    for _ in range(400):
+        n = rng.choice((1, 1, 2, 3, 5, 8))
+        ts = [_scalar(rng, radicands, 0.2) for _ in range(n)]
+        if rng.random() < 0.2:
+            ts = _SPIN_31
+        params = [_scalar(rng, radicands, 0.25) for _ in range(4)]
+        if rng.random() < 0.2:
+            params[0] = Fr(0)  # alpha = 0
+        cases.append((ts, AlgebraParams(*params)))
+    errors = 0
+    for ts, params in cases:
+        got = _values_or_error(lambda: cubic(ts, params))
+        want = _values_or_error(lambda: _scalar_cubic(ts, params))
+        _assert_same_or_both_mix_radicands(got, want, radicands)
+        errors += isinstance(got, tuple)
+    assert (errors > 50) if field == "mixed" else (errors == 0)

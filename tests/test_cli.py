@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sl2deform.cli import _join_value_flags, build_parser, main
+from sl2deform.cli import _join_value_flags, build_parser, main, to_json
 from sl2deform.diffops import V3, enumerate_preserving_operators
 from sl2deform.scalars import parse_scalar
 
@@ -743,3 +743,64 @@ def test_cli_argv_fuzz_exits_0_1_or_2_with_a_report_or_usage(case):
     assert report["status"] == {0: "pass", 1: "fail", 2: "error"}[code], argv
     if code == 2:
         assert "\n" not in section(report, "error")["message"], argv
+
+
+def test_a_lone_signed_sqrt_is_accepted_on_the_command_line(capsys):
+    # "-sqrt(2)" reads as render_scalar's "-1*sqrt(2)", with the same report
+    outputs = []
+    for beta in ("-sqrt(2)", "-1*sqrt(2)"):
+        code = main(["verify-case", "--case", "2", "--alpha", "1", "--beta", beta])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+    assert section(json.loads(outputs[0][1]), "parameters")["beta"] == "-1*sqrt(2)"
+
+
+def test_a_zero_denominator_in_a_radical_is_named_as_fraction_names_it(capsys):
+    code, report = run_cli(
+        capsys, "verify-case", "--case", "2", "--alpha", "1/0*sqrt(2)", "--beta", "1")
+    assert code == 2
+    assert section(report, "error")["message"] == "ZeroDivisionError: Fraction(1, 0)"
+
+
+# -- the report writer against json.dumps(indent=2) --------------------------
+
+_AWKWARD = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028",
+                            "\u00e9", "\ufffd", "\U0001f600", "\U0010ffff", "/"])
+_TEXT = st.one_of(st.text(max_size=6), st.lists(_AWKWARD, max_size=6).map("".join))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2 ** 64, max_value=2 ** 200).flatmap(
+        lambda n: st.sampled_from([n, -n])),
+    _TEXT,
+)
+_REPORT_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORT_VALUES)
+def test_report_writer_matches_json_dumps(value):
+    assert to_json(value) == json.dumps(value, indent=2)
+
+
+def test_report_writer_matches_json_dumps_on_edge_values():
+    deep_list, deep_dict = [], {}
+    for _ in range(300):
+        deep_list, deep_dict = [deep_list, "x"], {"k": deep_dict, "": [1, {}]}
+    for value in ([], {}, [[]], [{}], {"": []}, [True, False, None, 0, -1], "",
+                  ["a", 1], [1, "a"], ["a", ["b"]], 2 ** 64, -(2 ** 64) - 1, 10 ** 100,
+                  [["\U0001f600", "\x00\"\\"]], deep_list, deep_dict):
+        assert to_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, float("nan"), (1, 2), {1: "a"}, {None: 1}, {("a",): 1}, {"a", "b"}, b"x",
+    Fr(1, 2), [1, 2.0], ["a", (1,)], {"a": ["b", 0.5]}, {"a": {2: "b"}},
+])
+def test_report_writer_refuses_what_is_not_a_report_value(value):
+    with pytest.raises(TypeError):
+        to_json(value)

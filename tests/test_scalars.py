@@ -359,3 +359,58 @@ def test_scalar_domain_error_exactly_for_mixed_radicands(a1, b1, d1, a2, b2, d2,
                 "+": lambda u, v: u + v, "-": lambda u, v: u - v,
                 "*": lambda u, v: u * v, "/": lambda u, v: u / v,
             }[op](_in_field(x, d), _in_field(y, d))
+
+
+def test_a_lone_signed_sqrt_parses():
+    assert parse_scalar("-sqrt(2)") == quadext(0, -1, 2)
+    assert parse_scalar(" +sqrt(2) ") == quadext(0, 1, 2)
+    assert parse_scalar("- sqrt(8)") == quadext(0, -2, 2)  # sqrt(8) = 2*sqrt(2)
+    assert parse_scalar("-sqrt(9)") == Fr(-3)
+    assert parse_scalar("1 - -sqrt(3)") == quadext(1, 1, 3)
+    # the form render_scalar writes reads back the same
+    assert parse_scalar("-sqrt(2)") == parse_scalar(render_scalar(quadext(0, -1, 2)))
+    for text in ("--sqrt(2)", "+-sqrt(2)", "-", "sqrt(-2)"):
+        with pytest.raises(ValueError, match=r"^cannot parse scalar "):
+            parse_scalar(text)
+
+
+# radicands squarefree, with square factors, perfect squares and 0
+_TEXT_D = st.sampled_from((2, 3, 6, 8, 12, 18, 50, 72, 0, 1, 4, 9, 36))
+_PART = st.one_of(st.just(Fr(0)), rationals)
+
+
+@given(_PART, _PART, _TEXT_D)
+def test_parse_scalar_reads_integers_to_the_value_quadext_builds(a, b, d):
+    want_plus, want_minus = quadext(a, b, d), quadext(a, -b, d)
+    for text, want in (
+        (f"{a} + {b}*sqrt({d})", want_plus),
+        (f"{a} - {b}*sqrt({d})", want_minus),
+        (f"{a}+{b}sqrt({d})", want_plus),
+        (f"{b}*sqrt({d})", quadext(0, b, d)),
+    ):
+        got = parse_scalar(text)
+        assert got == want and type(got) is type(want), (text, got, want)
+        _assert_integer_form(got)
+
+
+def test_a_zero_denominator_in_a_radical_raises_as_fraction_does():
+    for text, words in (("1/0*sqrt(2)", "Fraction(1, 0)"),
+                        ("-3/0 + sqrt(2)", "Fraction(-3, 0)"),
+                        ("1/0 + 1/0*sqrt(2)", "Fraction(1, 0)"),
+                        ("2 - 5/00*sqrt(3)", "Fraction(5, 0)")):
+        with pytest.raises(ZeroDivisionError) as info:
+            parse_scalar(text)
+        assert str(info.value) == words, text
+
+
+def test_a_radical_coefficient_past_the_digit_limit_is_named():
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    message = (f"an input scalar has an integer of more than {limit} digits, "
+               "the most that is converted to or from text")
+    for text in (f"1 + {'7' * 5000}*sqrt(2)", f"{'7' * 5000}*sqrt(2)",
+                 f"1 - 1/{'7' * 5000}*sqrt(2)"):
+        with pytest.raises(ValueError) as info:
+            parse_scalar(text)
+        assert str(info.value) == message
