@@ -187,7 +187,7 @@ def cmd_verify_case(args) -> dict:
         checks.append(intrinsic.passed)
     sections.append(_section("closure-intrinsic", intrinsic_values))
 
-    triple_mats = MatrixTriple(*(op.matrix_on_space(space) for op in triple_ops))
+    triple_mats = MatrixTriple(*[op.matrix_on_space(space) for op in triple_ops])
     residuals = check_deformed_relations(triple_mats, params)
     checks.append(residuals.all_zero)
     sections.append(
@@ -280,7 +280,7 @@ def _write_rep_file(path: str, triple: MatrixTriple, params: AlgebraParams) -> N
 
 def cmd_enumerate_preserving(args) -> dict:
     with digit_limit("an input exponent"):
-        exponents = tuple(parse_int(e) for e in args.space.split(","))
+        exponents = tuple([parse_int(e) for e in args.space.split(",")])
     space = MonomialSpace(exponents)
     basis = enumerate_preserving_operators(space, args.max_order)
     sections = [

@@ -245,7 +245,7 @@ class DiffOp:
             for i, f in enumerate(ff):
                 if f:
                     poly[i] = poly[i] + v * f
-        return {s: tuple(from_numerator(v, self._den) for v in per_shift[s])
+        return {s: tuple([from_numerator(v, self._den) for v in per_shift[s]])
                 for s in sorted(per_shift)}
 
     # -- module interaction -------------------------------------------------------
@@ -369,12 +369,14 @@ def parse_diffop(text: str) -> DiffOp:
 
 @dataclass(frozen=True)
 class MonomialSpace:
-    """Span of finitely many monomials x^e, e a strictly increasing exponent list."""
+    """Span of one or more monomials x^e, e a strictly increasing exponent list."""
 
     exponents: tuple[int, ...]
 
     def __post_init__(self):
         exps = tuple(self.exponents)
+        if not exps:
+            raise ValueError("a monomial space needs at least one exponent")
         if list(exps) != sorted(set(exps)) or any(e < 0 for e in exps):
             raise ValueError("exponents must be distinct, sorted and nonnegative")
         object.__setattr__(self, "exponents", exps)
@@ -445,10 +447,11 @@ def closure_check(
 
 
 #: Largest accepted (max_order + 1) * window width * dimension, the size of
-#: the dense preservation system.  It bounds the per-shift elimination and the
-#: basis size alike.  The slowest accepted input found, (3,) at order 198,
-#: takes about 1.1 s through the CLI, most of it building and printing its
-#: basis; the dense 0..29 at order 29 takes about 0.3 s (2-vCPU VM, Python 3.11).
+#: the dense preservation system.  It bounds the per-shift blocks and the
+#: basis size alike.  The slowest accepted inputs found, (0,) and (3,) at
+#: order 198, take about 0.9-1.1 s through the CLI, nearly all of it building
+#: and printing their bases of about 79,000 operators; the dense 0..29 at
+#: order 29 takes about 0.15 s (2-vCPU VM, Python 3.11).
 MAX_ENUMERATION_SIZE = 80_000
 
 
@@ -489,7 +492,10 @@ class _ExactSpan:
     and works over any integral domain (Bareiss, Math. Comp. 22, 1968).  A
     rational row is scaled to integers once, on entry, and every kept row is
     scaled as :func:`_canonical` says, so integer rows stay coprime integers
-    and no Fraction is made while they are combined.
+    and no Fraction is made while they are combined.  Only
+    :func:`lie_closure_probe` uses it, for rank and membership; the
+    preservation blocks of :func:`enumerate_preserving_operators` are solved
+    in closed form.
     """
 
     def __init__(self, width: int):
@@ -527,32 +533,44 @@ class _ExactSpan:
         self.pivot_cols.append(pc)
         return True
 
-    def nullspace(self) -> list[dict[int, Scalar]]:
-        """Basis of the vectors every row annihilates, one per free column, ascending.
-
-        The vector of free column f is the RREF one, 1 at f and minus row
-        i's entry f over its pivot at pivot i, scaled by the lcm of those
-        pivots when the rows involved are integers, so that it is an integer
-        vector.  It is given as {column: entry} over its nonzero entries.
-        Only pivots left of f can be nonzero, so f is its largest column.
-        """
-        pivots = dict(zip(self.pivot_cols, self.rows))
-        basis = []
-        for fc in range(self.width):
-            if fc in pivots:
-                continue
-            hits = [(pc, row[pc], row[fc]) for pc, row in pivots.items() if row[fc]]
-            if all(type(p) is int and type(x) is int for _, p, x in hits):
-                lead = math.lcm(*(p for _, p, _ in hits))
-                vec = {fc: lead, **{pc: -x * (lead // p) for pc, p, x in hits}}
-            else:
-                vec = {fc: Fraction(1), **{pc: -x / as_scalar(p) for pc, p, x in hits}}
-            basis.append(vec)
-        return basis
-
     @property
     def dimension(self) -> int:
         return len(self.rows)
+
+
+def _null_vectors(a: int, w: int, escaping: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """Null vectors of one preservation block, one per free column, ascending.
+
+    Column i of the block is the term order n = a + i, and an escaping
+    exponent k gives the row (k^(a+i falling))_(i<w).  Since k^(a+i falling)
+    = k^(a falling) (k - a)^(i falling), a row with k < a is zero, and the
+    others are the falling-factorial basis t^(i falling) at the r distinct
+    points x = k - a.  So c is a null vector exactly when sum_i c_i
+    t^(i falling) is a multiple of W(t) = prod (t - x): none when r >= w, and
+    otherwise the pivots are the first r columns and the RREF vector of free
+    column f is t^(f falling) - (t^(f falling) mod W).  W is monic, so that
+    vector has integer entries and the entry 1 at f; it is coprime, and is
+    given as its nonzero (column, entry) pairs, negated if its first entry is
+    negative.  Polynomials are kept in the falling-factorial basis, constant
+    term first, where t^(j falling) (t - i) = t^(j+1 falling) + (j - i) t^(j falling).
+    """
+    points = [k - a for k in escaping if k >= a]
+    r = len(points)
+    if r >= w:
+        return []
+    monic = [1]  # W
+    for x in points:
+        monic = [p + (j - x) * c for j, (p, c) in enumerate(zip([0] + monic, monic + [0]))]
+    rem = [-c for c in monic[:r]]  # t^(r falling) mod W
+    vectors = []
+    for f in range(r, w):
+        vec = [(j, -c) for j, c in enumerate(rem) if c] + [(f, 1)]
+        vectors.append(vec if vec[0][1] > 0 else [(j, -c) for j, c in vec])
+        # times (t - f), then the t^(r falling) term reduced by W
+        top = rem[-1] if r else 0
+        rem = [p + (j - f) * c - top * m
+               for j, (p, c, m) in enumerate(zip([0] + rem, rem, monic))]
+    return vectors
 
 
 def enumerate_preserving_operators(
@@ -571,13 +589,10 @@ def enumerate_preserving_operators(
     into one block per shift with at most max_order + 1 unknowns.  A block
     depends on the shift only through its derivative range and the exponents
     it sends out of the space, so shifts that agree in both share one
-    elimination; nothing is kept from one call to the next.  The rows
-    of a block are falling factorials k!/(k-n)!, integers, so each block is
-    eliminated fraction-free in integers (:class:`_ExactSpan`), its rows
-    multiples of the unique RREF rows.  Its null vectors are integer multiples
-    of the RREF ones, ordered by their free term in (n, m) order, so the
-    basis is that of the dense system.  Each vector is scaled to coprime
-    integers with a positive first entry.
+    solution; nothing is kept from one call to the next.  Each block's null
+    vectors are the RREF ones, in closed form (:func:`_null_vectors`),
+    ordered by their free term in (n, m) order, so the basis is that of the
+    dense system.  Each vector is coprime integers with a positive first entry.
     """
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
@@ -591,7 +606,6 @@ def enumerate_preserving_operators(
             )
         raise ValueError(message)
     members = set(space.exponents)
-    falling = {k: [_falling(k, n) for n in range(max_order + 1)] for k in space.exponents}
     # the block of shift s is fixed by its derivative range [a, b] and the
     # exponents it sends out of the space, so each distinct block is solved
     # once; a null vector is kept as (column, coefficient) pairs, column i
@@ -600,17 +614,10 @@ def enumerate_preserving_operators(
     found = []
     for s in range(lo - max_order, hi + 1):
         a, b = max(0, lo - s), min(max_order, hi - s)
-        escaping = tuple(k for k in space.exponents if k + s not in members)
+        escaping = tuple([k for k in space.exponents if k + s not in members])
         vectors = blocks.get((a, b, escaping))
         if vectors is None:
-            span = _ExactSpan(b - a + 1)
-            for k in escaping:
-                span.add(falling[k][a:b + 1])
-            vectors = blocks[(a, b, escaping)] = []
-            for vec in span.nullspace():
-                cols = sorted(vec)
-                values = _canonical([vec[i] for i in cols], 0)
-                vectors.append(list(zip(cols, values)))
+            vectors = blocks[(a, b, escaping)] = _null_vectors(a, b - a + 1, escaping)
         for vec in vectors:
             free_n = a + vec[-1][0]
             found.append(((free_n, s + free_n), s + a, a, vec))
@@ -650,7 +657,7 @@ def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosure
     # operators are compared in their term coordinates (m, n), each by its
     # numerators: a positive multiple spans the same line
     every = ops + diagonal_allowance + brackets
-    keys = sorted(set().union(*(op._num for op in every)))
+    keys = sorted(set().union(*[op._num for op in every]))
     vectors = [[op._num.get(key, 0) for key in keys] for op in every]
     cut = len(ops) + len(diagonal_allowance)
     span = _ExactSpan(len(vectors[0]))

@@ -83,7 +83,7 @@ class Matrix:
     @property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
         """Dense row-major view, zeros included."""
-        return tuple(tuple(row) for row in self._dense(_ZERO, lambda x: x))
+        return tuple([tuple(row) for row in self._dense(_ZERO, lambda x: x)])
 
     def _dense(self, zero, render) -> list[list]:
         out = []

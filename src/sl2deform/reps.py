@@ -247,7 +247,7 @@ def decompose_rep(rep: MatrixTriple) -> list[RepBlock]:
     split = coordinate_block_split([rep.j0, rep.jplus, rep.jminus])
     out = []
     for block in split.blocks:
-        eigs = tuple(rep.diagonal[i] for i in block)
+        eigs = tuple([rep.diagonal[i] for i in block])
         label: Union[Scalar, tuple[Scalar, ...]] = eigs[0] if len(eigs) == 1 else eigs
         out.append(RepBlock(indices=block, two_j_label=len(block) - 1, c_label=label))
     return out

@@ -18,6 +18,7 @@ from sl2deform.diffops import (
     _ExactSpan,
     _falling,
     _falling_coefficients,
+    _null_vectors,
     closure_check,
     enumerate_preserving_operators,
     lie_closure_probe,
@@ -331,6 +332,11 @@ def test_monomial_space_validation():
         MonomialSpace((0, 0, 1))
     with pytest.raises(ValueError):
         MonomialSpace((-1, 0))
+
+
+def test_an_empty_space_is_refused_with_a_one_line_message():
+    with pytest.raises(ValueError, match="^a monomial space needs at least one exponent$"):
+        MonomialSpace(())
 
 
 def test_preserves_space_examples():
@@ -647,6 +653,54 @@ def test_enumerate_equals_the_sympy_basis_operator_by_operator():
         ), (space.exponents, order)
 
 
+def _rref_null_vectors(a, w, escaping):
+    """sympy's RREF null space of the block, each vector as {column: nonzero entry}."""
+    rows = [[sympy.QQ(math.perm(k, a + i)) for i in range(w)] for k in escaping]
+    rref, pivots = DomainMatrix(rows, (len(rows), w), sympy.QQ).rref()
+    basis = []
+    for fc in (c for c in range(w) if c not in pivots):
+        vec = {fc: 1, **{pc: -rref[i, fc].element for i, pc in enumerate(pivots)}}
+        basis.append({c: v for c, v in vec.items() if v})
+    return basis
+
+
+def test_block_null_vectors_are_the_sympy_rref_ones():
+    # a block has columns x^(s+a+i) D^(a+i), i < w, and one row of falling
+    # factorials k^(a+i falling) per escaping exponent k: zero when k < a
+    rng = random.Random("block-null-vectors")
+    blocks = [
+        (0, 1, ()), (4, 6, (0, 1, 3)),         # r = 0: no rows, or only zero rows
+        (0, 3, (0, 2, 5)), (2, 3, (1, 2, 4, 7)),  # r = w, the second with a zero row
+        (0, 2, (0, 1, 2)), (1, 3, (0, 3, 5, 7, 9)),  # r > w
+        (0, 40, (60,)), (20, 40, tuple(range(0, 61, 3))),
+    ]
+    for _ in range(250):
+        a, w = rng.randint(0, 20), rng.randint(1, 40)
+        escaping = tuple(sorted(rng.sample(range(61), rng.randint(0, min(w + 2, 14)))))
+        blocks.append((a, w, escaping))
+    shapes = set()
+    for a, w, escaping in blocks:
+        r = sum(k >= a for k in escaping)
+        shapes.add(("r = 0" if r == 0 else "r < w" if r < w else "r = w" if r == w else "r > w",
+                    r < len(escaping)))
+        got = _null_vectors(a, w, escaping)
+        want = _rref_null_vectors(a, w, escaping)
+        # one vector per free column, ascending, the free column last in each
+        assert [vec[-1][0] for vec in got] == [max(vec) for vec in want], (a, w, escaping)
+        for vec, rref_vec in zip(got, want):
+            cols = [c for c, _ in vec]
+            assert cols == sorted(set(cols))
+            assert all(type(v) is int and v for _, v in vec)
+            # the RREF vector itself, its entry 1 at the free column, with the
+            # sign flipped when that makes the first entry positive
+            sign = vec[-1][1]
+            assert sign in (1, -1) and vec[0][1] > 0
+            assert {c: v * sign for c, v in vec} == rref_vec, (a, w, escaping)
+    # every rank regime occurs, with and without zero rows
+    assert {kind for kind, _ in shapes} == {"r = 0", "r < w", "r = w", "r > w"}
+    assert {zero_rows for _, zero_rows in shapes} == {True, False}
+
+
 def test_enumerate_rejects_an_over_budget_system_at_once():
     # (max_order + 1) * window * dimension for (0, top) at order 0 is 2 * (top + 1)
     top = MAX_ENUMERATION_SIZE // 2
@@ -717,22 +771,9 @@ def test_exact_span_agrees_with_sympy(kind):
         span = _ExactSpan(width)
         assert [span.add(row) for row in rows] == [i in independent for i in range(nrows)]
         assert all(type(v) in (int, Fr, QuadExt) for row in span.rows for v in row)
-        rref, pivots = matrix.rref()
+        _, pivots = matrix.rref()
         assert span.dimension == len(pivots)
         ranks.add((span.dimension, nrows, width))
-
-        null = span.nullspace()
-        free = [c for c in range(width) if c not in pivots]
-        assert [max(vec) for vec in null] == free
-        for vec, fc in zip(null, free):
-            if kind == "int":
-                assert all(type(v) is int for v in vec.values())
-            lead = _in_field(field, vec[fc])
-            got = [_in_field(field, vec.get(c, 0)) / lead for c in range(width)]
-            want = [field.one if c == fc else field.zero for c in range(width)]
-            for i, pc in enumerate(pivots):
-                want[pc] = -rref[i, fc].element
-            assert got == want
 
         combos = [[_kernel_scalar(rng, kind) for _ in rows] for _ in range(3)]
         probes = [[sum((c * r[j] for c, r in zip(coeffs, rows)), 0) for j in range(width)]
@@ -755,8 +796,6 @@ def test_exact_span_keeps_rows_of_ints_and_radicals_exact():
     assert span.add([2, r, 0]) and span.add([0, 3, Fr(1, 2)])
     assert not span.add([2, r + 6, 1])  # the first row plus twice the second
     assert all(type(v) in (int, Fr, QuadExt) for row in span.rows for v in row)
-    # RREF rows [1, 0, -r/12] and [0, 1, 1/6]
-    assert span.nullspace() == [{0: r / 12, 1: Fr(-1, 6), 2: 1}]
 
 
 def test_exact_span_keeps_the_same_rows_for_fraction_and_integer_input():
