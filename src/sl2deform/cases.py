@@ -13,7 +13,7 @@ and everything else about the case follows from the space and the pair:
   polynomial through the exponents, written in falling factorials;
 - the sums S_n = e_dst^n + e_src^n - 2*e_oth^n give the quadratic for c that
   ``reps.solve_case`` solves, and the shift-0 polynomial of [J+, J-] fixes
-  the intrinsic locus that ``reps.intrinsic_gamma_and_product`` computes.
+  the intrinsic point at (alpha, beta) = (1, 0), whose orbit is the locus.
 
 The paper's three cases are the ladders 0 -> 1, 1 -> 3 and 0 -> 3 on
 {1, x, x^3}.  Only the whole-module label constant as the paper prints it is
@@ -70,6 +70,7 @@ class CaseData:
     lower_op: DiffOp
     # [raise_op, lower_op] x^k = sum_i bracket_poly[i] k^i x^k
     bracket_poly: tuple[Fraction, ...]
+    intrinsic: tuple[Fraction, Fraction, Fraction]  # (p*, c*, fg*) at alpha = 1, beta = 0
 
 
 def derive_case(space: MonomialSpace, k_src: int, k_dst: int) -> CaseData:
@@ -94,6 +95,10 @@ def derive_case(space: MonomialSpace, k_src: int, k_dst: int) -> CaseData:
     # [raise, lower] has shift 0 only, and its k^3 coefficient is -4 * shift
     # times the k^2 coefficients of the two ladders, so it is always cubic
     bracket = raise_op.commutator(lower_op).symbolic_action()
+    # the intrinsic point: fg* Q(k) = t^3 + p* t + r at t = (k - k_mid)/step + c*
+    _, q1, q2, q3 = bracket[0]
+    fg = 1 / (step ** 3 * q3)
+    u = fg * q2 * step * step / 3  # c* - k_mid/step
     return CaseData(
         space=space,
         q=dst - src,
@@ -108,6 +113,7 @@ def derive_case(space: MonomialSpace, k_src: int, k_dst: int) -> CaseData:
         raise_op=raise_op,
         lower_op=lower_op,
         bracket_poly=bracket[0],
+        intrinsic=(fg * q1 * step - 3 * u * u, u + Fr(k_mid, step), fg),
     )
 
 

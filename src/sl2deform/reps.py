@@ -9,12 +9,12 @@ coefficient is pinned by the unit-shift relation [J0, J+] = J+, so the whole
 relation system reduces to 2J + 1 diagonal constraints; only the product
 f*g is ever constrained, never the split.
 
-The three-dimensional cases are solved from the data ``cases.derive_case``
-computes from each case's exponent pair: eliminating f*g and delta from the
-three constraints leaves a quadratic in c, and matching the ladder bracket
-with the cubic in J0 = (k - k_mid)/step + c on every x^k gives the intrinsic
-locus.  ``_case_parameters`` is the one guard on (alpha, beta, gamma) for
-both solvers; ``sqrt_exact`` rejects an irrational radicand.
+The three-dimensional cases are solved in normal form.  J0 -> J0 + s and
+J+ -> J+/alpha keep [J0, J+-] = +-J+- and turn the cubic into t^3 + p t + r
+(s = beta/(3 alpha), p = gamma/alpha - 3 s^2), so the quadratic in c + s has
+no beta, and each intrinsic locus is the orbit of the one point that
+``cases.derive_case`` solves.  ``_case_parameters`` is the one guard on
+(alpha, beta, gamma); ``sqrt_exact`` rejects an irrational radicand.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from .algebra import AlgebraParams, MatrixTriple, cubic
 from .matrices import Matrix, coordinate_block_split
-from .scalars import Scalar, as_scalar, scalar_is_zero, sqrt_exact
+from .scalars import QuadExt, Scalar, ScalarDomainError, as_scalar, scalar_is_zero, sqrt_exact
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; cases imports this module
     from .cases import CaseId
@@ -138,7 +138,8 @@ def _case_parameters(alpha, beta, gamma) -> tuple[Scalar, Scalar, Scalar]:
 
     alpha = beta = 0 leaves only the trivial algebra.  With alpha != 0 the
     branch is picked by the sign of a multiple of 1/alpha, so alpha must be
-    rational there; beta and gamma may be irrational as long as the radicand
+    rational there; beta and gamma may be irrational over one radicand (the
+    shift squares beta, which would hide a second), as long as the radicand
     of :func:`solve_case` stays rational, which ``sqrt_exact`` checks.
     """
     alpha, beta, gamma = as_scalar(alpha), as_scalar(beta), as_scalar(gamma)
@@ -149,14 +150,16 @@ def _case_parameters(alpha, beta, gamma) -> tuple[Scalar, Scalar, Scalar]:
             )
     elif not isinstance(alpha, Fraction):
         raise ValueError("alpha != 0 must be rational")
+    if isinstance(beta, QuadExt) and isinstance(gamma, QuadExt) and beta.d != gamma.d:
+        raise ScalarDomainError(f"mixed radicands sqrt({gamma.d}) and sqrt({beta.d})")
     return alpha, beta, gamma
 
 
-def _c_quadratic(case: CaseId, alpha, beta, gamma) -> tuple[Scalar, Scalar, Scalar]:
-    """(A, B, C) of A c^2 + B c + C = 0, what the three constraints leave of c.
-
-    Eliminating f*g and delta sums cubic(c + e) over the raised and source
-    labels less twice the third label's; the c^3 terms cancel.  Raises
+def _c_quadratic(case: CaseId, alpha, beta, gamma) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """(s, A, B, C): c = c' - s, and A c'^2 + B c' + C = 0 is what the three
+    constraints leave of c'.  Their sum, raised + source - 2 * third, cancels
+    f*g, delta and c'^3: A = 3 S1, B = 3 S2 and C = p S1 + S3, or with
+    s = gamma/(2 beta) at alpha = 0, A = 0, B = 2 S1 and C = S2.  Raises
     ``ValueError`` when S1 = 0, where the quadratic degenerates.
     """
     data = case.data
@@ -166,7 +169,10 @@ def _c_quadratic(case: CaseId, alpha, beta, gamma) -> tuple[Scalar, Scalar, Scal
         raise ValueError(f"the ladder x^{k_src} -> x^{k_src + data.step} on "
                          f"{list(data.space.exponents)} has S1 = 0, where the "
                          "quadratic in c degenerates")
-    return 3 * alpha * s1, 3 * alpha * s2 + 2 * beta * s1, gamma * s1 + beta * s2 + alpha * s3
+    if scalar_is_zero(alpha):
+        return gamma / (2 * beta), 0, 2 * s1, s2
+    s = beta / (3 * alpha)
+    return s, 3 * s1, 3 * s2, (gamma / alpha - 3 * s * s) * s1 + s3
 
 
 def solve_case(
@@ -185,16 +191,15 @@ def solve_case(
     """
     alpha, beta, gamma = _case_parameters(alpha, beta, gamma)
     e_dst, _, e_oth = case.data.energies
-    a, b, c0 = _c_quadratic(case, alpha, beta, gamma)
+    s, a, b, c0 = _c_quadratic(case, alpha, beta, gamma)
     if scalar_is_zero(alpha):
-        c = -c0 / b
+        c = -c0 / b - s
         branch_tag = "alpha-zero"
     else:
         if branch not in ("upper", "lower"):
             raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
-        s1 = case.data.label_sums[0]
-        root = sqrt_exact((b * b - 4 * a * c0) / (36 * s1 * s1))
-        c = -b / (2 * a) + (root if branch == "upper" else -root) / alpha
+        root = sqrt_exact(alpha * alpha * (b * b - 4 * a * c0) / (4 * a * a))
+        c = -b / (2 * a) - s + (root if branch == "upper" else -root) / alpha
         branch_tag = branch
     bare = AlgebraParams(alpha, beta, gamma, 0)
     at_oth, at_dst = cubic([c + e_oth, c + e_dst], bare)
@@ -206,25 +211,19 @@ def solve_case(
 def intrinsic_gamma_and_product(case: CaseId, alpha: Scalar, beta: Scalar) -> IntrinsicData:
     """gamma, f*g and c making the case realization close independently of the module.
 
-    On x^k the bracket [J+, J-] is f*g*Q(k), Q the case's cubic
-    ``bracket_poly``, and J0 is (k - k_mid)/step + c; matching the
-    coefficients of k^3, k^2 and k^1 of f*g*Q(k) = cubic((k - k_mid)/step + c)
-    fixes f*g, c and gamma.
-    Also reports the square-root branch of :func:`solve_case` that gives this c.
+    The locus is one orbit: the case's point (p*, c*, fg*) at (alpha, beta) =
+    (1, 0), carried to gamma = alpha (p* + 3 s^2), c = c* - s and
+    f*g = alpha fg*.  Also reports the square-root branch of
+    :func:`solve_case` that gives this c: the case's branch at alpha > 0,
+    the other one at alpha < 0.
     """
     alpha, beta, _ = _case_parameters(alpha, beta, 0)
     if scalar_is_zero(alpha):
         raise ValueError("the intrinsic locus needs alpha != 0")
-    data = case.data
-    step = data.step
-    _, q1, q2, q3 = data.bracket_poly
-    fg = alpha / (step ** 3 * q3)
-    u = (fg * q2 * step * step - beta) / (3 * alpha)  # c - k_mid/step
-    gamma = fg * q1 * step - 3 * alpha * u * u - 2 * beta * u
-    c = u + Fr(data.k_mid, step)
-    a, b, _ = _c_quadratic(case, alpha, beta, gamma)
+    p, c, fg = case.data.intrinsic
+    s, a, b, _ = _c_quadratic(case, alpha, beta, 0)
     branch = "upper" if (c + b / (2 * a)) / alpha > 0 else "lower"
-    return IntrinsicData(gamma=gamma, fg=fg, c=c, branch=branch)
+    return IntrinsicData(gamma=alpha * (p + 3 * s * s), fg=alpha * fg, c=c - s, branch=branch)
 
 
 @dataclass(frozen=True)

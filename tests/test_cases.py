@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from sl2deform.cases import CaseId, derive_case
 from sl2deform.diffops import V3, DiffOp, MonomialSpace
@@ -170,9 +172,147 @@ def test_the_parameter_region_is_guarded_once_for_both_solvers():
     # alpha = 0 keeps irrational beta and gamma
     sol = solve_case(CaseId.CASE1, 0, root2, 1)
     assert sol.branch == "alpha-zero"
+    # but not over two radicands: the shift would square beta's away and
+    # meet sqrt(3) alone, failing later on an irrational radicand instead
+    for case, alpha in itertools.product(CaseId, (0, 1)):
+        with pytest.raises(ScalarDomainError) as err:
+            solve_case(case, alpha, root2, quadext(0, 1, 3))
+        assert str(err.value) == "mixed radicands sqrt(3) and sqrt(2)", (case, alpha)
 
 
 def test_each_case_carries_the_space_it_was_derived_on():
     assert [case.data.space for case in CaseId] == [V3] * 3
     space = MonomialSpace((0, 2, 5))
     assert derive_case(space, 0, 5).space is space
+
+
+def test_printed_label_constants_against_the_intrinsic_label():
+    # the paper's whole-module constant is c* in cases 1 and 2, and twice c*
+    # in case 3, the discrepancy verify-case reports
+    c_star = {case: case.data.intrinsic[1] for case in CaseId}
+    assert c_star == {CaseId.CASE1: Fr(-3, 4), CaseId.CASE2: Fr(0), CaseId.CASE3: Fr(-1, 12)}
+    for case in (CaseId.CASE1, CaseId.CASE2):
+        assert case.printed_label_const == c_star[case]
+    assert CaseId.CASE3.printed_label_const == Fr(-1, 6) != c_star[CaseId.CASE3]
+
+
+def _residue(expr, root, square):
+    """The numerator of ``expr`` reduced modulo root^2 = square, in ``root``."""
+    num, _ = sympy.fraction(sympy.together(expr))
+    return sympy.expand(sympy.rem(sympy.expand(num), root**2 - square, root))
+
+
+def test_the_transport_law_is_the_published_closed_forms():
+    """Normal form at (1, 0, p), carried by c = c' - s, f*g = alpha fg' and
+    delta = alpha (s^3 + p s + delta'), against the published expressions as
+    identities in symbolic (alpha, beta, gamma); alpha = 0 likewise from
+    (0, 1, 0) with delta = beta (s^2 + delta')."""
+    alpha, beta, gamma, root = sympy.symbols("alpha beta gamma root")
+    for case in CaseId:
+        data, pub = case.data, PUBLISHED[case]
+        s1, s2, s3 = map(sympy.Rational, data.label_sums)
+        e_dst, _, e_oth = map(sympy.Rational, data.energies)
+        p_star, c_star, fg_star = map(sympy.Rational, data.intrinsic)
+        ra, rb, rc = map(sympy.Rational, pub.radicand)
+        published_radicand = pub.radicand_premul * (
+            ra * alpha**2 + rb * beta**2 + rc * alpha * gamma
+        )
+
+        s = beta / (3 * alpha)
+        p = gamma / alpha - 3 * s**2
+        a, b, c0 = 3 * s1, 3 * s2, p * s1 + s3
+        radicand = alpha**2 * (b * b - 4 * a * c0) / (4 * a * a)
+        assert sympy.simplify(radicand * pub.c_sqrt_den**2 - published_radicand) == 0
+        assert -b / (2 * a) == sympy.Rational(pub.c_const)
+
+        for sign in (1, -1):
+            # root/(c_sqrt_den alpha) is the signed square root over alpha
+            c_prime = -b / (2 * a) + sign * root / (pub.c_sqrt_den * alpha)
+            delta_prime = -((c_prime + e_oth) ** 3 + p * (c_prime + e_oth))
+            fg_prime = (c_prime + e_dst) ** 3 + p * (c_prime + e_dst) + delta_prime
+            c = c_prime - s
+            delta = alpha * (s**3 + p * s + delta_prime)
+            fg = alpha * fg_prime
+
+            published_c = (
+                pub.c_const - beta / (3 * alpha) + sign * root / (pub.c_sqrt_den * alpha)
+            )
+            published_delta = (
+                pub.delta_alpha * alpha
+                - sympy.Rational(2, 27) * beta**3 / alpha**2
+                + beta * gamma / (3 * alpha)
+                + sign
+                * (pub.delta_b2 * beta**2 / alpha**2 + pub.delta_g * gamma / alpha
+                   + pub.delta_const)
+                * root
+                / pub.d_sqrt_den
+            )
+            t = published_c + pub.fg_shift
+            published_fg = ((alpha * t + beta) * t + gamma) * t + published_delta
+            for got, want in ((c, published_c), (delta, published_delta), (fg, published_fg)):
+                assert _residue(got - want, root, published_radicand) == 0, case
+
+        # alpha = 0 from (0, 1, 0)
+        s0 = gamma / (2 * beta)
+        c_prime = -s2 / (2 * s1)
+        delta_prime = -((c_prime + e_oth) ** 2)
+        c = c_prime - s0
+        delta = beta * (s0**2 + delta_prime)
+        fg = beta * ((c_prime + e_dst) ** 2 + delta_prime)
+        assert sympy.simplify(c - (pub.c_const - gamma / (2 * beta))) == 0
+        assert sympy.simplify(delta - (gamma**2 / (4 * beta) - pub.alpha0_delta_coeff * beta)) == 0
+        t = c + pub.fg_shift
+        assert sympy.simplify(fg - ((beta * t + gamma) * t + delta)) == 0
+
+        # the intrinsic locus is the orbit of (p*, c*, fg*)
+        assert sympy.simplify(alpha * (p_star + 3 * s**2)
+                              - (pub.ig_alpha * alpha + beta**2 / (3 * alpha))) == 0
+        assert sympy.simplify(c_star - s - (pub.intrinsic_c_const - beta / (3 * alpha))) == 0
+        assert fg_star == pub.intrinsic_fg
+        # upper at alpha > 0 exactly when c* lies above -B/(2A)
+        assert (c_star - pub.c_const > 0) == (not pub.upper_needs_negative_alpha)
+        assert c_star != pub.c_const
+
+
+_RATIONAL = st.builds(Fr, st.integers(-30, 30), st.integers(1, 12))
+_NONZERO = _RATIONAL.filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.sampled_from(list(CaseId)),
+    alpha=st.one_of(st.just(Fr(0)), _NONZERO),
+    beta=_RATIONAL,
+    beta_root2=_RATIONAL,
+    tau=_RATIONAL.map(abs),
+    tau_radicand=st.sampled_from([1, 2]),
+    gamma0=_RATIONAL,
+    branch=st.sampled_from(["upper", "lower"]),
+)
+def test_every_solution_is_the_transport_of_the_normal_form(
+    case, alpha, beta, beta_root2, tau, tau_radicand, gamma0, branch
+):
+    # beta in Q(sqrt 2) and the root of the normal-form radicand in Q or Q(sqrt 2)
+    beta = quadext(beta, beta_root2, 2)
+    s1, s2, s3 = case.data.label_sums
+    if alpha == 0:
+        assume(beta != 0)
+        gamma = quadext(gamma0, beta_root2, 2)
+        s = gamma / (2 * beta)
+        base = solve_case(case, 0, 1, 0)
+        sol = solve_case(case, 0, beta, gamma)
+        assert (sol.c, sol.delta, sol.fg, sol.branch) == (
+            base.c - s, beta * (s * s + base.delta), beta * base.fg, "alpha-zero"
+        )
+        return
+    # p such that the radicand at (1, 0, p) is tau^2 * tau_radicand
+    a, b = 3 * s1, 3 * s2
+    p = ((b * b - 4 * a * a * tau * tau * tau_radicand) / (4 * a) - s3) / s1
+    s = beta / (3 * alpha)
+    gamma = alpha * (p + 3 * s * s)
+    swapped = branch if alpha > 0 else ("lower" if branch == "upper" else "upper")
+    base = solve_case(case, 1, 0, p, swapped)
+    sol = solve_case(case, alpha, beta, gamma, branch)
+    assert (sol.c, sol.delta, sol.fg, sol.branch) == (
+        base.c - s, alpha * (s**3 + p * s + base.delta), alpha * base.fg, branch
+    )
