@@ -481,6 +481,17 @@ def _canonical(vec: Sequence, pc: int) -> list:
     return [v / p for v in vec]
 
 
+def _numerators(mat: Matrix) -> Matrix:
+    """The multiple of ``mat`` whose entries are its numerators over their lcm
+    (:func:`~sl2deform.scalars.to_numerators`): ints, and QuadExts over 1."""
+    entries = list(mat.entries())
+    nums, _ = to_numerators([x for _, _, x in entries])
+    rows: list[dict] = [{} for _ in range(mat.dimension)]
+    for (i, j, _), v in zip(entries, nums):
+        rows[i][j] = v
+    return Matrix._of(mat.dimension, rows)
+
+
 class _ExactSpan:
     """Incremental exact row space, reduced and fraction-free.
 
@@ -493,9 +504,11 @@ class _ExactSpan:
     rational row is scaled to integers once, on entry, and every kept row is
     scaled as :func:`_canonical` says, so integer rows stay coprime integers
     and no Fraction is made while they are combined.  Only
-    :func:`lie_closure_probe` uses it, for rank and membership; the
-    preservation blocks of :func:`enumerate_preserving_operators` are solved
-    in closed form.
+    :func:`lie_closure_probe` uses it, for rank and membership, and its rows
+    arrive as integers already: operator numerators, and matrices carried as
+    their numerators; only a row holding a QuadExt is divided by its pivot.
+    The preservation blocks of :func:`enumerate_preserving_operators` are
+    solved in closed form.
     """
 
     def __init__(self, width: int):
@@ -647,6 +660,15 @@ def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosure
     deformation.  Matrix level: the span of the operators' matrices on the
     space is saturated under commutators until a round adds nothing, and its
     dimension reported; ``rounds_used`` counts that last round.
+
+    Every commutator is traceless (tr AB = tr BA), so the saturated span lies
+    in span(mats) + sl(n): its dimension is at most n^2 - 1, or n^2 when some
+    matrix has a nonzero trace.  Once the span reaches that bound no bracket
+    can add to it, so saturation stops there, and the round that would add
+    nothing is counted without being run.  Rank and membership do not change
+    under nonzero scaling, so each matrix is replaced by its numerators
+    (:func:`_numerators`) and the brackets are formed on ints, or QuadExts
+    over 1 for an irrational entry.
     """
     ops = list(ops)
     # matrix_on_space raises SpaceEscapeError for an operator leaving the space
@@ -669,33 +691,41 @@ def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosure
 
     n = space.dimension
 
-    def flat(mat: Matrix) -> list[Scalar]:
-        vec: list[Scalar] = [Fraction(0)] * (n * n)
+    def flat(mat: Matrix) -> list:
+        vec: list = [0] * (n * n)
         for i, j, x in mat.entries():
             vec[i * n + j] = x
         return vec
 
+    # every bracket is traceless, so the span saturates inside span(mats) +
+    # sl(n), of dimension n^2 - 1, or n^2 once some matrix has a trace
+    bound = n * n - 1
     mspan = _ExactSpan(n * n)
     basis_mats: list[Matrix] = []
-    for mat in mats:
+    for mat in map(_numerators, mats):
+        if sum(mat[i, i] for i in range(n)):
+            bound = n * n
         if mspan.add(flat(mat)):
             basis_mats.append(mat)
     # semi-naive saturation: pairs of matrices older than the last round were
     # bracketed already, and their brackets stay in the growing span; every
-    # round but the last grows it, and its dimension is at most n^2
+    # round but the last grows it
     rounds = done = 0
-    grew = True
-    while grew:
+    while mspan.dimension < bound:
         rounds += 1
-        grew = False
         current = list(basis_mats)
-        for i in range(len(current)):
-            for j in range(max(i + 1, done), len(current)):
-                br = commutator(current[i], current[j])
-                if mspan.add(flat(br)):
-                    basis_mats.append(br)
-                    grew = True
+        for a, b in ((a, b) for i, a in enumerate(current) for b in current[max(i + 1, done):]):
+            br = commutator(a, b)
+            if mspan.add(flat(br)):
+                basis_mats.append(br)
+                if mspan.dimension == bound:
+                    break
+        if len(basis_mats) == len(current):
+            break
         done = len(current)
+    else:
+        # the span is full: the round that would add nothing is counted, not run
+        rounds += 1
     return LieClosureReport(
         closed_as_operators=not failing,
         failing_pairs=failing,

@@ -29,7 +29,10 @@ class Matrix:
     ``_rows[i]`` maps each column of a nonzero entry of row i to that entry,
     columns ascending.  Entries may live in different quadratic extensions;
     compatibility is enforced lazily, by the scalar arithmetic of whatever
-    operation actually combines two entries.
+    operation actually combines two entries.  The unchecked :meth:`_of` also
+    takes integer numerators, ints and QuadExts over 1, and the ring
+    operations and :func:`commutator` keep them so: the Lie closure probe
+    brackets its matrices that way.
     """
 
     __slots__ = ("dimension", "_rows")

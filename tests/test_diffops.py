@@ -7,6 +7,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from sl2deform import diffops
 from sl2deform.algebra import AlgebraParams, build_classic_sl2_diffops
 from sl2deform.cases import CaseId, build_case_realization
 from sl2deform.diffops import (
@@ -871,6 +872,150 @@ def test_probe_saturates_brackets_of_new_brackets():
                 grew = True
     assert report.matrix_lie_span_dimension == len(basis) == 8
     assert report.rounds_used == rounds == 3
+
+
+def _matrix_bound(ops, space):
+    """n^2 - 1, plus 1 when some operator's matrix has a nonzero trace."""
+    n = space.dimension
+    traces = [sum(op.matrix_on_space(space)[i, i] for i in range(n)) for op in ops]
+    return n * n - 1 + any(not scalar_is_zero(t) for t in traces)
+
+
+def _lie_span_dimensions_by_sympy(ops, space):
+    """Dimensions d_0, d_1, ... of the matrix Lie span: d_0 that of the
+    matrices, d_r after round r, which brackets every pair of a basis of the
+    span after round r - 1.  The list ends at the first round that adds
+    nothing; products and ranks are sympy's, over QQ or QQ<sqrt(2)>."""
+    irrational = any(isinstance(c, QuadExt) for op in ops for c in op.terms.values())
+    field = _QQ_SQRT2 if irrational else sympy.QQ
+    n = space.dimension
+    mats = [DomainMatrix([[_in_field(field, x) for x in row]
+                          for row in op.matrix_on_space(space).rows], (n, n), field)
+            for op in ops]
+
+    def independent(ms):
+        """The matrices of ``ms`` independent of those before them."""
+        if not ms:
+            return []
+        flat = DomainMatrix([m.to_list_flat() for m in ms], (len(ms), n * n), field)
+        _, pivots = flat.transpose().rref()
+        return [ms[i] for i in pivots]
+
+    basis = independent(mats)
+    dims = [len(basis)]
+    while len(dims) < 2 or dims[-1] > dims[-2]:
+        brackets = [a * b - b * a for a, b in itertools.combinations(basis, 2)]
+        basis = independent(basis + brackets)
+        dims.append(len(basis))
+    return dims
+
+
+def _probe_families():
+    """Seeded families: enumerated bases at orders 1 and 2 on 3-6 exponents,
+    consecutive or not, whole and sampled, and the six ladders with and
+    without the case 1 and 2 diagonals; each scaled by seeded rationals, and
+    those on V3 also by 1 + sqrt(2)."""
+    rng = random.Random("probe-saturation-oracle")
+    ladders = six_ladders()
+    diagonals = [build_case_realization(case, 1, 0, f=1, g=1)[0]
+                 for case in (CaseId.CASE1, CaseId.CASE2)]
+    families = []
+    for size in (3, 4, 5, 6):
+        start = rng.randint(0, 3)
+        for exponents in (range(start, start + size), rng.sample(range(size + 3), size)):
+            space = MonomialSpace(tuple(sorted(exponents)))
+            for order in (1, 2):
+                basis = enumerate_preserving_operators(space, order)
+                families.append((basis, space))
+                families.append((rng.sample(basis, rng.randint(1, len(basis))), space))
+    for ops in (ladders, ladders + diagonals, [ladders[0], ladders[2], ladders[5]],
+                [ladders[0], ladders[1]], ladders[:4] + diagonals[:1]):
+        families.append((ops, V3))
+    unit = quadext(1, 1, 2)
+    scaled = []
+    for ops, space in families:
+        scaled.append(([op.scale(rand_fraction(rng, nonzero=True)) for op in ops], space))
+        if space == V3:
+            scaled.append(([op.scale(unit) for op in ops], space))
+    return scaled
+
+
+def test_probe_matches_a_saturation_that_brackets_every_pair(monkeypatch):
+    # every pair of basis matrices is bracketed once, so a probe that runs to
+    # the end forms C(d, 2) brackets; one that stops where the bound is
+    # reached in round r forms more than C(d_(r-2), 2) and at most C(d_(r-1), 2)
+    calls = []
+    original = diffops.commutator
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(diffops, "commutator", counted)
+    seen = set()
+    for ops, space in _probe_families():
+        calls.clear()
+        report = lie_closure_probe(ops, space)
+        dims = _lie_span_dimensions_by_sympy(ops, space)
+        assert report.matrix_lie_span_dimension == dims[-1], (ops, space)
+        assert report.rounds_used == len(dims) - 1, (ops, space)
+        bound = _matrix_bound(ops, space)
+        if dims[-1] < bound:
+            assert len(calls) == math.comb(dims[-1], 2)
+            seen.add("never")
+            continue
+        r = dims.index(bound)
+        if r == 0:
+            assert not calls
+            seen.add("before round 1")
+        else:
+            before, upto = ([0] + dims)[r - 1:r + 1]  # d_(r-2), d_(r-1)
+            assert math.comb(before, 2) < len(calls) <= math.comb(upto, 2)
+            seen.add("mid-round" if len(calls) < math.comb(upto, 2) else "end of round")
+        seen.add(("bound", space.dimension, bound))
+        if any(isinstance(c, QuadExt) for op in ops for c in op.terms.values()):
+            seen.add("sqrt(2)")
+    assert {"before round 1", "mid-round", "never", "sqrt(2)",
+            ("bound", 3, 8), ("bound", 3, 9), ("bound", 4, 16)} <= seen, seen
+
+
+def test_probe_forms_no_bracket_once_the_span_is_full(monkeypatch):
+    spans, dims_at_bracket = [], []
+    original_commutator = diffops.commutator
+
+    class Recorded(_ExactSpan):
+        def __init__(self, width):
+            super().__init__(width)
+            self.added = []
+            spans.append(self)
+
+        def add(self, vec):
+            self.added.append(list(vec))
+            return super().add(vec)
+
+    def recorded(a, b):
+        dims_at_bracket.append(spans[-1].dimension)  # the matrix span is made last
+        return original_commutator(a, b)
+
+    monkeypatch.setattr(diffops, "_ExactSpan", Recorded)
+    monkeypatch.setattr(diffops, "commutator", recorded)
+    for ops, space in _probe_families():
+        spans.clear()
+        dims_at_bracket.clear()
+        report = lie_closure_probe(ops, space)
+        assert all(d < _matrix_bound(ops, space) for d in dims_at_bracket), (ops, space)
+        if all(isinstance(c, Fr) for op in ops for c in op.terms.values()):
+            assert all(type(v) is int for row in spans[-1].added for v in row)
+        assert spans[-1].dimension == report.matrix_lie_span_dimension
+
+    # the order-2 basis on 1, x, x^2 spans all 3 x 3 matrices before any bracket
+    space = MonomialSpace((0, 1, 2))
+    ops = enumerate_preserving_operators(space, 2)
+    spans.clear()
+    dims_at_bracket.clear()
+    report = lie_closure_probe(ops, space)
+    assert report.matrix_lie_span_dimension == 9 and report.rounds_used == 1
+    assert dims_at_bracket == []
 
 
 def _failing_pairs_by_sympy_rank(ops):
