@@ -11,34 +11,49 @@ concrete matrix triple, and forms the Casimir element.  J0 must be diagonal
 beyond J+J- and J-J+, and the Casimir element none beyond J+J-, which the
 triple forms once for both.
 
-Each entry of a residual or of the Casimir element is computed on its own.
-The commutators take the scalar operations of the whole-matrix expression at
-that entry.  The polynomials in J0 on the diagonal (the bracket's cubic and
-the Casimir quartic) are evaluated on numerators: the parameters, the h_i and
-the diagonal of J+J- each become integers (a QuadExt over 1 for an irrational
-value) over the lcm of their denominators, one sum of products is formed per
-entry on those, and it is divided by the common denominator once.  The
-products and sums come in the order of the matrix expression (Horner's
-scheme in J0, the Casimir sum with J+J- first), with the same operand on the
-left, and each partial result is the matrix expression's times a nonzero
-integer, which neither creates nor cancels a radical.  So the values are
-those of the matrix expressions, and a call raises ``ScalarDomainError``
-exactly when they would; where several entries mix radicands, which of them
-is named is not fixed.
+Each entry of a residual or of the Casimir element is computed on its own,
+and a zero entry of a ladder residual costs integer work only.  J0 is
+diagonal, so the entry x of J+- at (i, j) gives x*(h_i - h_j -+ 1) in
+[J0, J+-] -+ J+-.  With the h_i as numerators T_i over their common
+denominator H (``MatrixTriple.diagonal_numerators``, formed once per triple),
+that is x*d/H for the integer (or QuadExt over 1) d = T_i - T_j -+ H, and a
+scalar is built only where d is nonzero.  The bracket is formed in one pass
+over the rows of J+J- and J-J+, each entry (a - b) - c as the matrix
+expression forms it.  The polynomials in J0 on the diagonal (the bracket's
+cubic and the Casimir quartic) are evaluated on numerators: the parameters,
+the h_i and the diagonal of J+J- each become integers (a QuadExt over 1 for
+an irrational value) over the lcm of their denominators, one sum of products
+is formed per entry on those, and it is divided by the common denominator
+once.  The products and sums come in the order of the matrix expression
+(Horner's scheme in J0, the Casimir sum with J+J- first), with the same
+operand on the left, and each partial result is the matrix expression's
+times a nonzero integer, which neither creates nor cancels a radical.  So
+the values are those of the matrix expressions, and a call raises
+``ScalarDomainError`` exactly when they would: a ladder residual checks
+where an irrational x meets an h_i or h_j over another radicand, which is
+where the expression's h_i*x and x*h_j raise.  Where several entries mix
+radicands, which of them is named is not fixed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .diffops import DiffOp
 from .matrices import Matrix
-from .scalars import Scalar, as_scalar, from_numerator, sqrt_exact, to_numerators
+from .scalars import (
+    QuadExt,
+    Scalar,
+    as_scalar,
+    from_numerator,
+    mixed_radicands,
+    sqrt_exact,
+    to_numerators,
+)
 
 
 @dataclass(frozen=True)
@@ -85,6 +100,13 @@ class MatrixTriple:
         """J+ J-, formed on first use; the bracket and the Casimir element share it."""
         return self.jplus @ self.jminus
 
+    @functools.cached_property
+    def diagonal_numerators(self) -> tuple[list, int]:
+        """(T, H): the h_i as numerators T_i over their common denominator H
+        (``scalars.to_numerators``), formed on first use; the relations and
+        the Casimir element share them."""
+        return to_numerators(self.diagonal)
+
 
 @dataclass(frozen=True)
 class RelationResiduals:
@@ -113,30 +135,86 @@ def cubic(ts: Sequence[Scalar], params: AlgebraParams) -> list[Scalar]:
     Horner's scheme on numerators, T on the left of A and on the right of each
     partial sum, then one division.
     """
+    return _cubic(*to_numerators(ts), params)
+
+
+def _cubic(nums: Sequence, h: int, params: AlgebraParams) -> list[Scalar]:
+    """``cubic`` at the values T/h of the numerators T of ``nums``."""
     (a, b, g, d), p = to_numerators(
         (params.alpha, params.beta, params.gamma, params.delta))
-    nums, h = to_numerators(ts)
     b, g, d = b * h, g * (h * h), d * (h * h * h)
     den = p * h * h * h
     return [from_numerator(((t * a + b) * t + g) * t + d, den) for t in nums]
 
 
-def _shift_residual(h: Sequence[Scalar], ladder: Matrix, step) -> Matrix:
-    """step([J0, L], L), entrywise: the entry x of L at (i, j) gives
-    step(h_i*x - x*h_j, x)."""
-    return Matrix.from_entries(
-        ladder.dimension,
-        {(i, j): step(h[i] * x - x * h[j], x) for i, j, x in ladder.entries()},
-    )
+def _one_radicand(a, b) -> None:
+    """Raise what a * b raises: both numerators irrational, over two radicands."""
+    if type(a) is QuadExt and type(b) is QuadExt and a.d != b.d:
+        raise mixed_radicands(a.d, b.d)
+
+
+def _shift_residual(rep: MatrixTriple, ladder: Matrix, shift: int) -> Matrix:
+    """[J0, L] - shift*L for a ladder L: shift 1 for J+, -1 for J-.
+
+    J0 is diagonal, so the entry x of L at (i, j) gives x*(h_i - h_j - shift),
+    which is x*d/H for d = T_i - T_j - shift*H on the diagonal numerators.
+    An entry is zero, and left out, exactly when d is, so a zero entry costs
+    integer work only.  Where x is irrational, the matrix expression's h_i*x
+    and x*h_j raise when h_i, then h_j, lies over another radicand; that is
+    checked first, in that order.  Where x is rational, they raise when h_i
+    and h_j lie over two radicands, and so does T_i - T_j.
+    """
+    ts, h = rep.diagonal_numerators
+    sh = shift * h
+    irrational = any(type(t) is QuadExt for t in ts)
+    rows = []
+    for ti, row in zip(ts, ladder._rows):
+        out = {}
+        for j, x in row.items():
+            tj = ts[j]
+            if irrational and type(x) is QuadExt:
+                _one_radicand(ti, x)
+                _one_radicand(x, tj)
+            d = ti - tj - sh
+            if d:
+                out[j] = x * d / h
+        rows.append(out)
+    return Matrix._of(ladder.dimension, rows)
+
+
+def _bracket_residual(rep: MatrixTriple, params: AlgebraParams) -> Matrix:
+    """J+J- - J-J+ - cubic(J0), one row at a time.
+
+    Each entry is (a - b) - c, as the matrix expression forms it: a and b
+    the entries of the two products (a lone b enters as -b), c the cubic at
+    h_i on the diagonal and 0 elsewhere; a zero entry is left out.
+    """
+    product, other = rep.ladder_product, rep.jminus @ rep.jplus
+    cs = _cubic(*rep.diagonal_numerators, params)
+    rows = []
+    for i, (ra, rb, c) in enumerate(zip(product._rows, other._rows, cs)):
+        cols = ra.keys() | rb.keys()
+        if c:
+            cols.add(i)
+        out = {}
+        for j in sorted(cols):
+            if j in ra:
+                x = ra[j] - rb[j] if j in rb else ra[j]
+            else:
+                x = -rb[j] if j in rb else 0
+            if j == i and c:
+                x = x - c if x else -c
+            if x:
+                out[j] = x
+        rows.append(out)
+    return Matrix._of(rep.dimension, rows)
 
 
 def check_deformed_relations(rep: MatrixTriple, params: AlgebraParams) -> RelationResiduals:
-    h = rep.diagonal
     return RelationResiduals(
-        raising=_shift_residual(h, rep.jplus, operator.sub),
-        lowering=_shift_residual(h, rep.jminus, operator.add),
-        bracket=(rep.ladder_product - rep.jminus @ rep.jplus
-                 - Matrix.diagonal(cubic(h, params))),
+        raising=_shift_residual(rep, rep.jplus, 1),
+        lowering=_shift_residual(rep, rep.jminus, -1),
+        bracket=_bracket_residual(rep, params),
     )
 
 
@@ -155,7 +233,7 @@ def casimir_matrix(rep: MatrixTriple, params: AlgebraParams) -> Matrix:
     product = rep.ladder_product
     n = rep.dimension
     xs, q = to_numerators([product[i, i] for i in range(n)])
-    ts, h = to_numerators(rep.diagonal)
+    ts, h = rep.diagonal_numerators
     (c4, c3, c2, c1), p = to_numerators(coefficients)
     h4 = h * h * h * h
     den = math.lcm(q, p * h4)

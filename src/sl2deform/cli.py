@@ -367,8 +367,9 @@ def _nonzero_positions(matrix: Matrix) -> list[list]:
 
 
 def _load_json(path: str):
-    """The JSON value of a file; nesting past the recursion limit is a ValueError."""
-    with open(path, encoding="utf-8") as fh:
+    """The JSON value of a file; nesting past the recursion limit, or an
+    integer past the digit limit, is a one-line ValueError."""
+    with open(path, encoding="utf-8") as fh, digit_limit(path):
         try:
             return json.load(fh)
         except RecursionError:

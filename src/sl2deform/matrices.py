@@ -50,6 +50,12 @@ class Matrix:
 
     @classmethod
     def _of(cls, n: int, rows: Sequence[dict[int, Scalar]]) -> "Matrix":
+        """Trusted: the n x n matrix whose row i is ``rows[i]``, taken as given.
+
+        Each row must hold no zero entry and list its columns in ascending
+        order, nothing of which is checked: ``__eq__``, ``__hash__`` and
+        :meth:`entries` rely on it.
+        """
         out = object.__new__(cls)
         out._init(n, rows)
         return out

@@ -32,6 +32,12 @@ class ScalarDomainError(ArithmeticError):
     radicands meet, or the square root of an irrational is asked for."""
 
 
+def mixed_radicands(d1: int, d2: int) -> ScalarDomainError:
+    """The error of an operation whose left operand lies over sqrt(d1) and its
+    right one over sqrt(d2), d1 != d2."""
+    return ScalarDomainError(f"mixed radicands sqrt({d1}) and sqrt({d2})")
+
+
 class NegativeRadicandError(ValueError):
     """An exact square root of a negative rational was requested."""
 
@@ -155,9 +161,7 @@ class QuadExt:
         None for anything that is not an exact scalar."""
         if isinstance(other, QuadExt):
             if other._d != self._d:
-                raise ScalarDomainError(
-                    f"mixed radicands sqrt({self._d}) and sqrt({other._d})"
-                )
+                raise mixed_radicands(self._d, other._d)
             return other._p, other._q, other._n
         if isinstance(other, Fraction):
             return other.numerator, 0, other.denominator

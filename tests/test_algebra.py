@@ -17,7 +17,7 @@ from sl2deform.cases import CaseId, build_case_realization
 from sl2deform.diffops import V3
 from sl2deform.matrices import Matrix, commutator
 from sl2deform.reps import case_rep_spec, intrinsic_gamma_and_product, solve_case
-from sl2deform.scalars import quadext, sqrt_exact
+from sl2deform.scalars import QuadExt, quadext, sqrt_exact
 
 from conftest import assert_names_two_radicands, rand_fraction
 
@@ -191,6 +191,29 @@ def test_relations_and_casimir_form_two_matrix_products(monkeypatch):
     assert triple.ladder_product == triple.jplus @ triple.jminus
 
 
+def test_relations_multiply_quadexts_only_in_the_two_products(monkeypatch):
+    # on a valid table every ladder residual entry is decided on integer
+    # numerators: the only QuadExt products are those of J+J- and J-J+
+    calls = []
+    mul = QuadExt.__mul__
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(QuadExt, "__mul__", counted)
+    monkeypatch.setattr(QuadExt, "__rmul__", counted)
+    for two_j in range(1, 32):
+        triple = build_classic_sl2_matrices(two_j)
+        calls.clear()
+        triple.jplus @ triple.jminus, triple.jminus @ triple.jplus
+        products = len(calls)
+        calls.clear()
+        assert check_deformed_relations(triple, CLASSIC).all_zero
+        assert len(calls) == products, two_j
+        assert products > 0 or two_j == 1
+
+
 def test_a_non_diagonal_j0_is_refused_in_one_line():
     j0 = Matrix.from_entries(3, {(0, 0): 1, (2, 1): Fr(1, 2)})
     with pytest.raises(ValueError, match=r"^J0 must be diagonal, but its entry \(2, 1\) is nonzero$"):
@@ -257,6 +280,21 @@ def _assert_same_or_both_mix_radicands(got, want, radicands):
 
 _FIELDS = {"Q": (1,), "Q(sqrt 2)": (1, 2), "Q(sqrt 3)": (1, 3), "mixed": (1, 2, 3, 5)}
 
+# Each family: the radicands of J0's diagonal, of the ladder entries and of the
+# parameters; a shift added to every diagonal entry; and how many of the 600
+# calls (relations and Casimir element on each of 300 draws) raise, or None
+# where the count is only bounded (a single field never raises, "mixed" often
+# does).  A rational J0 with ladders over 2, 3, 5 and 7 is the spin tables'
+# shape: only the products J+J- and J-J+ can mix radicands.  J0 = sqrt(2)*I
+# plus a rational diagonal, with ladders in Q(sqrt 3), mixes where an
+# irrational ladder entry meets h_i or h_j, which the ladder residuals check
+# before they form anything.
+_FAMILIES = {
+    **{field: (radicands, radicands, radicands, 0, None) for field, radicands in _FIELDS.items()},
+    "rational J0, ladders over 2, 3, 5, 7": ((1,), (1, 2, 3, 5, 7), (1,), 0, 391),
+    "sqrt(2) + rational J0, ladders in Q(sqrt 3)": ((1,), (1, 3), (1,), sqrt_exact(2), 413),
+}
+
 
 def _scalar(rng, radicands, zero_odds):
     if rng.random() < zero_odds:
@@ -266,23 +304,24 @@ def _scalar(rng, radicands, zero_odds):
     return value if d == 1 else quadext(rand_fraction(rng), value, d)
 
 
-@pytest.mark.parametrize("field", sorted(_FIELDS))
+@pytest.mark.parametrize("field", sorted(_FAMILIES))
 def test_entrywise_relations_and_casimir_match_the_matrix_expressions(field):
-    radicands = _FIELDS[field]
+    diagonal, ladders, parameters, shift, expected = _FAMILIES[field]
+    radicands = set(diagonal + ladders + parameters) | ({shift.d} if shift else set())
     rng = random.Random(f"algebra-oracle-{field}")
     errors = 0
     for _ in range(300):
         n = rng.randint(1, 7)
-        j0 = Matrix.diagonal([_scalar(rng, radicands, 0.2) for _ in range(n)])
+        j0 = Matrix.diagonal([_scalar(rng, diagonal, 0.2) + shift for _ in range(n)])
         density = rng.choice((0.1, 0.3, 0.6))
         plus, minus = (
-            Matrix.from_entries(n, {(i, j): _scalar(rng, radicands, 0.0)
+            Matrix.from_entries(n, {(i, j): _scalar(rng, ladders, 0.0)
                                     for i in range(n) for j in range(n)
                                     if rng.random() < density})
             for _ in range(2)
         )
         rep = MatrixTriple(j0, plus, minus)
-        params = AlgebraParams(*(_scalar(rng, radicands, 0.25) for _ in range(4)))
+        params = AlgebraParams(*(_scalar(rng, parameters, 0.25) for _ in range(4)))
 
         def entrywise():
             res = check_deformed_relations(rep, params)
@@ -295,8 +334,11 @@ def test_entrywise_relations_and_casimir_match_the_matrix_expressions(field):
         _assert_same_or_both_mix_radicands(
             casimir, _outcome(lambda: [_matrix_casimir(rep, params)]), radicands)
         errors += isinstance(got, tuple) + isinstance(casimir, tuple)
-    # the mixed field reaches the error paths; a single field never does
-    assert (errors > 50) if field == "mixed" else (errors == 0)
+    if expected is not None:
+        assert errors == expected
+    else:
+        # the mixed field reaches the error paths; a single field never does
+        assert (errors > 50) if field == "mixed" else (errors == 0)
 
 
 def test_triple_dimension_validation():

@@ -221,16 +221,22 @@ def test_integers_in_argv_are_ascii_digits_only(capsys, argv, message):
 
 
 def test_rep_check_with_two_radicands_exits_2_in_one_line(tmp_path, capsys):
-    rep = {"dimension": 2, "diagonal": ["-1/2", "1/2"],
-           "ladders": [[0, 1, "sqrt(2)"], [1, 0, "sqrt(7)"]],
-           "params": {"alpha": "0", "beta": "0", "gamma": "2", "delta": "0"}}
+    params = {"alpha": "0", "beta": "0", "gamma": "2", "delta": "0"}
     path = tmp_path / "rep.json"
-    path.write_text(json.dumps(rep))
-    code = main(["rep-check", "--rep", str(path)])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.err == ""
-    assert section(json.loads(captured.out), "error")["message"] == (
-        "ScalarDomainError: mixed radicands sqrt(2) and sqrt(7)")
+    for diagonal, ladders, named in [
+        (["-1/2", "1/2"], [[0, 1, "sqrt(2)"], [1, 0, "sqrt(7)"]], "sqrt(2) and sqrt(7)"),
+        # J0 over sqrt(2), its ladders over sqrt(3): h_i*x of [J0, J+] is the
+        # first product that mixes them, so sqrt(2) is named first
+        (["sqrt(2)", "1 + sqrt(2)"], [[0, 1, "sqrt(3)"], [1, 0, "sqrt(3)"]],
+         "sqrt(2) and sqrt(3)"),
+    ]:
+        path.write_text(json.dumps(
+            {"dimension": 2, "diagonal": diagonal, "ladders": ladders, "params": params}))
+        code = main(["rep-check", "--rep", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert section(json.loads(captured.out), "error")["message"] == (
+            f"ScalarDomainError: mixed radicands {named}")
 
 
 def test_rep_check_classic_tables(tmp_path, capsys):
@@ -624,6 +630,20 @@ def test_rep_check_refuses_json_nested_past_the_recursion_limit(tmp_path, capsys
         assert code == 2 and captured.err == ""
         message = section(json.loads(captured.out), "error")["message"]
         assert message == f"ValueError: {deep}: JSON nested too deeply"
+
+
+def test_rep_check_refuses_a_json_integer_past_the_digit_limit(tmp_path, capsys):
+    import sys
+
+    rep = tmp_path / "rep.json"
+    rep.write_text('{"dimension": ' + "9" * 5000 + ', "diagonal": []}')
+    code = main(["rep-check", "--rep", str(rep)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    message = section(json.loads(captured.out), "error")["message"]
+    assert message == (f"ValueError: {rep} has an integer of more than "
+                       f"{sys.get_int_max_str_digits()} digits, "
+                       "the most that is converted to or from text")
 
 
 @pytest.mark.parametrize("argv, words", [
