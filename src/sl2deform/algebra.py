@@ -19,7 +19,10 @@ denominator H (``MatrixTriple.diagonal_numerators``, formed once per triple),
 that is x*d/H for the integer (or QuadExt over 1) d = T_i - T_j -+ H, and a
 scalar is built only where d is nonzero.  The bracket is formed in one pass
 over the rows of J+J- and J-J+, each entry (a - b) - c as the matrix
-expression forms it.  The polynomials in J0 on the diagonal (the bracket's
+expression forms it; its cubic c is kept as numerators v over one
+denominator, and a diagonal entry whose a, b and v are rational is decided
+by cross-multiplying, so only a nonzero entry builds a scalar.  The
+polynomials in J0 on the diagonal (the bracket's
 cubic and the Casimir quartic) are evaluated on numerators: the parameters,
 the h_i and the diagonal of J+J- each become integers (a QuadExt over 1 for
 an irrational value) over the lcm of their denominators, one sum of products
@@ -135,16 +138,18 @@ def cubic(ts: Sequence[Scalar], params: AlgebraParams) -> list[Scalar]:
     Horner's scheme on numerators, T on the left of A and on the right of each
     partial sum, then one division.
     """
-    return _cubic(*to_numerators(ts), params)
+    values, den = _cubic(*to_numerators(ts), params)
+    return [from_numerator(v, den) for v in values]
 
 
-def _cubic(nums: Sequence, h: int, params: AlgebraParams) -> list[Scalar]:
-    """``cubic`` at the values T/h of the numerators T of ``nums``."""
+def _cubic(nums: Sequence, h: int, params: AlgebraParams) -> tuple[list, int]:
+    """``cubic`` at the values T/h of the numerators T of ``nums``, undivided:
+    the numerators (an int, or a QuadExt over 1 or Fraction over 1 for an
+    irrational T or parameter) and their common denominator."""
     (a, b, g, d), p = to_numerators(
         (params.alpha, params.beta, params.gamma, params.delta))
     b, g, d = b * h, g * (h * h), d * (h * h * h)
-    den = p * h * h * h
-    return [from_numerator(((t * a + b) * t + g) * t + d, den) for t in nums]
+    return [((t * a + b) * t + g) * t + d for t in nums], p * h * h * h
 
 
 def _one_radicand(a, b) -> None:
@@ -187,22 +192,34 @@ def _bracket_residual(rep: MatrixTriple, params: AlgebraParams) -> Matrix:
 
     Each entry is (a - b) - c, as the matrix expression forms it: a and b
     the entries of the two products (a lone b enters as -b), c the cubic at
-    h_i on the diagonal and 0 elsewhere; a zero entry is left out.
+    h_i on the diagonal and 0 elsewhere; a zero entry is left out.  The
+    cubic is kept as its numerators v over one denominator, and where a, b
+    and v are rational a diagonal entry is decided in integers, a - b = v/den
+    by cross-multiplying; only a nonzero entry builds a - b, c and (a - b) - c.
+    An irrational a, b or v takes the scalar path, which raises where the
+    expression does.
     """
     product, other = rep.ladder_product, rep.jminus @ rep.jplus
-    cs = _cubic(*rep.diagonal_numerators, params)
+    vs, den = _cubic(*rep.diagonal_numerators, params)
     rows = []
-    for i, (ra, rb, c) in enumerate(zip(product._rows, other._rows, cs)):
+    for i, (ra, rb, v) in enumerate(zip(product._rows, other._rows, vs)):
         cols = ra.keys() | rb.keys()
-        if c:
+        if v:
             cols.add(i)
         out = {}
         for j in sorted(cols):
+            if j == i:
+                a, b = ra.get(i, 0), rb.get(i, 0)
+                if QuadExt not in (type(a), type(b), type(v)):
+                    qa, qb = a.denominator, b.denominator
+                    if (a.numerator * qb - b.numerator * qa) * den == v * qa * qb:
+                        continue
             if j in ra:
                 x = ra[j] - rb[j] if j in rb else ra[j]
             else:
                 x = -rb[j] if j in rb else 0
-            if j == i and c:
+            if j == i and v:
+                c = from_numerator(v, den)
                 x = x - c if x else -c
             if x:
                 out[j] = x

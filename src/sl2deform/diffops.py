@@ -20,7 +20,8 @@ terms: an int per rational coefficient and a QuadExt over 1 per irrational one.
 Products, sums and images are formed on the numerators, one path for every
 field, and :attr:`DiffOp.terms` gives the coefficients back as Fractions and
 QuadExts.  Results in lowest terms by construction skip the validating
-constructor (:meth:`DiffOp._of`).
+constructor (:meth:`DiffOp._of`).  A commutator, and each residual of
+:func:`closure_check`, is formed on unreduced numerators and reduced once.
 """
 
 from __future__ import annotations
@@ -106,6 +107,47 @@ def _lowest(acc: dict, den: int) -> "DiffOp":
     return DiffOp._of(num, den // g)
 
 
+def _sum(acc: dict, den: int, terms, tden: int, sign: int = 1) -> tuple[dict, int]:
+    """acc/den + sign * terms/tden on the numerators, over lcm(den, tden), unreduced.
+
+    ``acc`` is updated in place and returned with the new denominator;
+    ``terms`` are (key, numerator) pairs, each added with ``acc``'s numerator
+    on the left, in their order, as :meth:`DiffOp.__add__` adds them.
+    """
+    m = math.lcm(den, tden)
+    if m != den:
+        f = m // den
+        for key in acc:
+            acc[key] = acc[key] * f
+    f = m // tden * sign
+    for key, v in terms:
+        v = v * f
+        acc[key] = acc[key] + v if key in acc else v
+    return acc, m
+
+
+def _terms(acc: dict) -> list:
+    """The nonzero (key, numerator) pairs of ``acc`` by ascending key: the
+    terms, and their order, of the operator ``_lowest`` would make of it."""
+    return sorted([(key, v) for key, v in acc.items() if v])
+
+
+def _commutator(a: "DiffOp", b: "DiffOp") -> tuple[dict, int]:
+    """a . b - b . a on the numerators, over a._den * b._den, unreduced.
+
+    Each product has its own accumulator, a . b first, and the terms of
+    b . a are subtracted from a . b's in ascending key order.  A zero sum
+    meets nothing it could clash with, so each product and the difference
+    form the sums, and raise the ScalarDomainError, that :meth:`DiffOp.compose`
+    and ``-`` would; one shared accumulator would form sums they never form.
+    """
+    ab = _products({}, a._num.items(), b._num.items())
+    ba = _products({}, b._num.items(), a._num.items())
+    for key, v in sorted(ba.items()):
+        ab[key] = ab[key] - v if key in ab else -v
+    return ab, a._den * b._den
+
+
 class DiffOp:
     """Normal-ordered linear differential operator with monomial coefficients."""
 
@@ -171,16 +213,10 @@ class DiffOp:
 
     # -- ring structure ---------------------------------------------------------
     def __add__(self, other: "DiffOp") -> "DiffOp":
-        den = math.lcm(self._den, other._den)
-        fa, fb = den // self._den, den // other._den
-        acc = {key: v * fa for key, v in self._num.items()}
-        for key, v in other._num.items():
-            v = v * fb
-            acc[key] = acc[key] + v if key in acc else v
-        return _lowest(acc, den)
+        return _lowest(*_sum(dict(self._num), self._den, other._num.items(), other._den))
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + -other
+        return _lowest(*_sum(dict(self._num), self._den, other._num.items(), other._den, -1))
 
     def __neg__(self) -> "DiffOp":
         return DiffOp._of({key: -v for key, v in self._num.items()}, self._den)
@@ -209,10 +245,13 @@ class DiffOp:
         return _lowest(acc, self._den * other._den)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
-        """self . other - other . self, the two products formed and subtracted
-        in that order, so a ScalarDomainError of mixed radicands is the one
-        those steps raise."""
-        return self.compose(other) - other.compose(self)
+        """self . other - other . self: two products and a difference, formed
+        on the numerators over the product of the denominators and reduced
+        once.  Each product has its own accumulator and the difference is
+        taken in ascending key order (:func:`_commutator`), so a
+        ScalarDomainError of mixed radicands is the one that composing and
+        subtracting raise."""
+        return _lowest(*_commutator(self, other))
 
     # -- action -----------------------------------------------------------------
     def image(self, k: int) -> dict[int, Scalar]:
@@ -428,17 +467,30 @@ def closure_check(
     ``space=None`` demands the relations as operator identities (every
     residual the zero operator); with a space they only need to hold on the
     listed monomials.  ``ClosureReport.judge`` gives the other verdict on the
-    same residuals without building them again.  The bracket's right-hand
-    side is formed by Horner's scheme, ((alpha J0 + beta) J0 + gamma) J0 + delta.
+    same residuals without building them again.
+
+    Everything is formed on unreduced numerators, and each residual is
+    reduced once.  The bracket's right-hand side F(J0) comes first, by
+    Horner's scheme, ((alpha J0 + beta) J0 + gamma) J0 + delta, with the
+    parameters as numerators over one denominator; then [J0, J+] - J+,
+    [J0, J-] + J- and [J+, J-] - F(J0).  These are the sums and products of
+    ``scale``, ``compose``, ``commutator``, ``+`` and ``-``, in their order and
+    with the same left operands; only the reductions between them are left
+    out.  Each partial result is the reduced one times a nonzero integer, so
+    the residuals, and any ScalarDomainError, are theirs.
     """
     j0, jp, jm = triple
-    ident = DiffOp.identity()
-    rhs = (j0.scale(params.alpha) + ident.scale(params.beta)).compose(j0)
-    rhs = (rhs + ident.scale(params.gamma)).compose(j0) + ident.scale(params.delta)
+    (a, b, g, d), p = to_numerators((params.alpha, params.beta, params.gamma, params.delta))
+    n0, h = j0._num.items(), j0._den
+    one = (0, 0)
+    rhs, den = _sum({key: v * a for key, v in n0}, h * p, [(one, b)], p)
+    rhs, den = _sum(_products({}, _terms(rhs), n0), den * h, [(one, g)], p)
+    rhs, den = _sum(_products({}, _terms(rhs), n0), den * h, [(one, d)], p)
+    rhs = _terms(rhs)
     residuals = (
-        ("raising", j0.commutator(jp) - jp),
-        ("lowering", j0.commutator(jm) + jm),
-        ("bracket", jp.commutator(jm) - rhs),
+        ("raising", _lowest(*_sum(*_commutator(j0, jp), jp._num.items(), jp._den, -1))),
+        ("lowering", _lowest(*_sum(*_commutator(j0, jm), jm._num.items(), jm._den))),
+        ("bracket", _lowest(*_sum(*_commutator(jp, jm), rhs, den, -1))),
     )
     return ClosureReport.judge(residuals, space)
 

@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from sl2deform import algebra
 from sl2deform.algebra import (
     AlgebraParams,
     MatrixTriple,
@@ -17,7 +18,7 @@ from sl2deform.cases import CaseId, build_case_realization
 from sl2deform.diffops import V3
 from sl2deform.matrices import Matrix, commutator
 from sl2deform.reps import case_rep_spec, intrinsic_gamma_and_product, solve_case
-from sl2deform.scalars import QuadExt, quadext, sqrt_exact
+from sl2deform.scalars import QuadExt, from_numerator, quadext, sqrt_exact
 
 from conftest import assert_names_two_radicands, rand_fraction
 
@@ -214,6 +215,23 @@ def test_relations_multiply_quadexts_only_in_the_two_products(monkeypatch):
         assert products > 0 or two_j == 1
 
 
+def test_bracket_builds_no_scalar_on_a_valid_table(monkeypatch):
+    # a diagonal entry of the bracket residual is decided on the cubic's
+    # integer numerators; only a nonzero entry builds the cubic's value
+    built = []
+    monkeypatch.setattr(algebra, "from_numerator",
+                        lambda v, den: built.append(v) or from_numerator(v, den))
+    for two_j in range(1, 32):
+        triple = build_classic_sl2_matrices(two_j)
+        assert algebra._bracket_residual(triple, CLASSIC).is_zero(), two_j
+    assert built == []
+    # a wrong gamma leaves every diagonal entry with h_i != 0, each built once
+    triple = build_classic_sl2_matrices(4)
+    residual = algebra._bracket_residual(triple, AlgebraParams(0, 0, 3, 0))
+    assert list(residual.entries()) == [(i, i, -h) for i, h in enumerate(triple.diagonal) if h]
+    assert len(built) == 4
+
+
 def test_a_non_diagonal_j0_is_refused_in_one_line():
     j0 = Matrix.from_entries(3, {(0, 0): 1, (2, 1): Fr(1, 2)})
     with pytest.raises(ValueError, match=r"^J0 must be diagonal, but its entry \(2, 1\) is nonzero$"):
@@ -288,11 +306,17 @@ _FIELDS = {"Q": (1,), "Q(sqrt 2)": (1, 2), "Q(sqrt 3)": (1, 3), "mixed": (1, 2, 
 # shape: only the products J+J- and J-J+ can mix radicands.  J0 = sqrt(2)*I
 # plus a rational diagonal, with ladders in Q(sqrt 3), mixes where an
 # irrational ladder entry meets h_i or h_j, which the ladder residuals check
-# before they form anything.
+# before they form anything.  Rational J0 and ladders with parameters in
+# Q(sqrt 2) set an irrational cubic value against a rational a - b on the
+# bracket's diagonal, which never raises.  Ladders in Q(sqrt 3) with
+# parameters in Q(sqrt 2) put a - b and the cubic's value over two radicands:
+# the bracket raises at (a - b) - c in 114 draws, and the Casimir element in 119.
 _FAMILIES = {
     **{field: (radicands, radicands, radicands, 0, None) for field, radicands in _FIELDS.items()},
     "rational J0, ladders over 2, 3, 5, 7": ((1,), (1, 2, 3, 5, 7), (1,), 0, 391),
     "sqrt(2) + rational J0, ladders in Q(sqrt 3)": ((1,), (1, 3), (1,), sqrt_exact(2), 413),
+    "rational J0 and ladders, parameters in Q(sqrt 2)": ((1,), (1,), (1, 2), 0, 0),
+    "ladders in Q(sqrt 3), parameters in Q(sqrt 2)": ((1,), (1, 3), (1, 2), 0, 233),
 }
 
 

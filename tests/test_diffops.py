@@ -12,6 +12,7 @@ from sl2deform.algebra import AlgebraParams, build_classic_sl2_diffops
 from sl2deform.cases import CaseId, build_case_realization
 from sl2deform.diffops import (
     MAX_ENUMERATION_SIZE,
+    ClosureReport,
     DiffOp,
     MonomialSpace,
     SpaceEscapeError,
@@ -483,11 +484,13 @@ def _residuals_from_powers(triple, params):
     ]
 
 
-def test_closure_residuals_equal_those_formed_from_powers_of_j0():
-    rng = random.Random("closure-residuals")
-    checked = []
+def _solved_case_triples(rng, draws):
+    """Case realizations at an intrinsic and an explicit gamma, ``draws``
+    (alpha, beta) per case: J0 constants and parameters over Q and over the
+    discriminants' radicands."""
+    out = []
     for case in CaseId:
-        for _ in range(4):
+        for _ in range(draws):
             alpha = rand_fraction(rng, -5, 5, 3, nonzero=True)
             beta = rand_fraction(rng, -5, 5, 3)
             intr = intrinsic_gamma_and_product(case, alpha, beta)
@@ -497,7 +500,13 @@ def test_closure_residuals_equal_those_formed_from_powers_of_j0():
                 except ValueError:  # outside the case's parameter region
                     continue
                 triple = build_case_realization(case, alpha, beta, f=1, g=sol.fg, c=sol.c)
-                checked.append((triple, AlgebraParams(alpha, beta, gamma, sol.delta)))
+                out.append((triple, AlgebraParams(alpha, beta, gamma, sol.delta)))
+    return out
+
+
+def test_closure_residuals_equal_those_formed_from_powers_of_j0():
+    rng = random.Random("closure-residuals")
+    checked = _solved_case_triples(rng, 4)
     for two_j in range(4):
         off_locus = AlgebraParams(*(rand_fraction(rng, nonzero=True) for _ in range(4)))
         checked.append((build_classic_sl2_diffops(two_j), off_locus))
@@ -524,6 +533,102 @@ def test_intrinsic_pass_implies_on_space_pass(rng):
     for _ in range(5):
         exps = tuple(sorted(rng.sample(range(0, 8), rng.randint(1, 4))))
         assert closure_check(triple, params, MonomialSpace(exps)).passed
+
+
+# -- oracle: closure_check as the operator expression it replaced -------------------------
+#
+# F(J0) by Horner's scheme, then the three residuals, each step a reduced
+# operator of its own.  closure_check forms the same sums and products on
+# unreduced numerators, so it must give the same residuals, of the same types,
+# or raise the same error with the same message.
+
+
+def _closure_by_operators(triple, params):
+    j0, jp, jm = triple
+    ident = DiffOp.identity()
+    rhs = (j0.scale(params.alpha) + ident.scale(params.beta)).compose(j0)
+    rhs = (rhs + ident.scale(params.gamma)).compose(j0) + ident.scale(params.delta)
+    return (
+        ("raising", j0.compose(jp) - jp.compose(j0) - jp),
+        ("lowering", j0.compose(jm) - jm.compose(j0) + jm),
+        ("bracket", jp.compose(jm) - jm.compose(jp) - rhs),
+    )
+
+
+def _closure_outcome(fn):
+    try:
+        report = fn()
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return report.mode, report.passed, [
+        (name, [(key, c, type(c)) for key, c in op.terms.items()])
+        for name, op in report.residuals
+    ]
+
+
+def test_closure_check_equals_the_operator_expression_outcome_for_outcome(rng):
+    fields = list(_FIELDS)
+    draws = []
+    for _ in range(300):
+        roots = [_FIELDS[rng.choice(fields)] for _ in range(4)]
+        triple = tuple(_field_op(rng, r) for r in roots[:3])
+        params = AlgebraParams(*(
+            rng.choice([Fr(0), rand_fraction(rng, nonzero=True),
+                        *(rand_fraction(rng) + r for r in roots[3])])
+            for _ in range(4)))
+        draws.append((triple, params))
+    draws += _solved_case_triples(rng, 5)
+    raised = passed = 0
+    for triple, params in draws:
+        for space in (None, V3):
+            got = _closure_outcome(lambda: closure_check(triple, params, space))
+            want = _closure_outcome(
+                lambda: ClosureReport.judge(_closure_by_operators(triple, params), space))
+            assert got == want, (triple, params, space)
+            raised += isinstance(got[0], type)
+            passed += got[1] is True
+    # the error paths and both verdicts are reached
+    assert raised > 100 and passed > 20, (raised, passed)
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """The denominators of the ``_lowest`` calls made while the test runs."""
+    calls = []
+    lowest = diffops._lowest
+
+    def counted(acc, den):
+        calls.append(den)
+        return lowest(acc, den)
+
+    monkeypatch.setattr(diffops, "_lowest", counted)
+    return calls
+
+
+def test_closure_check_reduces_each_residual_once_and_composes_nothing(reductions, monkeypatch):
+    def refused(*_):
+        raise AssertionError("DiffOp.compose was called")
+
+    monkeypatch.setattr(DiffOp, "compose", refused)
+    rng = random.Random("closure-reductions")
+    checked = _solved_case_triples(rng, 5) + [
+        (build_classic_sl2_diffops(two_j), AlgebraParams(0, 0, 2, 0)) for two_j in range(4)]
+    for triple, params in checked:
+        for space in (None, V3):
+            reductions.clear()
+            closure_check(triple, params, space)
+            assert len(reductions) == 3
+
+
+def test_a_commutator_is_reduced_once(reductions):
+    # two products and a difference, on numerators, and one reduction
+    rng = random.Random("commutator-reductions")
+    for field in ("Q", "Q(sqrt 2)", "Q(sqrt 3)"):
+        for _ in range(10):
+            a, b = _field_op(rng, _FIELDS[field]), _field_op(rng, _FIELDS[field])
+            reductions.clear()
+            a.commutator(b)
+            assert len(reductions) == 1
 
 
 # -- enumeration of preserving operators ------------------------------------------------------
