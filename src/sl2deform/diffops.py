@@ -507,30 +507,33 @@ def closure_check(
 MAX_ENUMERATION_SIZE = 80_000
 
 
-def _integral(vec: Sequence) -> Sequence:
-    """A row holding a Fraction and no QuadExt, times the lcm of its
-    denominators, as a list of ints; any other row as it is, uncopied."""
-    if Fraction not in map(type, vec) or QuadExt in map(type, vec):
-        return vec
-    return to_numerators(vec)[0]
+def _canonical(vec: dict, pc) -> dict:
+    """The multiple of a sparse row that the span keeps, ``pc`` being its pivot key.
 
-
-def _canonical(vec: Sequence, pc: int) -> list:
-    """The multiple of a row that the span keeps, ``pc`` being its pivot column.
-
-    The row is one that :func:`_integral` already converted, or a
-    combination of such rows.  An integer row becomes coprime integers with
-    a positive pivot.  A row holding a QuadExt is divided by its pivot:
-    Q(sqrt(d)) has no gcd, and without one the entries of cross-multiplied
-    rows grow exponentially.
+    A row of ints becomes coprime ints with a positive pivot.  Any other row
+    is divided by its pivot: Q(sqrt(d)) has no gcd, and without one the
+    entries of cross-multiplied rows grow exponentially.
     """
-    if set(map(type, vec)) <= {int}:
-        g = math.gcd(*vec)
+    values = vec.values()
+    if all(type(v) is int for v in values):
+        g = math.gcd(*values)
         if vec[pc] < 0:
             g = -g
-        return vec if g == 1 else [v // g for v in vec]
+        return vec if g == 1 else {key: v // g for key, v in vec.items()}
     p = as_scalar(vec[pc])
-    return [v / p for v in vec]
+    return {key: v / p for key, v in vec.items()}
+
+
+def _cross(p, a: dict, f, b: dict) -> dict:
+    """The sparse row p*a - f*b, its zeros left out; p and f are nonzero."""
+    out = {key: p * v for key, v in a.items()}
+    for key, v in b.items():
+        w = out[key] - f * v if key in out else -f * v
+        if w:
+            out[key] = w
+        else:
+            del out[key]
+    return out
 
 
 def _numerators(mat: Matrix) -> Matrix:
@@ -545,57 +548,51 @@ def _numerators(mat: Matrix) -> Matrix:
 
 
 class _ExactSpan:
-    """Incremental exact row space, reduced and fraction-free.
+    """Incremental exact row space of sparse rows, reduced and fraction-free.
 
-    Each row is zero in every other row's pivot column and in every column
-    left of its own pivot, so it is a nonzero multiple of the unique reduced
-    row echelon form row of the span, whatever the insertion order.  Rows are
-    combined by cross-multiplication, ``p*a - f*b`` with p the pivot of one
-    row and f the other row's entry in that column, which needs no division
-    and works over any integral domain (Bareiss, Math. Comp. 22, 1968).  A
-    rational row is scaled to integers once, on entry, and every kept row is
-    scaled as :func:`_canonical` says, so integer rows stay coprime integers
-    and no Fraction is made while they are combined.  Only
-    :func:`lie_closure_probe` uses it, for rank and membership, and its rows
-    arrive as integers already: operator numerators, and matrices carried as
-    their numerators; only a row holding a QuadExt is divided by its pivot.
-    The preservation blocks of :func:`enumerate_preserving_operators` are
-    solved in closed form.
+    A row is a dict {key: nonzero entry}, keys being any comparable columns,
+    and the span keeps each of its rows under its pivot, the row's least key.
+    Each kept row is zero in every other row's pivot and left of its own, so
+    it is a nonzero multiple of the unique reduced row echelon form row of
+    the span, whatever the insertion order.  Rows are combined by
+    cross-multiplication, ``p*a - f*b`` with p the pivot of one row and f the
+    other row's entry at that key, which needs no division and works over any
+    integral domain (Bareiss, Math. Comp. 22, 1968).  Every kept row is scaled
+    as :func:`_canonical` says, so integer rows stay coprime integers.  Only
+    :func:`lie_closure_probe` uses it, for rank and membership, and hands it
+    numerators: an int per rational entry and a QuadExt over 1 per irrational
+    one.
     """
 
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: list[list[Scalar]] = []
-        self.pivot_cols: list[int] = []
+    def __init__(self):
+        self.rows: dict = {}  # pivot key -> row
 
-    def _reduce(self, vec: Sequence) -> list:
-        vec = _integral(vec)
-        for row, pc in zip(self.rows, self.pivot_cols):
-            f = vec[pc]
-            if f:
-                p = row[pc]
-                vec = [p * a - f * b for a, b in zip(vec, row)]
+    def _reduce(self, vec: dict) -> dict:
+        # a kept row is zero in every other pivot, so the pivots a combination
+        # leaves nonzero are those of the input row
+        rows = self.rows
+        for pc in [key for key in vec if key in rows]:
+            row = rows[pc]
+            vec = _cross(row[pc], vec, vec[pc], row)
         return vec
 
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self._reduce(vec))
+    def contains(self, vec: dict) -> bool:
+        return not self._reduce(vec)
 
-    def add(self, vec: Sequence) -> bool:
+    def add(self, vec: dict) -> bool:
         """Insert if independent; returns True when the span grew."""
         red = self._reduce(vec)
-        pc = next((i for i, v in enumerate(red) if v), None)
-        if pc is None:
+        if not red:
             return False
+        pc = min(red)
         red = _canonical(red, pc)
         p = red[pc]
-        for i, row in enumerate(self.rows):
-            f = row[pc]
+        rows = self.rows
+        for key, row in rows.items():
+            f = row.get(pc)
             if f:
-                self.rows[i] = _canonical(
-                    [p * a - f * b for a, b in zip(row, red)], self.pivot_cols[i]
-                )
-        self.rows.append(red)
-        self.pivot_cols.append(pc)
+                rows[key] = _canonical(_cross(p, row, f, red), key)
+        rows[pc] = red
         return True
 
     @property
@@ -720,7 +717,9 @@ def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosure
     nothing is counted without being run.  Rank and membership do not change
     under nonzero scaling, so each matrix is replaced by its numerators
     (:func:`_numerators`) and the brackets are formed on ints, or QuadExts
-    over 1 for an irrational entry.
+    over 1 for an irrational entry.  The span takes each matrix as its
+    nonzero entries keyed (i, j), and each operator as its stored numerators
+    keyed (m, n).
     """
     ops = list(ops)
     # matrix_on_space raises SpaceEscapeError for an operator leaving the space
@@ -728,36 +727,22 @@ def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosure
     diagonal_allowance = [DiffOp({(i, i): Fraction(1)}) for i in range(4)]
     pairs = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))]
     brackets = [ops[i].commutator(ops[j]) for i, j in pairs]
-    # operators are compared in their term coordinates (m, n), each by its
-    # numerators: a positive multiple spans the same line
-    every = ops + diagonal_allowance + brackets
-    keys = sorted(set().union(*[op._num for op in every]))
-    vectors = [[op._num.get(key, 0) for key in keys] for op in every]
-    cut = len(ops) + len(diagonal_allowance)
-    span = _ExactSpan(len(vectors[0]))
-    for vec in vectors[:cut]:
-        span.add(vec)
-    failing = tuple(
-        pair for pair, vec in zip(pairs, vectors[cut:]) if not span.contains(vec)
-    )
+    # a positive multiple of an operator spans the same line
+    span = _ExactSpan()
+    for op in ops + diagonal_allowance:
+        span.add(op._num)
+    failing = tuple(pair for pair, br in zip(pairs, brackets) if not span.contains(br._num))
 
     n = space.dimension
-
-    def flat(mat: Matrix) -> list:
-        vec: list = [0] * (n * n)
-        for i, j, x in mat.entries():
-            vec[i * n + j] = x
-        return vec
-
     # every bracket is traceless, so the span saturates inside span(mats) +
     # sl(n), of dimension n^2 - 1, or n^2 once some matrix has a trace
     bound = n * n - 1
-    mspan = _ExactSpan(n * n)
+    mspan = _ExactSpan()
     basis_mats: list[Matrix] = []
     for mat in map(_numerators, mats):
         if sum(mat[i, i] for i in range(n)):
             bound = n * n
-        if mspan.add(flat(mat)):
+        if mspan.add({(i, j): x for i, j, x in mat.entries()}):
             basis_mats.append(mat)
     # semi-naive saturation: pairs of matrices older than the last round were
     # bracketed already, and their brackets stay in the growing span; every
@@ -768,7 +753,7 @@ def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosure
         current = list(basis_mats)
         for a, b in ((a, b) for i, a in enumerate(current) for b in current[max(i + 1, done):]):
             br = commutator(a, b)
-            if mspan.add(flat(br)):
+            if mspan.add({(i, j): x for i, j, x in br.entries()}):
                 basis_mats.append(br)
                 if mspan.dimension == bound:
                     break

@@ -33,7 +33,7 @@ from sl2deform.reps import (
     intrinsic_gamma_and_product,
     solve_case,
 )
-from sl2deform.scalars import QuadExt, quadext, scalar_is_zero
+from sl2deform.scalars import QuadExt, ScalarDomainError, quadext, scalar_is_zero, to_numerators
 
 from conftest import rand_fraction
 
@@ -853,6 +853,12 @@ def _kernel_rows(rng, kind, nrows, width):
     ]
 
 
+def _sparse(row):
+    """A dense row as the probe hands rows to the span: its numerators over
+    their lcm (``scalars.to_numerators``), keyed by column, zeros left out."""
+    return {j: v for j, v in enumerate(to_numerators(row)[0]) if v}
+
+
 def _in_field(field, x):
     """x as an element of sympy's exact field, QQ or QQ<sqrt(2)>."""
     if isinstance(x, QuadExt):
@@ -874,9 +880,9 @@ def test_exact_span_agrees_with_sympy(kind):
         matrix = DomainMatrix(elements, (nrows, width), field)
         # row i is independent of rows 0..i-1 iff column i of the transpose is a pivot
         _, independent = matrix.transpose().rref()
-        span = _ExactSpan(width)
-        assert [span.add(row) for row in rows] == [i in independent for i in range(nrows)]
-        assert all(type(v) in (int, Fr, QuadExt) for row in span.rows for v in row)
+        span = _ExactSpan()
+        assert [span.add(_sparse(row)) for row in rows] == [i in independent for i in range(nrows)]
+        assert all(type(v) in (int, Fr, QuadExt) for row in span.rows.values() for v in row.values())
         _, pivots = matrix.rref()
         assert span.dimension == len(pivots)
         ranks.add((span.dimension, nrows, width))
@@ -888,7 +894,7 @@ def test_exact_span_agrees_with_sympy(kind):
         for probe in probes:
             stacked = elements + [[_in_field(field, x) for x in probe]]
             inside = DomainMatrix(stacked, (nrows + 1, width), field).rank() == len(pivots)
-            assert span.contains(probe) == inside
+            assert span.contains(_sparse(probe)) == inside
     # full-rank, rank-deficient and all-zero systems all occur
     assert any(rank < min(n, w) for rank, n, w in ranks)
     assert any(rank == min(n, w) for rank, n, w in ranks)
@@ -898,25 +904,31 @@ def test_exact_span_agrees_with_sympy(kind):
 def test_exact_span_keeps_rows_of_ints_and_radicals_exact():
     # an integer pivot in a row holding a QuadExt, then a rational row
     r = quadext(1, 1, 2)
-    span = _ExactSpan(3)
-    assert span.add([2, r, 0]) and span.add([0, 3, Fr(1, 2)])
-    assert not span.add([2, r + 6, 1])  # the first row plus twice the second
-    assert all(type(v) in (int, Fr, QuadExt) for row in span.rows for v in row)
+    span = _ExactSpan()
+    assert span.add(_sparse([2, r, 0])) and span.add(_sparse([0, 3, Fr(1, 2)]))
+    assert not span.add(_sparse([2, r + 6, 1]))  # the first row plus twice the second
+    assert all(type(v) in (int, Fr, QuadExt) for row in span.rows.values() for v in row.values())
 
 
-def test_exact_span_keeps_the_same_rows_for_fraction_and_integer_input():
-    # a rational row is converted once, in _reduce; the kept rows are the
-    # coprime integer multiples of the RREF rows, whatever the input scaling
+def test_exact_span_keeps_the_same_rows_under_positive_scaling():
+    # the kept rows are the coprime integer multiples, with a positive pivot,
+    # of the RREF rows, whatever positive integer scales each input row
     rng = random.Random("span-of-scaled-rows")
     for _ in range(40):
         width = rng.randint(1, 6)
-        rows = [[rand_fraction(rng) for _ in range(width)] for _ in range(rng.randint(1, 6))]
-        scales = [rng.randint(1, 5) * math.lcm(*(v.denominator for v in row)) for row in rows]
-        scaled = [[int(v * scale) for v in row] for row, scale in zip(rows, scales)]
-        by_fraction, by_int = _ExactSpan(width), _ExactSpan(width)
-        assert [by_fraction.add(row) for row in rows] == [by_int.add(row) for row in scaled]
-        assert by_fraction.rows == by_int.rows
-        assert all(type(v) is int for row in by_fraction.rows for v in row)
+        rows = [_sparse(row) for row in _kernel_rows(rng, "fraction", rng.randint(1, 6), width)]
+        scales = [rng.randint(1, 1000) for _ in rows]
+        scaled = [{j: v * k for j, v in row.items()} for row, k in zip(rows, scales)]
+        plain, by_scaled = _ExactSpan(), _ExactSpan()
+        assert [plain.add(row) for row in rows] == [by_scaled.add(row) for row in scaled]
+        assert plain.rows == by_scaled.rows
+        rref, pivots = sympy.Matrix([[row.get(j, 0) for j in range(width)] for row in rows]).rref()
+        want = {}
+        for i, pc in enumerate(pivots):
+            den = math.lcm(*(int(x.q) for x in rref.row(i)))
+            want[pc] = {j: int(x * den) for j, x in enumerate(rref.row(i)) if x}
+        assert plain.rows == want
+        assert all(type(v) is int for row in plain.rows.values() for v in row.values())
 
 
 def test_probe_is_unchanged_when_every_operator_is_scaled_by_an_irrational():
@@ -1089,13 +1101,13 @@ def test_probe_forms_no_bracket_once_the_span_is_full(monkeypatch):
     original_commutator = diffops.commutator
 
     class Recorded(_ExactSpan):
-        def __init__(self, width):
-            super().__init__(width)
+        def __init__(self):
+            super().__init__()
             self.added = []
             spans.append(self)
 
         def add(self, vec):
-            self.added.append(list(vec))
+            self.added.append(list(vec.values()))
             return super().add(vec)
 
     def recorded(a, b):
@@ -1163,6 +1175,41 @@ def test_probe_failing_pairs_equal_those_of_the_powers_of_euler():
         assert report.closed_as_operators == (not want)
         outcomes.add(bool(want))
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("n, rounds", [(8, 4), (10, 4), (12, 5)])
+def test_dense_order_2_probe_spans_every_matrix(n, rounds):
+    # the order-2 basis on 1, x, ..., x^(n-1) holds a matrix with a trace, so
+    # its span reaches all n^2 matrices; the rounds and the failing pairs are
+    # those of the pairwise saturation with dense rows
+    space = MonomialSpace(tuple(range(n)))
+    report = lie_closure_probe(enumerate_preserving_operators(space, 2), space)
+    assert report.matrix_lie_span_dimension == n * n
+    assert report.rounds_used == rounds
+    assert report.failing_pairs == (
+        (4, 5), (4, 6), (4, 7), (5, 6), (5, 8), (6, 7), (6, 8), (7, 8))
+
+
+def _two_radicand_families():
+    r2, r3 = quadext(0, 1, 2), quadext(0, 1, 3)
+    xd, one = DiffOp.euler(), DiffOp.identity()
+    return [
+        [DiffOp({(1, 1): r2, (0, 0): r3}), xd],
+        [xd * r2, one * r3],
+        [one * r3, xd * r2],
+        [one * (1 + r2), xd * (1 + r3)],
+        # one operator, so no bracket: on {1, x} the radicands meet only in its span row
+        [DiffOp({(1, 1): r2, (2, 2): r3})],
+    ]
+
+
+@pytest.mark.parametrize("ops", _two_radicand_families())
+def test_probe_over_two_radicands_raises(ops):
+    # sqrt(2) and sqrt(3) meet in a matrix entry, a bracket or a span row;
+    # the radicand pair may be named in either order
+    for space in (V3, MonomialSpace((0, 1))):
+        with pytest.raises(ScalarDomainError, match="mixed radicands"):
+            lie_closure_probe(ops, space)
 
 
 def test_probe_of_no_matrix_takes_one_round():
