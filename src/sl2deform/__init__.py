@@ -20,7 +20,7 @@ from .algebra import (
     classic_norm_squares,
     cubic,
 )
-from .cases import CaseId, build_case_realization
+from .cases import CaseData, CaseId, build_case_realization, derive_case
 from .diffops import (
     ClosureReport,
     DiffOp,
@@ -69,6 +69,7 @@ from .scalars import (
 __all__ = [
     "AlgebraParams",
     "BlockSplit",
+    "CaseData",
     "CaseId",
     "CaseSolution",
     "ClosureReport",
@@ -102,6 +103,7 @@ __all__ = [
     "coordinate_block_split",
     "cubic",
     "decompose_rep",
+    "derive_case",
     "enumerate_preserving_operators",
     "intrinsic_gamma_and_product",
     "is_scalar_multiple_of_identity",

@@ -26,10 +26,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 from .diffops import V3, DiffOp, MonomialSpace
-from .reps import intrinsic_gamma_and_product
 from .scalars import Scalar, as_scalar
 
 Fr = Fraction
@@ -147,21 +145,13 @@ _PRINTED_LABEL_CONST = {CaseId.CASE1: Fr(-3, 4), CaseId.CASE2: Fr(0), CaseId.CAS
 
 
 def build_case_realization(
-    case: CaseId,
-    alpha: Scalar,
-    beta: Scalar,
-    f: Scalar,
-    g: Scalar,
-    c: Optional[Scalar] = None,
+    data: CaseData, f: Scalar, g: Scalar, c: Scalar
 ) -> tuple[DiffOp, DiffOp, DiffOp]:
     """The differential triple (diagonal, raising, lowering) of a ladder case.
 
-    The diagonal operator is (1/step) x D + (c - k_mid/step).  Without an
-    explicit label ``c`` the intrinsic one is used, which requires alpha != 0.
+    The diagonal operator is (1/step) x D + (c - k_mid/step), for the label
+    ``c`` that ``reps.solve_case`` or ``reps.intrinsic_gamma_and_product`` gives.
     """
-    data = case.data
-    if c is None:
-        c = intrinsic_gamma_and_product(case, alpha, beta).c
     slope = Fr(1, data.step)
     j0 = DiffOp({(1, 1): slope, (0, 0): as_scalar(c) - data.k_mid * slope})
     return j0, data.raise_op.scale(f), data.lower_op.scale(g)

@@ -119,14 +119,15 @@ def _closure_values(report) -> dict:
 
 def cmd_verify_case(args) -> dict:
     case = CaseId(args.case)
-    space = case.data.space
+    data = case.data
+    space = data.space
     alpha = parse_scalar(args.alpha)
     beta = parse_scalar(args.beta)
 
     # the parameter region is checked once, by the solvers in reps
     gamma_intrinsic = args.gamma == "intrinsic"
     if gamma_intrinsic:
-        intr = intrinsic_gamma_and_product(case, alpha, beta)
+        intr = intrinsic_gamma_and_product(data, alpha, beta)
         gamma = intr.gamma
         branch = args.branch or intr.branch
     else:
@@ -134,12 +135,10 @@ def cmd_verify_case(args) -> dict:
         gamma = parse_scalar(args.gamma)
         branch = args.branch or "upper"
 
-    solution = solve_case(case, alpha, beta, gamma, branch)
+    solution = solve_case(data, alpha, beta, gamma, branch)
     params = AlgebraParams(alpha, beta, gamma, solution.delta)
 
-    triple_ops = build_case_realization(
-        case, alpha, beta, f=1, g=solution.fg, c=solution.c
-    )
+    triple_ops = build_case_realization(data, f=1, g=solution.fg, c=solution.c)
 
     checks: list[bool] = []
     sections: list[dict] = []
@@ -422,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     vc = sub.add_parser("verify-case", help="solve and verify one ladder case end to end")
-    vc.add_argument("--case", type=_int, choices=(1, 2, 3), required=True)
+    vc.add_argument("--case", type=_int, choices=[case.value for case in CaseId], required=True)
     vc.add_argument("--alpha", required=True, help="exact scalar, e.g. 2 or -1/3")
     vc.add_argument("--beta", required=True)
     vc.add_argument("--gamma", default="intrinsic", help="'intrinsic' or an exact scalar")

@@ -21,14 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
-from .algebra import AlgebraParams, MatrixTriple, cubic
+from .algebra import AlgebraParams, MatrixTriple, _check_two_j, _one_radicand, cubic
+from .cases import CaseData
 from .matrices import Matrix, coordinate_block_split
-from .scalars import QuadExt, Scalar, ScalarDomainError, as_scalar, scalar_is_zero, sqrt_exact
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; cases imports this module
-    from .cases import CaseId
+from .scalars import Scalar, as_scalar, scalar_is_zero, sqrt_exact
 
 Fr = Fraction
 
@@ -52,8 +50,7 @@ class RepSpec:
     def __post_init__(self):
         for name in ("a", "c", "f", "g"):
             object.__setattr__(self, name, as_scalar(getattr(self, name)))
-        if self.two_j < 0:
-            raise ValueError("two_j must be nonnegative")
+        _check_two_j(self.two_j)
         if self.q < 1 or self.q > self.two_j:
             raise ValueError(f"q must lie in 1..{self.two_j}, got {self.q}")
         if (self.two_m1 - self.two_j) % 2 != 0:
@@ -150,19 +147,17 @@ def _case_parameters(alpha, beta, gamma) -> tuple[Scalar, Scalar, Scalar]:
             )
     elif not isinstance(alpha, Fraction):
         raise ValueError("alpha != 0 must be rational")
-    if isinstance(beta, QuadExt) and isinstance(gamma, QuadExt) and beta.d != gamma.d:
-        raise ScalarDomainError(f"mixed radicands sqrt({gamma.d}) and sqrt({beta.d})")
+    _one_radicand(gamma, beta)
     return alpha, beta, gamma
 
 
-def _c_quadratic(case: CaseId, alpha, beta, gamma) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+def _c_quadratic(data: CaseData, alpha, beta, gamma) -> tuple[Scalar, Scalar, Scalar, Scalar]:
     """(s, A, B, C): c = c' - s, and A c'^2 + B c' + C = 0 is what the three
     constraints leave of c'.  Their sum, raised + source - 2 * third, cancels
     f*g, delta and c'^3: A = 3 S1, B = 3 S2 and C = p S1 + S3, or with
     s = gamma/(2 beta) at alpha = 0, A = 0, B = 2 S1 and C = S2.  Raises
     ``ValueError`` when S1 = 0, where the quadratic degenerates.
     """
-    data = case.data
     s1, s2, s3 = data.label_sums
     if not s1:
         k_src = data.space.exponents[data.two_m1 // 2 + 1]
@@ -176,22 +171,23 @@ def _c_quadratic(case: CaseId, alpha, beta, gamma) -> tuple[Scalar, Scalar, Scal
 
 
 def solve_case(
-    case: CaseId,
+    data: CaseData,
     alpha: Scalar,
     beta: Scalar,
     gamma: Scalar,
     branch: str = "upper",
 ) -> CaseSolution:
-    """Exact (c, delta, f*g) for one of the three-dimensional cases.
+    """Exact (c, delta, f*g) for a three-dimensional case.
 
-    With alpha = 0 the solution is unique and ``branch`` is ignored; otherwise
-    ``branch`` picks the sign in front of the square root and the radicand
-    must be nonnegative.  delta zeroes the third label's constraint and f*g
-    the raised label's.
+    ``data`` is a paper case, ``CaseId.CASE1.data`` say, or any ladder that
+    ``cases.derive_case`` derives.  With alpha = 0 the solution is unique
+    and ``branch`` is ignored; otherwise ``branch`` picks the sign in front
+    of the square root and the radicand must be nonnegative.  delta zeroes
+    the third label's constraint and f*g the raised label's.
     """
     alpha, beta, gamma = _case_parameters(alpha, beta, gamma)
-    e_dst, _, e_oth = case.data.energies
-    s, a, b, c0 = _c_quadratic(case, alpha, beta, gamma)
+    e_dst, _, e_oth = data.energies
+    s, a, b, c0 = _c_quadratic(data, alpha, beta, gamma)
     if scalar_is_zero(alpha):
         c = -c0 / b - s
         branch_tag = "alpha-zero"
@@ -208,7 +204,7 @@ def solve_case(
     return CaseSolution(c=c, delta=delta, fg=fg, branch=branch_tag)
 
 
-def intrinsic_gamma_and_product(case: CaseId, alpha: Scalar, beta: Scalar) -> IntrinsicData:
+def intrinsic_gamma_and_product(data: CaseData, alpha: Scalar, beta: Scalar) -> IntrinsicData:
     """gamma, f*g and c making the case realization close independently of the module.
 
     The locus is one orbit: the case's point (p*, c*, fg*) at (alpha, beta) =
@@ -220,8 +216,8 @@ def intrinsic_gamma_and_product(case: CaseId, alpha: Scalar, beta: Scalar) -> In
     alpha, beta, _ = _case_parameters(alpha, beta, 0)
     if scalar_is_zero(alpha):
         raise ValueError("the intrinsic locus needs alpha != 0")
-    p, c, fg = case.data.intrinsic
-    s, a, b, _ = _c_quadratic(case, alpha, beta, 0)
+    p, c, fg = data.intrinsic
+    s, a, b, _ = _c_quadratic(data, alpha, beta, 0)
     branch = "upper" if (c + b / (2 * a)) / alpha > 0 else "lower"
     return IntrinsicData(gamma=alpha * (p + 3 * s * s), fg=alpha * fg, c=c - s, branch=branch)
 
@@ -252,9 +248,8 @@ def decompose_rep(rep: MatrixTriple) -> list[RepBlock]:
     return out
 
 
-def case_rep_spec(case: CaseId, solution: CaseSolution, f: Optional[Scalar] = None) -> RepSpec:
+def case_rep_spec(data: CaseData, solution: CaseSolution, f: Optional[Scalar] = None) -> RepSpec:
     """RepSpec for a solved case, splitting the product as f = 1, g = f*g by default."""
-    data = case.data
     f = as_scalar(1 if f is None else f)
     if scalar_is_zero(f):
         raise ValueError("the raising coefficient of the split must be nonzero")

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from sl2deform.cases import build_case_realization
+from sl2deform.reps import intrinsic_gamma_and_product
+
 
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9,
                   max_den: int = 9, nonzero: bool = False) -> Fraction:
@@ -19,6 +22,12 @@ def assert_names_two_radicands(message: str, radicands) -> None:
     m = re.fullmatch(r"mixed radicands sqrt\((\d+)\) and sqrt\((\d+)\)", message)
     assert m, message
     assert m[1] != m[2] and {int(m[1]), int(m[2])} <= set(radicands), message
+
+
+def intrinsic_realization(data, alpha, beta, f=1, g=1):
+    """The case triple at the intrinsic label c of (alpha, beta)."""
+    c = intrinsic_gamma_and_product(data, alpha, beta).c
+    return build_case_realization(data, f, g, c)
 
 
 @pytest.fixture

@@ -49,7 +49,7 @@ from sl2deform.reps import (
 )
 from sl2deform.scalars import scalar_is_zero
 
-from conftest import rand_fraction
+from conftest import intrinsic_realization, rand_fraction
 from published_cases import PUBLISHED
 
 
@@ -128,10 +128,10 @@ def test_criterion_2_case_reproduction():
         alpha = rand_fraction(rng, nonzero=True)
         beta = rand_fraction(rng)
         for case in CaseId:
-            intr = intrinsic_gamma_and_product(case, alpha, beta)
-            sol = solve_case(case, alpha, beta, intr.gamma, intr.branch)
+            intr = intrinsic_gamma_and_product(case.data, alpha, beta)
+            sol = solve_case(case.data, alpha, beta, intr.gamma, intr.branch)
             params = AlgebraParams(alpha, beta, intr.gamma, sol.delta)
-            spec = case_rep_spec(case, sol)
+            spec = case_rep_spec(case.data, sol)
 
             # (a) rational labels, exactly zero constraint residuals
             part_a = isinstance(sol.c, Fr) and isinstance(sol.delta, Fr) and all(
@@ -141,7 +141,7 @@ def test_criterion_2_case_reproduction():
             part_b = sol.fg == LADDER_PRODUCT[case](alpha) == intr.fg
             # (c) intrinsic closure against the solved bracket, whose constant
             #     must equal the printed closed form
-            ops = build_case_realization(case, alpha, beta, f=spec.f, g=spec.g, c=sol.c)
+            ops = build_case_realization(case.data, f=spec.f, g=spec.g, c=sol.c)
             part_c = sol.delta == BRACKET_CONSTANT[case](alpha, beta) and closure_check(
                 ops, params, None
             ).passed
@@ -175,13 +175,13 @@ def test_criterion_3_alpha_zero_branch():
         beta = rand_fraction(rng, nonzero=True)
         gamma = rand_fraction(rng)
         for case in CaseId:
-            sol = solve_case(case, 0, beta, gamma)
+            sol = solve_case(case.data, 0, beta, gamma)
             params = AlgebraParams(0, beta, gamma, sol.delta)
-            spec = case_rep_spec(case, sol)
+            spec = case_rep_spec(case.data, sol)
             residuals_zero = all(
                 scalar_is_zero(r) for r in constraint_residuals(spec, params)
             )
-            ops = build_case_realization(case, 0, beta, f=spec.f, g=spec.g, c=sol.c)
+            ops = build_case_realization(case.data, f=spec.f, g=spec.g, c=sol.c)
             on_space = closure_check(ops, params, V3).passed
             ok = ok and residuals_zero and on_space
     assert announce(3, "alpha = 0 closed forms, 20 points per case", ok)
@@ -201,12 +201,12 @@ def test_criterion_4_intrinsic_vs_on_space_separation():
         # dial the published radicand directly: gamma is linear in it
         target = Fr(rng.choice([0, 1, 4, 9, 25, 2, 3, 5, 7, 11, 18, 49]))
         gamma = PUBLISHED[case].gamma_for_radicand(alpha, beta, target)
-        if gamma == intrinsic_gamma_and_product(case, alpha, beta).gamma:
+        if gamma == intrinsic_gamma_and_product(case.data, alpha, beta).gamma:
             continue
         branch = rng.choice(["upper", "lower"])
-        sol = solve_case(case, alpha, beta, gamma, branch)
+        sol = solve_case(case.data, alpha, beta, gamma, branch)
         params = AlgebraParams(alpha, beta, gamma, sol.delta)
-        ops = build_case_realization(case, alpha, beta, f=1, g=sol.fg, c=sol.c)
+        ops = build_case_realization(case.data, f=1, g=sol.fg, c=sol.c)
         on_space = closure_check(ops, params, V3)
         intrinsic = closure_check(ops, params, None)
         survives = any(not act.is_zero() for _, act in intrinsic.residuals)
@@ -321,7 +321,7 @@ def test_criterion_5_preserving_operator_count():
     monomials = _preserving_monomials(V3, 3)
     ladders = []
     for case in CaseId:
-        _, jp, jm = build_case_realization(case, 1, 0, f=1, g=1)
+        _, jp, jm = intrinsic_realization(case.data, 1, 0)
         ladders.extend(op for op in (jp, jm) if len(op.terms) > 1)
     generators = monomials + ladders
     stated = 11
@@ -389,14 +389,14 @@ def test_criterion_6_ladders_generate_but_do_not_close():
     generate at least the traceless 3 x 3 algebra."""
     ladders = []
     for case in CaseId:
-        _, jp, jm = build_case_realization(case, 1, 0, f=1, g=1)
+        _, jp, jm = intrinsic_realization(case.data, 1, 0)
         ladders.extend([jp, jm])
     op_report = lie_closure_probe(ladders, V3)
     not_closed = not op_report.closed_as_operators
 
     with_diagonals = list(ladders)
     for case in (CaseId.CASE1, CaseId.CASE2):
-        j0, _, _ = build_case_realization(case, 1, 0, f=1, g=1)
+        j0, _, _ = intrinsic_realization(case.data, 1, 0)
         with_diagonals.append(j0)
     full_report = lie_closure_probe(with_diagonals, V3)
     dim_ok = full_report.matrix_lie_span_dimension >= 8
@@ -458,11 +458,11 @@ def test_criterion_7_equivalence_oracle():
         for _ in range(5):
             alpha = rand_fraction(rng, nonzero=True)
             beta = rand_fraction(rng)
-            intr = intrinsic_gamma_and_product(case, alpha, beta)
-            sol = solve_case(case, alpha, beta, intr.gamma, intr.branch)
+            intr = intrinsic_gamma_and_product(case.data, alpha, beta)
+            sol = solve_case(case.data, alpha, beta, intr.gamma, intr.branch)
             f = rand_fraction(rng, nonzero=True)
             samples.append(
-                (case_rep_spec(case, sol, f=f),
+                (case_rep_spec(case.data, sol, f=f),
                  AlgebraParams(alpha, beta, intr.gamma, sol.delta))
             )
     # satisfying: two-dimensional ladders closed by the choice of delta
@@ -510,9 +510,9 @@ def test_criterion_8_radicand_collapse():
         alpha = rand_fraction(rng, nonzero=True)
         beta = rand_fraction(rng)
         for case in CaseId:
-            intr = intrinsic_gamma_and_product(case, alpha, beta)
+            intr = intrinsic_gamma_and_product(case.data, alpha, beta)
             radicand = PUBLISHED[case].radicand_at(alpha, beta, intr.gamma)
             collapse_ok = radicand == RADICAND_COLLAPSE[case](alpha)
-            sol = solve_case(case, alpha, beta, intr.gamma, intr.branch)
+            sol = solve_case(case.data, alpha, beta, intr.gamma, intr.branch)
             ok = ok and collapse_ok and isinstance(sol.c, Fr)
     assert announce(8, "intrinsic radicands are perfect squares, c rational", ok)

@@ -26,10 +26,10 @@ CLASSIC = AlgebraParams(0, 0, 2, 0)
 
 
 def solved_case_matrices(case, alpha, beta):
-    intr = intrinsic_gamma_and_product(case, alpha, beta)
-    sol = solve_case(case, alpha, beta, intr.gamma, intr.branch)
-    spec = case_rep_spec(case, sol)
-    ops = build_case_realization(case, alpha, beta, f=spec.f, g=spec.g, c=sol.c)
+    intr = intrinsic_gamma_and_product(case.data, alpha, beta)
+    sol = solve_case(case.data, alpha, beta, intr.gamma, intr.branch)
+    spec = case_rep_spec(case.data, sol)
+    ops = build_case_realization(case.data, f=spec.f, g=spec.g, c=sol.c)
     triple = MatrixTriple(*(op.matrix_on_space(V3) for op in ops))
     params = AlgebraParams(alpha, beta, intr.gamma, sol.delta)
     return triple, params

@@ -8,15 +8,19 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from sl2deform.cases import CaseId, derive_case
-from sl2deform.diffops import V3, DiffOp, MonomialSpace
+from sl2deform.algebra import AlgebraParams, MatrixTriple, check_deformed_relations
+from sl2deform.cases import CaseId, build_case_realization, derive_case
+from sl2deform.diffops import V3, DiffOp, MonomialSpace, closure_check
 from sl2deform.reps import (
     RepSpec,
     TrivialAlgebraError,
+    build_new_rep_matrices,
+    case_rep_spec,
+    constraint_residuals,
     intrinsic_gamma_and_product,
     solve_case,
 )
-from sl2deform.scalars import NegativeRadicandError, ScalarDomainError, quadext
+from sl2deform.scalars import NegativeRadicandError, ScalarDomainError, quadext, scalar_is_zero
 
 from conftest import rand_fraction
 from published_cases import PUBLISHED, published_intrinsic, published_solution
@@ -31,6 +35,13 @@ def test_the_space_0_2_5_from_0_to_5():
     data = derive_case(MonomialSpace((0, 2, 5)), 0, 5)
     assert (data.q, data.two_m1, data.a) == (2, -2, Fr(1, 10))
     assert (data.step, data.k_mid) == (5, 2)
+    # the solvers take it as they take the paper's cases
+    intr = intrinsic_gamma_and_product(data, 1, 2)
+    sol = solve_case(data, 1, 2, intr.gamma, intr.branch)
+    assert (intr.gamma, intr.c, intr.fg, intr.branch) == (
+        Fr(1147, 1200), Fr(-43, 60), Fr(-3, 50), "upper"
+    )
+    assert (sol.c, sol.fg, sol.delta) == (Fr(-43, 60), Fr(-3, 50), Fr(559, 21600))
 
 
 def test_every_label_sits_on_its_exponent():
@@ -104,24 +115,24 @@ def test_derived_solutions_match_the_published_closed_forms():
             target = Fr(rng.randint(0, 60), rng.choice((1, 4, 9)))
             gamma = pub.gamma_for_radicand(alpha, beta, target / pub.radicand_premul)
             for branch in ("upper", "lower"):
-                sol = solve_case(case, alpha, beta, gamma, branch)
+                sol = solve_case(case.data, alpha, beta, gamma, branch)
                 assert sol.branch == branch
                 assert (sol.c, sol.delta, sol.fg) == published_solution(
                     case, alpha, beta, gamma, branch
                 ), (case, alpha, beta, gamma, branch)
 
             beta0, gamma0 = rand_fraction(rng, nonzero=True), rand_fraction(rng)
-            sol = solve_case(case, 0, beta0, gamma0, "lower")
+            sol = solve_case(case.data, 0, beta0, gamma0, "lower")
             assert sol.branch == "alpha-zero"
             assert (sol.c, sol.delta, sol.fg) == published_solution(
                 case, Fr(0), beta0, gamma0
             )
 
-            intr = intrinsic_gamma_and_product(case, alpha, beta)
+            intr = intrinsic_gamma_and_product(case.data, alpha, beta)
             assert (intr.gamma, intr.fg, intr.c, intr.branch) == published_intrinsic(
                 case, alpha, beta
             )
-            sol = solve_case(case, alpha, beta, intr.gamma, intr.branch)
+            sol = solve_case(case.data, alpha, beta, intr.gamma, intr.branch)
             assert (sol.c, sol.fg) == (intr.c, intr.fg)
             assert (sol.c, sol.delta, sol.fg) == published_solution(
                 case, alpha, beta, intr.gamma, intr.branch
@@ -138,45 +149,45 @@ def test_negative_radicands_are_rejected_where_the_published_ones_are_negative()
             target = -Fr(rng.randint(1, 60), rng.choice((1, 4, 9)))
             gamma = pub.gamma_for_radicand(alpha, beta, target)
             with pytest.raises(NegativeRadicandError):
-                solve_case(case, alpha, beta, gamma, "upper")
+                solve_case(case.data, alpha, beta, gamma, "upper")
 
 
 def test_the_parameter_region_is_guarded_once_for_both_solvers():
     root2 = quadext(0, 1, 2)
     for call in (
-        lambda: solve_case(CaseId.CASE1, 0, 0, 1),
-        lambda: intrinsic_gamma_and_product(CaseId.CASE1, 0, 0),
+        lambda: solve_case(CaseId.CASE1.data, 0, 0, 1),
+        lambda: intrinsic_gamma_and_product(CaseId.CASE1.data, 0, 0),
     ):
         with pytest.raises(TrivialAlgebraError):
             call()
     for call in (
-        lambda: solve_case(CaseId.CASE1, root2, 1, 0),
-        lambda: intrinsic_gamma_and_product(CaseId.CASE1, root2, 1),
+        lambda: solve_case(CaseId.CASE1.data, root2, 1, 0),
+        lambda: intrinsic_gamma_and_product(CaseId.CASE1.data, root2, 1),
     ):
         with pytest.raises(ValueError, match="must be rational"):
             call()
     # an irrational radicand has no root in the extension
     for call in (
-        lambda: solve_case(CaseId.CASE3, 1, 0, root2),
-        lambda: solve_case(CaseId.CASE2, 1, root2, root2),
+        lambda: solve_case(CaseId.CASE3.data, 1, 0, root2),
+        lambda: solve_case(CaseId.CASE2.data, 1, root2, root2),
     ):
         with pytest.raises(ScalarDomainError, match="irrational"):
             call()
     # an irrational beta is fine while beta^2 keeps the radicand rational
     for case in CaseId:
-        intr = intrinsic_gamma_and_product(case, 1, 1 + root2)
-        sol = solve_case(case, 1, 1 + root2, intr.gamma, intr.branch)
+        intr = intrinsic_gamma_and_product(case.data, 1, 1 + root2)
+        sol = solve_case(case.data, 1, 1 + root2, intr.gamma, intr.branch)
         assert (sol.c, sol.fg) == (intr.c, intr.fg)
     with pytest.raises(ValueError, match="alpha != 0"):
-        intrinsic_gamma_and_product(CaseId.CASE1, 0, 1)
+        intrinsic_gamma_and_product(CaseId.CASE1.data, 0, 1)
     # alpha = 0 keeps irrational beta and gamma
-    sol = solve_case(CaseId.CASE1, 0, root2, 1)
+    sol = solve_case(CaseId.CASE1.data, 0, root2, 1)
     assert sol.branch == "alpha-zero"
     # but not over two radicands: the shift would square beta's away and
     # meet sqrt(3) alone, failing later on an irrational radicand instead
     for case, alpha in itertools.product(CaseId, (0, 1)):
         with pytest.raises(ScalarDomainError) as err:
-            solve_case(case, alpha, root2, quadext(0, 1, 3))
+            solve_case(case.data, alpha, root2, quadext(0, 1, 3))
         assert str(err.value) == "mixed radicands sqrt(3) and sqrt(2)", (case, alpha)
 
 
@@ -299,8 +310,8 @@ def test_every_solution_is_the_transport_of_the_normal_form(
         assume(beta != 0)
         gamma = quadext(gamma0, beta_root2, 2)
         s = gamma / (2 * beta)
-        base = solve_case(case, 0, 1, 0)
-        sol = solve_case(case, 0, beta, gamma)
+        base = solve_case(case.data, 0, 1, 0)
+        sol = solve_case(case.data, 0, beta, gamma)
         assert (sol.c, sol.delta, sol.fg, sol.branch) == (
             base.c - s, beta * (s * s + base.delta), beta * base.fg, "alpha-zero"
         )
@@ -311,8 +322,42 @@ def test_every_solution_is_the_transport_of_the_normal_form(
     s = beta / (3 * alpha)
     gamma = alpha * (p + 3 * s * s)
     swapped = branch if alpha > 0 else ("lower" if branch == "upper" else "upper")
-    base = solve_case(case, 1, 0, p, swapped)
-    sol = solve_case(case, alpha, beta, gamma, branch)
+    base = solve_case(case.data, 1, 0, p, swapped)
+    sol = solve_case(case.data, alpha, beta, gamma, branch)
     assert (sol.c, sol.delta, sol.fg, sol.branch) == (
         base.c - s, alpha * (s**3 + p * s + base.delta), alpha * base.fg, branch
     )
+
+
+# -- derived cases off V3 ---------------------------------------------------------
+
+
+def test_derived_cases_off_v3_solve_and_close_on_the_intrinsic_locus():
+    """Seeded spaces of three exponents in 0..9, a random ladder on each, at
+    rational alpha != 0 and beta: the solvers take the derived data as they
+    take the paper's, and the realization closes as an operator identity and
+    on the space, where it is the single-step representation."""
+    rng = random.Random("derived-cases-off-v3")
+    solved = 0
+    for _ in range(60):
+        space = MonomialSpace(tuple(sorted(rng.sample(range(10), 3))))
+        data = derive_case(space, *sorted(rng.sample(space.exponents, 2)))
+        alpha = rand_fraction(rng, nonzero=True)
+        beta = rand_fraction(rng)
+        if not data.label_sums[0]:
+            continue  # S1 = 0: refused, see test_reps' outer-ladder test
+        intr = intrinsic_gamma_and_product(data, alpha, beta)
+        sol = solve_case(data, alpha, beta, intr.gamma, intr.branch)
+        assert (sol.c, sol.fg) == (intr.c, intr.fg), (space, data.q, data.two_m1)
+        params = AlgebraParams(alpha, beta, intr.gamma, sol.delta)
+        ops = build_case_realization(data, 1, sol.fg, sol.c)
+        assert closure_check(ops, params).passed
+        assert closure_check(ops, params, space).passed
+        mats = MatrixTriple(*[op.matrix_on_space(space) for op in ops])
+        assert check_deformed_relations(mats, params).all_zero
+        spec = case_rep_spec(data, sol)
+        assert all(scalar_is_zero(r) for r in constraint_residuals(spec, params))
+        assert build_new_rep_matrices(spec) == mats
+        solved += 1
+    assert solved >= 50
+

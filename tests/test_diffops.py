@@ -35,7 +35,7 @@ from sl2deform.reps import (
 )
 from sl2deform.scalars import QuadExt, ScalarDomainError, quadext, scalar_is_zero, to_numerators
 
-from conftest import rand_fraction
+from conftest import intrinsic_realization, rand_fraction
 
 CASE1_RAISE = DiffOp({(3, 2): Fr(1, 3), (2, 1): -1, (1, 0): 1})
 CASE1_LOWER = DiffOp({(1, 2): Fr(-1, 2), (0, 1): 1})
@@ -361,7 +361,7 @@ def test_preserves_iff_no_escaping_shift_values(rng):
 
 def test_matrix_on_space_case1_diagonal():
     alpha, beta = Fr(2), Fr(3)
-    j0, _, _ = build_case_realization(CaseId.CASE1, alpha, beta, f=1, g=1)
+    j0, _, _ = intrinsic_realization(CaseId.CASE1.data, alpha, beta)
     got = j0.matrix_on_space(V3)
     shift = beta / (3 * alpha)
     assert got == Matrix.diagonal([Fr(-7, 4) - shift, Fr(-3, 4) - shift, Fr(5, 4) - shift])
@@ -375,10 +375,10 @@ def test_matrix_on_space_rejects_escapes():
 def test_case_realization_matches_rep_matrices():
     for case in CaseId:
         alpha, beta = Fr(2), Fr(-3)
-        intr = intrinsic_gamma_and_product(case, alpha, beta)
-        sol = solve_case(case, alpha, beta, intr.gamma, intr.branch)
-        spec = case_rep_spec(case, sol)
-        ops = build_case_realization(case, alpha, beta, f=spec.f, g=spec.g, c=sol.c)
+        intr = intrinsic_gamma_and_product(case.data, alpha, beta)
+        sol = solve_case(case.data, alpha, beta, intr.gamma, intr.branch)
+        spec = case_rep_spec(case.data, sol)
+        ops = build_case_realization(case.data, f=spec.f, g=spec.g, c=sol.c)
         built = [op.matrix_on_space(V3) for op in ops]
         triple = build_new_rep_matrices(spec)
         assert built == [triple.j0, triple.jplus, triple.jminus]
@@ -388,27 +388,27 @@ def test_case_realization_matches_rep_matrices():
 
 
 def test_case_term_tables():
-    j0, jp, jm = build_case_realization(CaseId.CASE1, 1, 0, f=Fr(5), g=Fr(7))
+    j0, jp, jm = intrinsic_realization(CaseId.CASE1.data, 1, 0, f=Fr(5), g=Fr(7))
     assert jp == DiffOp({(3, 2): Fr(5, 3), (2, 1): -5, (1, 0): 5})
     assert jm == DiffOp({(1, 2): Fr(-7, 2), (0, 1): 7})
-    _, jp2, jm2 = build_case_realization(CaseId.CASE2, 1, 0, f=1, g=1)
+    _, jp2, jm2 = intrinsic_realization(CaseId.CASE2.data, 1, 0)
     assert jp2 == DiffOp({(4, 2): Fr(-1, 2), (3, 1): 1})
     assert jm2 == DiffOp({(0, 2): Fr(1, 6)})
-    j03, jp3, jm3 = build_case_realization(CaseId.CASE3, 1, 0, f=1, g=1)
+    j03, jp3, jm3 = intrinsic_realization(CaseId.CASE3.data, 1, 0)
     assert jm3 == DiffOp({(-1, 2): Fr(1, 6)})
     assert j03 == DiffOp({(1, 1): Fr(1, 3), (0, 0): Fr(-5, 12)})
 
 
 def test_case3_diagonal_with_beta():
-    j0, _, _ = build_case_realization(CaseId.CASE3, Fr(2), Fr(6), f=1, g=1)
+    j0, _, _ = intrinsic_realization(CaseId.CASE3.data, Fr(2), Fr(6))
     # (1/3) x D - 5/12 - beta/(3 alpha)
     assert j0 == DiffOp({(1, 1): Fr(1, 3), (0, 0): Fr(-5, 12) - Fr(6) / Fr(6)})
 
 
 def test_intrinsic_realization_needs_alpha_or_c():
-    with pytest.raises(ValueError):
-        build_case_realization(CaseId.CASE1, 0, 1, f=1, g=1)
-    j0, _, _ = build_case_realization(CaseId.CASE1, 0, 1, f=1, g=1, c=Fr(-7, 10))
+    with pytest.raises(ValueError, match="needs alpha != 0"):
+        intrinsic_gamma_and_product(CaseId.CASE1.data, 0, 1)
+    j0, _, _ = build_case_realization(CaseId.CASE1.data, f=1, g=1, c=Fr(-7, 10))
     assert j0 == DiffOp({(1, 1): 1, (0, 0): Fr(-17, 10)})
 
 
@@ -426,9 +426,9 @@ def test_classic_triples_close_intrinsically():
 def test_case_realizations_close_intrinsically():
     for case in CaseId:
         alpha, beta = Fr(-3), Fr(2)
-        intr = intrinsic_gamma_and_product(case, alpha, beta)
-        sol = solve_case(case, alpha, beta, intr.gamma, intr.branch)
-        ops = build_case_realization(case, alpha, beta, f=1, g=sol.fg, c=sol.c)
+        intr = intrinsic_gamma_and_product(case.data, alpha, beta)
+        sol = solve_case(case.data, alpha, beta, intr.gamma, intr.branch)
+        ops = build_case_realization(case.data, f=1, g=sol.fg, c=sol.c)
         params = AlgebraParams(alpha, beta, intr.gamma, sol.delta)
         assert closure_check(ops, params, None).passed
 
@@ -436,8 +436,8 @@ def test_case_realizations_close_intrinsically():
 def test_generic_gamma_closes_on_space_only():
     alpha, beta = Fr(1), Fr(0)
     gamma = Fr(-579, 300) - 3  # radicand 900, a perfect square
-    sol = solve_case(CaseId.CASE1, alpha, beta, gamma, "upper")
-    ops = build_case_realization(CaseId.CASE1, alpha, beta, f=1, g=sol.fg, c=sol.c)
+    sol = solve_case(CaseId.CASE1.data, alpha, beta, gamma, "upper")
+    ops = build_case_realization(CaseId.CASE1.data, f=1, g=sol.fg, c=sol.c)
     params = AlgebraParams(alpha, beta, gamma, sol.delta)
     on_space = closure_check(ops, params, V3)
     intrinsic = closure_check(ops, params, None)
@@ -449,9 +449,9 @@ def test_generic_gamma_closes_on_space_only():
 
 def test_on_space_check_fails_on_any_nonzero_residual():
     alpha, beta = Fr(2), Fr(3)
-    intr = intrinsic_gamma_and_product(CaseId.CASE1, alpha, beta)
-    sol = solve_case(CaseId.CASE1, alpha, beta, intr.gamma, intr.branch)
-    j0, jp, jm = build_case_realization(CaseId.CASE1, alpha, beta, f=1, g=sol.fg, c=sol.c)
+    intr = intrinsic_gamma_and_product(CaseId.CASE1.data, alpha, beta)
+    sol = solve_case(CaseId.CASE1.data, alpha, beta, intr.gamma, intr.branch)
+    j0, jp, jm = build_case_realization(CaseId.CASE1.data, f=1, g=sol.fg, c=sol.c)
     params = AlgebraParams(alpha, beta, intr.gamma, sol.delta)
     assert closure_check((j0, jp, jm), params, V3).passed
     # a wrong delta leaves only the bracket residual, the identity on V3
@@ -493,13 +493,13 @@ def _solved_case_triples(rng, draws):
         for _ in range(draws):
             alpha = rand_fraction(rng, -5, 5, 3, nonzero=True)
             beta = rand_fraction(rng, -5, 5, 3)
-            intr = intrinsic_gamma_and_product(case, alpha, beta)
+            intr = intrinsic_gamma_and_product(case.data, alpha, beta)
             for gamma in (intr.gamma, rand_fraction(rng, -20, 20, 3)):
                 try:
-                    sol = solve_case(case, alpha, beta, gamma, intr.branch)
+                    sol = solve_case(case.data, alpha, beta, gamma, intr.branch)
                 except ValueError:  # outside the case's parameter region
                     continue
-                triple = build_case_realization(case, alpha, beta, f=1, g=sol.fg, c=sol.c)
+                triple = build_case_realization(case.data, f=1, g=sol.fg, c=sol.c)
                 out.append((triple, AlgebraParams(alpha, beta, gamma, sol.delta)))
     return out
 
@@ -945,7 +945,7 @@ def test_probe_is_unchanged_when_every_operator_is_scaled_by_an_irrational():
 def six_ladders():
     ops = []
     for case in CaseId:
-        _, jp, jm = build_case_realization(case, 1, 0, f=1, g=1)
+        _, jp, jm = intrinsic_realization(case.data, 1, 0)
         ops.extend([jp, jm])
     return ops
 
@@ -966,7 +966,7 @@ def test_six_ladders_do_not_close():
 def test_six_ladders_plus_diagonals_span_at_least_sl3():
     ops = six_ladders()
     for case in (CaseId.CASE1, CaseId.CASE2):
-        j0, _, _ = build_case_realization(case, 1, 0, f=1, g=1)
+        j0, _, _ = intrinsic_realization(case.data, 1, 0)
         ops.append(j0)
     report = lie_closure_probe(ops, V3)
     assert report.matrix_lie_span_dimension >= 8
@@ -1034,7 +1034,7 @@ def _probe_families():
     those on V3 also by 1 + sqrt(2)."""
     rng = random.Random("probe-saturation-oracle")
     ladders = six_ladders()
-    diagonals = [build_case_realization(case, 1, 0, f=1, g=1)[0]
+    diagonals = [intrinsic_realization(case.data, 1, 0)[0]
                  for case in (CaseId.CASE1, CaseId.CASE2)]
     families = []
     for size in (3, 4, 5, 6):

@@ -145,7 +145,7 @@ def corpus_argvs() -> list[list[str]]:
                 if alpha != "0":
                     # the intrinsic gamma given explicitly, and just off it
                     g = intrinsic_gamma_and_product(
-                        CaseId(int(case)), parse_scalar(alpha), parse_scalar(beta)).gamma
+                        CaseId(int(case)).data, parse_scalar(alpha), parse_scalar(beta)).gamma
                     gammas += [render_scalar(g), render_scalar(g + Fraction(1, 7))]
                 for gamma in gammas:
                     for branch in ([None] if alpha == "0" else [None, "upper", "lower"]):

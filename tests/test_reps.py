@@ -1,5 +1,4 @@
 import re
-import types
 from fractions import Fraction as Fr
 
 import pytest
@@ -150,56 +149,56 @@ def test_elimination_identity_per_case(rng):
 
 
 def test_case1_alpha_zero_closed_form():
-    sol = solve_case(CaseId.CASE1, 0, 1, 0)
+    sol = solve_case(CaseId.CASE1.data, 0, 1, 0)
     assert sol == CaseSolution(
         c=Fr(-7, 10), delta=Fr(-169, 100), fg=sol.fg, branch="alpha-zero"
     )
     # fg comes from the raised-state cubic at c, here beta*c^2 + delta
     assert sol.fg == sol.c**2 + sol.delta
     residuals = constraint_residuals(
-        case_rep_spec(CaseId.CASE1, sol), AlgebraParams(0, 1, 0, sol.delta)
+        case_rep_spec(CaseId.CASE1.data, sol), AlgebraParams(0, 1, 0, sol.delta)
     )
     assert all(scalar_is_zero(r) for r in residuals)
 
 
 def test_case2_alpha_zero_closed_form():
-    sol = solve_case(CaseId.CASE2, 0, 1, 0)
+    sol = solve_case(CaseId.CASE2.data, 0, 1, 0)
     assert (sol.c, sol.delta) == (Fr(-1, 8), Fr(-25, 64))
 
 
 def test_case3_alpha_zero_closed_form():
-    sol = solve_case(CaseId.CASE3, 0, 1, 0)
+    sol = solve_case(CaseId.CASE3.data, 0, 1, 0)
     assert (sol.c, sol.delta) == (Fr(-5, 6), Fr(-25, 36))
 
 
 def test_trivial_pair_rejected():
     with pytest.raises(TrivialAlgebraError):
-        solve_case(CaseId.CASE1, 0, 0, 1)
+        solve_case(CaseId.CASE1.data, 0, 0, 1)
 
 
 @pytest.mark.parametrize("exponents", [(0, 1, 2), (0, 2, 4)])
 def test_an_outer_ladder_with_s1_zero_is_refused_by_both_solvers(exponents):
     # evenly spaced: the outer ladder's label sum S1 = e_dst + e_src - 2 e_oth is 0
-    case = types.SimpleNamespace(data=derive_case(MonomialSpace(exponents), 0, exponents[2]))
-    assert case.data.label_sums[0] == 0
+    data = derive_case(MonomialSpace(exponents), 0, exponents[2])
+    assert data.label_sums[0] == 0
     message = re.escape(f"the ladder x^0 -> x^{exponents[2]} on {list(exponents)} has S1 = 0")
     for alpha in (1, 0):
         with pytest.raises(ValueError, match=message):
-            solve_case(case, alpha, 1, 1)
+            solve_case(data, alpha, 1, 1)
     with pytest.raises(ValueError, match=message):
-        intrinsic_gamma_and_product(case, 1, 1)
+        intrinsic_gamma_and_product(data, 1, 1)
 
 
 def test_negative_radicand_rejected():
     # alpha = 1, beta = 0, gamma huge positive makes the radicand negative
     with pytest.raises(NegativeRadicandError):
-        solve_case(CaseId.CASE1, 1, 0, 100, "upper")
+        solve_case(CaseId.CASE1.data, 1, 0, 100, "upper")
 
 
 def test_case1_intrinsic_lower_branch_is_rational():
-    intr = intrinsic_gamma_and_product(CaseId.CASE1, Fr(2), Fr(3))
+    intr = intrinsic_gamma_and_product(CaseId.CASE1.data, Fr(2), Fr(3))
     assert intr.gamma == Fr(-19, 8)
-    sol = solve_case(CaseId.CASE1, Fr(2), Fr(3), intr.gamma, "lower")
+    sol = solve_case(CaseId.CASE1.data, Fr(2), Fr(3), intr.gamma, "lower")
     assert sol.c == Fr(-5, 4)
     assert isinstance(sol.c, Fr) and isinstance(sol.delta, Fr)
 
@@ -213,32 +212,32 @@ def test_both_branches_solve_the_constraints(rng):
             target = Fr(rng.randint(0, 40))
             gamma = PUBLISHED[case].gamma_for_radicand(alpha, beta, target)
             for branch in ("upper", "lower"):
-                sol = solve_case(case, alpha, beta, gamma, branch)
+                sol = solve_case(case.data, alpha, beta, gamma, branch)
                 params = AlgebraParams(alpha, beta, gamma, sol.delta)
-                res = constraint_residuals(case_rep_spec(case, sol), params)
+                res = constraint_residuals(case_rep_spec(case.data, sol), params)
                 assert all(scalar_is_zero(r) for r in res), (case, branch)
 
 
 def test_irrational_solutions_still_solve(rng):
     # a non-square radicand takes c and delta into a quadratic extension
-    sol = solve_case(CaseId.CASE1, 1, 0, Fr(-579, 300) - 1, "upper")
+    sol = solve_case(CaseId.CASE1.data, 1, 0, Fr(-579, 300) - 1, "upper")
     assert isinstance(sol.c, QuadExt)
     params = AlgebraParams(1, 0, Fr(-579, 300) - 1, sol.delta)
-    res = constraint_residuals(case_rep_spec(CaseId.CASE1, sol), params)
+    res = constraint_residuals(case_rep_spec(CaseId.CASE1.data, sol), params)
     assert all(scalar_is_zero(r) for r in res)
 
 
 def test_intrinsic_products():
-    assert intrinsic_gamma_and_product(CaseId.CASE1, 2, 0).fg == Fr(3)
-    assert intrinsic_gamma_and_product(CaseId.CASE2, 16, 0).fg == Fr(3)
-    assert intrinsic_gamma_and_product(CaseId.CASE3, -18, 0).fg == Fr(1)
+    assert intrinsic_gamma_and_product(CaseId.CASE1.data, 2, 0).fg == Fr(3)
+    assert intrinsic_gamma_and_product(CaseId.CASE2.data, 16, 0).fg == Fr(3)
+    assert intrinsic_gamma_and_product(CaseId.CASE3.data, -18, 0).fg == Fr(1)
 
 
 def test_case2_radicand_collapses_under_intrinsic_gamma(rng):
     for _ in range(10):
         alpha = rand_fraction(rng, nonzero=True)
         beta = rand_fraction(rng)
-        gamma = intrinsic_gamma_and_product(CaseId.CASE2, alpha, beta).gamma
+        gamma = intrinsic_gamma_and_product(CaseId.CASE2.data, alpha, beta).gamma
         assert PUBLISHED[CaseId.CASE2].radicand_at(alpha, beta, gamma) == (3 * alpha) ** 2
 
 
@@ -253,9 +252,9 @@ def test_branch_conditions():
         (CaseId.CASE3, Fr(-1), "lower"),
         (CaseId.CASE3, Fr(5, 2), "upper"),
     ]:
-        intr = intrinsic_gamma_and_product(case, alpha, 0)
+        intr = intrinsic_gamma_and_product(case.data, alpha, 0)
         assert intr.branch == branch, (case, alpha)
-        assert solve_case(case, alpha, 0, intr.gamma, branch).c == intr.c
+        assert solve_case(case.data, alpha, 0, intr.gamma, branch).c == intr.c
 
 
 # -- equivalence with the matrix relations ----------------------------------------------
@@ -268,9 +267,9 @@ def satisfying_samples(rng):
     for case in CaseId:
         alpha = rand_fraction(rng, nonzero=True)
         beta = rand_fraction(rng)
-        intr = intrinsic_gamma_and_product(case, alpha, beta)
-        sol = solve_case(case, alpha, beta, intr.gamma, intr.branch)
-        out.append((case_rep_spec(case, sol),
+        intr = intrinsic_gamma_and_product(case.data, alpha, beta)
+        sol = solve_case(case.data, alpha, beta, intr.gamma, intr.branch)
+        out.append((case_rep_spec(case.data, sol),
                     AlgebraParams(alpha, beta, intr.gamma, sol.delta)))
     # two-dimensional ladders: no spectator states, delta closes the system
     for _ in range(10):
@@ -321,12 +320,12 @@ def test_constraints_equal_matrix_relations(rng):
 def test_gauge_freedom_of_the_product_split(rng):
     case = CaseId.CASE1
     alpha, beta = Fr(2), Fr(3)
-    intr = intrinsic_gamma_and_product(case, alpha, beta)
-    sol = solve_case(case, alpha, beta, intr.gamma, "lower")
+    intr = intrinsic_gamma_and_product(case.data, alpha, beta)
+    sol = solve_case(case.data, alpha, beta, intr.gamma, "lower")
     params = AlgebraParams(alpha, beta, intr.gamma, sol.delta)
     reference = None
     for t in (Fr(1), Fr(3), Fr(-2, 5)):
-        spec = case_rep_spec(case, sol, f=t)
+        spec = case_rep_spec(case.data, sol, f=t)
         assert spec.f * spec.g == sol.fg
         assert all(scalar_is_zero(r) for r in constraint_residuals(spec, params))
         triple = build_new_rep_matrices(spec)
@@ -342,10 +341,10 @@ def test_gauge_freedom_of_the_product_split(rng):
 
 
 def solved_triple(case, alpha, beta):
-    intr = intrinsic_gamma_and_product(case, alpha, beta)
-    sol = solve_case(case, alpha, beta, intr.gamma, intr.branch)
+    intr = intrinsic_gamma_and_product(case.data, alpha, beta)
+    sol = solve_case(case.data, alpha, beta, intr.gamma, intr.branch)
     params = AlgebraParams(alpha, beta, intr.gamma, sol.delta)
-    return build_new_rep_matrices(case_rep_spec(case, sol)), params, sol
+    return build_new_rep_matrices(case_rep_spec(case.data, sol)), params, sol
 
 
 def test_case1_splits_off_the_top_state():
