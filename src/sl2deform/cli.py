@@ -230,7 +230,8 @@ def cmd_verify_case(args) -> dict:
         )
     sections.append(_section("decomposition", {"blocks": block_values}))
 
-    if case is CaseId.CASE3 and gamma_intrinsic:
+    # the paper's label constant against c* at alpha = 1, beta = 0
+    if gamma_intrinsic and case.printed_label_const != data.intrinsic[1]:
         printed = case.printed_label_const - beta / (3 * alpha)
         sections.append(
             _section(

@@ -706,15 +706,19 @@ def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosure
     Operator level: each commutator must lie in span(ops) extended by x^i D^i,
     i <= 3, which span the polynomials of degree <= 3 in x*D ((xD)^i is x^i D^i
     plus lower x^j D^j), i.e. closure is granted even up to a cubic
-    deformation.  Matrix level: the span of the operators' matrices on the
-    space is saturated under commutators until a round adds nothing, and its
-    dimension reported; ``rounds_used`` counts that last round.
+    deformation.  Matrix level: the Lie algebra that the operators' matrices
+    generate on the space is saturated and its dimension reported.  It is
+    spanned by the left-normed brackets [g1, [g2, ... gk]] of independent
+    generators (Jacobi), so the generators are bracketed pairwise once and
+    each bracket the span keeps then with the generators only, first in,
+    first out.  ``rounds_used`` is the bracket depth at which the span stops
+    growing, the least k with D_k = D_(k+1) for D_1 = span(mats) and
+    D_(k+1) = D_k + [mats, D_k]; 1 when the matrices alone span it.
 
     Every commutator is traceless (tr AB = tr BA), so the saturated span lies
     in span(mats) + sl(n): its dimension is at most n^2 - 1, or n^2 when some
     matrix has a nonzero trace.  Once the span reaches that bound no bracket
-    can add to it, so saturation stops there, and the round that would add
-    nothing is counted without being run.  Rank and membership do not change
+    can add to it: saturation stops there.  Rank and membership do not change
     under nonzero scaling, so each matrix is replaced by its numerators
     (:func:`_numerators`) and the brackets are formed on ints, or QuadExts
     over 1 for an irrational entry.  The span takes each matrix as its
@@ -724,13 +728,12 @@ def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosure
     ops = list(ops)
     # matrix_on_space raises SpaceEscapeError for an operator leaving the space
     mats = [op.matrix_on_space(space) for op in ops]
-    diagonal_allowance = [DiffOp({(i, i): Fraction(1)}) for i in range(4)]
     pairs = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))]
     brackets = [ops[i].commutator(ops[j]) for i, j in pairs]
-    # a positive multiple of an operator spans the same line
+    # a positive multiple of an operator spans the same line; x^i D^i is {(i, i): 1}
     span = _ExactSpan()
-    for op in ops + diagonal_allowance:
-        span.add(op._num)
+    for row in [op._num for op in ops] + [{(i, i): 1} for i in range(4)]:
+        span.add(row)
     failing = tuple(pair for pair, br in zip(pairs, brackets) if not span.contains(br._num))
 
     n = space.dimension
@@ -738,34 +741,26 @@ def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosure
     # sl(n), of dimension n^2 - 1, or n^2 once some matrix has a trace
     bound = n * n - 1
     mspan = _ExactSpan()
-    basis_mats: list[Matrix] = []
+    gens: list[Matrix] = []
     for mat in map(_numerators, mats):
         if sum(mat[i, i] for i in range(n)):
             bound = n * n
         if mspan.add({(i, j): x for i, j, x in mat.entries()}):
-            basis_mats.append(mat)
-    # semi-naive saturation: pairs of matrices older than the last round were
-    # bracketed already, and their brackets stay in the growing span; every
-    # round but the last grows it
-    rounds = done = 0
-    while mspan.dimension < bound:
-        rounds += 1
-        current = list(basis_mats)
-        for a, b in ((a, b) for i, a in enumerate(current) for b in current[max(i + 1, done):]):
-            br = commutator(a, b)
-            if mspan.add({(i, j): x for i, j, x in br.entries()}):
-                basis_mats.append(br)
-                if mspan.dimension == bound:
-                    break
-        if len(basis_mats) == len(current):
+            gens.append(mat)
+    # the worklist of (generator, kept matrix, depth of their bracket) grows
+    # as it is read, so the depths never decrease
+    depth = 1
+    work = [(a, b, 2) for i, a in enumerate(gens) for b in gens[i + 1:]]
+    for a, b, k in work:
+        if mspan.dimension == bound:
             break
-        done = len(current)
-    else:
-        # the span is full: the round that would add nothing is counted, not run
-        rounds += 1
+        br = commutator(a, b)
+        if mspan.add({(i, j): x for i, j, x in br.entries()}):
+            depth = k
+            work.extend((g, br, k + 1) for g in gens)
     return LieClosureReport(
         closed_as_operators=not failing,
         failing_pairs=failing,
         matrix_lie_span_dimension=mspan.dimension,
-        rounds_used=rounds,
+        rounds_used=depth,
     )

@@ -973,22 +973,14 @@ def test_six_ladders_plus_diagonals_span_at_least_sl3():
 
 
 def test_probe_saturates_brackets_of_new_brackets():
-    # case 1 raising, case 2 raising and case 3 lowering reach sl(3) only in the
-    # third round; the oracle brackets every pair of its basis in every round
+    # case 1 raising, case 2 raising and case 3 lowering reach sl(3) only with
+    # brackets of depth 3, [a, [b, c]]
     ladders = six_ladders()
     ops = [ladders[0], ladders[2], ladders[5]]
     report = lie_closure_probe(ops, V3)
-    basis = [sympy.Matrix(op.matrix_on_space(V3).rows) for op in ops]
-    rounds, grew = 0, True
-    while grew:
-        rounds, grew = rounds + 1, False
-        for a, b in itertools.combinations(list(basis), 2):
-            flat = sympy.Matrix([list(m) for m in basis + [a * b - b * a]])
-            if flat.rank() > len(basis):
-                basis.append(a * b - b * a)
-                grew = True
-    assert report.matrix_lie_span_dimension == len(basis) == 8
-    assert report.rounds_used == rounds == 3
+    dims = _lie_span_dimensions_by_sympy(ops, V3)
+    assert report.matrix_lie_span_dimension == dims[-1] == 8
+    assert report.rounds_used == len(dims) - 1 == 3
 
 
 def _matrix_bound(ops, space):
@@ -999,10 +991,10 @@ def _matrix_bound(ops, space):
 
 
 def _lie_span_dimensions_by_sympy(ops, space):
-    """Dimensions d_0, d_1, ... of the matrix Lie span: d_0 that of the
-    matrices, d_r after round r, which brackets every pair of a basis of the
-    span after round r - 1.  The list ends at the first round that adds
-    nothing; products and ranks are sympy's, over QQ or QQ<sqrt(2)>."""
+    """Dimensions d_1, d_2, ... of D_1 = span(mats) and D_(k+1) = D_k + [mats, D_k],
+    the span of the brackets of depth <= k of the operators' matrices.  The
+    list ends at the first k with D_k = D_(k+1), so it has k + 1 entries;
+    products and ranks are sympy's, over QQ or QQ<sqrt(2)>."""
     irrational = any(isinstance(c, QuadExt) for op in ops for c in op.terms.values())
     field = _QQ_SQRT2 if irrational else sympy.QQ
     n = space.dimension
@@ -1021,8 +1013,7 @@ def _lie_span_dimensions_by_sympy(ops, space):
     basis = independent(mats)
     dims = [len(basis)]
     while len(dims) < 2 or dims[-1] > dims[-2]:
-        brackets = [a * b - b * a for a, b in itertools.combinations(basis, 2)]
-        basis = independent(basis + brackets)
+        basis = independent(basis + [a * b - b * a for a in mats for b in basis])
         dims.append(len(basis))
     return dims
 
@@ -1058,9 +1049,12 @@ def _probe_families():
 
 
 def test_probe_matches_a_saturation_that_brackets_every_pair(monkeypatch):
-    # every pair of basis matrices is bracketed once, so a probe that runs to
-    # the end forms C(d, 2) brackets; one that stops where the bound is
-    # reached in round r forms more than C(d_(r-2), 2) and at most C(d_(r-1), 2)
+    # g independent generators are bracketed pairwise, and each of the d - g
+    # matrices the span keeps after them with every generator, so a probe
+    # that runs to the end forms C(g, 2) + g (d - g) brackets.  The C(g, 2) +
+    # g (d_(k-1) - g) brackets of depth <= k, k >= 2, are formed before any
+    # deeper one, so one that stops where the bound is reached at depth r
+    # forms more than those of depth <= r - 1 and at most those of depth <= r
     calls = []
     original = diffops.commutator
 
@@ -1076,23 +1070,28 @@ def test_probe_matches_a_saturation_that_brackets_every_pair(monkeypatch):
         dims = _lie_span_dimensions_by_sympy(ops, space)
         assert report.matrix_lie_span_dimension == dims[-1], (ops, space)
         assert report.rounds_used == len(dims) - 1, (ops, space)
+        g = dims[0]
+
+        def up_to_depth(k):
+            return 0 if k < 2 else math.comb(g, 2) + g * (dims[k - 2] - g)
+
+        assert len(calls) <= up_to_depth(len(dims)), (ops, space)
         bound = _matrix_bound(ops, space)
         if dims[-1] < bound:
-            assert len(calls) == math.comb(dims[-1], 2)
+            assert len(calls) == up_to_depth(len(dims))
             seen.add("never")
             continue
-        r = dims.index(bound)
-        if r == 0:
+        r = dims.index(bound) + 1
+        if r == 1:
             assert not calls
-            seen.add("before round 1")
+            seen.add("before any bracket")
         else:
-            before, upto = ([0] + dims)[r - 1:r + 1]  # d_(r-2), d_(r-1)
-            assert math.comb(before, 2) < len(calls) <= math.comb(upto, 2)
-            seen.add("mid-round" if len(calls) < math.comb(upto, 2) else "end of round")
+            assert up_to_depth(r - 1) < len(calls) <= up_to_depth(r)
+            seen.add("mid-depth" if len(calls) < up_to_depth(r) else "end of depth")
         seen.add(("bound", space.dimension, bound))
         if any(isinstance(c, QuadExt) for op in ops for c in op.terms.values()):
             seen.add("sqrt(2)")
-    assert {"before round 1", "mid-round", "never", "sqrt(2)",
+    assert {"before any bracket", "mid-depth", "never", "sqrt(2)",
             ("bound", 3, 8), ("bound", 3, 9), ("bound", 4, 16)} <= seen, seen
 
 
@@ -1177,15 +1176,15 @@ def test_probe_failing_pairs_equal_those_of_the_powers_of_euler():
     assert outcomes == {True, False}
 
 
-@pytest.mark.parametrize("n, rounds", [(8, 4), (10, 4), (12, 5)])
-def test_dense_order_2_probe_spans_every_matrix(n, rounds):
+@pytest.mark.parametrize("n, depth", [(8, 6), (10, 8), (12, 10)])
+def test_dense_order_2_probe_spans_every_matrix(n, depth):
     # the order-2 basis on 1, x, ..., x^(n-1) holds a matrix with a trace, so
-    # its span reaches all n^2 matrices; the rounds and the failing pairs are
-    # those of the pairwise saturation with dense rows
+    # its span reaches all n^2 matrices, at the depth that
+    # _lie_span_dimensions_by_sympy reads (the least k with D_k = D_(k+1))
     space = MonomialSpace(tuple(range(n)))
     report = lie_closure_probe(enumerate_preserving_operators(space, 2), space)
     assert report.matrix_lie_span_dimension == n * n
-    assert report.rounds_used == rounds
+    assert report.rounds_used == depth
     assert report.failing_pairs == (
         (4, 5), (4, 6), (4, 7), (5, 6), (5, 8), (6, 7), (6, 8), (7, 8))
 

@@ -122,6 +122,8 @@ def replay(runs: list[dict], workdir: Path) -> list[str]:
 def test_golden_reports_are_unchanged(tmp_path):
     runs = json.loads(DATA.read_text(encoding="utf-8"))["runs"]
     assert len(runs) > 500
+    # the recorder's argv list is the recorded one, so a re-record runs the same corpus
+    assert [run["argv"] for run in runs] == corpus_argvs()
     problems = replay(runs, tmp_path)
     assert not problems, "\n".join(problems[:10])
 
@@ -130,7 +132,7 @@ def test_golden_reports_are_unchanged(tmp_path):
 
 
 def corpus_argvs() -> list[list[str]]:
-    """The argv of every corpus run, in order; used only when recording."""
+    """The argv of every corpus run, in order, as recorded."""
     from sl2deform.cases import CaseId
     from sl2deform.reps import intrinsic_gamma_and_product
     from sl2deform.scalars import parse_scalar, render_scalar
