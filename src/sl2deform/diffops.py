@@ -7,7 +7,9 @@ orders all derivatives to the right, so operator equality is term-by-term.
 
 An operator is its terms, and it is evaluated on x^k directly: the term
 x^m D^n sends x^k to ``k(k-1)...(k-n+1) x^(k+m-n)`` (:meth:`DiffOp.image`), and
-its matrix on a monomial space is read off those images.  The terms of one
+its matrix on a monomial space is read off those images' numerators, as integer
+rows that the Lie closure probe brackets with no Matrix and
+:meth:`DiffOp.matrix_on_space` divides by the denominator.  The terms of one
 exponent shift s = m - n carry falling factorials of distinct degrees, each
 with leading coefficient 1, so an operator vanishes on every monomial exactly
 when it has no terms.  An operator identity therefore holds "intrinsically"
@@ -34,7 +36,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .matrices import Matrix, commutator
+from .matrices import Matrix, row_product
 from .scalars import (
     DIGITS,
     QuadExt,
@@ -148,6 +150,22 @@ def _commutator(a: "DiffOp", b: "DiffOp") -> tuple[dict, int]:
     return ab, a._den * b._den
 
 
+def _matrix_rows(op: "DiffOp", space: "MonomialSpace") -> list[dict]:
+    """The rows {column: nonzero numerator} of op's matrix on ``space`` times
+    ``op._den``, columns ascending; SpaceEscapeError where a nonzero sum
+    leaves the space.  A QuadExt sum whose radical cancelled, the Fraction
+    k/1, is stored as the int k."""
+    pos = {e: i for i, e in enumerate(space.exponents)}
+    rows: list[dict] = [{} for _ in pos]
+    for col, k in enumerate(space.exponents):
+        for e, v in op._image_numerators(k).items():
+            if v:
+                if e not in pos:
+                    raise SpaceEscapeError(f"operator does not preserve the space {space.exponents}")
+                rows[pos[e]][col] = v.numerator if type(v) is Fraction else v
+    return rows
+
+
 class DiffOp:
     """Normal-ordered linear differential operator with monomial coefficients."""
 
@@ -254,19 +272,23 @@ class DiffOp:
         return _lowest(*_commutator(self, other))
 
     # -- action -----------------------------------------------------------------
-    def image(self, k: int) -> dict[int, Scalar]:
-        """Exact image of x^k, {exponent: nonzero coefficient}.
-
-        The term c x^m D^n sends x^k to c k!/(k-n)! x^(k+m-n); a negative
-        exponent is kept like any other.
-        """
+    def _image_numerators(self, k: int) -> dict[int, object]:
+        """The image of x^k times ``_den``, {exponent: sum}, zero sums kept."""
         out: dict[int, object] = {}
         for (m, n), v in self._num.items():
             w = _falling(k, n)
             if w:
                 e = k + m - n
                 out[e] = out[e] + v * w if e in out else v * w
-        return {e: from_numerator(v, self._den) for e, v in out.items() if v}
+        return out
+
+    def image(self, k: int) -> dict[int, Scalar]:
+        """Exact image of x^k, {exponent: nonzero coefficient}.
+
+        The term c x^m D^n sends x^k to c k!/(k-n)! x^(k+m-n); a negative
+        exponent is kept like any other.
+        """
+        return {e: from_numerator(v, self._den) for e, v in self._image_numerators(k).items() if v}
 
     def symbolic_action(self) -> dict[int, tuple[Scalar, ...]]:
         """The action on x^k with k left indeterminate, for display.
@@ -302,20 +324,14 @@ class DiffOp:
         each entry picks up sqrt(N_col / N_row), taken exactly per entry so no
         shared quadratic extension is ever needed.
         """
-        pos = {e: i for i, e in enumerate(space.exponents)}
-        entries = {}
-        for col, k in enumerate(space.exponents):
-            for e, v in self.image(k).items():
-                if e not in pos:
-                    raise SpaceEscapeError(
-                        f"operator does not preserve the space {space.exponents}"
-                    )
-                entries[(pos[e], col)] = v
+        den = self._den
+        rows = [{c: from_numerator(v, den) for c, v in row.items()}
+                for row in _matrix_rows(self, space)]
         if norm_squares is not None:
             ns = [Fraction(x) for x in norm_squares]
-            entries = {(r, c): v * sqrt_exact(ns[c] / ns[r])
-                       for (r, c), v in sorted(entries.items())}
-        return Matrix.from_entries(space.dimension, entries)
+            rows = [{c: v * sqrt_exact(ns[c] / ns[r]) for c, v in row.items()}
+                    for r, row in enumerate(rows)]
+        return Matrix._of(space.dimension, rows)
 
     # -- identity ------------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -335,27 +351,24 @@ class DiffOp:
     # -- text format -----------------------------------------------------------------
     def to_text(self) -> str:
         """Render as e.g. ``1/3 * x^3 * D^2 - 1 * x^2 * D^1 + 1 * x^1 * D^0``."""
-        if not self._num:
+        num, den = self._num, self._den
+        if not num:
             return "0"
-        keys = sorted(self._num, key=lambda mn: (-mn[1], -mn[0]))
         pieces = []
-        for m, n in keys:
-            v = self._num[(m, n)]
-            if type(v) is int:
-                g = math.gcd(v, self._den)
-                num, den = v // g, self._den // g
-                sign = "-" if num < 0 else "+"
-                value = abs(num) if den == 1 else f"{abs(num)}/{den}"
-                body = f"{value} * x^{m} * D^{n}"
+        for n, m in sorted([(n, m) for m, n in num], reverse=True):
+            v = num[(m, n)]
+            if type(v) is not int:
+                value = f"+ ({render_scalar(v / den)})"
+            elif den == 1:
+                value = f"- {-v}" if v < 0 else f"+ {v}"
             else:
-                sign = "+"
-                body = f"({render_scalar(v / self._den)}) * x^{m} * D^{n}"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+                g = math.gcd(v, den)
+                value = f"{'-' if v < 0 else '+'} {abs(v) // g}"
+                if g != den:
+                    value += f"/{den // g}"
+            pieces.append(f" {value} * x^{m} * D^{n}")
+        text = "".join(pieces)
+        return "-" + text[3:] if text[1] == "-" else text[3:]
 
 
 _TERM_RE = re.compile(
@@ -501,9 +514,9 @@ def closure_check(
 #: Largest accepted (max_order + 1) * window width * dimension, the size of
 #: the dense preservation system.  It bounds the per-shift blocks and the
 #: basis size alike.  The slowest accepted inputs found, (0,) and (3,) at
-#: order 198, take about 0.9-1.1 s through the CLI, nearly all of it building
-#: and printing their bases of about 79,000 operators; the dense 0..29 at
-#: order 29 takes about 0.15 s (2-vCPU VM, Python 3.11).
+#: order 198, take about 0.6 s through the CLI in-process, nearly all of it
+#: building and printing their bases of about 79,000 operators; the dense
+#: 0..29 at order 29 takes about 0.02 s (2-vCPU VM, Python 3.11).
 MAX_ENUMERATION_SIZE = 80_000
 
 
@@ -536,15 +549,20 @@ def _cross(p, a: dict, f, b: dict) -> dict:
     return out
 
 
-def _numerators(mat: Matrix) -> Matrix:
-    """The multiple of ``mat`` whose entries are its numerators over their lcm
-    (:func:`~sl2deform.scalars.to_numerators`): ints, and QuadExts over 1."""
-    entries = list(mat.entries())
-    nums, _ = to_numerators([x for _, _, x in entries])
-    rows: list[dict] = [{} for _ in range(mat.dimension)]
-    for (i, j, _), v in zip(entries, nums):
-        rows[i][j] = v
-    return Matrix._of(mat.dimension, rows)
+def _bracket(a: list[dict], b: list[dict]) -> list[dict]:
+    """AB - BA of two matrices given as rows {column: nonzero entry}, columns
+    ascending, in that form.  AB and then BA are formed whole by ``Matrix @``'s
+    :func:`~sl2deform.matrices.row_product`, and BA's nonzero entries are
+    subtracted from AB's in ``-``'s order, so any ScalarDomainError is theirs.
+    """
+    out = []
+    for ab, ba in zip(row_product(a, b), row_product(b, a)):
+        for j, y in sorted(ba.items()):
+            if y:
+                x = ab.get(j)
+                ab[j] = x - y if x else -y
+        out.append({j: ab[j] for j in sorted(ab) if ab[j]})
+    return out
 
 
 class _ExactSpan:
@@ -719,15 +737,15 @@ def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosure
     in span(mats) + sl(n): its dimension is at most n^2 - 1, or n^2 when some
     matrix has a nonzero trace.  Once the span reaches that bound no bracket
     can add to it: saturation stops there.  Rank and membership do not change
-    under nonzero scaling, so each matrix is replaced by its numerators
-    (:func:`_numerators`) and the brackets are formed on ints, or QuadExts
-    over 1 for an irrational entry.  The span takes each matrix as its
-    nonzero entries keyed (i, j), and each operator as its stored numerators
-    keyed (m, n).
+    under nonzero scaling, so each matrix is taken times its operator's
+    denominator, as rows read off the numerators (:func:`_matrix_rows`), and
+    bracketed as rows (:func:`_bracket`): ints, or QuadExts over 1 for an
+    irrational entry.  The span takes each matrix as its nonzero entries keyed
+    (i, j), and each operator as its stored numerators keyed (m, n).
     """
     ops = list(ops)
-    # matrix_on_space raises SpaceEscapeError for an operator leaving the space
-    mats = [op.matrix_on_space(space) for op in ops]
+    # _matrix_rows raises SpaceEscapeError for an operator leaving the space
+    mats = [_matrix_rows(op, space) for op in ops]
     pairs = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))]
     brackets = [ops[i].commutator(ops[j]) for i, j in pairs]
     # a positive multiple of an operator spans the same line; x^i D^i is {(i, i): 1}
@@ -741,11 +759,11 @@ def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosure
     # sl(n), of dimension n^2 - 1, or n^2 once some matrix has a trace
     bound = n * n - 1
     mspan = _ExactSpan()
-    gens: list[Matrix] = []
-    for mat in map(_numerators, mats):
-        if sum(mat[i, i] for i in range(n)):
+    gens: list[list[dict]] = []
+    for mat in mats:
+        if sum(row.get(i, 0) for i, row in enumerate(mat)):
             bound = n * n
-        if mspan.add({(i, j): x for i, j, x in mat.entries()}):
+        if mspan.add({(i, j): x for i, row in enumerate(mat) for j, x in row.items()}):
             gens.append(mat)
     # the worklist of (generator, kept matrix, depth of their bracket) grows
     # as it is read, so the depths never decrease
@@ -754,8 +772,8 @@ def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosure
     for a, b, k in work:
         if mspan.dimension == bound:
             break
-        br = commutator(a, b)
-        if mspan.add({(i, j): x for i, j, x in br.entries()}):
+        br = _bracket(a, b)
+        if mspan.add({(i, j): x for i, row in enumerate(br) for j, x in row.items()}):
             depth = k
             work.extend((g, br, k + 1) for g in gens)
     return LieClosureReport(

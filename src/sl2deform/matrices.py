@@ -29,10 +29,9 @@ class Matrix:
     ``_rows[i]`` maps each column of a nonzero entry of row i to that entry,
     columns ascending.  Entries may live in different quadratic extensions;
     compatibility is enforced lazily, by the scalar arithmetic of whatever
-    operation actually combines two entries.  The unchecked :meth:`_of` also
-    takes integer numerators, ints and QuadExts over 1, and the ring
-    operations and :func:`commutator` keep them so: the Lie closure probe
-    brackets its matrices that way.
+    operation actually combines two entries.  ``@`` multiplies the rows by
+    :func:`row_product`, which the Lie closure probe applies to integer rows
+    with no Matrix.
     """
 
     __slots__ = ("dimension", "_rows")
@@ -168,15 +167,9 @@ class Matrix:
         radicands it may name another of them.
         """
         self._check_dim(other)
-        b_rows = other._rows
-        rows = []
-        for a_row in self._rows:
-            acc: dict[int, Scalar] = {}
-            for k, a in a_row.items():
-                for j, b in b_rows[k].items():
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-            rows.append({j: acc[j] for j in sorted(acc) if not scalar_is_zero(acc[j])})
-        return Matrix._of(self.dimension, rows)
+        return Matrix._of(self.dimension, [
+            {j: acc[j] for j in sorted(acc) if not scalar_is_zero(acc[j])}
+            for acc in row_product(self._rows, other._rows)])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -195,6 +188,19 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.to_strings()})"
+
+
+def row_product(a: Sequence[dict], b: Sequence[dict]) -> list[dict]:
+    """The rows of AB, for matrices given as rows {column: nonzero entry}:
+    entry j of row i sums a_ik * b_kj in ascending k, zero sums kept."""
+    rows = []
+    for a_row in a:
+        acc: dict = {}
+        for k, x in a_row.items():
+            for j, y in b[k].items():
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        rows.append(acc)
+    return rows
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:

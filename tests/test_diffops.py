@@ -26,14 +26,22 @@ from sl2deform.diffops import (
     lie_closure_probe,
     parse_diffop,
 )
-from sl2deform.matrices import Matrix
+from sl2deform.matrices import Matrix, commutator
 from sl2deform.reps import (
     build_new_rep_matrices,
     case_rep_spec,
     intrinsic_gamma_and_product,
     solve_case,
 )
-from sl2deform.scalars import QuadExt, ScalarDomainError, quadext, scalar_is_zero, to_numerators
+from sl2deform.scalars import (
+    QuadExt,
+    ScalarDomainError,
+    from_numerator,
+    quadext,
+    render_scalar,
+    scalar_is_zero,
+    to_numerators,
+)
 
 from conftest import intrinsic_realization, rand_fraction
 
@@ -370,6 +378,85 @@ def test_matrix_on_space_case1_diagonal():
 def test_matrix_on_space_rejects_escapes():
     with pytest.raises(SpaceEscapeError):
         DiffOp.derivative().matrix_on_space(V3)
+
+
+def _matrix_by_terms(op, space):
+    """op's matrix on ``space`` summed from ``op.terms`` as [(row, column, value,
+    type)], row-major, or the message of the SpaceEscapeError that a nonzero
+    image coefficient outside the space raises."""
+    pos = {e: i for i, e in enumerate(space.exponents)}
+    entries = {}
+    for col, k in enumerate(space.exponents):
+        image: dict = {}
+        for (m, n), c in op.terms.items():
+            image[k + m - n] = image.get(k + m - n, 0) + c * _falling(k, n)
+        for e, v in image.items():
+            if v and e not in pos:
+                return f"operator does not preserve the space {space.exponents}"
+            if v:
+                entries[(pos[e], col)] = v
+    return [(i, j, v, type(v)) for (i, j), v in sorted(entries.items())]
+
+
+def _matrix_rows_outcome(op, space):
+    """What ``diffops._matrix_rows`` gives, divided by ``op._den``, in the
+    oracle's form; the rows must hold only ints and QuadExts, columns ascending."""
+    try:
+        rows = diffops._matrix_rows(op, space)
+    except SpaceEscapeError as exc:
+        return str(exc)
+    assert all(list(row) == sorted(row) for row in rows)
+    assert all(type(v) in (int, QuadExt) for row in rows for v in row.values())
+    values = [(i, j, from_numerator(v, op._den)) for i, row in enumerate(rows)
+              for j, v in row.items()]
+    return [(i, j, x, type(x)) for i, j, x in values]
+
+
+def _matrix_on_space_outcome(op, space):
+    try:
+        mat = op.matrix_on_space(space)
+    except SpaceEscapeError as exc:
+        return str(exc)
+    return [(i, j, v, type(v)) for i, j, v in mat.entries()]
+
+
+def test_matrix_rows_are_the_matrix_times_the_denominator(rng):
+    # over Q and Q(sqrt 2): combinations of preserving operators, some of
+    # whose terms cancel on the space, and random operators, most of which
+    # leave it; x^3 D^3 and x^2 D^2 agree on x^3, so the last operator's
+    # radical cancels there and leaves the int 6 over its denominator 2
+    spaces = [V3, MonomialSpace((0, 1, 2)), MonomialSpace((1, 2, 4, 5))]
+    bases = {space: enumerate_preserving_operators(space, 3) for space in spaces}
+    cases = []
+    for _ in range(300):
+        space = rng.choice(spaces)
+        roots = rng.choice([(), (ROOT2,)])
+        if rng.random() < 0.6:
+            op = DiffOp()
+            for basis_op in rng.sample(bases[space], rng.randint(1, 4)):
+                c = rand_fraction(rng, nonzero=True)
+                if roots and rng.random() < 0.5:
+                    c = c + rand_fraction(rng, nonzero=True) * ROOT2
+                op = op + basis_op * c
+        else:
+            op = _field_op(rng, roots)
+        cases.append((op, space))
+    cancelled = DiffOp({(3, 3): 1 + ROOT2, (2, 2): -ROOT2}).scale(Fr(1, 2))
+    cases.append((cancelled, V3))
+    seen = set()
+    for op, space in cases:
+        want = _matrix_by_terms(op, space)
+        assert _matrix_rows_outcome(op, space) == want, (op, space)
+        assert _matrix_on_space_outcome(op, space) == want, (op, space)
+        if isinstance(want, str):
+            seen.add("escapes")
+            continue
+        if any(not v for k in space.exponents for v in op._image_numerators(k).values()):
+            seen.add("terms cancel on the space")
+        if any(isinstance(c, QuadExt) for c in op.terms.values()):
+            seen.add("sqrt(2)")
+    assert seen == {"escapes", "terms cancel on the space", "sqrt(2)"}, seen
+    assert diffops._matrix_rows(cancelled, V3)[2] == {2: 6} and cancelled._den == 2
 
 
 def test_case_realization_matches_rep_matrices():
@@ -1056,13 +1143,13 @@ def test_probe_matches_a_saturation_that_brackets_every_pair(monkeypatch):
     # deeper one, so one that stops where the bound is reached at depth r
     # forms more than those of depth <= r - 1 and at most those of depth <= r
     calls = []
-    original = diffops.commutator
+    original = diffops._bracket
 
     def counted(a, b):
         calls.append(1)
         return original(a, b)
 
-    monkeypatch.setattr(diffops, "commutator", counted)
+    monkeypatch.setattr(diffops, "_bracket", counted)
     seen = set()
     for ops, space in _probe_families():
         calls.clear()
@@ -1097,7 +1184,7 @@ def test_probe_matches_a_saturation_that_brackets_every_pair(monkeypatch):
 
 def test_probe_forms_no_bracket_once_the_span_is_full(monkeypatch):
     spans, dims_at_bracket = [], []
-    original_commutator = diffops.commutator
+    original_bracket = diffops._bracket
 
     class Recorded(_ExactSpan):
         def __init__(self):
@@ -1111,10 +1198,10 @@ def test_probe_forms_no_bracket_once_the_span_is_full(monkeypatch):
 
     def recorded(a, b):
         dims_at_bracket.append(spans[-1].dimension)  # the matrix span is made last
-        return original_commutator(a, b)
+        return original_bracket(a, b)
 
     monkeypatch.setattr(diffops, "_ExactSpan", Recorded)
-    monkeypatch.setattr(diffops, "commutator", recorded)
+    monkeypatch.setattr(diffops, "_bracket", recorded)
     for ops, space in _probe_families():
         spans.clear()
         dims_at_bracket.clear()
@@ -1202,6 +1289,63 @@ def _two_radicand_families():
     ]
 
 
+def _bracket_outcome(fn):
+    try:
+        rows = fn()
+    except ScalarDomainError as exc:
+        return str(exc)
+    return [(i, j, v, type(v)) for i, row in enumerate(rows) for j, v in row.items()]
+
+
+def test_bracket_rows_equal_the_matrix_commutator(rng):
+    # sparse matrices over Q, Q(sqrt 2), Q(sqrt 3) or both, as scalars and as
+    # their numerators (ints and QuadExts over 1), bracketed as rows and as
+    # Matrix: the same entries of the same types, or the same error
+    root3 = QuadExt(0, 1, 3)
+    fields = [(), (ROOT2,), (root3,), (ROOT2, root3)]
+    raised = results = 0
+
+    def rand_matrix(n, roots):
+        entries = {}
+        for _ in range(rng.randint(0, n * n)):
+            c = rand_fraction(rng, nonzero=True)
+            if roots and rng.random() < 0.5:
+                c = c + rand_fraction(rng, nonzero=True) * rng.choice(roots)
+            entries[(rng.randrange(n), rng.randrange(n))] = c
+        mat = Matrix.from_entries(n, entries)
+        if rng.random() < 0.5:
+            return mat
+        nums, _ = to_numerators([x for _, _, x in mat.entries()])
+        rows: list[dict] = [{} for _ in range(n)]
+        for (i, j, _), v in zip(mat.entries(), nums):
+            rows[i][j] = v
+        return Matrix._of(n, rows)
+
+    pairs = []
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        pairs.append((rand_matrix(n, rng.choice(fields)), rand_matrix(n, rng.choice(fields))))
+    # sqrt(2) meets sqrt(3) in a product; then, in the difference, at (0, 0)
+    # as sqrt(3) - sqrt(2) and at (0, 2) as sqrt(2) - sqrt(3), where BA's
+    # row 0 is formed from column 2 down: the error is the first column's
+    e12, e21 = Matrix.from_entries(2, {(0, 1): ROOT2}), Matrix.from_entries(2, {(1, 0): root3})
+    flip = Matrix.from_entries(3, {(0, 2): 1, (1, 1): 1, (2, 0): 1})
+    mixed = Matrix.from_entries(3, {(0, 0): root3, (0, 2): ROOT2, (2, 0): root3, (2, 2): ROOT2})
+    pairs += [(e12, e21), (flip, mixed)]
+    for a, b in pairs:
+        got = _bracket_outcome(lambda: diffops._bracket(list(a._rows), list(b._rows)))
+        want = _bracket_outcome(lambda: commutator(a, b)._rows)
+        assert got == want, (a, b)
+        if isinstance(got, str):
+            raised += 1
+        else:
+            results += bool(got)
+    assert want == "mixed radicands sqrt(3) and sqrt(2)"
+    assert _bracket_outcome(lambda: diffops._bracket(list(e12._rows), list(e21._rows))) == (
+        "mixed radicands sqrt(2) and sqrt(3)")
+    assert raised > 50 and results > 150, (raised, results)
+
+
 @pytest.mark.parametrize("ops", _two_radicand_families())
 def test_probe_over_two_radicands_raises(ops):
     # sqrt(2) and sqrt(3) meet in a matrix entry, a bracket or a span row;
@@ -1249,6 +1393,41 @@ def test_text_round_trip():
     ]
     for op in ops:
         assert parse_diffop(op.to_text()) == op
+
+
+def _text_by_terms(op):
+    """The operator text rendered from ``op.terms``: derivative order
+    descending, then x-power descending, each rational coefficient as the
+    sign and ``str`` of its absolute value, each irrational one as ``+ (...)``."""
+    text = ""
+    for (m, n), c in sorted(op.terms.items(), key=lambda t: (-t[0][1], -t[0][0])):
+        if isinstance(c, QuadExt):
+            sign, value = "+", f"({render_scalar(c)})"
+        else:
+            sign, value = ("-" if c < 0 else "+"), str(abs(c))
+        body = f"{value} * x^{m} * D^{n}"
+        text += f" {sign} {body}" if text else ("-" if sign == "-" else "") + body
+    return text or "0"
+
+
+def test_text_equals_a_renderer_from_the_terms(rng):
+    # Fraction and QuadExt coefficients, negative x-powers, unit and non-unit
+    # denominators, and the zero operator
+    ops = [DiffOp(), CASE1_RAISE, DiffOp({(-1, 2): Fr(1, 6)})]
+    ops += [rand_scalar_op(rng) for _ in range(150)]
+    ops += [rand_op(rng, nterms=5, mrange=(-4, 4), nmax=4) for _ in range(150)]
+    ops += [op * rand_fraction(rng, nonzero=True)
+            for op in enumerate_preserving_operators(MonomialSpace((0, 2, 3)), 3)]
+    ops += [DiffOp({(rng.randint(-3, 3), rng.randint(0, 3)):
+                    quadext(rand_fraction(rng), rand_fraction(rng, nonzero=True), 5)
+                    for _ in range(3)}) for _ in range(30)]
+    dens = set()
+    for op in ops:
+        text = op.to_text()
+        assert text == _text_by_terms(op), op.terms
+        assert parse_diffop(text) == op
+        dens.add(op._den == 1)
+    assert dens == {True, False}
 
 
 def test_text_format_example():
