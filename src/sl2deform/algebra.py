@@ -12,48 +12,49 @@ beyond J+J- and J-J+, and the Casimir element none beyond J+J-, which the
 triple forms once for both.
 
 Each entry of a residual or of the Casimir element is computed on its own,
-and a zero entry of a ladder residual costs integer work only.  J0 is
-diagonal, so the entry x of J+- at (i, j) gives x*(h_i - h_j -+ 1) in
-[J0, J+-] -+ J+-.  With the h_i as numerators T_i over their common
-denominator H (``MatrixTriple.diagonal_numerators``, formed once per triple),
-that is x*d/H for the integer (or QuadExt over 1) d = T_i - T_j -+ H, and a
-scalar is built only where d is nonzero.  The bracket is formed in one pass
-over the rows of J+J- and J-J+, each entry (a - b) - c as the matrix
-expression forms it; its cubic c is kept as numerators v over one
-denominator, and a diagonal entry whose a, b and v are rational is decided
-by cross-multiplying, so only a nonzero entry builds a scalar.  The
-polynomials in J0 on the diagonal (the bracket's
-cubic and the Casimir quartic) are evaluated on numerators: the parameters,
-the h_i and the diagonal of J+J- each become integers (a QuadExt over 1 for
-an irrational value) over the lcm of their denominators, one sum of products
-is formed per entry on those, and it is divided by the common denominator
-once.  The products and sums come in the order of the matrix expression
-(Horner's scheme in J0, the Casimir sum with J+J- first), with the same
-operand on the left, and each partial result is the matrix expression's
-times a nonzero integer, which neither creates nor cancels a radical.  So
-the values are those of the matrix expressions, and a call raises
-``ScalarDomainError`` exactly when they would: a ladder residual checks
-where an irrational x meets an h_i or h_j over another radicand, which is
-where the expression's h_i*x and x*h_j raise.  Where several entries mix
-radicands, which of them is named is not fixed.
+on the matrices' stored numerators (``Matrix`` keeps numerators over one
+denominator, as ``DiffOp`` does), and a zero entry costs integer work only.
+J0 is diagonal, so the entry x of J+- at (i, j) gives x*(h_i - h_j -+ 1) in
+[J0, J+-] -+ J+-.  With the h_i as J0's numerators T_i over its denominator
+H (``MatrixTriple.diagonal_numerators``), that is x*d/H for the numerator
+d = T_i - T_j -+ H, and only a nonzero d gives an entry.  The bracket is
+formed in one pass over the rows of J+J- and J-J+, each entry (a - b) - c
+as the matrix expression forms it, on numerators over one common
+denominator, with the cubic c kept as its numerators.  The polynomials in J0
+on the diagonal (the bracket's cubic and the Casimir quartic) are evaluated
+on numerators too: the parameters (``AlgebraParams.numerators``), the h_i and
+the diagonal of J+J- are integers or integer coordinates over their
+denominators, and one sum of products is formed per entry on those.  Every
+result is a matrix of numerators over a common denominator, reduced once.
+The products and sums come in the order of the matrix expression (Horner's
+scheme in J0, the Casimir sum with J+J- first), with the same operand on the
+left, and each partial result is the matrix expression's times a nonzero
+integer, which neither creates nor cancels a radical.  So the values are
+those of the matrix expressions, and a call raises ``ScalarDomainError``
+exactly when they would: a ladder residual checks where an irrational x
+meets an h_i or h_j over another radicand, which is where the expression's
+h_i*x and x*h_j raise.  Where several entries mix radicands, which of them
+is named is not fixed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .diffops import DiffOp
 from .matrices import Matrix
 from .scalars import (
-    QuadExt,
     Scalar,
     as_scalar,
     from_numerator,
     mixed_radicands,
+    num_add,
+    num_mul,
+    num_sub,
     sqrt_exact,
     to_numerators,
 )
@@ -72,27 +73,31 @@ class AlgebraParams:
         for name in ("alpha", "beta", "gamma", "delta"):
             object.__setattr__(self, name, as_scalar(getattr(self, name)))
 
+    @functools.cached_property
+    def numerators(self) -> tuple[tuple, int]:
+        """(alpha, beta, gamma, delta) as numerators over one denominator
+        (``scalars.to_numerators``), formed on first use."""
+        nums, den = to_numerators((self.alpha, self.beta, self.gamma, self.delta))
+        return tuple(nums), den
+
 
 @dataclass(frozen=True)
 class MatrixTriple:
     """Concrete matrices (J0, J+, J-) of one representation, in a basis where
-    J0 is diagonal; ``diagonal`` holds its entries h_0 .. h_(n-1)."""
+    J0 is diagonal."""
 
     j0: Matrix
     jplus: Matrix
     jminus: Matrix
-    diagonal: tuple[Scalar, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = {self.j0.dimension, self.jplus.dimension, self.jminus.dimension}
         if len(dims) != 1:
             raise ValueError(f"triple members differ in dimension: {sorted(dims)}")
-        for i, j, _ in self.j0.entries():
-            if i != j:
-                raise ValueError(f"J0 must be diagonal, but its entry ({i}, {j}) is nonzero")
-        object.__setattr__(
-            self, "diagonal", tuple([self.j0[i, i] for i in range(self.dimension)])
-        )
+        for i, row in enumerate(self.j0._rows):
+            for j in row:
+                if i != j:
+                    raise ValueError(f"J0 must be diagonal, but its entry ({i}, {j}) is nonzero")
 
     @property
     def dimension(self) -> int:
@@ -104,11 +109,16 @@ class MatrixTriple:
         return self.jplus @ self.jminus
 
     @functools.cached_property
+    def diagonal(self) -> tuple[Scalar, ...]:
+        """J0's entries h_0 .. h_(n-1), formed on first use."""
+        return tuple([self.j0[i, i] for i in range(self.dimension)])
+
+    @functools.cached_property
     def diagonal_numerators(self) -> tuple[list, int]:
-        """(T, H): the h_i as numerators T_i over their common denominator H
-        (``scalars.to_numerators``), formed on first use; the relations and
-        the Casimir element share them."""
-        return to_numerators(self.diagonal)
+        """(T, H): the h_i as J0 stores them, numerators T_i over its
+        denominator H; the relations and the Casimir element share them."""
+        j0 = self.j0
+        return [row.get(i, 0) for i, row in enumerate(j0._rows)], j0._den
 
 
 @dataclass(frozen=True)
@@ -144,47 +154,46 @@ def cubic(ts: Sequence[Scalar], params: AlgebraParams) -> list[Scalar]:
 
 def _cubic(nums: Sequence, h: int, params: AlgebraParams) -> tuple[list, int]:
     """``cubic`` at the values T/h of the numerators T of ``nums``, undivided:
-    the numerators (an int, or a QuadExt over 1 or Fraction over 1 for an
-    irrational T or parameter) and their common denominator."""
-    (a, b, g, d), p = to_numerators(
-        (params.alpha, params.beta, params.gamma, params.delta))
-    b, g, d = b * h, g * (h * h), d * (h * h * h)
-    return [((t * a + b) * t + g) * t + d for t in nums], p * h * h * h
+    the numerators and their common denominator."""
+    (a, b, g, d), p = params.numerators
+    b, g, d = num_mul(b, h), num_mul(g, h * h), num_mul(d, h * h * h)
+    return [num_add(num_mul(num_add(num_mul(num_add(num_mul(t, a), b), t), g), t), d)
+            for t in nums], p * h * h * h
 
 
 def _one_radicand(a, b) -> None:
     """Raise what a * b raises: both numerators irrational, over two radicands."""
-    if type(a) is QuadExt and type(b) is QuadExt and a.d != b.d:
-        raise mixed_radicands(a.d, b.d)
+    if type(a) is tuple and type(b) is tuple and a[2] != b[2]:
+        raise mixed_radicands(a[2], b[2])
 
 
 def _shift_residual(rep: MatrixTriple, ladder: Matrix, shift: int) -> Matrix:
     """[J0, L] - shift*L for a ladder L: shift 1 for J+, -1 for J-.
 
     J0 is diagonal, so the entry x of L at (i, j) gives x*(h_i - h_j - shift),
-    which is x*d/H for d = T_i - T_j - shift*H on the diagonal numerators.
-    An entry is zero, and left out, exactly when d is, so a zero entry costs
-    integer work only.  Where x is irrational, the matrix expression's h_i*x
-    and x*h_j raise when h_i, then h_j, lies over another radicand; that is
-    checked first, in that order.  Where x is rational, they raise when h_i
-    and h_j lie over two radicands, and so does T_i - T_j.
+    which is x*d/H for d = T_i - T_j - shift*H on the diagonal numerators:
+    L's numerator times d, over L's denominator times H.  An entry is zero,
+    and left out, exactly when d is, so a zero entry costs integer work only.
+    Where x is irrational, the matrix expression's h_i*x and x*h_j raise when
+    h_i, then h_j, lies over another radicand; that is checked first, in that
+    order.  Where x is rational, they raise when h_i and h_j lie over two
+    radicands, and so does T_i - T_j.
     """
     ts, h = rep.diagonal_numerators
     sh = shift * h
-    irrational = any(type(t) is QuadExt for t in ts)
     rows = []
     for ti, row in zip(ts, ladder._rows):
         out = {}
         for j, x in row.items():
             tj = ts[j]
-            if irrational and type(x) is QuadExt:
+            if type(x) is tuple:
                 _one_radicand(ti, x)
                 _one_radicand(x, tj)
-            d = ti - tj - sh
+            d = num_sub(num_sub(ti, tj), sh)
             if d:
-                out[j] = x * d / h
+                out[j] = num_mul(x, d)
         rows.append(out)
-    return Matrix._of(ladder.dimension, rows)
+    return Matrix._lowest(rows, ladder._den * h)
 
 
 def _bracket_residual(rep: MatrixTriple, params: AlgebraParams) -> Matrix:
@@ -192,15 +201,14 @@ def _bracket_residual(rep: MatrixTriple, params: AlgebraParams) -> Matrix:
 
     Each entry is (a - b) - c, as the matrix expression forms it: a and b
     the entries of the two products (a lone b enters as -b), c the cubic at
-    h_i on the diagonal and 0 elsewhere; a zero entry is left out.  The
-    cubic is kept as its numerators v over one denominator, and where a, b
-    and v are rational a diagonal entry is decided in integers, a - b = v/den
-    by cross-multiplying; only a nonzero entry builds a - b, c and (a - b) - c.
-    An irrational a, b or v takes the scalar path, which raises where the
-    expression does.
+    h_i on the diagonal and 0 elsewhere; a zero entry is left out.  It is
+    formed on numerators over the lcm of the products' denominators and the
+    cubic's, so no entry builds a scalar.
     """
     product, other = rep.ladder_product, rep.jminus @ rep.jplus
     vs, den = _cubic(*rep.diagonal_numerators, params)
+    m = math.lcm(product._den, other._den, den)
+    fa, fb, fv = m // product._den, m // other._den, m // den
     rows = []
     for i, (ra, rb, v) in enumerate(zip(product._rows, other._rows, vs)):
         cols = ra.keys() | rb.keys()
@@ -208,23 +216,15 @@ def _bracket_residual(rep: MatrixTriple, params: AlgebraParams) -> Matrix:
             cols.add(i)
         out = {}
         for j in sorted(cols):
-            if j == i:
-                a, b = ra.get(i, 0), rb.get(i, 0)
-                if QuadExt not in (type(a), type(b), type(v)):
-                    qa, qb = a.denominator, b.denominator
-                    if (a.numerator * qb - b.numerator * qa) * den == v * qa * qb:
-                        continue
-            if j in ra:
-                x = ra[j] - rb[j] if j in rb else ra[j]
-            else:
-                x = -rb[j] if j in rb else 0
+            x = num_mul(ra[j], fa) if j in ra else 0
+            if j in rb:
+                x = num_sub(x, num_mul(rb[j], fb))
             if j == i and v:
-                c = from_numerator(v, den)
-                x = x - c if x else -c
+                x = num_sub(x, num_mul(v, fv))
             if x:
                 out[j] = x
         rows.append(out)
-    return Matrix._of(rep.dimension, rows)
+    return Matrix._lowest(rows, m)
 
 
 def check_deformed_relations(rep: MatrixTriple, params: AlgebraParams) -> RelationResiduals:
@@ -240,28 +240,42 @@ def casimir_matrix(rep: MatrixTriple, params: AlgebraParams) -> Matrix:
 
     J+J- is the one matrix product, the triple's ``ladder_product``; the
     quartic in J0 is added to its diagonal, one term after another, at each
-    h_i.  With h_i = T/h, the diagonal of J+J- over q and the quartic's
-    coefficients over p, each entry is X + S*S*C4 + S*T*C3 + S*C2 + T*C1 over
-    den = lcm(q, p*h^4), S = T*T, where X and the C's are the numerators
-    scaled to den once per call.
+    h_i.  With the parameters' numerators over p, the quartic's coefficients
+    are C4 = 3A, C3 = 4B - 6A, C2 = 3A - 6B + 6G and C1 = 2B - 6G + 12D over
+    12p, formed in the order of a/4, b/3 - a/2, a/4 - b/2 + g/2 and
+    b/6 - g/2 + d.  With h_i = T/h and the numerators X of J+J- over q, each
+    diagonal entry is X + S*S*C4 + S*T*C3 + S*C2 + T*C1 over
+    den = lcm(q, 12p*h^4), S = T*T, where X and the C's are scaled to den once
+    per call.
     """
-    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
-    coefficients = a / 4, b / 3 - a / 2, a / 4 - b / 2 + g / 2, b / 6 - g / 2 + d
+    (a, b, g, d), p = params.numerators
+    c4 = num_mul(a, 3)
+    c3 = num_sub(num_mul(b, 4), num_mul(a, 6))
+    c2 = num_add(num_sub(num_mul(a, 3), num_mul(b, 6)), num_mul(g, 6))
+    c1 = num_add(num_sub(num_mul(b, 2), num_mul(g, 6)), num_mul(d, 12))
     product = rep.ladder_product
-    n = rep.dimension
-    xs, q = to_numerators([product[i, i] for i in range(n)])
+    q = product._den
     ts, h = rep.diagonal_numerators
-    (c4, c3, c2, c1), p = to_numerators(coefficients)
-    h4 = h * h * h * h
-    den = math.lcm(q, p * h4)
-    fx, f = den // q, den // (p * h4)
-    c4, c3, c2, c1 = c4 * f, c3 * (f * h), c2 * (f * h * h), c1 * (f * h * h * h)
-    entries = {(i, j): x for i, j, x in product.entries() if i != j}
-    for i, (x, t) in enumerate(zip(xs, ts)):
-        s = t * t
-        entries[i, i] = from_numerator(
-            x * fx + s * s * c4 + s * t * c3 + s * c2 + t * c1, den)
-    return Matrix.from_entries(n, entries)
+    ph4 = 12 * p * h * h * h * h
+    den = math.lcm(q, ph4)
+    fx, f = den // q, den // ph4
+    c4, c3, c2, c1 = (num_mul(c4, f), num_mul(c3, f * h), num_mul(c2, f * h * h),
+                      num_mul(c1, f * h * h * h))
+    xs = [row.get(i, 0) for i, row in enumerate(product._rows)]
+    rows = []
+    for i, (row, x, t) in enumerate(zip(product._rows, xs, ts)):
+        s = num_mul(t, t)
+        e = num_mul(x, fx)
+        e = num_add(e, num_mul(num_mul(s, s), c4))
+        e = num_add(e, num_mul(num_mul(s, t), c3))
+        e = num_add(e, num_mul(s, c2))
+        e = num_add(e, num_mul(t, c1))
+        out = {j: num_mul(y, fx) for j, y in row.items() if j != i}
+        if e:
+            out[i] = e
+            out = dict(sorted(out.items()))
+        rows.append(out)
+    return Matrix._lowest(rows, den)
 
 
 def _half(two_m: int) -> Fraction:

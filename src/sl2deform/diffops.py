@@ -18,12 +18,14 @@ the two sides have the same terms.  :meth:`DiffOp.symbolic_action` writes the
 per-shift polynomials in k out, for reports only.
 
 An operator is stored as numerators over one positive denominator, in lowest
-terms: an int per rational coefficient and a QuadExt over 1 per irrational one.
-Products, sums and images are formed on the numerators, one path for every
-field, and :attr:`DiffOp.terms` gives the coefficients back as Fractions and
-QuadExts.  Results in lowest terms by construction skip the validating
-constructor (:meth:`DiffOp._of`).  A commutator, and each residual of
-:func:`closure_check`, is formed on unreduced numerators and reduced once.
+terms: an int per rational coefficient and the integer coordinates (p, q, d)
+of p + q*sqrt(d) per irrational one (``scalars.to_numerators``).  Products,
+sums and images are formed on the numerators by the ``scalars.num_*``
+functions, one path for every field, which raise the ScalarDomainError that
+QuadExt arithmetic would.  :attr:`DiffOp.terms` gives the coefficients back as
+Fractions and QuadExts.  Results in lowest terms by construction skip the
+validating constructor (:meth:`DiffOp._of`).  A commutator, and each residual
+of :func:`closure_check`, is formed on unreduced numerators and reduced once.
 """
 
 from __future__ import annotations
@@ -39,11 +41,15 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 from .matrices import Matrix, row_product
 from .scalars import (
     DIGITS,
-    QuadExt,
     Scalar,
     as_scalar,
     digit_limit,
     from_numerator,
+    num_add,
+    num_div,
+    num_gcd,
+    num_mul,
+    num_sub,
     parse_scalar,
     render_scalar,
     scalar_is_zero,
@@ -75,63 +81,60 @@ def _falling_coefficients(n: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _products(acc: dict, left, right) -> dict:
-    """Add the normal-ordered product of two term lists into ``acc``, and return it.
+def _products(acc: dict, left: dict, right: dict) -> dict:
+    """Add the normal-ordered product of two operators' numerators into ``acc``,
+    and return it.
 
-    ``left`` and ``right`` are ((m, n), numerator) pairs; each pair of terms
-    forms c1 * c2 once, and the sums keep their order.  Zero sums are left in
-    ``acc``.
+    ``left`` and ``right`` map (m, n) to a numerator; each pair of terms
+    forms c1 * c2 once, and the sums keep their order.  Zero sums are left
+    in ``acc``.
     """
-    for (m1, n1), c1 in left:
-        for (m2, n2), c2 in right:
-            c = c1 * c2
+    for (m1, n1), c1 in left.items():
+        for (m2, n2), c2 in right.items():
+            c = num_mul(c1, c2)
             w = 1  # C(n1, i) * m2 (m2 - 1) ... (m2 - i + 1)
             for i in range(n1 + 1):
                 if not w:
                     break
                 key = (m1 + m2 - i, n1 + n2 - i)
-                cw = c * w
-                acc[key] = acc[key] + cw if key in acc else cw
+                cw = num_mul(c, w)
+                acc[key] = num_add(acc[key], cw) if key in acc else cw
                 w = w * (n1 - i) * (m2 - i) // (i + 1)
     return acc
 
 
 def _lowest(acc: dict, den: int) -> "DiffOp":
     """The operator {key: v / den} over the nonzero numerators v of ``acc``, in
-    lowest terms; a QuadExt sum or product whose radical cancelled, the
-    Fraction k/1, is stored as the int k."""
-    num = {key: v.numerator if type(v) is Fraction else v for key, v in sorted(acc.items()) if v}
-    g = den
-    for v in num.values():
-        g = math.gcd(g, v.p, v.q) if type(v) is QuadExt else math.gcd(g, v)
+    lowest terms."""
+    num = _terms(acc)
+    g = num_gcd(den, num.values())
     if g != 1:
-        num = {key: v / g if type(v) is QuadExt else v // g for key, v in num.items()}
+        num = {key: num_div(v, g) for key, v in num.items()}
     return DiffOp._of(num, den // g)
 
 
-def _sum(acc: dict, den: int, terms, tden: int, sign: int = 1) -> tuple[dict, int]:
+def _sum(acc: dict, den: int, terms: dict, tden: int, sign: int = 1) -> tuple[dict, int]:
     """acc/den + sign * terms/tden on the numerators, over lcm(den, tden), unreduced.
 
-    ``acc`` is updated in place and returned with the new denominator;
-    ``terms`` are (key, numerator) pairs, each added with ``acc``'s numerator
-    on the left, in their order, as :meth:`DiffOp.__add__` adds them.
+    ``acc`` is updated in place and returned with the new denominator; each
+    numerator of ``terms`` is added with ``acc``'s numerator on the left, in
+    their order, as :meth:`DiffOp.__add__` adds them.
     """
     m = math.lcm(den, tden)
-    if m != den:
-        f = m // den
+    f, t = m // den, m // tden * sign
+    if f != 1:
         for key in acc:
-            acc[key] = acc[key] * f
-    f = m // tden * sign
-    for key, v in terms:
-        v = v * f
-        acc[key] = acc[key] + v if key in acc else v
+            acc[key] = num_mul(acc[key], f)
+    for key, v in terms.items():
+        v = num_mul(v, t)
+        acc[key] = num_add(acc[key], v) if key in acc else v
     return acc, m
 
 
-def _terms(acc: dict) -> list:
-    """The nonzero (key, numerator) pairs of ``acc`` by ascending key: the
-    terms, and their order, of the operator ``_lowest`` would make of it."""
-    return sorted([(key, v) for key, v in acc.items() if v])
+def _terms(acc: dict) -> dict:
+    """The nonzero numerators of ``acc`` by ascending key: the terms, and
+    their order, of the operator ``_lowest`` would make of it."""
+    return dict(sorted([(key, v) for key, v in acc.items() if v]))
 
 
 def _commutator(a: "DiffOp", b: "DiffOp") -> tuple[dict, int]:
@@ -143,18 +146,17 @@ def _commutator(a: "DiffOp", b: "DiffOp") -> tuple[dict, int]:
     form the sums, and raise the ScalarDomainError, that :meth:`DiffOp.compose`
     and ``-`` would; one shared accumulator would form sums they never form.
     """
-    ab = _products({}, a._num.items(), b._num.items())
-    ba = _products({}, b._num.items(), a._num.items())
+    ab = _products({}, a._num, b._num)
+    ba = _products({}, b._num, a._num)
     for key, v in sorted(ba.items()):
-        ab[key] = ab[key] - v if key in ab else -v
+        ab[key] = num_sub(ab.get(key, 0), v)
     return ab, a._den * b._den
 
 
 def _matrix_rows(op: "DiffOp", space: "MonomialSpace") -> list[dict]:
     """The rows {column: nonzero numerator} of op's matrix on ``space`` times
     ``op._den``, columns ascending; SpaceEscapeError where a nonzero sum
-    leaves the space.  A QuadExt sum whose radical cancelled, the Fraction
-    k/1, is stored as the int k."""
+    leaves the space."""
     pos = {e: i for i, e in enumerate(space.exponents)}
     rows: list[dict] = [{} for _ in pos]
     for col, k in enumerate(space.exponents):
@@ -162,7 +164,7 @@ def _matrix_rows(op: "DiffOp", space: "MonomialSpace") -> list[dict]:
             if v:
                 if e not in pos:
                     raise SpaceEscapeError(f"operator does not preserve the space {space.exponents}")
-                rows[pos[e]][col] = v.numerator if type(v) is Fraction else v
+                rows[pos[e]][col] = v
     return rows
 
 
@@ -221,8 +223,9 @@ class DiffOp:
         """An operator from numerators over ``den`` in the form ``__init__`` leaves, unchecked.
 
         Trusted: ``num`` is sorted by key and holds no zero, each numerator is
-        an int or a QuadExt over 1, ``den`` is positive, and all are in lowest
-        terms (``__eq__`` and ``__hash__`` rely on it).
+        an int or the coordinates (p, q, d) of an irrational one, ``den`` is
+        positive, and all are in lowest terms (``__eq__`` and ``__hash__`` rely
+        on it).
         """
         out = object.__new__(cls)
         object.__setattr__(out, "_num", num)
@@ -231,20 +234,21 @@ class DiffOp:
 
     # -- ring structure ---------------------------------------------------------
     def __add__(self, other: "DiffOp") -> "DiffOp":
-        return _lowest(*_sum(dict(self._num), self._den, other._num.items(), other._den))
+        return _lowest(*_sum(dict(self._num), self._den, other._num, other._den))
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return _lowest(*_sum(dict(self._num), self._den, other._num.items(), other._den, -1))
+        return _lowest(*_sum(dict(self._num), self._den, other._num, other._den, -1))
 
     def __neg__(self) -> "DiffOp":
-        return DiffOp._of({key: -v for key, v in self._num.items()}, self._den)
+        return DiffOp._of({key: num_mul(v, -1) for key, v in self._num.items()}, self._den)
 
     def scale(self, s) -> "DiffOp":
         s = as_scalar(s)
         if scalar_is_zero(s):
             return DiffOp()
         (s_num,), s_den = to_numerators([s])
-        return _lowest({key: v * s_num for key, v in self._num.items()}, self._den * s_den)
+        return _lowest({key: num_mul(v, s_num) for key, v in self._num.items()},
+                       self._den * s_den)
 
     def __mul__(self, s):
         return self.scale(s)
@@ -259,7 +263,7 @@ class DiffOp:
         product is formed on the numerators, over the product of the two
         denominators, and reduced by one gcd, whatever the field.
         """
-        acc = _products({}, self._num.items(), other._num.items())
+        acc = _products({}, self._num, other._num)
         return _lowest(acc, self._den * other._den)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
@@ -279,7 +283,8 @@ class DiffOp:
             w = _falling(k, n)
             if w:
                 e = k + m - n
-                out[e] = out[e] + v * w if e in out else v * w
+                vw = num_mul(v, w)
+                out[e] = num_add(out[e], vw) if e in out else vw
         return out
 
     def image(self, k: int) -> dict[int, Scalar]:
@@ -305,7 +310,7 @@ class DiffOp:
             poly.extend([0] * (len(ff) - len(poly)))
             for i, f in enumerate(ff):
                 if f:
-                    poly[i] = poly[i] + v * f
+                    poly[i] = num_add(poly[i], num_mul(v, f))
         return {s: tuple([from_numerator(v, self._den) for v in per_shift[s]])
                 for s in sorted(per_shift)}
 
@@ -313,7 +318,8 @@ class DiffOp:
     def preserves_space(self, space: "MonomialSpace") -> bool:
         """Whether every monomial of ``space`` is sent into ``space``."""
         members = set(space.exponents)
-        return all(e in members for k in space.exponents for e in self.image(k))
+        return all(e in members for k in space.exponents
+                   for e, v in self._image_numerators(k).items() if v)
 
     def matrix_on_space(
         self, space: "MonomialSpace", norm_squares: Optional[Sequence] = None
@@ -324,14 +330,14 @@ class DiffOp:
         each entry picks up sqrt(N_col / N_row), taken exactly per entry so no
         shared quadratic extension is ever needed.
         """
+        rows = _matrix_rows(self, space)
+        if norm_squares is None:
+            return Matrix._lowest(rows, self._den)
         den = self._den
-        rows = [{c: from_numerator(v, den) for c, v in row.items()}
-                for row in _matrix_rows(self, space)]
-        if norm_squares is not None:
-            ns = [Fraction(x) for x in norm_squares]
-            rows = [{c: v * sqrt_exact(ns[c] / ns[r]) for c, v in row.items()}
-                    for r, row in enumerate(rows)]
-        return Matrix._of(space.dimension, rows)
+        ns = [Fraction(x) for x in norm_squares]
+        return Matrix.from_entries(space.dimension, {
+            (r, c): from_numerator(v, den) * sqrt_exact(ns[c] / ns[r])
+            for r, row in enumerate(rows) for c, v in row.items()})
 
     # -- identity ------------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -358,7 +364,7 @@ class DiffOp:
         for n, m in sorted([(n, m) for m, n in num], reverse=True):
             v = num[(m, n)]
             if type(v) is not int:
-                value = f"+ ({render_scalar(v / den)})"
+                value = f"+ ({render_scalar(from_numerator(v, den))})"
             elif den == 1:
                 value = f"- {-v}" if v < 0 else f"+ {v}"
             else:
@@ -466,7 +472,8 @@ class ClosureReport:
         if space is None:
             passed = all(op.is_zero() for _, op in residuals)
             return cls(mode="intrinsic", passed=passed, residuals=residuals)
-        passed = not any(op.image(k) for _, op in residuals for k in space.exponents)
+        passed = not any(any(op._image_numerators(k).values())
+                         for _, op in residuals for k in space.exponents)
         return cls(mode="on-space", passed=passed, residuals=residuals)
 
 
@@ -493,16 +500,16 @@ def closure_check(
     the residuals, and any ScalarDomainError, are theirs.
     """
     j0, jp, jm = triple
-    (a, b, g, d), p = to_numerators((params.alpha, params.beta, params.gamma, params.delta))
-    n0, h = j0._num.items(), j0._den
+    (a, b, g, d), p = params.numerators
+    n0, h = j0._num, j0._den
     one = (0, 0)
-    rhs, den = _sum({key: v * a for key, v in n0}, h * p, [(one, b)], p)
-    rhs, den = _sum(_products({}, _terms(rhs), n0), den * h, [(one, g)], p)
-    rhs, den = _sum(_products({}, _terms(rhs), n0), den * h, [(one, d)], p)
+    rhs, den = _sum({key: num_mul(v, a) for key, v in n0.items()}, h * p, {one: b}, p)
+    rhs, den = _sum(_products({}, _terms(rhs), n0), den * h, {one: g}, p)
+    rhs, den = _sum(_products({}, _terms(rhs), n0), den * h, {one: d}, p)
     rhs = _terms(rhs)
     residuals = (
-        ("raising", _lowest(*_sum(*_commutator(j0, jp), jp._num.items(), jp._den, -1))),
-        ("lowering", _lowest(*_sum(*_commutator(j0, jm), jm._num.items(), jm._den))),
+        ("raising", _lowest(*_sum(*_commutator(j0, jp), jp._num, jp._den, -1))),
+        ("lowering", _lowest(*_sum(*_commutator(j0, jm), jm._num, jm._den))),
         ("bracket", _lowest(*_sum(*_commutator(jp, jm), rhs, den, -1))),
     )
     return ClosureReport.judge(residuals, space)
@@ -550,8 +557,8 @@ def _cross(p, a: dict, f, b: dict) -> dict:
 
 
 def _bracket(a: list[dict], b: list[dict]) -> list[dict]:
-    """AB - BA of two matrices given as rows {column: nonzero entry}, columns
-    ascending, in that form.  AB and then BA are formed whole by ``Matrix @``'s
+    """AB - BA of two matrices given as rows {column: nonzero numerator},
+    columns ascending, in that form.  AB and then BA are formed whole by ``Matrix @``'s
     :func:`~sl2deform.matrices.row_product`, and BA's nonzero entries are
     subtracted from AB's in ``-``'s order, so any ScalarDomainError is theirs.
     """
@@ -559,10 +566,20 @@ def _bracket(a: list[dict], b: list[dict]) -> list[dict]:
     for ab, ba in zip(row_product(a, b), row_product(b, a)):
         for j, y in sorted(ba.items()):
             if y:
-                x = ab.get(j)
-                ab[j] = x - y if x else -y
+                ab[j] = num_sub(ab.get(j, 0), y)
         out.append({j: ab[j] for j in sorted(ab) if ab[j]})
     return out
+
+
+def _span_row(row: dict) -> dict:
+    """A row of numerators as :class:`_ExactSpan` takes it: zeros left out,
+    and an irrational numerator as its QuadExt over 1."""
+    return {key: v if type(v) is int else from_numerator(v, 1) for key, v in row.items() if v}
+
+
+def _matrix_span_row(rows: list[dict]) -> dict:
+    """Matrix rows as one span row keyed (i, j), as :func:`_span_row` gives it."""
+    return _span_row({(i, j): x for i, r in enumerate(rows) for j, x in r.items()})
 
 
 class _ExactSpan:
@@ -578,8 +595,8 @@ class _ExactSpan:
     integral domain (Bareiss, Math. Comp. 22, 1968).  Every kept row is scaled
     as :func:`_canonical` says, so integer rows stay coprime integers.  Only
     :func:`lie_closure_probe` uses it, for rank and membership, and hands it
-    numerators: an int per rational entry and a QuadExt over 1 per irrational
-    one.
+    numerators (:func:`_span_row`): an int per rational entry and a QuadExt
+    over 1, not coordinates, per irrational one.
     """
 
     def __init__(self):
@@ -737,22 +754,23 @@ def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosure
     in span(mats) + sl(n): its dimension is at most n^2 - 1, or n^2 when some
     matrix has a nonzero trace.  Once the span reaches that bound no bracket
     can add to it: saturation stops there.  Rank and membership do not change
-    under nonzero scaling, so each matrix is taken times its operator's
-    denominator, as rows read off the numerators (:func:`_matrix_rows`), and
-    bracketed as rows (:func:`_bracket`): ints, or QuadExts over 1 for an
-    irrational entry.  The span takes each matrix as its nonzero entries keyed
-    (i, j), and each operator as its stored numerators keyed (m, n).
+    under nonzero scaling, so each operator bracket is taken as its
+    unreduced numerators (:func:`_commutator`), each matrix times its
+    operator's denominator, as rows read off the numerators
+    (:func:`_matrix_rows`), and the matrices are bracketed as rows
+    (:func:`_bracket`).  The span takes each matrix as its nonzero entries
+    keyed (i, j), and each operator as its numerators keyed (m, n).
     """
     ops = list(ops)
     # _matrix_rows raises SpaceEscapeError for an operator leaving the space
     mats = [_matrix_rows(op, space) for op in ops]
     pairs = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))]
-    brackets = [ops[i].commutator(ops[j]) for i, j in pairs]
+    brackets = [_commutator(ops[i], ops[j])[0] for i, j in pairs]
     # a positive multiple of an operator spans the same line; x^i D^i is {(i, i): 1}
     span = _ExactSpan()
     for row in [op._num for op in ops] + [{(i, i): 1} for i in range(4)]:
-        span.add(row)
-    failing = tuple(pair for pair, br in zip(pairs, brackets) if not span.contains(br._num))
+        span.add(_span_row(row))
+    failing = tuple(pair for pair, br in zip(pairs, brackets) if not span.contains(_span_row(br)))
 
     n = space.dimension
     # every bracket is traceless, so the span saturates inside span(mats) +
@@ -761,9 +779,9 @@ def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosure
     mspan = _ExactSpan()
     gens: list[list[dict]] = []
     for mat in mats:
-        if sum(row.get(i, 0) for i, row in enumerate(mat)):
+        if functools.reduce(num_add, [row.get(i, 0) for i, row in enumerate(mat)], 0):
             bound = n * n
-        if mspan.add({(i, j): x for i, row in enumerate(mat) for j, x in row.items()}):
+        if mspan.add(_matrix_span_row(mat)):
             gens.append(mat)
     # the worklist of (generator, kept matrix, depth of their bracket) grows
     # as it is read, so the depths never decrease
@@ -773,7 +791,7 @@ def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosure
         if mspan.dimension == bound:
             break
         br = _bracket(a, b)
-        if mspan.add({(i, j): x for i, row in enumerate(br) for j, x in row.items()}):
+        if mspan.add(_matrix_span_row(br)):
             depth = k
             work.extend((g, br, k + 1) for g in gens)
     return LieClosureReport(

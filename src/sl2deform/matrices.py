@@ -12,52 +12,78 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .scalars import Scalar, as_scalar, render_scalar, scalar_is_zero
+from .scalars import (
+    Scalar,
+    as_scalar,
+    from_numerator,
+    num_add,
+    num_div,
+    num_gcd,
+    num_mul,
+    render_scalar,
+    scalar_is_zero,
+    to_numerators,
+)
 
 _ZERO = Fraction(0)
 
 
-def _nonzero(items: Iterable[tuple[int, Scalar]]) -> dict[int, Scalar]:
-    return {j: x for j, x in items if not scalar_is_zero(x)}
-
-
 class Matrix:
-    """Immutable n x n matrix of exact scalars, stored by its nonzero entries.
+    """Immutable n x n matrix of exact scalars, stored as numerators of its
+    nonzero entries over one denominator.
 
-    ``_rows[i]`` maps each column of a nonzero entry of row i to that entry,
-    columns ascending.  Entries may live in different quadratic extensions;
-    compatibility is enforced lazily, by the scalar arithmetic of whatever
-    operation actually combines two entries.  ``@`` multiplies the rows by
-    :func:`row_product`, which the Lie closure probe applies to integer rows
-    with no Matrix.
+    ``_rows[i]`` maps each column of a nonzero entry of row i to that entry's
+    numerator (``scalars.to_numerators``), columns ascending, and ``_den`` is
+    their common positive denominator, in lowest terms, as a ``DiffOp``
+    stores its terms; entries go in and come out as Fractions and QuadExts.
+    Entries may live in different quadratic extensions; compatibility is
+    enforced lazily, by the numerator arithmetic of whatever operation
+    actually combines two entries.  ``@`` multiplies the rows by
+    :func:`row_product`, which the Lie closure probe applies to its rows with
+    no Matrix.
     """
 
-    __slots__ = ("dimension", "_rows")
+    __slots__ = ("dimension", "_rows", "_den")
 
     def __init__(self, rows: Iterable[Iterable]):
         rows = [[as_scalar(x) for x in row] for row in rows]
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
-        self._init(n, [_nonzero(enumerate(row)) for row in rows])
+        self._init(n, *_numerator_rows(n, [
+            (i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)
+            if not scalar_is_zero(x)]))
 
-    def _init(self, n: int, rows: Sequence[dict[int, Scalar]]) -> None:
+    def _init(self, n: int, rows: Sequence[dict], den: int) -> None:
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _of(cls, n: int, rows: Sequence[dict[int, Scalar]]) -> "Matrix":
-        """Trusted: the n x n matrix whose row i is ``rows[i]``, taken as given.
+    def _of(cls, n: int, rows: Sequence[dict], den: int) -> "Matrix":
+        """Trusted: the n x n matrix whose row i is ``rows[i]`` over ``den``, taken as given.
 
-        Each row must hold no zero entry and list its columns in ascending
-        order, nothing of which is checked: ``__eq__``, ``__hash__`` and
+        Each row must hold no zero numerator and list its columns in ascending
+        order, and the numerators and ``den`` > 0 must be in lowest terms,
+        nothing of which is checked: ``__eq__``, ``__hash__`` and
         :meth:`entries` rely on it.
         """
         out = object.__new__(cls)
-        out._init(n, rows)
+        out._init(n, rows, den)
         return out
+
+    @classmethod
+    def _lowest(cls, rows: Sequence[dict], den: int) -> "Matrix":
+        """The matrix of numerator rows over ``den`` > 0, divided by their
+        common factor; trusted as :meth:`_of` is, but for that factor."""
+        g = num_gcd(den, chain.from_iterable(map(dict.values, rows)))
+        if g != 1:
+            rows = [{j: num_div(v, g) for j, v in row.items()} for row in rows]
+        return cls._of(len(rows), rows, den // g)
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
@@ -67,14 +93,14 @@ class Matrix:
         """The n x n matrix with the given {(row, column): value} entries, zero elsewhere."""
         if n < 0:
             raise ValueError("dimension must be nonnegative")
-        rows: list[dict[int, Scalar]] = [{} for _ in range(n)]
+        nonzero = []
         for (i, j), x in sorted(entries.items()):
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"entry ({i}, {j}) lies outside a {n} x {n} matrix")
             x = as_scalar(x)
             if not scalar_is_zero(x):
-                rows[i][j] = x
-        return cls._of(n, rows)
+                nonzero.append((i, j, x))
+        return cls._of(n, *_numerator_rows(n, nonzero))
 
     @classmethod
     def zeros(cls, n: int) -> "Matrix":
@@ -95,25 +121,28 @@ class Matrix:
 
     def _dense(self, zero, render) -> list[list]:
         out = []
+        den = self._den
         for row in self._rows:
             dense = [zero] * self.dimension
-            for j, x in row.items():
-                dense[j] = render(x)
+            for j, v in row.items():
+                dense[j] = render(from_numerator(v, den))
             out.append(dense)
         return out
 
     def entries(self) -> Iterator[tuple[int, int, Scalar]]:
         """The nonzero entries as (row, column, value), row-major."""
+        den = self._den
         for i, row in enumerate(self._rows):
-            for j, x in row.items():
-                yield i, j, x
+            for j, v in row.items():
+                yield i, j, from_numerator(v, den)
 
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         i, j = key
         n = self.dimension
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"entry ({i}, {j}) lies outside a {n} x {n} matrix")
-        return self._rows[i].get(j, _ZERO)
+        v = self._rows[i].get(j)
+        return _ZERO if v is None else from_numerator(v, self._den)
 
     def _check_dim(self, other: "Matrix"):
         if self.dimension != other.dimension:
@@ -121,38 +150,44 @@ class Matrix:
                 f"dimension mismatch: {self.dimension} vs {other.dimension}"
             )
 
-    def _combine(self, other: "Matrix", both, lone) -> "Matrix":
-        """Entrywise ``both(a, b)``; an entry only ``other`` has becomes ``lone(b)``."""
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other, entrywise over the lcm of the denominators."""
         self._check_dim(other)
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den * sign
         rows = []
         for ra, rb in zip(self._rows, other._rows):
             out = {}
             for j in sorted(ra.keys() | rb.keys()):
                 if j not in rb:
-                    out[j] = ra[j]
+                    out[j] = num_mul(ra[j], fa)
                 elif j not in ra:
-                    out[j] = lone(rb[j])
+                    out[j] = num_mul(rb[j], fb)
                 else:
-                    x = both(ra[j], rb[j])
-                    if not scalar_is_zero(x):
+                    x = num_add(num_mul(ra[j], fa), num_mul(rb[j], fb))
+                    if x:
                         out[j] = x
             rows.append(out)
-        return Matrix._of(self.dimension, rows)
+        return Matrix._lowest(rows, den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, lambda a, b: a + b, lambda b: b)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, lambda a, b: a - b, lambda b: -b)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._of(self.dimension, [{j: -x for j, x in row.items()} for row in self._rows])
+        return Matrix._of(self.dimension,
+                          [{j: num_mul(v, -1) for j, v in row.items()} for row in self._rows],
+                          self._den)
 
     def __mul__(self, scalar) -> "Matrix":
         s = as_scalar(scalar)
-        return Matrix._of(
-            self.dimension, [_nonzero((j, x * s) for j, x in row.items()) for row in self._rows]
-        )
+        if scalar_is_zero(s):
+            return Matrix.zeros(self.dimension)
+        (s,), den = to_numerators([s])
+        return Matrix._lowest(
+            [{j: num_mul(v, s) for j, v in row.items()} for row in self._rows], self._den * den)
 
     __rmul__ = __mul__
 
@@ -161,23 +196,26 @@ class Matrix:
 
         Only products of two nonzero entries are formed, each added to its
         entry as k runs upward, so every entry takes the operations of the
-        dense triple loop that skips zero factors, in that loop's order: the
-        values are that loop's, and a product raises ``ScalarDomainError``
-        exactly when the loop would, though where several entries mix
-        radicands it may name another of them.
+        dense triple loop that skips zero factors, in that loop's order, on
+        the numerators over the product of the denominators: the values are
+        that loop's, and a product raises ``ScalarDomainError`` exactly when
+        the loop would, though where several entries mix radicands it may
+        name another of them.
         """
         self._check_dim(other)
-        return Matrix._of(self.dimension, [
-            {j: acc[j] for j in sorted(acc) if not scalar_is_zero(acc[j])}
-            for acc in row_product(self._rows, other._rows)])
+        return Matrix._lowest([
+            {j: acc[j] for j in sorted(acc) if acc[j]}
+            for acc in row_product(self._rows, other._rows)
+        ], self._den * other._den)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.dimension == other.dimension and self._rows == other._rows
+        return (self.dimension == other.dimension and self._den == other._den
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.dimension, tuple(tuple(row.items()) for row in self._rows)))
+        return hash((self.dimension, self._den, tuple(tuple(row.items()) for row in self._rows)))
 
     def is_zero(self) -> bool:
         return not any(self._rows)
@@ -190,15 +228,26 @@ class Matrix:
         return f"Matrix({self.to_strings()})"
 
 
+def _numerator_rows(n: int, entries: Sequence[tuple[int, int, Scalar]]) -> tuple[list, int]:
+    """The n rows {column: numerator} and the denominator of the nonzero
+    entries (row, column, value), given row-major."""
+    nums, den = to_numerators([x for _, _, x in entries])
+    rows: list[dict] = [{} for _ in range(n)]
+    for (i, j, _), v in zip(entries, nums):
+        rows[i][j] = v
+    return rows, den
+
+
 def row_product(a: Sequence[dict], b: Sequence[dict]) -> list[dict]:
-    """The rows of AB, for matrices given as rows {column: nonzero entry}:
+    """The rows of AB, for matrices given as rows {column: nonzero numerator}:
     entry j of row i sums a_ik * b_kj in ascending k, zero sums kept."""
     rows = []
     for a_row in a:
         acc: dict = {}
         for k, x in a_row.items():
             for j, y in b[k].items():
-                acc[j] = acc[j] + x * y if j in acc else x * y
+                xy = num_mul(x, y)
+                acc[j] = num_add(acc[j], xy) if j in acc else xy
         rows.append(acc)
     return rows
 
@@ -217,8 +266,9 @@ def is_scalar_multiple_of_identity(m: Matrix) -> Optional[Scalar]:
     lam = m[0, 0]
     if scalar_is_zero(lam):
         return lam if m.is_zero() else None
+    v = m._rows[0][0]
     for i, row in enumerate(m._rows):
-        if len(row) != 1 or row.get(i) != lam:
+        if len(row) != 1 or row.get(i) != v:
             return None
     return lam
 
@@ -249,10 +299,11 @@ def coordinate_block_split(ops: Sequence[Matrix]) -> BlockSplit:
             raise ValueError("all matrices must share one dimension")
     adj: dict[int, set[int]] = {i: set() for i in range(n)}
     for op in ops:
-        for i, j, _ in op.entries():
-            if i != j:
-                adj[i].add(j)
-                adj[j].add(i)
+        for i, row in enumerate(op._rows):
+            for j in row:
+                if i != j:
+                    adj[i].add(j)
+                    adj[j].add(i)
     blocks = []
     unseen = set(range(n))
     while unseen:

@@ -26,7 +26,7 @@ from typing import Optional, Union
 from .algebra import AlgebraParams, MatrixTriple, _check_two_j, _one_radicand, cubic
 from .cases import CaseData
 from .matrices import Matrix, coordinate_block_split
-from .scalars import Scalar, as_scalar, scalar_is_zero, sqrt_exact
+from .scalars import Scalar, as_scalar, scalar_is_zero, sqrt_exact, to_numerators
 
 Fr = Fraction
 
@@ -147,7 +147,7 @@ def _case_parameters(alpha, beta, gamma) -> tuple[Scalar, Scalar, Scalar]:
             )
     elif not isinstance(alpha, Fraction):
         raise ValueError("alpha != 0 must be rational")
-    _one_radicand(gamma, beta)
+    _one_radicand(*to_numerators((gamma, beta))[0])
     return alpha, beta, gamma
 
 

@@ -1,15 +1,25 @@
 """Exact scalar arithmetic: rationals and single quadratic extensions Q(sqrt(D)).
 
-Every number handled by this package is either a ``fractions.Fraction`` or a
-``QuadExt`` value ``a + b*sqrt(D)`` with rational ``a``, ``b`` and squarefree
-integer ``D >= 2``.  A ``QuadExt`` stores integers, ``(p + q*sqrt(D))/n`` in
-lowest terms with ``n > 0``, so each of its ``+ - * /`` is a few integer
-products and one ``math.gcd``; a rational operand is read through its public
-``numerator`` and ``denominator``.  Arithmetic is exact, and a result whose
-radical part cancels comes back as a ``Fraction``.  Mixing two different
-radicands is an error, never a silent coercion: the ``ScalarDomainError``
-names the two radicands in operand order, and where a matrix computation
-mixes them at several entries, which entry's clash is reported is not fixed.
+A value of this package is either a ``fractions.Fraction`` or a ``QuadExt``
+value ``a + b*sqrt(D)`` with rational ``a``, ``b`` and squarefree integer
+``D >= 2``: that is what parsing gives and rendering, ``DiffOp.terms`` and the
+entries of a ``Matrix`` take.  A ``QuadExt`` stores integers,
+``(p + q*sqrt(D))/n`` in lowest terms with ``n > 0``, so each of its ``+ - * /``
+is a few integer products and one ``math.gcd``; a rational operand is read
+through its public ``numerator`` and ``denominator``.  Arithmetic is exact, and
+a result whose radical part cancels comes back as a ``Fraction``.  Mixing two
+different radicands is an error, never a silent coercion: the
+``ScalarDomainError`` names the two radicands in operand order, and where a
+matrix computation mixes them at several entries, which entry's clash is
+reported is not fixed.
+
+Operators and matrices store numerators over one positive denominator
+instead (:func:`to_numerators`, :func:`from_numerator`).  A numerator is an
+int, or, for an irrational value, the integer coordinates ``(p, q, d)`` of
+``p + q*sqrt(d)`` with ``q != 0`` and ``d`` squarefree and >= 2.  The
+``num_*`` functions are their arithmetic: the operations of ``QuadExt``
+values over 1, with the same results and the same ``ScalarDomainError``, but
+no gcd and no object beyond a tuple.
 
 A radicand is split into its square and squarefree parts once, where a value
 enters: by :func:`parse_scalar`, :func:`sqrt_exact`, :func:`quadext` or the
@@ -158,7 +168,10 @@ class QuadExt:
 
     def _operand(self, other):
         """(p, q, n) of an operand over self's d, q = 0 for a rational one;
-        None for anything that is not an exact scalar."""
+        None for anything that is not an exact scalar.  The exact types are
+        tested first: ``isinstance(5, Fraction)`` is an ABC check."""
+        if type(other) is int:
+            return other, 0, 1
         if isinstance(other, QuadExt):
             if other._d != self._d:
                 raise mixed_radicands(self._d, other._d)
@@ -315,24 +328,83 @@ def quadext(a, b, d: int) -> Scalar:
 
 def to_numerators(values: Sequence) -> tuple[list, int]:
     """The values over the lcm ``den`` of their denominators: their numerators
-    and ``den``, an int per rational value and a QuadExt over 1 per irrational
-    one, in lowest terms: no prime divides ``den`` and every numerator.
+    and ``den``, in lowest terms: no prime divides ``den`` and every numerator.
     """
     den = lcm(*[v._n if type(v) is QuadExt else v.denominator for v in values])
     return [
-        _quad(v._p * (den // v._n), v._q * (den // v._n), 1, v._d) if type(v) is QuadExt
+        (v._p * (den // v._n), v._q * (den // v._n), v._d) if type(v) is QuadExt
         else v.numerator * (den // v.denominator)
         for v in values
     ], den
 
 
 def from_numerator(v, den: int) -> Scalar:
-    """The scalar v / den of a numerator v (an int, a Fraction or a QuadExt), den > 0."""
-    return _quad(v._p, v._q, v._n * den, v._d) if type(v) is QuadExt else Fraction(v, den)
+    """The scalar v / den of a numerator v, den > 0."""
+    return Fraction(v, den) if type(v) is int else _quad(v[0], v[1], den, v[2])
+
+
+def num_add(a, b):
+    """a + b of two numerators."""
+    if type(a) is int:
+        return a + b if type(b) is int else (a + b[0], b[1], b[2])
+    if type(b) is int:
+        return a[0] + b, a[1], a[2]
+    if a[2] != b[2]:
+        raise mixed_radicands(a[2], b[2])
+    q = a[1] + b[1]
+    return (a[0] + b[0], q, a[2]) if q else a[0] + b[0]
+
+
+def num_sub(a, b):
+    """a - b of two numerators."""
+    if type(a) is int:
+        return a - b if type(b) is int else (a - b[0], -b[1], b[2])
+    if type(b) is int:
+        return a[0] - b, a[1], a[2]
+    if a[2] != b[2]:
+        raise mixed_radicands(a[2], b[2])
+    q = a[1] - b[1]
+    return (a[0] - b[0], q, a[2]) if q else a[0] - b[0]
+
+
+def num_mul(a, b):
+    """a * b of two numerators."""
+    if type(a) is int:
+        if type(b) is int:
+            return a * b
+        return (a * b[0], a * b[1], b[2]) if a else 0
+    if type(b) is int:
+        return (a[0] * b, a[1] * b, a[2]) if b else 0
+    p, q, d = a
+    r, s, e = b
+    if d != e:
+        raise mixed_radicands(d, e)
+    t = p * s + q * r
+    return (p * r + q * s * d, t, d) if t else p * r + q * s * d
+
+
+def num_gcd(g: int, values) -> int:
+    """The gcd of g and the coordinates of the numerators ``values``."""
+    for v in values:
+        if g == 1:
+            break
+        g = gcd(g, v) if type(v) is int else gcd(g, v[0], v[1])
+    return g
+
+
+def num_div(v, g: int):
+    """The numerator v divided by an int g that divides it exactly."""
+    return v // g if type(v) is int else (v[0] // g, v[1] // g, v[2])
 
 
 def as_scalar(value) -> Scalar:
-    if type(value) is Fraction or isinstance(value, (Fraction, QuadExt)):
+    t = type(value)
+    if t is Fraction or t is QuadExt:
+        return value
+    if t is int:
+        return Fraction(value)
+    # subclasses, and bool, which is an int
+    if isinstance(value, (Fraction, QuadExt)):
         return value
     if isinstance(value, int):
         return Fraction(value)
@@ -340,8 +412,11 @@ def as_scalar(value) -> Scalar:
 
 
 def scalar_is_zero(value: Scalar) -> bool:
-    if type(value) is Fraction:
+    t = type(value)
+    if t is Fraction or t is int:
         return not value
+    if t is QuadExt:
+        return False
     return isinstance(value, (int, Fraction)) and value == 0
 
 

@@ -1,9 +1,10 @@
+import json
 import random
 from fractions import Fraction as Fr
 
 import pytest
 
-from sl2deform import algebra
+from sl2deform import algebra, cli, diffops, scalars
 from sl2deform.algebra import (
     AlgebraParams,
     MatrixTriple,
@@ -193,8 +194,9 @@ def test_relations_and_casimir_form_two_matrix_products(monkeypatch):
 
 
 def test_relations_multiply_quadexts_only_in_the_two_products(monkeypatch):
-    # on a valid table every ladder residual entry is decided on integer
-    # numerators: the only QuadExt products are those of J+J- and J-J+
+    # a matrix stores the integer coordinates of its irrational entries, so
+    # J+J-, J-J+ and every residual entry are formed on integers: not one
+    # QuadExt product, on tables whose ladder entries lie over many radicands
     calls = []
     mul = QuadExt.__mul__
 
@@ -208,28 +210,96 @@ def test_relations_multiply_quadexts_only_in_the_two_products(monkeypatch):
         triple = build_classic_sl2_matrices(two_j)
         calls.clear()
         triple.jplus @ triple.jminus, triple.jminus @ triple.jplus
-        products = len(calls)
-        calls.clear()
         assert check_deformed_relations(triple, CLASSIC).all_zero
-        assert len(calls) == products, two_j
-        assert products > 0 or two_j == 1
+        assert calls == [], two_j
+    assert any(isinstance(x, QuadExt) for _, _, x in triple.jplus.entries())
 
 
 def test_bracket_builds_no_scalar_on_a_valid_table(monkeypatch):
-    # a diagonal entry of the bracket residual is decided on the cubic's
-    # integer numerators; only a nonzero entry builds the cubic's value
+    # the bracket residual is formed on numerators: no entry builds a
+    # scalar, on a valid table or on a wrong one
+    triples = [build_classic_sl2_matrices(two_j) for two_j in range(1, 32)]
+    wrong = AlgebraParams(0, 0, 3, 0)
     built = []
     monkeypatch.setattr(algebra, "from_numerator",
                         lambda v, den: built.append(v) or from_numerator(v, den))
-    for two_j in range(1, 32):
-        triple = build_classic_sl2_matrices(two_j)
-        assert algebra._bracket_residual(triple, CLASSIC).is_zero(), two_j
+    quad = scalars._quad
+    monkeypatch.setattr(scalars, "_quad", lambda *args: built.append(args) or quad(*args))
+    for triple in triples:
+        assert algebra._bracket_residual(triple, CLASSIC).is_zero(), triple.dimension
+    # a wrong gamma leaves every diagonal entry with h_i != 0
+    triple = triples[3]
+    residual = algebra._bracket_residual(triple, wrong)
     assert built == []
-    # a wrong gamma leaves every diagonal entry with h_i != 0, each built once
-    triple = build_classic_sl2_matrices(4)
-    residual = algebra._bracket_residual(triple, AlgebraParams(0, 0, 3, 0))
+    monkeypatch.undo()
     assert list(residual.entries()) == [(i, i, -h) for i, h in enumerate(triple.diagonal) if h]
-    assert len(built) == 4
+
+
+def test_no_quadext_is_built_in_operator_products_matrix_products_or_residuals(
+        monkeypatch, tmp_path, capsys):
+    # an explicit gamma with an irrational c, and a classic spin table whose
+    # ladder entries lie over several radicands, as it is and with h_0 moved
+    # so that residual entries are nonzero: QuadExts are built where values
+    # enter and leave, never inside the four numerator loops
+    inside, calls, built = [], [], []
+    quad, init = scalars._quad, QuadExt.__init__
+
+    def spy_quad(*args):
+        built.append(inside[-1] if inside else None)
+        return quad(*args)
+
+    def spy_init(self, *args):
+        built.append(inside[-1] if inside else None)
+        init(self, *args)
+
+    def guard(owner, name):
+        original = getattr(owner, name)
+
+        def guarded(*args):
+            inside.append(name)
+            calls.append(name)
+            try:
+                return original(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(owner, name, guarded)
+
+    monkeypatch.setattr(scalars, "_quad", spy_quad)
+    monkeypatch.setattr(QuadExt, "__init__", spy_init)
+    guard(diffops, "_products")
+    guard(Matrix, "__matmul__")
+    guard(algebra, "_shift_residual")
+    guard(algebra, "_bracket_residual")
+
+    rep, moved = tmp_path / "spin.json", tmp_path / "moved.json"
+    spin = build_classic_sl2_matrices(5)
+    cli._write_rep_file(str(rep), spin, CLASSIC)
+    j0 = Matrix.diagonal([h + Fr(1, 3) * (i == 0) for i, h in enumerate(spin.diagonal)])
+    cli._write_rep_file(str(moved), MatrixTriple(j0, spin.jplus, spin.jminus), CLASSIC)
+    argvs = (
+        ["verify-case", "--case", "1", "--alpha", "3", "--beta", "-1/4",
+         "--gamma", "-4183/720", "--branch", "upper"],
+        ["rep-check", "--rep", str(rep)],
+        ["rep-check", "--rep", str(moved)],
+    )
+    reports = []
+    for argv in argvs:
+        calls.clear()
+        built.clear()
+        assert cli.main(argv) == (1 if argv[-1] == str(moved) else 0), argv
+        reports.append(json.loads(capsys.readouterr().out))
+        # the parsed or printed values are QuadExts, and nothing else is
+        assert built and set(built) == {None}, (argv, built)
+        guarded = {"__matmul__", "_shift_residual", "_bracket_residual"}
+        assert set(calls) == guarded | ({"_products"} if argv[0] == "verify-case" else set())
+    verify, valid, wrong = reports
+    assert "sqrt(6)" in verify["sections"][1]["values"]["c"]
+    assert valid["sections"][0]["values"]["all_zero"] is True
+    residuals = wrong["sections"][0]["values"]
+    assert any("sqrt(" in x for _, _, x in residuals["raising_nonzero_entries"])
+    assert residuals["bracket_nonzero_entries"]
+    assert "sqrt(5)" in rep.read_text() and "sqrt(2)" in rep.read_text()
 
 
 def test_a_non_diagonal_j0_is_refused_in_one_line():

@@ -400,13 +400,14 @@ def _matrix_by_terms(op, space):
 
 def _matrix_rows_outcome(op, space):
     """What ``diffops._matrix_rows`` gives, divided by ``op._den``, in the
-    oracle's form; the rows must hold only ints and QuadExts, columns ascending."""
+    oracle's form; the rows must hold only ints and the (p, q, d) coordinates
+    of irrational numerators, columns ascending."""
     try:
         rows = diffops._matrix_rows(op, space)
     except SpaceEscapeError as exc:
         return str(exc)
     assert all(list(row) == sorted(row) for row in rows)
-    assert all(type(v) in (int, QuadExt) for row in rows for v in row.values())
+    assert all(type(v) in (int, tuple) for row in rows for v in row.values())
     values = [(i, j, from_numerator(v, op._den)) for i, row in enumerate(rows)
               for j, v in row.items()]
     return [(i, j, x, type(x)) for i, j, x in values]
@@ -942,8 +943,9 @@ def _kernel_rows(rng, kind, nrows, width):
 
 def _sparse(row):
     """A dense row as the probe hands rows to the span: its numerators over
-    their lcm (``scalars.to_numerators``), keyed by column, zeros left out."""
-    return {j: v for j, v in enumerate(to_numerators(row)[0]) if v}
+    their lcm (``scalars.to_numerators``), keyed by column, as
+    ``diffops._span_row`` passes them on."""
+    return diffops._span_row(dict(enumerate(to_numerators(row)[0])))
 
 
 def _in_field(field, x):
@@ -1297,10 +1299,15 @@ def _bracket_outcome(fn):
     return [(i, j, v, type(v)) for i, row in enumerate(rows) for j, v in row.items()]
 
 
+def _scalar_rows(rows, den):
+    """Numerator rows over ``den`` as rows of scalars."""
+    return [{j: from_numerator(v, den) for j, v in row.items()} for row in rows]
+
+
 def test_bracket_rows_equal_the_matrix_commutator(rng):
-    # sparse matrices over Q, Q(sqrt 2), Q(sqrt 3) or both, as scalars and as
-    # their numerators (ints and QuadExts over 1), bracketed as rows and as
-    # Matrix: the same entries of the same types, or the same error
+    # sparse matrices over Q, Q(sqrt 2), Q(sqrt 3) or both, bracketed as their
+    # numerator rows and as Matrix: the same entries of the same types, or
+    # the same error
     root3 = QuadExt(0, 1, 3)
     fields = [(), (ROOT2,), (root3,), (ROOT2, root3)]
     raised = results = 0
@@ -1312,14 +1319,11 @@ def test_bracket_rows_equal_the_matrix_commutator(rng):
             if roots and rng.random() < 0.5:
                 c = c + rand_fraction(rng, nonzero=True) * rng.choice(roots)
             entries[(rng.randrange(n), rng.randrange(n))] = c
-        mat = Matrix.from_entries(n, entries)
-        if rng.random() < 0.5:
-            return mat
-        nums, _ = to_numerators([x for _, _, x in mat.entries()])
-        rows: list[dict] = [{} for _ in range(n)]
-        for (i, j, _), v in zip(mat.entries(), nums):
-            rows[i][j] = v
-        return Matrix._of(n, rows)
+        return Matrix.from_entries(n, entries)
+
+    def bracket(a, b):
+        rows = diffops._bracket(list(a._rows), list(b._rows))
+        return _scalar_rows(rows, a._den * b._den)
 
     pairs = []
     for _ in range(400):
@@ -1333,15 +1337,15 @@ def test_bracket_rows_equal_the_matrix_commutator(rng):
     mixed = Matrix.from_entries(3, {(0, 0): root3, (0, 2): ROOT2, (2, 0): root3, (2, 2): ROOT2})
     pairs += [(e12, e21), (flip, mixed)]
     for a, b in pairs:
-        got = _bracket_outcome(lambda: diffops._bracket(list(a._rows), list(b._rows)))
-        want = _bracket_outcome(lambda: commutator(a, b)._rows)
+        got = _bracket_outcome(lambda: bracket(a, b))
+        want = _bracket_outcome(lambda: _scalar_rows(commutator(a, b)._rows, commutator(a, b)._den))
         assert got == want, (a, b)
         if isinstance(got, str):
             raised += 1
         else:
             results += bool(got)
     assert want == "mixed radicands sqrt(3) and sqrt(2)"
-    assert _bracket_outcome(lambda: diffops._bracket(list(e12._rows), list(e21._rows))) == (
+    assert _bracket_outcome(lambda: bracket(e12, e21)) == (
         "mixed radicands sqrt(2) and sqrt(3)")
     assert raised > 50 and results > 150, (raised, results)
 

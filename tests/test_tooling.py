@@ -36,3 +36,35 @@ def test_every_bench_trace_target_resolves_in_sl2deform():
         if class_name is not None:
             owner = getattr(owner, class_name)
         assert callable(getattr(owner, attr, None)), name
+
+
+def test_bench_count_hooks_read_irrational_matrices_and_operators():
+    # the traced run's hooks read matrices and operators through entries()
+    # and terms, whatever the stored form; on ladders over several radicands
+    # and operators over sqrt(2) they must give the counts those give
+    from collections import Counter
+
+    from sl2deform.algebra import build_classic_sl2_matrices
+    from sl2deform.diffops import DiffOp
+    from sl2deform.scalars import QuadExt, quadext
+
+    hooks = runpy.run_path(str(ROOT / "bench" / "layers.py"))
+    triple = build_classic_sl2_matrices(6)
+    pairs = [(triple.jplus, triple.jminus), (triple.jminus, triple.jplus),
+             (triple.jplus + triple.j0, triple.jminus @ triple.jplus)]
+    for a, b in pairs:
+        n = a.dimension
+        col_nnz = Counter(k for _, k, _ in a.entries())
+        row_nnz = Counter(k for k, _, _ in b.entries())
+        want = sum(col_nnz[k] * row_nnz[k] for k in range(n))
+        assert hooks["_matmul_work"]((a, b), a @ b) == {"entry_mults": want,
+                                                         "entry_slots": n ** 3}
+        assert want > 0
+    radicands = {x.d for _, _, x in triple.jplus.entries() if isinstance(x, QuadExt)}
+    assert len(radicands) > 1, radicands
+
+    root2 = quadext(0, 1, 2)
+    a = DiffOp({(1, 1): root2, (0, 0): 1 + root2, (2, 1): -3})
+    b = DiffOp({(0, 2): root2 / 6, (3, 1): 5})
+    assert hooks["_pairs"]((a, b), a.compose(b)) == {"term_pairs": len(a.terms) * len(b.terms)}
+    assert len(a.terms) * len(b.terms) == 6
