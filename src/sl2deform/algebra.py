@@ -31,10 +31,10 @@ scheme in J0, the Casimir sum with J+J- first), with the same operand on the
 left, and each partial result is the matrix expression's times a nonzero
 integer, which neither creates nor cancels a radical.  So the values are
 those of the matrix expressions, and a call raises ``ScalarDomainError``
-exactly when they would: a ladder residual checks where an irrational x
-meets an h_i or h_j over another radicand, which is where the expression's
-h_i*x and x*h_j raise.  Where several entries mix radicands, which of them
-is named is not fixed.
+exactly when they would: at an irrational ladder entry x, a ladder residual
+forms the expression's h_i*x and x*h_j on numerators, so that they raise
+where an h_i or h_j lies over another radicand.  Where several entries mix
+radicands, which of them is named is not fixed.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .scalars import (
     Scalar,
     as_scalar,
     from_numerator,
-    mixed_radicands,
     num_add,
     num_mul,
     num_sub,
@@ -161,12 +160,6 @@ def _cubic(nums: Sequence, h: int, params: AlgebraParams) -> tuple[list, int]:
             for t in nums], p * h * h * h
 
 
-def _one_radicand(a, b) -> None:
-    """Raise what a * b raises: both numerators irrational, over two radicands."""
-    if type(a) is tuple and type(b) is tuple and a[2] != b[2]:
-        raise mixed_radicands(a[2], b[2])
-
-
 def _shift_residual(rep: MatrixTriple, ladder: Matrix, shift: int) -> Matrix:
     """[J0, L] - shift*L for a ladder L: shift 1 for J+, -1 for J-.
 
@@ -174,10 +167,11 @@ def _shift_residual(rep: MatrixTriple, ladder: Matrix, shift: int) -> Matrix:
     which is x*d/H for d = T_i - T_j - shift*H on the diagonal numerators:
     L's numerator times d, over L's denominator times H.  An entry is zero,
     and left out, exactly when d is, so a zero entry costs integer work only.
-    Where x is irrational, the matrix expression's h_i*x and x*h_j raise when
-    h_i, then h_j, lies over another radicand; that is checked first, in that
-    order.  Where x is rational, they raise when h_i and h_j lie over two
-    radicands, and so does T_i - T_j.
+    Where x is irrational, the products T_i*x and x*T_j are formed first, in
+    that order, and dropped: they raise where the matrix expression's h_i*x
+    and x*h_j do, when h_i, then h_j, lies over another radicand.  Where x is
+    rational, those raise when h_i and h_j lie over two radicands, and so
+    does T_i - T_j.
     """
     ts, h = rep.diagonal_numerators
     sh = shift * h
@@ -187,8 +181,8 @@ def _shift_residual(rep: MatrixTriple, ladder: Matrix, shift: int) -> Matrix:
         for j, x in row.items():
             tj = ts[j]
             if type(x) is tuple:
-                _one_radicand(ti, x)
-                _one_radicand(x, tj)
+                num_mul(ti, x)
+                num_mul(x, tj)
             d = num_sub(num_sub(ti, tj), sh)
             if d:
                 out[j] = num_mul(x, d)

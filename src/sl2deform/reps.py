@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .algebra import AlgebraParams, MatrixTriple, _check_two_j, _one_radicand, cubic
+from .algebra import AlgebraParams, MatrixTriple, _check_two_j, cubic
 from .cases import CaseData
 from .matrices import Matrix, coordinate_block_split
-from .scalars import Scalar, as_scalar, scalar_is_zero, sqrt_exact, to_numerators
+from .scalars import Scalar, as_scalar, scalar_is_zero, sqrt_exact
 
 Fr = Fraction
 
@@ -135,9 +135,11 @@ def _case_parameters(alpha, beta, gamma) -> tuple[Scalar, Scalar, Scalar]:
 
     alpha = beta = 0 leaves only the trivial algebra.  With alpha != 0 the
     branch is picked by the sign of a multiple of 1/alpha, so alpha must be
-    rational there; beta and gamma may be irrational over one radicand (the
-    shift squares beta, which would hide a second), as long as the radicand
-    of :func:`solve_case` stays rational, which ``sqrt_exact`` checks.
+    rational there; beta and gamma may be irrational over one radicand, as
+    long as the radicand of :func:`solve_case` stays rational, which
+    ``sqrt_exact`` checks.  The product gamma*beta is formed, and dropped, so
+    that two radicands raise ``ScalarDomainError`` here, naming gamma's
+    first: the shift squares beta, which would hide its radicand.
     """
     alpha, beta, gamma = as_scalar(alpha), as_scalar(beta), as_scalar(gamma)
     if scalar_is_zero(alpha):
@@ -147,7 +149,7 @@ def _case_parameters(alpha, beta, gamma) -> tuple[Scalar, Scalar, Scalar]:
             )
     elif not isinstance(alpha, Fraction):
         raise ValueError("alpha != 0 must be rational")
-    _one_radicand(*to_numerators((gamma, beta))[0])
+    gamma * beta  # raises over two radicands
     return alpha, beta, gamma
 
 

@@ -4,27 +4,27 @@ A value of this package is either a ``fractions.Fraction`` or a ``QuadExt``
 value ``a + b*sqrt(D)`` with rational ``a``, ``b`` and squarefree integer
 ``D >= 2``: that is what parsing gives and rendering, ``DiffOp.terms`` and the
 entries of a ``Matrix`` take.  A ``QuadExt`` stores integers,
-``(p + q*sqrt(D))/n`` in lowest terms with ``n > 0``, so each of its ``+ - * /``
-is a few integer products and one ``math.gcd``; a rational operand is read
-through its public ``numerator`` and ``denominator``.  Arithmetic is exact, and
-a result whose radical part cancels comes back as a ``Fraction``.  Mixing two
-different radicands is an error, never a silent coercion: the
-``ScalarDomainError`` names the two radicands in operand order, and where a
-matrix computation mixes them at several entries, which entry's clash is
-reported is not fixed.
+``(p + q*sqrt(D))/n`` in lowest terms with ``n > 0``.
 
 Operators and matrices store numerators over one positive denominator
 instead (:func:`to_numerators`, :func:`from_numerator`).  A numerator is an
 int, or, for an irrational value, the integer coordinates ``(p, q, d)`` of
 ``p + q*sqrt(d)`` with ``q != 0`` and ``d`` squarefree and >= 2.  The
-``num_*`` functions are their arithmetic: the operations of ``QuadExt``
-values over 1, with the same results and the same ``ScalarDomainError``, but
-no gcd and no object beyond a tuple.
+``num_*`` functions are the one arithmetic of Q(sqrt(D)) in this package:
+``DiffOp``, ``Matrix`` and the relations call them on their stored
+numerators, and ``QuadExt``'s ``+ - * /`` call them on the numerators of
+their two operands over one denominator.  Arithmetic is exact, and a result
+whose radical part cancels comes back as an int numerator, or as a
+``Fraction`` value.  Mixing two different radicands is an error, never a
+silent coercion: ``num_add``, ``num_sub`` and ``num_mul`` raise the one
+``ScalarDomainError``, naming the two radicands in operand order, and where
+a matrix computation mixes them at several entries, which entry's clash is
+reported is not fixed.
 
 A radicand is split into its square and squarefree parts once, where a value
 enters: by :func:`parse_scalar`, :func:`sqrt_exact`, :func:`quadext` or the
-validating ``QuadExt`` constructor.  Arithmetic on ``QuadExt`` values keeps the
-radicand its operands were built with and never factors it again.
+validating ``QuadExt`` constructor.  Arithmetic keeps the radicand its
+operands were built with and never factors it again.
 """
 
 from __future__ import annotations
@@ -125,6 +125,10 @@ class QuadExt:
     a ``QuadExt`` is never secretly a rational number.  It also checks that d
     is squarefree, which the arithmetic below never does again: every result
     keeps its operands' d.  The attributes are read-only.
+
+    ``+ - * /`` write their two operands, in operand order, over one
+    denominator (:func:`to_numerators`) and compute on the numerators with
+    the ``num_*`` functions, so they raise the mixed-radicand error there.
     """
 
     __slots__ = ("_p", "_q", "_n", "_d")
@@ -166,93 +170,45 @@ class QuadExt:
         p, q = self._p, self._q
         return Fraction(p * p - q * q * self._d, self._n * self._n)
 
-    def _operand(self, other):
-        """(p, q, n) of an operand over self's d, q = 0 for a rational one;
-        None for anything that is not an exact scalar.  The exact types are
-        tested first: ``isinstance(5, Fraction)`` is an ABC check."""
-        if type(other) is int:
-            return other, 0, 1
-        if isinstance(other, QuadExt):
-            if other._d != self._d:
-                raise mixed_radicands(self._d, other._d)
-            return other._p, other._q, other._n
-        if isinstance(other, Fraction):
-            return other.numerator, 0, other.denominator
-        if isinstance(other, int):
-            return other, 0, 1
-        return None
-
-    # -- arithmetic: integer products, then one gcd in _quad ----------------
-    def __add__(self, other):
-        co = self._operand(other)
-        if co is None:
+    # -- arithmetic: the num_* functions on numerators over one denominator --
+    def _arith(self, other, op, reflected=False):
+        """self op other, or other op self when ``reflected``, for ``op`` one
+        of num_add, num_sub, num_mul and _quotient, on the two operands'
+        numerators over one denominator; NotImplemented where other is not an
+        exact scalar."""
+        if not isinstance(other, (int, QuadExt, Fraction)):
             return NotImplemented
-        p, q, n = co
-        m = self._n
-        if n == m:
-            return _quad(self._p + p, self._q + q, m, self._d)
-        return _quad(self._p * n + p * m, self._q * n + q * m, m * n, self._d)
+        (x, y), den = to_numerators((other, self) if reflected else (self, other))
+        if op is _quotient:
+            return _quotient(x, y)
+        return from_numerator(op(x, y), den * den if op is num_mul else den)
 
-    __radd__ = __add__
+    def __add__(self, other):
+        return self._arith(other, num_add)
+
+    def __radd__(self, other):
+        return self._arith(other, num_add, True)
 
     def __neg__(self):
         return _quad(-self._p, -self._q, self._n, self._d)
 
     def __sub__(self, other):
-        co = self._operand(other)
-        if co is None:
-            return NotImplemented
-        p, q, n = co
-        m = self._n
-        if n == m:
-            return _quad(self._p - p, self._q - q, m, self._d)
-        return _quad(self._p * n - p * m, self._q * n - q * m, m * n, self._d)
+        return self._arith(other, num_sub)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._arith(other, num_sub, True)
 
     def __mul__(self, other):
-        co = self._operand(other)
-        if co is None:
-            return NotImplemented
-        p, q, n = co
-        sp, sq = self._p, self._q
-        if not q:
-            return _quad(sp * p, sq * p, self._n * n, self._d)
-        return _quad(sp * p + sq * q * self._d, sp * q + sq * p, self._n * n, self._d)
+        return self._arith(other, num_mul)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return self._arith(other, num_mul, True)
 
     def __truediv__(self, other):
-        co = self._operand(other)
-        if co is None:
-            return NotImplemented
-        p, q, n = co
-        sp, sq, d = self._p, self._q, self._d
-        if not q:
-            if not p:
-                raise ZeroDivisionError("division of QuadExt by zero")
-            num_p, num_q, den = sp * n, sq * n, self._n * p
-        else:
-            # multiply through by the conjugate; p^2 - q^2 d != 0 as sqrt(d) is irrational
-            num_p = (sp * p - sq * q * d) * n
-            num_q = (sq * p - sp * q) * n
-            den = self._n * (p * p - q * q * d)
-        if den < 0:
-            num_p, num_q, den = -num_p, -num_q, -den
-        return _quad(num_p, num_q, den, d)
+        return self._arith(other, _quotient)
 
     def __rtruediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        if other == 0:
-            return Fraction(0)
-        p, q, d = self._p, self._q, self._d
-        scale = other.numerator * self._n
-        den = other.denominator * (p * p - q * q * d)
-        if den < 0:
-            scale, den = -scale, -den
-        return _quad(scale * p, -scale * q, den, d)
+        return self._arith(other, _quotient, True)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -381,6 +337,21 @@ def num_mul(a, b):
         raise mixed_radicands(d, e)
     t = p * s + q * r
     return (p * r + q * s * d, t, d) if t else p * r + q * s * d
+
+
+def _quotient(x, y) -> Scalar:
+    """The scalar x / y of two numerators over one denominator: x times the
+    conjugate of y, over y's integer norm with its sign moved into the
+    numerator.  The norm r^2 - s^2*e of y = (r, s, e) is nonzero, as sqrt(e)
+    is irrational."""
+    if not y:
+        raise ZeroDivisionError("division of QuadExt by zero")
+    if type(y) is int:
+        n = y
+    else:
+        r, s, e = y
+        x, n = num_mul(x, (r, -s, e)), r * r - s * s * e
+    return from_numerator(x, n) if n > 0 else from_numerator(num_mul(x, -1), -n)
 
 
 def num_gcd(g: int, values) -> int:

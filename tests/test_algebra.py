@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import traceback
 from fractions import Fraction as Fr
 
 import pytest
@@ -482,3 +484,40 @@ def test_cubic_on_numerators_matches_horner_on_scalars(field):
         _assert_same_or_both_mix_radicands(got, want, radicands)
         errors += isinstance(got, tuple)
     assert (errors > 50) if field == "mixed" else (errors == 0)
+
+
+def _innermost_frame(fn):
+    """The (file name, function) of the innermost frame of the
+    ScalarDomainError that fn() raises, and its message."""
+    with pytest.raises(scalars.ScalarDomainError) as err:
+        fn()
+    frame = traceback.extract_tb(err.tb)[-1]
+    return os.path.basename(frame.filename), frame.name, str(err.value)
+
+
+def test_every_mixed_radicand_error_is_raised_in_the_numerator_arithmetic():
+    r2, r3 = QuadExt(1, 1, 2), QuadExt(0, 1, 3)
+    # CI's table: J0 over sqrt(2), its ladders over sqrt(3)
+    table = MatrixTriple(Matrix.diagonal([QuadExt(0, 1, 2), QuadExt(1, 1, 2)]),
+                         Matrix.from_entries(2, {(0, 1): r3}),
+                         Matrix.from_entries(2, {(1, 0): r3}))
+    calls = {
+        "x + y": (lambda: r2 + r3, "2 and 3"), "y + x": (lambda: r3 + r2, "3 and 2"),
+        "x - y": (lambda: r2 - r3, "2 and 3"), "y - x": (lambda: r3 - r2, "3 and 2"),
+        "x * y": (lambda: r2 * r3, "2 and 3"), "y * x": (lambda: r3 * r2, "3 and 2"),
+        "x / y": (lambda: r2 / r3, "2 and 3"), "y / x": (lambda: r3 / r2, "3 and 2"),
+        # the reflected methods, called directly: y.__radd__(x) is x + y
+        "radd": (lambda: r3.__radd__(r2), "2 and 3"), "rsub": (lambda: r3.__rsub__(r2), "2 and 3"),
+        "rmul": (lambda: r3.__rmul__(r2), "2 and 3"),
+        "rtruediv": (lambda: r3.__rtruediv__(r2), "2 and 3"),
+        "DiffOp sum": (lambda: diffops.DiffOp({(1, 1): r2}) + diffops.DiffOp({(1, 1): r3}),
+                       "2 and 3"),
+        "ladder residual": (lambda: algebra._shift_residual(table, table.jplus, 1), "2 and 3"),
+        "solve_case": (lambda: solve_case(CaseId.CASE2.data, 0, r2, r3), "3 and 2"),
+    }
+    for name, (fn, named) in calls.items():
+        filename, function, message = _innermost_frame(fn)
+        assert (filename, function) in {("scalars.py", "num_add"), ("scalars.py", "num_sub"),
+                                        ("scalars.py", "num_mul")}, (name, function)
+        a, b = named.split(" and ")
+        assert message == f"mixed radicands sqrt({a}) and sqrt({b})", name

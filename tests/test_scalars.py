@@ -5,13 +5,16 @@ from fractions import Fraction as Fr
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sl2deform.scalars import (
     MAX_TRIAL_PRIME,
     NegativeRadicandError,
     QuadExt,
     ScalarDomainError,
+    num_add,
+    num_mul,
+    num_sub,
     parse_int,
     parse_scalar,
     quadext,
@@ -414,3 +417,48 @@ def test_a_radical_coefficient_past_the_digit_limit_is_named():
         with pytest.raises(ValueError) as info:
             parse_scalar(text)
         assert str(info.value) == message
+
+
+# -- the num_* functions on numerators: ints and (p, q, d) coordinates --
+
+_NUM_D = (2, 3, 5)
+_COORD = st.integers(-6, 6)  # small, so that radical parts cancel often
+_numerators = st.one_of(
+    _COORD, st.tuples(_COORD, _COORD.filter(bool), st.sampled_from(_NUM_D)))
+_NUM_OPS = {num_add: lambda u, v: u + v, num_sub: lambda u, v: u - v,
+            num_mul: lambda u, v: u * v}
+
+
+def _numerator_in_field(v, d):
+    """The numerator v, an int or (p, q, d), as an element of QQ<sqrt(d)>."""
+    if type(v) is int:
+        return _in_field(Fr(v), d)
+    assert v[2] == d
+    return _in_field(Fr(v[0]), d) + _in_field(Fr(v[1]), d) * _in_field(QuadExt(0, 1, d), d)
+
+
+@settings(deadline=None)  # the first example builds sympy's fields
+@given(_numerators, _numerators, st.sampled_from(list(_NUM_OPS)))
+@example((1, 2, 2), (3, -2, 2), num_add)  # the radical parts cancel
+@example((1, 2, 3), (1, 2, 3), num_sub)
+@example((0, 1, 2), (0, 1, 2), num_mul)  # sqrt(2)*sqrt(2) = 2
+@example((1, 1, 2), (1, -1, 2), num_mul)
+def test_numerator_arithmetic_matches_sympy_and_never_stores_a_zero_radical(a, b, op):
+    radicands = [v[2] for v in (a, b) if type(v) is tuple]
+    if len(set(radicands)) == 2:
+        # the left operand's radicand is named first
+        with pytest.raises(ScalarDomainError,
+                           match=rf"^mixed radicands sqrt\({a[2]}\) and sqrt\({b[2]}\)$"):
+            op(a, b)
+        return
+    value = op(a, b)
+    # an int, or a tuple of ints with a nonzero radical part: the `if v`
+    # zero tests on stored numerators rely on this
+    if type(value) is tuple:
+        p, q, d = value
+        assert type(p) is type(q) is type(d) is int and q != 0 and d in radicands, value
+    else:
+        assert type(value) is int, value
+    d = radicands[0] if radicands else 2
+    assert _numerator_in_field(value, d) == _NUM_OPS[op](
+        _numerator_in_field(a, d), _numerator_in_field(b, d))
