@@ -19,10 +19,11 @@ per-shift polynomials in k out, for reports only.
 
 An operator is stored as numerators over one positive denominator, in lowest
 terms: an int per rational coefficient and the integer coordinates (p, q, d)
-of p + q*sqrt(d) per irrational one (``scalars.to_numerators``).  Products,
-sums and images are formed on the numerators by the ``scalars.num_*``
-functions, one path for every field, which raise the ScalarDomainError that
-QuadExt arithmetic would.  :attr:`DiffOp.terms` gives the coefficients back as
+of p + q*sqrt(d) per irrational one (``scalars.to_numerators``).  Sums,
+products, images, matrices and the probe's rank kernel are formed on the
+numerators by the ``scalars.num_*`` functions, one path for every field, and
+only they raise the ScalarDomainError of mixed radicands: nothing here calls
+a QuadExt operator.  :attr:`DiffOp.terms` gives the coefficients back as
 Fractions and QuadExts.  Results in lowest terms by construction skip the
 validating constructor (:meth:`DiffOp._of`).  A commutator, and each residual
 of :func:`closure_check`, is formed on unreduced numerators and reduced once.
@@ -174,22 +175,19 @@ class DiffOp:
     __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[tuple[int, int], object] = ()):
-        canon: dict[tuple[int, int], Scalar] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for (m, n), c in items:
+        keys, values = [], []
+        for (m, n), c in terms.items() if isinstance(terms, Mapping) else terms:
             if n < 0:
                 raise ValueError("derivative order must be nonnegative")
-            c = as_scalar(c)
-            if (m, n) in canon:
-                c = canon[(m, n)] + c
-            if scalar_is_zero(c):
-                canon.pop((m, n), None)
-            else:
-                canon[(m, n)] = c
-        keys = sorted(canon)
-        nums, den = to_numerators([canon[key] for key in keys])
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_num", dict(zip(keys, nums)))
+            keys.append((m, n))
+            values.append(as_scalar(c))
+        nums, den = to_numerators(values)
+        acc: dict = {}
+        for key, v in zip(keys, nums):
+            acc[key] = num_add(acc[key], v) if key in acc else v
+        op = _lowest(acc, den)
+        object.__setattr__(self, "_den", op._den)
+        object.__setattr__(self, "_num", op._num)
 
     def __setattr__(self, *_):
         raise AttributeError("DiffOp is immutable")
@@ -333,11 +331,13 @@ class DiffOp:
         rows = _matrix_rows(self, space)
         if norm_squares is None:
             return Matrix._lowest(rows, self._den)
-        den = self._den
         ns = [Fraction(x) for x in norm_squares]
-        return Matrix.from_entries(space.dimension, {
-            (r, c): from_numerator(v, den) * sqrt_exact(ns[c] / ns[r])
-            for r, row in enumerate(rows) for c, v in row.items()})
+        entries = {}
+        for r, row in enumerate(rows):
+            for c, v in row.items():
+                (x,), q = to_numerators([sqrt_exact(ns[c] / ns[r])])
+                entries[(r, c)] = from_numerator(num_mul(v, x), self._den * q)
+        return Matrix.from_entries(space.dimension, entries)
 
     # -- identity ------------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -421,7 +421,7 @@ def parse_diffop(text: str) -> DiffOp:
         if coeff_text.startswith("("):
             coeff_text = coeff_text[1:-1]
         coeff = parse_scalar(coeff_text) if coeff_text else Fraction(1)
-        terms.append(((int(m.group("m")), int(m.group("n"))), coeff * sgn))
+        terms.append(((int(m.group("m")), int(m.group("n"))), -coeff if sgn < 0 else coeff))
     return DiffOp(terms)
 
 
@@ -528,27 +528,29 @@ MAX_ENUMERATION_SIZE = 80_000
 
 
 def _canonical(vec: dict, pc) -> dict:
-    """The multiple of a sparse row that the span keeps, ``pc`` being its pivot key.
+    """The multiple of a sparse row of numerators that the span keeps, ``pc``
+    being its pivot key: coprime integer coordinates and a positive int pivot.
 
-    A row of ints becomes coprime ints with a positive pivot.  Any other row
-    is divided by its pivot: Q(sqrt(d)) has no gcd, and without one the
-    entries of cross-multiplied rows grow exponentially.
+    An irrational pivot (p, q, d) is first made its integer norm, the row
+    multiplied by (p, -q, d).  This is the one rational multiple of that form
+    on the row's line, whatever nonzero multiple of it, over Q or Q(sqrt(d)),
+    comes in, and it keeps the coordinates small with no division.
     """
-    values = vec.values()
-    if all(type(v) is int for v in values):
-        g = math.gcd(*values)
-        if vec[pc] < 0:
-            g = -g
-        return vec if g == 1 else {key: v // g for key, v in vec.items()}
-    p = as_scalar(vec[pc])
-    return {key: v / p for key, v in vec.items()}
+    p = vec[pc]
+    if type(p) is not int:
+        vec = {key: num_mul(v, (p[0], -p[1], p[2])) for key, v in vec.items()}
+    g = num_gcd(0, vec.values())
+    if vec[pc] < 0:
+        g = -g
+    return vec if g == 1 else {key: num_div(v, g) for key, v in vec.items()}
 
 
-def _cross(p, a: dict, f, b: dict) -> dict:
-    """The sparse row p*a - f*b, its zeros left out; p and f are nonzero."""
-    out = {key: p * v for key, v in a.items()}
+def _cross(p: int, a: dict, f, b: dict) -> dict:
+    """The sparse row p*a - f*b of numerators, its zeros left out; p is a
+    kept pivot, a positive int, and f is nonzero."""
+    out = dict(a) if p == 1 else {key: num_mul(p, v) for key, v in a.items()}
     for key, v in b.items():
-        w = out[key] - f * v if key in out else -f * v
+        w = num_sub(out.get(key, 0), num_mul(f, v))
         if w:
             out[key] = w
         else:
@@ -571,15 +573,9 @@ def _bracket(a: list[dict], b: list[dict]) -> list[dict]:
     return out
 
 
-def _span_row(row: dict) -> dict:
-    """A row of numerators as :class:`_ExactSpan` takes it: zeros left out,
-    and an irrational numerator as its QuadExt over 1."""
-    return {key: v if type(v) is int else from_numerator(v, 1) for key, v in row.items() if v}
-
-
 def _matrix_span_row(rows: list[dict]) -> dict:
-    """Matrix rows as one span row keyed (i, j), as :func:`_span_row` gives it."""
-    return _span_row({(i, j): x for i, r in enumerate(rows) for j, x in r.items()})
+    """Matrix rows {column: nonzero numerator} as one span row keyed (i, j)."""
+    return {(i, j): x for i, r in enumerate(rows) for j, x in r.items()}
 
 
 class _ExactSpan:
@@ -592,11 +588,11 @@ class _ExactSpan:
     the span, whatever the insertion order.  Rows are combined by
     cross-multiplication, ``p*a - f*b`` with p the pivot of one row and f the
     other row's entry at that key, which needs no division and works over any
-    integral domain (Bareiss, Math. Comp. 22, 1968).  Every kept row is scaled
-    as :func:`_canonical` says, so integer rows stay coprime integers.  Only
-    :func:`lie_closure_probe` uses it, for rank and membership, and hands it
-    numerators (:func:`_span_row`): an int per rational entry and a QuadExt
-    over 1, not coordinates, per irrational one.
+    integral domain (Bareiss, Math. Comp. 22, 1968).  Entries are numerators,
+    an int or the coordinates (p, q, d) of p + q*sqrt(d), combined by the
+    ``scalars.num_*`` functions, and every kept row is the coprime multiple
+    with a positive int pivot (:func:`_canonical`), over Q and Q(sqrt(d))
+    alike.  Only :func:`lie_closure_probe` uses it, for rank and membership.
     """
 
     def __init__(self):
@@ -765,12 +761,12 @@ def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosure
     # _matrix_rows raises SpaceEscapeError for an operator leaving the space
     mats = [_matrix_rows(op, space) for op in ops]
     pairs = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))]
-    brackets = [_commutator(ops[i], ops[j])[0] for i, j in pairs]
+    brackets = [_terms(_commutator(ops[i], ops[j])[0]) for i, j in pairs]
     # a positive multiple of an operator spans the same line; x^i D^i is {(i, i): 1}
     span = _ExactSpan()
     for row in [op._num for op in ops] + [{(i, i): 1} for i in range(4)]:
-        span.add(_span_row(row))
-    failing = tuple(pair for pair, br in zip(pairs, brackets) if not span.contains(_span_row(br)))
+        span.add(row)
+    failing = tuple(pair for pair, br in zip(pairs, brackets) if not span.contains(br))
 
     n = space.dimension
     # every bracket is traceless, so the span saturates inside span(mats) +

@@ -11,9 +11,9 @@ instead (:func:`to_numerators`, :func:`from_numerator`).  A numerator is an
 int, or, for an irrational value, the integer coordinates ``(p, q, d)`` of
 ``p + q*sqrt(d)`` with ``q != 0`` and ``d`` squarefree and >= 2.  The
 ``num_*`` functions are the one arithmetic of Q(sqrt(D)) in this package:
-``DiffOp``, ``Matrix`` and the relations call them on their stored
-numerators, and ``QuadExt``'s ``+ - * /`` call them on the numerators of
-their two operands over one denominator.  Arithmetic is exact, and a result
+``DiffOp``, ``Matrix``, the relations and the probe's rank kernel call them
+on their stored numerators, and ``QuadExt``'s ``+ - * /`` call them on the
+numerators of their two operands over one denominator.  Arithmetic is exact, and a result
 whose radical part cancels comes back as an int numerator, or as a
 ``Fraction`` value.  Mixing two different radicands is an error, never a
 silent coercion: ``num_add``, ``num_sub`` and ``num_mul`` raise the one

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import sys
 import traceback
 from fractions import Fraction as Fr
 
@@ -24,6 +25,7 @@ from sl2deform.reps import case_rep_spec, intrinsic_gamma_and_product, solve_cas
 from sl2deform.scalars import QuadExt, from_numerator, quadext, sqrt_exact
 
 from conftest import assert_names_two_radicands, rand_fraction
+from test_diffops import _two_radicand_families
 
 CLASSIC = AlgebraParams(0, 0, 2, 0)
 
@@ -304,6 +306,45 @@ def test_no_quadext_is_built_in_operator_products_matrix_products_or_residuals(
     assert "sqrt(5)" in rep.read_text() and "sqrt(2)" in rep.read_text()
 
 
+def test_diffops_does_no_quadext_arithmetic(monkeypatch):
+    # the probe's kernel on a sqrt(2)-scaled basis, the parser's signs, the
+    # constructor's sums of repeated keys and the normalized matrices of the
+    # classic spin 3 compute on numerators: no QuadExt operator is called
+    # from diffops, nor from anything it calls
+    rng = random.Random("diffops-does-no-quadext-arithmetic")
+    space = diffops.MonomialSpace(tuple(range(rng.randint(4, 8))))
+    unit = quadext(1, 1, 2)
+    basis = diffops.enumerate_preserving_operators(space, 1)
+    scaled = [op.scale(unit * rng.choice((-3, -1, 1, 2))) for op in basis]
+    classic = build_classic_sl2_diffops(6)
+    spin = diffops.MonomialSpace(tuple(range(7)))
+    callers = []
+    arith = QuadExt._arith
+
+    def spy(self, *args):
+        frame = sys._getframe(1)
+        while os.path.basename(frame.f_code.co_filename) == "scalars.py":
+            frame = frame.f_back
+        callers.append((os.path.basename(frame.f_code.co_filename), frame.f_code.co_name))
+        return arith(self, *args)
+
+    monkeypatch.setattr(QuadExt, "_arith", spy)
+    report = diffops.lie_closure_probe(scaled, space)
+    parsed = diffops.parse_diffop(
+        "- (1/2 + 3*sqrt(2)) * x^2 * D^1 + (sqrt(2)) * x^1 * D^0 - 1 * x^0 * D^0")
+    summed = diffops.DiffOp([((1, 1), unit), ((0, 0), 1), ((1, 1), unit)])
+    mats = [op.matrix_on_space(spin, norm_squares=classic_norm_squares(6)) for op in classic]
+    assert unit * 2 == quadext(2, 2, 2)  # the spy sees QuadExt arithmetic
+    monkeypatch.undo()
+    assert callers == [("test_algebra.py", "test_diffops_does_no_quadext_arithmetic")]
+    assert any(isinstance(c, QuadExt) for op in scaled for c in op.terms.values())
+    assert report == diffops.lie_closure_probe(basis, space)
+    assert dict(parsed.terms) == {(0, 0): -1, (1, 0): quadext(0, 1, 2),
+                                  (2, 1): quadext(Fr(-1, 2), -3, 2)}
+    assert dict(summed.terms) == {(0, 0): 1, (1, 1): quadext(2, 2, 2)}
+    assert MatrixTriple(*mats) == build_classic_sl2_matrices(6)
+
+
 def test_a_non_diagonal_j0_is_refused_in_one_line():
     j0 = Matrix.from_entries(3, {(0, 0): 1, (2, 1): Fr(1, 2)})
     with pytest.raises(ValueError, match=r"^J0 must be diagonal, but its entry \(2, 1\) is nonzero$"):
@@ -512,12 +553,21 @@ def test_every_mixed_radicand_error_is_raised_in_the_numerator_arithmetic():
         "rtruediv": (lambda: r3.__rtruediv__(r2), "2 and 3"),
         "DiffOp sum": (lambda: diffops.DiffOp({(1, 1): r2}) + diffops.DiffOp({(1, 1): r3}),
                        "2 and 3"),
+        "DiffOp repeated key": (lambda: diffops.DiffOp([((1, 1), r2), ((1, 1), r3)]), "2 and 3"),
         "ladder residual": (lambda: algebra._shift_residual(table, table.jplus, 1), "2 and 3"),
         "solve_case": (lambda: solve_case(CaseId.CASE2.data, 0, r2, r3), "3 and 2"),
     }
+    # the probe's families, in its kernel too: the pair may be named in either order
+    for i, ops in enumerate(_two_radicand_families()):
+        for space in (V3, diffops.MonomialSpace((0, 1))):
+            calls[f"probe {i} on {space.exponents}"] = (
+                lambda ops=ops, space=space: diffops.lie_closure_probe(ops, space), None)
     for name, (fn, named) in calls.items():
         filename, function, message = _innermost_frame(fn)
         assert (filename, function) in {("scalars.py", "num_add"), ("scalars.py", "num_sub"),
                                         ("scalars.py", "num_mul")}, (name, function)
+        if named is None:
+            assert_names_two_radicands(message, (2, 3))
+            continue
         a, b = named.split(" and ")
         assert message == f"mixed radicands sqrt({a}) and sqrt({b})", name

@@ -37,6 +37,7 @@ from sl2deform.scalars import (
     QuadExt,
     ScalarDomainError,
     from_numerator,
+    num_gcd,
     quadext,
     render_scalar,
     scalar_is_zero,
@@ -942,10 +943,14 @@ def _kernel_rows(rng, kind, nrows, width):
 
 
 def _sparse(row):
-    """A dense row as the probe hands rows to the span: its numerators over
-    their lcm (``scalars.to_numerators``), keyed by column, as
-    ``diffops._span_row`` passes them on."""
-    return diffops._span_row(dict(enumerate(to_numerators(row)[0])))
+    """A dense row as the probe hands rows to the span: its nonzero
+    numerators over their lcm (``scalars.to_numerators``), keyed by column."""
+    return {j: v for j, v in enumerate(to_numerators(row)[0]) if v}
+
+
+def _is_numerator(v):
+    """Whether v is a nonzero int or the coordinates (p, q, d) of an irrational."""
+    return type(v) is int and v != 0 or type(v) is tuple and len(v) == 3 and v[1] != 0
 
 
 def _in_field(field, x):
@@ -971,7 +976,7 @@ def test_exact_span_agrees_with_sympy(kind):
         _, independent = matrix.transpose().rref()
         span = _ExactSpan()
         assert [span.add(_sparse(row)) for row in rows] == [i in independent for i in range(nrows)]
-        assert all(type(v) in (int, Fr, QuadExt) for row in span.rows.values() for v in row.values())
+        assert all(_is_numerator(v) for row in span.rows.values() for v in row.values())
         _, pivots = matrix.rref()
         assert span.dimension == len(pivots)
         ranks.add((span.dimension, nrows, width))
@@ -996,28 +1001,63 @@ def test_exact_span_keeps_rows_of_ints_and_radicals_exact():
     span = _ExactSpan()
     assert span.add(_sparse([2, r, 0])) and span.add(_sparse([0, 3, Fr(1, 2)]))
     assert not span.add(_sparse([2, r + 6, 1]))  # the first row plus twice the second
-    assert all(type(v) in (int, Fr, QuadExt) for row in span.rows.values() for v in row.values())
+    assert all(_is_numerator(v) for row in span.rows.values() for v in row.values())
+
+
+def _kernel_scale(rng):
+    """A nonzero scalar of Q(sqrt(2)): a positive int, a negative fraction or an irrational."""
+    draw = rng.random()
+    if draw < 0.3:
+        return rng.randint(1, 1000)
+    if draw < 0.5:
+        return -rand_fraction(rng, 1, 50, 20)
+    b = rand_fraction(rng, 1, 20, 9) * rng.choice((1, -1))
+    return quadext(rand_fraction(rng, -20, 20, 9), b, 2)
+
+
+def _canonical_numerator_row(row):
+    """The coprime integer multiple, pivot first and positive, of a row of
+    sympy's QQ or QQ<sqrt(2)>, as {column: numerator} of its nonzero entries."""
+    coords = {}
+    for j, x in enumerate(row):
+        coeffs = [Fr(int(c.numerator), int(c.denominator))
+                  for c in (x.to_list() if hasattr(x, "to_list") else [x])]
+        if any(coeffs):
+            coords[j] = ([0, 0] + coeffs)[-2:][::-1]  # (a, b) of a + b*sqrt(2)
+    den = math.lcm(*(c.denominator for ab in coords.values() for c in ab))
+    ints = {j: [int(c * den) for c in ab] for j, ab in coords.items()}
+    g = math.gcd(*(c for ab in ints.values() for c in ab))
+    return {j: a // g if not b else (a // g, b // g, 2) for j, (a, b) in ints.items()}
 
 
 def test_exact_span_keeps_the_same_rows_under_positive_scaling():
-    # the kept rows are the coprime integer multiples, with a positive pivot,
-    # of the RREF rows, whatever positive integer scales each input row
-    rng = random.Random("span-of-scaled-rows")
-    for _ in range(40):
-        width = rng.randint(1, 6)
-        rows = [_sparse(row) for row in _kernel_rows(rng, "fraction", rng.randint(1, 6), width)]
-        scales = [rng.randint(1, 1000) for _ in rows]
-        scaled = [{j: v * k for j, v in row.items()} for row, k in zip(rows, scales)]
-        plain, by_scaled = _ExactSpan(), _ExactSpan()
-        assert [plain.add(row) for row in rows] == [by_scaled.add(row) for row in scaled]
-        assert plain.rows == by_scaled.rows
-        rref, pivots = sympy.Matrix([[row.get(j, 0) for j in range(width)] for row in rows]).rref()
-        want = {}
-        for i, pc in enumerate(pivots):
-            den = math.lcm(*(int(x.q) for x in rref.row(i)))
-            want[pc] = {j: int(x * den) for j, x in enumerate(rref.row(i)) if x}
-        assert plain.rows == want
-        assert all(type(v) is int for row in plain.rows.values() for v in row.values())
+    # the kept rows are the coprime integer multiples, with a positive int
+    # pivot, of the RREF rows, whatever nonzero scalar of Q(sqrt(2)) scales
+    # each input row: a positive int, a negative fraction or an irrational
+    for kind in ("fraction", "sqrt2"):
+        field = _KERNEL_FIELDS[kind]
+        rng = random.Random(f"span-of-scaled-rows-{kind}")
+        irrational = 0
+        for _ in range(40):
+            width = rng.randint(1, 6)
+            dense = _kernel_rows(rng, kind, rng.randint(1, 6), width)
+            scales = [_kernel_scale(rng) for _ in dense]
+            rows = [_sparse(row) for row in dense]
+            scaled = [_sparse([x * k for x in row]) for row, k in zip(dense, scales)]
+            plain, by_scaled = _ExactSpan(), _ExactSpan()
+            assert [plain.add(row) for row in rows] == [by_scaled.add(row) for row in scaled]
+            assert plain.rows == by_scaled.rows
+            matrix = DomainMatrix([[_in_field(field, x) for x in row] for row in dense],
+                                  (len(dense), width), field)
+            rref, pivots = matrix.rref()
+            assert plain.rows == {pc: _canonical_numerator_row(rref.to_list()[i])
+                                  for i, pc in enumerate(pivots)}
+            for pc, row in plain.rows.items():
+                assert min(row) == pc and type(row[pc]) is int and row[pc] > 0
+                assert num_gcd(0, row.values()) == 1
+                assert all(_is_numerator(v) for v in row.values())
+                irrational += any(type(v) is tuple for v in row.values())
+        assert (irrational > 10) if kind == "sqrt2" else (irrational == 0)
 
 
 def test_probe_is_unchanged_when_every_operator_is_scaled_by_an_irrational():
