@@ -22,13 +22,14 @@ entered by hand: case 3's disagrees with the solved c, so it cannot be derived.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .diffops import V3, DiffOp, MonomialSpace
-from .scalars import Scalar, as_scalar
+from .diffops import V3, DiffOp, MonomialSpace, _lowest
+from .scalars import Scalar, as_scalar, num_mul, num_sub, to_numerators
 
 Fr = Fraction
 
@@ -69,6 +70,13 @@ class CaseData:
     # [raise_op, lower_op] x^k = sum_i bracket_poly[i] k^i x^k
     bracket_poly: tuple[Fraction, ...]
     intrinsic: tuple[Fraction, Fraction, Fraction]  # (p*, c*, fg*) at alpha = 1, beta = 0
+
+    @functools.cached_property
+    def numerators(self) -> tuple[tuple, tuple, int]:
+        """(S_1, S_2, S_3) and the energies as int numerators over one
+        denominator, formed on first use."""
+        nums, den = to_numerators(self.label_sums + self.energies)
+        return tuple(nums[:3]), tuple(nums[3:]), den
 
 
 def derive_case(space: MonomialSpace, k_src: int, k_dst: int) -> CaseData:
@@ -152,6 +160,7 @@ def build_case_realization(
     The diagonal operator is (1/step) x D + (c - k_mid/step), for the label
     ``c`` that ``reps.solve_case`` or ``reps.intrinsic_gamma_and_product`` gives.
     """
-    slope = Fr(1, data.step)
-    j0 = DiffOp({(1, 1): slope, (0, 0): as_scalar(c) - data.k_mid * slope})
-    return j0, data.raise_op.scale(f), data.lower_op.scale(g)
+    (c,), den = to_numerators([as_scalar(c)])
+    j0 = _lowest({(0, 0): num_sub(num_mul(c, data.step), data.k_mid * den), (1, 1): den},
+                 data.step * den)
+    return j0, data.raise_op if f == 1 else data.raise_op.scale(f), data.lower_op.scale(g)

@@ -30,7 +30,7 @@ from .diffops import (
     enumerate_preserving_operators,
 )
 from .matrices import Matrix, is_scalar_multiple_of_identity
-from .reps import decompose_rep, intrinsic_gamma_and_product, solve_case
+from .reps import carried_label, decompose_rep, intrinsic_gamma_and_product, solve_case
 from .scalars import digit_limit, parse_int, parse_scalar, render_scalar, scalar_is_zero
 
 PASS, FAIL, ERROR = "pass", "fail", "error"
@@ -227,7 +227,7 @@ def cmd_verify_case(args) -> dict:
 
     # the paper's label constant against c* at alpha = 1, beta = 0
     if gamma_intrinsic and case.printed_label_const != data.intrinsic[1]:
-        printed = case.printed_label_const - beta / (3 * alpha)
+        printed = carried_label(case.printed_label_const, alpha, beta)
         sections.append(
             _section(
                 "flagged-discrepancies",

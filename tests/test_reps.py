@@ -1,10 +1,17 @@
+import dataclasses
+import json
+import os
+import random
 import re
+import sys
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sl2deform import cli
 from sl2deform.algebra import AlgebraParams, casimir_matrix, check_deformed_relations
-from sl2deform.cases import CaseId, derive_case
+from sl2deform.cases import CaseId, build_case_realization, derive_case
 from sl2deform.diffops import MonomialSpace
 from sl2deform.matrices import Matrix
 from sl2deform.reps import (
@@ -12,14 +19,23 @@ from sl2deform.reps import (
     RepSpec,
     TrivialAlgebraError,
     build_new_rep_matrices,
+    carried_label,
     case_rep_spec,
     constraint_residuals,
     decompose_rep,
     intrinsic_gamma_and_product,
     solve_case,
 )
-from sl2deform.scalars import NegativeRadicandError, QuadExt, scalar_is_zero
+from sl2deform.scalars import (
+    NegativeRadicandError,
+    QuadExt,
+    ScalarDomainError,
+    quadext,
+    render_scalar,
+    scalar_is_zero,
+)
 
+import reference_solvers as reference
 from conftest import rand_fraction
 from published_cases import PUBLISHED
 
@@ -370,3 +386,205 @@ def test_case3_splits_off_the_middle_state():
     assert [b.indices for b in blocks] == [(0, 2), (1,)]
     assert blocks[1].c_label == Fr(-1, 12) - Fr(2) / (3 * Fr(5))
     assert blocks[1].c_label == sol.c
+
+
+# -- the numerator solvers against the Fraction and QuadExt reference ------------------
+
+_Q = st.builds(Fr, st.integers(-12, 12), st.integers(1, 8))
+# Q, Q(sqrt 2) and Q(sqrt 3): quadext folds sqrt(1) into the rational part
+_SCALAR = st.builds(quadext, _Q, _Q, st.sampled_from([1, 2, 3]))
+
+
+def _oracle_cases():
+    """The three V3 cases, a ladder on each of 12 seeded spaces and the two
+    evenly spaced outer ladders, whose S1 is 0."""
+    rng = random.Random("numerator-solver-oracle")
+    out = [case.data for case in CaseId]
+    for _ in range(12):
+        space = MonomialSpace(tuple(sorted(rng.sample(range(14), 3))))
+        out.append(derive_case(space, *sorted(rng.sample(space.exponents, 2))))
+    out += [derive_case(MonomialSpace(e), 0, e[2]) for e in ((0, 1, 2), (0, 2, 4))]
+    return out
+
+
+_ORACLE_CASES = _oracle_cases()
+
+
+def _normal_gamma(data, alpha, beta, tau, rho):
+    """gamma at which the radicand of solve_case is (alpha tau)^2 rho, rho >= 1."""
+    s1, s2, s3 = data.label_sums
+    a, b = 3 * s1, 3 * s2
+    p = ((b * b - 4 * a * a * tau * tau * rho) / (4 * a) - s3) / s1
+    s = beta / (3 * alpha)
+    return alpha * (p + 3 * s * s)
+
+
+def _outcome(fn, *args):
+    """fn(*args) as (type, value) pairs, field by field, or the type and
+    message of the error it raises."""
+    try:
+        value = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    if isinstance(value, (list, tuple)):
+        return [(type(v), v) for v in value]
+    return type(value), value
+
+
+def _same_as_reference(data, alpha, beta, gamma, branch, f):
+    """The intrinsic locus, the solution, the printed label's shift and, for
+    a solution, its realization, split and constraint residuals, each as the
+    reference forms them; returns the solution's outcome."""
+    assert _outcome(intrinsic_gamma_and_product, data, alpha, beta) == _outcome(
+        reference.intrinsic_gamma_and_product, data, alpha, beta)
+    if isinstance(alpha, Fr) and alpha:
+        assert _outcome(carried_label, Fr(-1, 6), alpha, beta) == _outcome(
+            reference.printed_label, Fr(-1, 6), alpha, beta)
+    solved = _outcome(solve_case, data, alpha, beta, gamma, branch)
+    assert solved == _outcome(reference.solve_case, data, alpha, beta, gamma, branch)
+    if isinstance(solved, list):
+        c, delta, fg, _ = (v for _, v in solved)
+        assert build_case_realization(data, f, fg, c) == reference.build_case_realization(
+            data, f, fg, c)
+        sol = CaseSolution(c, delta, fg, solved[3][1])
+        spec = _outcome(case_rep_spec, data, sol, f)
+        assert spec == _outcome(reference.case_rep_spec, data, sol, f)
+        if isinstance(spec, list):
+            spec = case_rep_spec(data, sol, f)
+            params = AlgebraParams(alpha, beta, gamma, delta)
+            residuals = _outcome(constraint_residuals, spec, params)
+            assert residuals == _outcome(reference.constraint_residuals, spec, params)
+            if f == 1:
+                assert all(v == 0 for _, v in residuals)
+    return solved
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    data=st.sampled_from(_ORACLE_CASES),
+    alpha=st.one_of(st.just(Fr(0)), *[_Q.filter(bool)] * 4, _SCALAR),
+    beta=_SCALAR,
+    gamma_mode=st.sampled_from(["free", "normal", "intrinsic"]),
+    gamma=_SCALAR,
+    tau=_Q,
+    rho=st.sampled_from([1, 2, 3, 6]),
+    branch=st.sampled_from(["upper", "lower", "upper", "lower", "middle"]),
+    f=st.one_of(st.just(1), _SCALAR),
+)
+def test_the_numerator_solvers_equal_the_fraction_reference(
+        data, alpha, beta, gamma_mode, gamma, tau, rho, branch, f):
+    # a free gamma over Q(sqrt d) mostly gives an irrational radicand; the
+    # normal-form gamma gives the radicand (alpha tau)^2 rho, whose root may
+    # lie over another radicand than beta, and the intrinsic one a square
+    on_locus = isinstance(alpha, Fr) and alpha and data.label_sums[0]
+    if on_locus and gamma_mode == "normal":
+        gamma = _normal_gamma(data, alpha, beta, tau, rho)
+    elif on_locus and gamma_mode == "intrinsic" and not isinstance(
+            _outcome(reference.intrinsic_gamma_and_product, data, alpha, beta), tuple):
+        gamma = reference.intrinsic_gamma_and_product(data, alpha, beta).gamma
+    _same_as_reference(data, alpha, beta, gamma, branch, f)
+
+
+def test_each_solver_outcome_equals_the_fraction_reference():
+    root2, root3 = quadext(0, 1, 2), quadext(0, 1, 3)
+    case1, case2, case3 = (case.data for case in CaseId)
+    flat = derive_case(MonomialSpace((0, 1, 2)), 0, 2)
+    expected = [
+        (case1, 0, 0, 1, "upper", TrivialAlgebraError),
+        (case1, root2, 1, 0, "upper", ValueError),
+        (case2, 0, root2, root3, "upper", ScalarDomainError),  # gamma's radicand named first
+        (case2, 1, root2, root3, "lower", ScalarDomainError),
+        (flat, 1, 1, 1, "upper", ValueError),  # S1 = 0
+        (flat, 0, 1, 1, "upper", ValueError),
+        (case1, 1, 0, 0, "middle", ValueError),
+        (case1, 1, 0, 100, "upper", NegativeRadicandError),
+        (case1, 3, root3, Fr(1, 2) + root3, "lower", ScalarDomainError),  # irrational radicand
+        # beta over sqrt(2) meets a root over sqrt(3) where c is summed
+        (case3, Fr(-2), root2, _normal_gamma(case3, Fr(-2), root2, Fr(1), 3), "upper",
+         ScalarDomainError),
+        (case3, Fr(5, 3), 1 + root2, _normal_gamma(case3, Fr(5, 3), 1 + root2, Fr(2), 2),
+         "lower", QuadExt),
+        (case1, Fr(1, 2), root3, _normal_gamma(case1, Fr(1, 2), root3, Fr(3), 1), "upper",
+         QuadExt),
+        (case2, 0, root2, 1 + root2, "middle", QuadExt),
+        (case1, 2, 3, Fr(-19, 8), "lower", Fr),
+    ]
+    for data, alpha, beta, gamma, branch, kind in expected:
+        outcome = _same_as_reference(data, alpha, beta, gamma, branch, root2)
+        assert outcome[0] is kind if isinstance(outcome, tuple) else outcome[0][0] is kind, (
+            alpha, beta, gamma, outcome)
+    assert _same_as_reference(case2, 0, root2, 1 + root2, "upper", 1)[0] == (
+        QuadExt, quadext(Fr(-5, 8), Fr(-1, 4), 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    two_j=st.integers(1, 4),
+    pick=st.randoms(use_true_random=False),
+    a=_SCALAR, c=_SCALAR, f=_SCALAR, g=_SCALAR,
+    params=st.tuples(_SCALAR, _SCALAR, _SCALAR, _SCALAR),
+    m=_Q,
+)
+def test_ladder_constraints_equal_the_fraction_reference(two_j, pick, a, c, f, g, params, m):
+    q = pick.randint(1, two_j)
+    two_m1 = pick.choice(range(-two_j, two_j - 2 * q + 1, 2))
+    spec = RepSpec(two_j=two_j, q=q, two_m1=two_m1, a=a, c=c, f=f, g=g)
+    params = AlgebraParams(*params)
+    assert _outcome(lambda: spec.linear_coeff) == _outcome(reference.linear_coeff, spec)
+    assert _outcome(spec.diagonal_value, m) == _outcome(reference.diagonal_value, spec, m)
+    assert _outcome(constraint_residuals, spec, params) == _outcome(
+        reference.constraint_residuals, spec, params)
+
+
+_FRACTION_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+    "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__", "__pow__",
+    "__rpow__", "__neg__", "__pos__", "__abs__",
+)
+
+
+def test_verify_case_solves_without_fraction_or_quadext_operators(monkeypatch, capsys):
+    # intrinsic, explicit rational and explicit irrational gamma, and alpha = 0
+    # with beta and gamma over sqrt(2), on each case: the solvers, the
+    # realization and the flagged label compute on numerators, so no QuadExt
+    # operator is called, and no Fraction operator from reps, cases or cli
+    callers = []
+
+    def nearest_caller():
+        frame = sys._getframe(2)
+        while os.path.basename(frame.f_code.co_filename) in ("scalars.py", "fractions.py"):
+            frame = frame.f_back
+        return os.path.basename(frame.f_code.co_filename)
+
+    def spy(owner, name, kind):
+        original = getattr(owner, name)
+
+        def spied(*args):
+            callers.append((kind, nearest_caller()))
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, spied)
+
+    # off the locus, with beta and gamma over sqrt(2) and the root sqrt(2)/2
+    irrational = [render_scalar(_normal_gamma(case.data, 1, 1 + quadext(0, 1, 2), Fr(1, 2), 2))
+                  for case in CaseId]
+    spy(QuadExt, "_arith", "QuadExt")
+    for name in _FRACTION_OPERATORS:
+        spy(Fr, name, "Fraction")
+    reports = []
+    for case, gamma in zip(CaseId, irrational):
+        for run in (
+            ["--alpha", "-1", "--beta", "sqrt(2)"],
+            ["--alpha", "3", "--beta", "-1/4", "--gamma", "-4183/720"],
+            ["--alpha", "1", "--beta", "1 + sqrt(2)", "--gamma", gamma, "--branch", "lower"],
+            ["--alpha", "0", "--beta", "sqrt(2)", "--gamma", "1 + sqrt(2)"],
+        ):
+            assert cli.main(["verify-case", "--case", str(case.value)] + run) == 0, run
+            reports.append(json.loads(capsys.readouterr().out))
+    assert Fr(1, 2) + 1 == Fr(3, 2)  # the spy sees Fraction arithmetic
+    monkeypatch.undo()
+    assert ("Fraction", "test_reps.py") in callers
+    assert [c for c in callers if c[0] == "QuadExt" or c[1] in ("reps.py", "cases.py", "cli.py")] == []
+    assert sum("sqrt(2)" in report["sections"][1]["values"]["c"] for report in reports) == 9
