@@ -6,7 +6,10 @@ together with their realizations by linear differential operators preserving
 the monomial module spanned by {1, x, x^3}.  The three ladder cases on that
 module are derived from their exponent pairs on it: labels, ladder
 operators, the quadratic for the diagonal label and the intrinsic locus.
-All arithmetic is exact, over the rationals or a single quadratic extension.
+All arithmetic is exact, over the rationals or a single quadratic extension
+Q(sqrt(D)), and runs on integer numerators through ``scalars.num_*``.  A value
+is a ``Fraction`` or a ``QuadExt``, which is parsed, rendered, compared and
+hashed, and has no arithmetic operators.
 """
 
 from .algebra import (

@@ -22,9 +22,9 @@ terms: an int per rational coefficient and the integer coordinates (p, q, d)
 of p + q*sqrt(d) per irrational one (``scalars.to_numerators``).  Sums,
 products, images, matrices and the probe's rank kernel are formed on the
 numerators by the ``scalars.num_*`` functions, one path for every field, and
-only they raise the ScalarDomainError of mixed radicands: nothing here calls
-a QuadExt operator.  :attr:`DiffOp.terms` gives the coefficients back as
-Fractions and QuadExts.  Results in lowest terms by construction skip the
+only they raise the ScalarDomainError of mixed radicands.
+:attr:`DiffOp.terms` gives the coefficients back as Fraction and QuadExt
+values.  Results in lowest terms by construction skip the
 validating constructor (:meth:`DiffOp._of`).  A commutator, and each residual
 of :func:`closure_check`, is formed on unreduced numerators and reduced once.
 """
@@ -421,7 +421,10 @@ def parse_diffop(text: str) -> DiffOp:
         if coeff_text.startswith("("):
             coeff_text = coeff_text[1:-1]
         coeff = parse_scalar(coeff_text) if coeff_text else Fraction(1)
-        terms.append(((int(m.group("m")), int(m.group("n"))), -coeff if sgn < 0 else coeff))
+        if sgn < 0:
+            (v,), den = to_numerators((coeff,))
+            coeff = from_numerator(num_mul(v, -1), den)
+        terms.append(((int(m.group("m")), int(m.group("n"))), coeff))
     return DiffOp(terms)
 
 

@@ -32,7 +32,7 @@ from typing import Optional, Sequence, Union
 from .algebra import AlgebraParams, MatrixTriple, _check_two_j, _cubic
 from .cases import CaseData
 from .matrices import Matrix, coordinate_block_split
-from .scalars import (Scalar, _quotient, as_scalar, from_numerator, num_add, num_mul, num_sub,
+from .scalars import (Scalar, as_scalar, from_numerator, num_add, num_mul, num_sub, quotient,
                       scalar_is_zero, sqrt_exact, to_numerators)
 
 Fr = Fraction
@@ -193,7 +193,7 @@ def solve_case(
     (al, be, ga, _), p = bare.numerators
     (s1, s2, s3), (e_dst, _, e_oth), e = _label_sums(data)
     if not al:
-        c = _quotient(num_sub(num_mul(be, -s2), num_mul(ga, s1)), num_mul(be, 2 * s1))
+        c = quotient(num_sub(num_mul(be, -s2), num_mul(ga, s1)), num_mul(be, 2 * s1))
         branch = "alpha-zero"
     else:
         if branch not in ("upper", "lower"):
@@ -202,7 +202,7 @@ def solve_case(
         radicand = num_sub(9 * al * al * s2 * s2, num_mul(n, 4 * s1))
         (r,), rd = to_numerators([sqrt_exact(from_numerator(radicand, 36 * s1 * s1 * p * p))])
         # beta's part first, then the root's: a clash names beta's radicand first
-        c = _quotient(num_add(num_sub(-3 * al * s2 * rd, num_mul(be, 2 * s1 * rd)),
+        c = quotient(num_add(num_sub(-3 * al * s2 * rd, num_mul(be, 2 * s1 * rd)),
                               num_mul(r, 6 * s1 * p if branch == "upper" else -6 * s1 * p)),
                       6 * s1 * al * rd)
     (x,), h = to_numerators([c])
@@ -217,7 +217,7 @@ def carried_label(label: Fraction, alpha: Scalar, beta: Scalar) -> Scalar:
     (1, 0) carried along the normal form's orbit, on numerators."""
     (al, be), _ = to_numerators((alpha, beta))
     n, d = label.as_integer_ratio()
-    return _quotient(num_sub(3 * al * n, num_mul(be, d)), 3 * al * d)
+    return quotient(num_sub(3 * al * n, num_mul(be, d)), 3 * al * d)
 
 
 def intrinsic_gamma_and_product(data: CaseData, alpha: Scalar, beta: Scalar) -> IntrinsicData:
@@ -237,7 +237,7 @@ def intrinsic_gamma_and_product(data: CaseData, alpha: Scalar, beta: Scalar) -> 
     p_star, c_star, fg = data.intrinsic
     (pn, pd), (u, w) = p_star.as_integer_ratio(), c_star.as_integer_ratio()
     return IntrinsicData(
-        gamma=_quotient(num_add(3 * al * al * pn, num_mul(num_mul(be, be), pd)), 3 * al * p * pd),
+        gamma=quotient(num_add(3 * al * al * pn, num_mul(num_mul(be, be), pd)), 3 * al * p * pd),
         fg=from_numerator(al * fg.numerator, p * fg.denominator),
         c=carried_label(c_star, bare.alpha, bare.beta),
         branch="upper" if (2 * s1 * u + s2 * w) * s1 * al > 0 else "lower",
@@ -283,5 +283,5 @@ def case_rep_spec(data: CaseData, solution: CaseSolution, f: Optional[Scalar] = 
         a=data.a,
         c=solution.c,
         f=f,
-        g=_quotient(fg, f_num),
+        g=quotient(fg, f_num),
     )

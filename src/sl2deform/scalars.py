@@ -4,17 +4,18 @@ A value of this package is either a ``fractions.Fraction`` or a ``QuadExt``
 value ``a + b*sqrt(D)`` with rational ``a``, ``b`` and squarefree integer
 ``D >= 2``: that is what parsing gives and rendering, ``DiffOp.terms`` and the
 entries of a ``Matrix`` take.  A ``QuadExt`` stores integers,
-``(p + q*sqrt(D))/n`` in lowest terms with ``n > 0``.
+``(p + q*sqrt(D))/n`` in lowest terms with ``n > 0``; it is parsed, rendered,
+compared and hashed, and has no arithmetic operators.
 
-Operators and matrices store numerators over one positive denominator
-instead (:func:`to_numerators`, :func:`from_numerator`).  A numerator is an
-int, or, for an irrational value, the integer coordinates ``(p, q, d)`` of
+Arithmetic runs on numerators over one positive denominator instead
+(:func:`to_numerators`, :func:`from_numerator`).  A numerator is an int, or,
+for an irrational value, the integer coordinates ``(p, q, d)`` of
 ``p + q*sqrt(d)`` with ``q != 0`` and ``d`` squarefree and >= 2.  The
 ``num_*`` functions are the one arithmetic of Q(sqrt(D)) in this package:
-``DiffOp``, ``Matrix``, the relations and the probe's rank kernel call them
-on their stored numerators, and ``QuadExt``'s ``+ - * /`` call them on the
-numerators of their two operands over one denominator.  Arithmetic is exact, and a result
-whose radical part cancels comes back as an int numerator, or as a
+``DiffOp``, ``Matrix``, the relations, the case solvers and the probe's rank
+kernel call them on their stored numerators, and :func:`quotient` turns a
+quotient of two numerators back into a value.  Arithmetic is exact, and a
+result whose radical part cancels comes back as an int numerator, or as a
 ``Fraction`` value.  Mixing two different radicands is an error, never a
 silent coercion: ``num_add``, ``num_sub`` and ``num_mul`` raise the one
 ``ScalarDomainError``, naming the two radicands in operand order, and where
@@ -39,7 +40,8 @@ from typing import Iterator, Sequence, Union
 
 class ScalarDomainError(ArithmeticError):
     """A value would leave the single quadratic extension: two different
-    radicands meet, or the square root of an irrational is asked for."""
+    radicands meet in ``num_add``, ``num_sub`` or ``num_mul``, or
+    :func:`sqrt_exact` is asked for the square root of an irrational."""
 
 
 def mixed_radicands(d1: int, d2: int) -> ScalarDomainError:
@@ -123,12 +125,12 @@ class QuadExt:
     a + b*sqrt(d) as ``Fraction``s.  Use :func:`quadext` to build values that
     may be rational; the constructor insists on a genuine radical part so that
     a ``QuadExt`` is never secretly a rational number.  It also checks that d
-    is squarefree, which the arithmetic below never does again: every result
-    keeps its operands' d.  The attributes are read-only.
+    is squarefree, which the ``num_*`` arithmetic never does again: every
+    result keeps its operands' d.  The attributes are read-only.
 
-    ``+ - * /`` write their two operands, in operand order, over one
-    denominator (:func:`to_numerators`) and compute on the numerators with
-    the ``num_*`` functions, so they raise the mixed-radicand error there.
+    A ``QuadExt`` is a value only: it defines no arithmetic operator, so
+    ``+ - * / **`` and unary ``-`` raise ``TypeError``.  Compute on its
+    numerator (:func:`to_numerators`) with the ``num_*`` functions.
     """
 
     __slots__ = ("_p", "_q", "_n", "_d")
@@ -161,63 +163,6 @@ class QuadExt:
         """Coefficient q/n of sqrt(d); never zero."""
         return Fraction(self._q, self._n)
 
-    # -- helpers ------------------------------------------------------------
-    def conjugate(self) -> "QuadExt":
-        return _quad(self._p, -self._q, self._n, self._d)
-
-    def norm(self) -> Fraction:
-        """Field norm (a + b sqrt d)(a - b sqrt d); never zero for b != 0."""
-        p, q = self._p, self._q
-        return Fraction(p * p - q * q * self._d, self._n * self._n)
-
-    # -- arithmetic: the num_* functions on numerators over one denominator --
-    def _arith(self, other, op, reflected=False):
-        """self op other, or other op self when ``reflected``, for ``op`` one
-        of num_add, num_sub, num_mul and _quotient, on the two operands'
-        numerators over one denominator; NotImplemented where other is not an
-        exact scalar."""
-        if not isinstance(other, (int, QuadExt, Fraction)):
-            return NotImplemented
-        (x, y), den = to_numerators((other, self) if reflected else (self, other))
-        if op is _quotient:
-            return _quotient(x, y)
-        return from_numerator(op(x, y), den * den if op is num_mul else den)
-
-    def __add__(self, other):
-        return self._arith(other, num_add)
-
-    def __radd__(self, other):
-        return self._arith(other, num_add, True)
-
-    def __neg__(self):
-        return _quad(-self._p, -self._q, self._n, self._d)
-
-    def __sub__(self, other):
-        return self._arith(other, num_sub)
-
-    def __rsub__(self, other):
-        return self._arith(other, num_sub, True)
-
-    def __mul__(self, other):
-        return self._arith(other, num_mul)
-
-    def __rmul__(self, other):
-        return self._arith(other, num_mul, True)
-
-    def __truediv__(self, other):
-        return self._arith(other, _quotient)
-
-    def __rtruediv__(self, other):
-        return self._arith(other, _quotient, True)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        out: Scalar = Fraction(1)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
     # -- identity -----------------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, QuadExt):
@@ -230,7 +175,7 @@ class QuadExt:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self._d))
+        return hash((self._p, self._q, self._n, self._d))
 
     def __repr__(self):
         return f"QuadExt({self.a!r}, {self.b!r}, {self._d})"
@@ -339,13 +284,13 @@ def num_mul(a, b):
     return (p * r + q * s * d, t, d) if t else p * r + q * s * d
 
 
-def _quotient(x, y) -> Scalar:
+def quotient(x, y) -> Scalar:
     """The scalar x / y of two numerators over one denominator: x times the
     conjugate of y, over y's integer norm with its sign moved into the
     numerator.  The norm r^2 - s^2*e of y = (r, s, e) is nonzero, as sqrt(e)
     is irrational."""
     if not y:
-        raise ZeroDivisionError("division of QuadExt by zero")
+        raise ZeroDivisionError("division by zero")
     if type(y) is int:
         n = y
     else:

@@ -12,6 +12,8 @@ from fractions import Fraction as Fr
 from sl2deform.cases import CaseId
 from sl2deform.scalars import sqrt_exact
 
+from exact_field import Q
+
 
 @dataclass(frozen=True)
 class Published:
@@ -99,7 +101,7 @@ def published_solution(case, alpha, beta, gamma, branch="upper"):
         delta = gamma * gamma / (4 * beta) - pub.alpha0_delta_coeff * beta
     else:
         sign = 1 if branch == "upper" else -1
-        root = sqrt_exact(pub.radicand_premul * pub.radicand_at(alpha, beta, gamma))
+        root = Q(sqrt_exact(pub.radicand_premul * pub.radicand_at(alpha, beta, gamma)))
         c = pub.c_const - beta / (3 * alpha) + sign * root / (pub.c_sqrt_den * alpha)
         delta = (
             pub.delta_alpha * alpha
@@ -116,7 +118,7 @@ def published_solution(case, alpha, beta, gamma, branch="upper"):
         )
     t = c + pub.fg_shift
     fg = ((alpha * t + beta) * t + gamma) * t + delta
-    return c, delta, fg
+    return Q(c).value, Q(delta).value, Q(fg).value
 
 
 def published_intrinsic(case, alpha, beta):

@@ -1,22 +1,32 @@
-"""The case solvers and the ladder constraints in Fraction and QuadExt arithmetic.
+"""The case solvers and the ladder constraints in Fraction-pair arithmetic.
 
 A reference implementation for ``test_reps``' differential oracle: the forms
 that ``reps`` and ``cases`` had before they computed on integer numerators,
-kept as they were, operator for operator, so that the oracle compares values
-and also which error is raised, with which message, in which order.
+kept operator for operator, so that the oracle compares values and also which
+error is raised, with which message, in which order.  Irrational values are
+computed with ``exact_field.Q``, which shares no arithmetic with the package,
+and handed back as the package's scalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from sl2deform.algebra import AlgebraParams, cubic
+from sl2deform.algebra import AlgebraParams
 from sl2deform.cases import CaseData
 from sl2deform.diffops import DiffOp
 from sl2deform.reps import CaseSolution, IntrinsicData, RepSpec, TrivialAlgebraError
 from sl2deform.scalars import as_scalar, scalar_is_zero, sqrt_exact
 
+from exact_field import Q
+
 Fr = Fraction
+
+
+def _cubic(ts, alpha, beta, gamma, delta) -> list[Q]:
+    """alpha*t^3 + beta*t^2 + gamma*t + delta at each t, by Horner's scheme with
+    t on the left of alpha, as ``algebra.cubic`` forms it."""
+    return [((Q(t) * alpha + beta) * t + gamma) * t + delta for t in ts]
 
 
 def _case_parameters(alpha, beta, gamma):
@@ -28,8 +38,8 @@ def _case_parameters(alpha, beta, gamma):
             )
     elif not isinstance(alpha, Fraction):
         raise ValueError("alpha != 0 must be rational")
-    gamma * beta  # raises over two radicands
-    return alpha, beta, gamma
+    Q(gamma) * beta  # raises over two radicands
+    return alpha, Q(beta), Q(gamma)  # alpha is rational
 
 
 def _c_quadratic(data: CaseData, alpha, beta, gamma):
@@ -55,14 +65,13 @@ def solve_case(data: CaseData, alpha, beta, gamma, branch: str = "upper") -> Cas
     else:
         if branch not in ("upper", "lower"):
             raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
-        root = sqrt_exact(alpha * alpha * (b * b - 4 * a * c0) / (4 * a * a))
+        root = Q(sqrt_exact((alpha * alpha * (b * b - 4 * a * c0) / (4 * a * a)).value))
         c = -b / (2 * a) - s + (root if branch == "upper" else -root) / alpha
         branch_tag = branch
-    bare = AlgebraParams(alpha, beta, gamma, 0)
-    at_oth, at_dst = cubic([c + e_oth, c + e_dst], bare)
+    at_oth, at_dst = _cubic([c + e_oth, c + e_dst], alpha, beta, gamma, 0)
     delta = -at_oth
     fg = at_dst + delta
-    return CaseSolution(c=c, delta=delta, fg=fg, branch=branch_tag)
+    return CaseSolution(c=c.value, delta=delta.value, fg=fg.value, branch=branch_tag)
 
 
 def intrinsic_gamma_and_product(data: CaseData, alpha, beta) -> IntrinsicData:
@@ -72,30 +81,33 @@ def intrinsic_gamma_and_product(data: CaseData, alpha, beta) -> IntrinsicData:
     p, c, fg = data.intrinsic
     s, a, b, _ = _c_quadratic(data, alpha, beta, 0)
     branch = "upper" if (c + b / (2 * a)) / alpha > 0 else "lower"
-    return IntrinsicData(gamma=alpha * (p + 3 * s * s), fg=alpha * fg, c=c - s, branch=branch)
+    return IntrinsicData(gamma=(alpha * (p + 3 * s * s)).value, fg=alpha * fg, c=(c - s).value,
+                         branch=branch)
 
 
 def linear_coeff(spec: RepSpec):
-    return Fr(1, spec.q) - spec.a * spec.q - 2 * spec.a * Fr(spec.two_m1, 2)
+    a = Q(spec.a)
+    return (Fr(1, spec.q) - a * spec.q - 2 * a * Fr(spec.two_m1, 2)).value
 
 
 def diagonal_value(spec: RepSpec, m):
     m = Fr(m)
-    return spec.a * m * m + linear_coeff(spec) * m + spec.c
+    return (Q(spec.a) * m * m + Q(linear_coeff(spec)) * m + spec.c).value
 
 
 def constraint_residuals(spec: RepSpec, params: AlgebraParams) -> list:
-    fg = spec.f * spec.g
+    fg = Q(spec.f) * spec.g
     m1 = Fr(spec.two_m1, 2)
     labels = [m1 + spec.q, m1] + [
         Fr(two_m, 2)
         for two_m in range(-spec.two_j, spec.two_j + 1, 2)
         if two_m not in (spec.two_m1, spec.two_m1 + 2 * spec.q)
     ]
-    residuals = cubic([diagonal_value(spec, m) for m in labels], params)
+    residuals = _cubic([diagonal_value(spec, m) for m in labels],
+                       params.alpha, params.beta, params.gamma, params.delta)
     residuals[0] = residuals[0] - fg
     residuals[1] = residuals[1] + fg
-    return residuals
+    return [r.value for r in residuals]
 
 
 def case_rep_spec(data: CaseData, solution: CaseSolution, f=None) -> RepSpec:
@@ -103,15 +115,15 @@ def case_rep_spec(data: CaseData, solution: CaseSolution, f=None) -> RepSpec:
     if scalar_is_zero(f):
         raise ValueError("the raising coefficient of the split must be nonzero")
     return RepSpec(two_j=2, q=data.q, two_m1=data.two_m1, a=data.a, c=solution.c,
-                   f=f, g=solution.fg / f)
+                   f=f, g=(Q(solution.fg) / f).value)
 
 
 def build_case_realization(data: CaseData, f, g, c) -> tuple[DiffOp, DiffOp, DiffOp]:
     slope = Fr(1, data.step)
-    j0 = DiffOp({(1, 1): slope, (0, 0): as_scalar(c) - data.k_mid * slope})
+    j0 = DiffOp({(1, 1): slope, (0, 0): (Q(as_scalar(c)) - data.k_mid * slope).value})
     return j0, data.raise_op.scale(f), data.lower_op.scale(g)
 
 
 def printed_label(label: Fraction, alpha, beta):
     """The published label less the shift, as ``cli.cmd_verify_case`` formed it."""
-    return label - beta / (3 * alpha)
+    return (label - Q(beta) / (3 * alpha)).value

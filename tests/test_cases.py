@@ -23,6 +23,7 @@ from sl2deform.reps import (
 from sl2deform.scalars import NegativeRadicandError, ScalarDomainError, quadext, scalar_is_zero
 
 from conftest import rand_fraction
+from exact_field import Q
 from published_cases import PUBLISHED, published_intrinsic, published_solution
 
 
@@ -175,8 +176,8 @@ def test_the_parameter_region_is_guarded_once_for_both_solvers():
             call()
     # an irrational beta is fine while beta^2 keeps the radicand rational
     for case in CaseId:
-        intr = intrinsic_gamma_and_product(case.data, 1, 1 + root2)
-        sol = solve_case(case.data, 1, 1 + root2, intr.gamma, intr.branch)
+        intr = intrinsic_gamma_and_product(case.data, 1, quadext(1, 1, 2))
+        sol = solve_case(case.data, 1, quadext(1, 1, 2), intr.gamma, intr.branch)
         assert (sol.c, sol.fg) == (intr.c, intr.fg)
     with pytest.raises(ValueError, match="alpha != 0"):
         intrinsic_gamma_and_product(CaseId.CASE1.data, 0, 1)
@@ -309,23 +310,25 @@ def test_every_solution_is_the_transport_of_the_normal_form(
     if alpha == 0:
         assume(beta != 0)
         gamma = quadext(gamma0, beta_root2, 2)
-        s = gamma / (2 * beta)
+        s = Q(gamma) / (2 * Q(beta))
         base = solve_case(case.data, 0, 1, 0)
         sol = solve_case(case.data, 0, beta, gamma)
         assert (sol.c, sol.delta, sol.fg, sol.branch) == (
-            base.c - s, beta * (s * s + base.delta), beta * base.fg, "alpha-zero"
+            (base.c - s).value, (Q(beta) * (s * s + base.delta)).value,
+            (Q(beta) * base.fg).value, "alpha-zero"
         )
         return
     # p such that the radicand at (1, 0, p) is tau^2 * tau_radicand
     a, b = 3 * s1, 3 * s2
     p = ((b * b - 4 * a * a * tau * tau * tau_radicand) / (4 * a) - s3) / s1
-    s = beta / (3 * alpha)
-    gamma = alpha * (p + 3 * s * s)
+    s = Q(beta) / (3 * alpha)
+    gamma = (alpha * (p + 3 * s * s)).value
     swapped = branch if alpha > 0 else ("lower" if branch == "upper" else "upper")
     base = solve_case(case.data, 1, 0, p, swapped)
     sol = solve_case(case.data, alpha, beta, gamma, branch)
     assert (sol.c, sol.delta, sol.fg, sol.branch) == (
-        base.c - s, alpha * (s**3 + p * s + base.delta), alpha * base.fg, branch
+        (base.c - s).value, (alpha * (s**3 + p * s + base.delta)).value,
+        (alpha * Q(base.fg)).value, branch
     )
 
 

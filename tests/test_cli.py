@@ -13,6 +13,8 @@ from sl2deform.cli import _join_value_flags, build_parser, main, to_json
 from sl2deform.diffops import V3, enumerate_preserving_operators
 from sl2deform.scalars import parse_scalar
 
+from exact_field import Q
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -379,7 +381,8 @@ def spin_rep(two_j, rng, perturb=None):
         m = -j + low
         for src, dst in ((low, low + 1), (low + 1, low)):
             factor = perturb[2] if perturb and perturb[:2] == (src, dst) else 1
-            ladders.append([src, dst, render_scalar(sqrt_exact((j - m) * (j + m + 1)) * factor)])
+            ladders.append([src, dst, render_scalar(
+                (Q(sqrt_exact((j - m) * (j + m + 1))) * factor).value)])
     rng.shuffle(ladders)
     return {
         "dimension": two_j + 1,

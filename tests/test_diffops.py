@@ -45,6 +45,7 @@ from sl2deform.scalars import (
 )
 
 from conftest import intrinsic_realization, rand_fraction
+from exact_field import Q
 
 CASE1_RAISE = DiffOp({(3, 2): Fr(1, 3), (2, 1): -1, (1, 0): 1})
 CASE1_LOWER = DiffOp({(1, 2): Fr(-1, 2), (0, 1): 1})
@@ -121,7 +122,7 @@ def rand_scalar_op(rng, nterms=4):
     for _ in range(nterms):
         c = rand_fraction(rng, nonzero=True)
         if rng.random() < 0.5:
-            c = c + rand_fraction(rng) * ROOT2
+            c = quadext(c, rand_fraction(rng), 2)
         terms[(rng.randint(-3, 3), rng.randint(0, 3))] = c
     return DiffOp(terms)
 
@@ -168,9 +169,9 @@ def test_apply_agrees_with_symbolic(rng):
         for k in range(-2, 6):
             expected = {}
             for s, coeffs in op.symbolic_action().items():
-                value = sum((c * k ** i for i, c in enumerate(coeffs)), Fr(0))
-                if not scalar_is_zero(value):
-                    expected[k + s] = value
+                value = sum((Q(c) * k ** i for i, c in enumerate(coeffs)), Q(0))
+                if value:
+                    expected[k + s] = value.value
             assert op.image(k) == expected
 
 
@@ -208,8 +209,8 @@ def test_symbolic_action_is_a_homomorphism(rng):
             applied: dict = {}
             for e, v in b.image(k).items():
                 for e2, w in a.image(e).items():
-                    applied[e2] = applied.get(e2, Fr(0)) + v * w
-            applied = {e: v for e, v in applied.items() if not scalar_is_zero(v)}
+                    applied[e2] = applied.get(e2, Q(0)) + Q(v) * w
+            applied = {e: v.value for e, v in applied.items() if v}
             assert a.compose(b).image(k) == applied, (a, b, k)
 
 
@@ -230,12 +231,12 @@ def _oracle_compose(a, b):
                 if w == 0:
                     continue
                 key = (m1 + m2 - i, n1 + n2 - i)
-                acc[key] = acc.get(key, Fr(0)) + c1 * c2 * w
-    return DiffOp(acc)
+                acc[key] = acc.get(key, Q(0)) + Q(c1) * c2 * w
+    return DiffOp({key: v.value for key, v in acc.items()})
 
 
 def _oracle_scale(a, s):
-    return DiffOp() if s == 0 else DiffOp({key: c * s for key, c in a.terms.items()})
+    return DiffOp() if s == 0 else DiffOp({key: (Q(c) * s).value for key, c in a.terms.items()})
 
 
 def _oracle_add(a, b):
@@ -262,7 +263,7 @@ def _field_op(rng, roots):
     for _ in range(rng.randint(0, 5)):
         c = rand_fraction(rng, max_den=max_den, nonzero=True)
         if roots and rng.random() < 0.6:
-            c = c + rand_fraction(rng, max_den=max_den, nonzero=True) * rng.choice(roots)
+            c = quadext(c, rand_fraction(rng, max_den=max_den, nonzero=True), rng.choice(roots).d)
         terms[(rng.randint(-2, 3), rng.randint(0, 3))] = c
     return DiffOp(terms)
 
@@ -283,7 +284,7 @@ def test_operator_arithmetic_equals_the_validating_oracle(rng):
         a, b = _field_op(rng, _FIELDS[fa]), _field_op(rng, _FIELDS[fb])
         roots = _FIELDS[fa] + _FIELDS[fb]
         s = rng.choice([Fr(0), rand_fraction(rng, nonzero=True),
-                        *(rand_fraction(rng) + r for r in roots)])
+                        *(quadext(rand_fraction(rng), 1, r.d) for r in roots)])
         for got, want in (
             (_outcome(DiffOp.compose, a, b), _outcome(_oracle_compose, a, b)),
             (_outcome(DiffOp.commutator, a, b), _outcome(_oracle_commutator, a, b)),
@@ -311,14 +312,14 @@ def test_every_route_to_an_operator_gives_one_stored_form(rng):
             op = _field_op(rng, _FIELDS[field])
             other = _field_op(rng, _FIELDS[field])
             s = rand_fraction(rng, nonzero=True)
-            root_s = s + rand_fraction(rng) * ROOT2
+            root_s = quadext(s, rand_fraction(rng), 2)
             routes = [
                 DiffOp(dict(op.terms)),
                 DiffOp(list(op.terms.items())),
                 ident.compose(op),
                 op.compose(ident),
                 op.scale(s).scale(1 / s),
-                op.scale(root_s).scale(1 / root_s),
+                op.scale(root_s).scale((1 / Q(root_s)).value),
                 op + other - other,
                 DiffOp(op.terms),
             ]
@@ -328,7 +329,7 @@ def test_every_route_to_an_operator_gives_one_stored_form(rng):
                 assert list(built.terms) == sorted(op.terms)
                 assert all(type(c) in (Fr, QuadExt) for c in built.terms.values())
     # a radical that cancels leaves the rational operator, not a QuadExt form of it
-    half = DiffOp({(1, 1): Fr(1, 2) + ROOT2}) + DiffOp({(1, 1): -ROOT2})
+    half = DiffOp({(1, 1): quadext(Fr(1, 2), 1, 2)}) + DiffOp({(1, 1): quadext(0, -1, 2)})
     assert half == DiffOp({(1, 1): Fr(1, 2)}) and hash(half) == hash(DiffOp({(1, 1): Fr(1, 2)}))
     assert half.terms == {(1, 1): Fr(1, 2)} and type(half.terms[(1, 1)]) is Fr
 
@@ -390,12 +391,12 @@ def _matrix_by_terms(op, space):
     for col, k in enumerate(space.exponents):
         image: dict = {}
         for (m, n), c in op.terms.items():
-            image[k + m - n] = image.get(k + m - n, 0) + c * _falling(k, n)
+            image[k + m - n] = image.get(k + m - n, 0) + Q(c) * _falling(k, n)
         for e, v in image.items():
             if v and e not in pos:
                 return f"operator does not preserve the space {space.exponents}"
             if v:
-                entries[(pos[e], col)] = v
+                entries[(pos[e], col)] = v.value
     return [(i, j, v, type(v)) for (i, j), v in sorted(entries.items())]
 
 
@@ -438,12 +439,12 @@ def test_matrix_rows_are_the_matrix_times_the_denominator(rng):
             for basis_op in rng.sample(bases[space], rng.randint(1, 4)):
                 c = rand_fraction(rng, nonzero=True)
                 if roots and rng.random() < 0.5:
-                    c = c + rand_fraction(rng, nonzero=True) * ROOT2
+                    c = quadext(c, rand_fraction(rng, nonzero=True), 2)
                 op = op + basis_op * c
         else:
             op = _field_op(rng, roots)
         cases.append((op, space))
-    cancelled = DiffOp({(3, 3): 1 + ROOT2, (2, 2): -ROOT2}).scale(Fr(1, 2))
+    cancelled = DiffOp({(3, 3): quadext(1, 1, 2), (2, 2): quadext(0, -1, 2)}).scale(Fr(1, 2))
     cases.append((cancelled, V3))
     seen = set()
     for op, space in cases:
@@ -602,7 +603,7 @@ def test_closure_residuals_equal_those_formed_from_powers_of_j0():
     # a J0 constant and a beta in Q(sqrt 2)
     _, jp, jm = build_classic_sl2_diffops(3)
     j0 = DiffOp({(1, 1): 1, (0, 0): quadext(Fr(-3, 2), 1, 2)})
-    checked.append(((j0, jp, jm), AlgebraParams(1, ROOT2 + 1, Fr(1, 3), 2)))
+    checked.append(((j0, jp, jm), AlgebraParams(1, quadext(1, 1, 2), Fr(1, 3), 2)))
     assert len(checked) > 20
     for triple, params in checked:
         report = closure_check(triple, params, None)
@@ -663,7 +664,7 @@ def test_closure_check_equals_the_operator_expression_outcome_for_outcome(rng):
         triple = tuple(_field_op(rng, r) for r in roots[:3])
         params = AlgebraParams(*(
             rng.choice([Fr(0), rand_fraction(rng, nonzero=True),
-                        *(rand_fraction(rng) + r for r in roots[3])])
+                        *(quadext(rand_fraction(rng), 1, r.d) for r in roots[3])])
             for _ in range(4)))
         draws.append((triple, params))
     draws += _solved_case_triples(rng, 5)
@@ -937,7 +938,7 @@ def _kernel_rows(rng, kind, nrows, width):
     basis = [[_kernel_scalar(rng, kind) for _ in range(width)]
              for _ in range(rng.randint(0, min(nrows, width)))]
     return [
-        [sum((c * b[j] for c, b in zip(coeffs, basis)), 0) for j in range(width)]
+        [sum((Q(c) * b[j] for c, b in zip(coeffs, basis)), Q(0)).value for j in range(width)]
         for coeffs in ([_kernel_scalar(rng, kind) for _ in basis] for _ in range(nrows))
     ]
 
@@ -982,8 +983,8 @@ def test_exact_span_agrees_with_sympy(kind):
         ranks.add((span.dimension, nrows, width))
 
         combos = [[_kernel_scalar(rng, kind) for _ in rows] for _ in range(3)]
-        probes = [[sum((c * r[j] for c, r in zip(coeffs, rows)), 0) for j in range(width)]
-                  for coeffs in combos]
+        probes = [[sum((Q(c) * r[j] for c, r in zip(coeffs, rows)), Q(0)).value
+                   for j in range(width)] for coeffs in combos]
         probes += [[_kernel_scalar(rng, kind) for _ in range(width)] for _ in range(3)]
         for probe in probes:
             stacked = elements + [[_in_field(field, x) for x in probe]]
@@ -1000,7 +1001,7 @@ def test_exact_span_keeps_rows_of_ints_and_radicals_exact():
     r = quadext(1, 1, 2)
     span = _ExactSpan()
     assert span.add(_sparse([2, r, 0])) and span.add(_sparse([0, 3, Fr(1, 2)]))
-    assert not span.add(_sparse([2, r + 6, 1]))  # the first row plus twice the second
+    assert not span.add(_sparse([2, quadext(7, 1, 2), 1]))  # the first row plus twice the second
     assert all(_is_numerator(v) for row in span.rows.values() for v in row.values())
 
 
@@ -1043,7 +1044,7 @@ def test_exact_span_keeps_the_same_rows_under_positive_scaling():
             dense = _kernel_rows(rng, kind, rng.randint(1, 6), width)
             scales = [_kernel_scale(rng) for _ in dense]
             rows = [_sparse(row) for row in dense]
-            scaled = [_sparse([x * k for x in row]) for row, k in zip(dense, scales)]
+            scaled = [_sparse([(Q(x) * k).value for x in row]) for row, k in zip(dense, scales)]
             plain, by_scaled = _ExactSpan(), _ExactSpan()
             assert [plain.add(row) for row in rows] == [by_scaled.add(row) for row in scaled]
             assert plain.rows == by_scaled.rows
@@ -1115,7 +1116,7 @@ def test_probe_saturates_brackets_of_new_brackets():
 def _matrix_bound(ops, space):
     """n^2 - 1, plus 1 when some operator's matrix has a nonzero trace."""
     n = space.dimension
-    traces = [sum(op.matrix_on_space(space)[i, i] for i in range(n)) for op in ops]
+    traces = [sum((Q(op.matrix_on_space(space)[i, i]) for i in range(n)), Q(0)).value for op in ops]
     return n * n - 1 + any(not scalar_is_zero(t) for t in traces)
 
 
@@ -1325,7 +1326,7 @@ def _two_radicand_families():
         [DiffOp({(1, 1): r2, (0, 0): r3}), xd],
         [xd * r2, one * r3],
         [one * r3, xd * r2],
-        [one * (1 + r2), xd * (1 + r3)],
+        [one * quadext(1, 1, 2), xd * quadext(1, 1, 3)],
         # one operator, so no bracket: on {1, x} the radicands meet only in its span row
         [DiffOp({(1, 1): r2, (2, 2): r3})],
     ]
@@ -1357,7 +1358,7 @@ def test_bracket_rows_equal_the_matrix_commutator(rng):
         for _ in range(rng.randint(0, n * n)):
             c = rand_fraction(rng, nonzero=True)
             if roots and rng.random() < 0.5:
-                c = c + rand_fraction(rng, nonzero=True) * rng.choice(roots)
+                c = quadext(c, rand_fraction(rng, nonzero=True), rng.choice(roots).d)
             entries[(rng.randrange(n), rng.randrange(n))] = c
         return Matrix.from_entries(n, entries)
 

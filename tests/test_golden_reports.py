@@ -137,6 +137,8 @@ def corpus_argvs() -> list[list[str]]:
     from sl2deform.reps import intrinsic_gamma_and_product
     from sl2deform.scalars import parse_scalar, render_scalar
 
+    from exact_field import Q
+
     runs: list[list[str]] = []
     alphas = ["2", "-1/3", "1", "0"]
     betas = ["3", "0", "-5/2", "sqrt(2)", "1 + sqrt(2)"]
@@ -148,7 +150,7 @@ def corpus_argvs() -> list[list[str]]:
                     # the intrinsic gamma given explicitly, and just off it
                     g = intrinsic_gamma_and_product(
                         CaseId(int(case)).data, parse_scalar(alpha), parse_scalar(beta)).gamma
-                    gammas += [render_scalar(g), render_scalar(g + Fraction(1, 7))]
+                    gammas += [render_scalar(g), render_scalar((Q(g) + Fraction(1, 7)).value)]
                 for gamma in gammas:
                     for branch in ([None] if alpha == "0" else [None, "upper", "lower"]):
                         argv = ["verify-case", "--case", case, "--alpha", alpha,

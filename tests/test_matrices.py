@@ -18,6 +18,7 @@ from sl2deform.scalars import (
 )
 
 from conftest import assert_names_two_radicands, rand_fraction
+from exact_field import Q
 
 
 def rand_matrix(rng, n):
@@ -120,8 +121,9 @@ def test_to_strings_row_major():
 # -- oracle: a naive dense triple loop -----------------------------------------
 #
 # The reference below works on lists of rows with every zero stored, the way
-# the matrices were once kept.  Each Matrix operation must give the same
-# entries, and raise the same ScalarDomainError, as this loop.
+# the matrices were once kept, in the tests' own arithmetic (exact_field.Q).
+# Each Matrix operation must give the same entries, and raise the same
+# ScalarDomainError, as this loop.
 
 
 def dense_matmul(a, b):
@@ -130,12 +132,12 @@ def dense_matmul(a, b):
     for i in range(n):
         row = []
         for j in range(n):
-            acc = Fr(0)
+            acc = Q(0)
             for k in range(n):
                 if scalar_is_zero(a[i][k]) or scalar_is_zero(b[k][j]):
                     continue
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
+                acc = acc + Q(a[i][k]) * b[k][j]
+            row.append(acc.value)
         out.append(row)
     return out
 
@@ -202,16 +204,16 @@ def test_sparse_matches_the_dense_loop(rng, radicands):
             assert ma.dimension == n and ma.rows == as_tuples(a)
             assert ma.to_strings() == [[render_scalar(x) for x in row] for row in a]
             assert ma.is_zero() == all(scalar_is_zero(x) for row in a for x in row)
-            assert (ma + mb).rows == as_tuples(dense_entrywise(a, b, lambda x, y: x + y))
-            assert (ma - mb).rows == as_tuples(dense_entrywise(a, b, lambda x, y: x - y))
-            assert (-ma).rows == as_tuples([[-x for x in row] for row in a])
+            assert (ma + mb).rows == as_tuples(dense_entrywise(a, b, lambda x, y: (Q(x) + y).value))
+            assert (ma - mb).rows == as_tuples(dense_entrywise(a, b, lambda x, y: (Q(x) - y).value))
+            assert (-ma).rows == as_tuples([[(-Q(x)).value for x in row] for row in a])
             for s in scalars:
-                expected = as_tuples([[x * s for x in row] for row in a])
+                expected = as_tuples([[(Q(x) * s).value for x in row] for row in a])
                 assert (ma * s).rows == expected and (s * ma).rows == expected
             ab, ba = dense_matmul(a, b), dense_matmul(b, a)
             assert (ma @ mb).rows == as_tuples(ab)
             assert commutator(ma, mb).rows == as_tuples(
-                dense_entrywise(ab, ba, lambda x, y: x - y))
+                dense_entrywise(ab, ba, lambda x, y: (Q(x) - y).value))
             assert (ma == mb) == (a == b)
             assert ma == Matrix(a) and hash(ma) == hash(Matrix(a))
             assert (ma == Matrix.zeros(n)) == ma.is_zero()
@@ -232,7 +234,7 @@ def test_scalar_multiples_of_identity_match_the_dense_test(rng, radicands):
             variants = [a]
             i, j = rng.randrange(n), rng.randrange(n)
             bumped = [row[:] for row in a]
-            bumped[i][j] = bumped[i][j] + rand_entry(rng, radicands)
+            bumped[i][j] = (Q(bumped[i][j]) + rand_entry(rng, radicands)).value
             variants.append(bumped)
             for rows in variants:
                 got = is_scalar_multiple_of_identity(Matrix(rows))
@@ -279,9 +281,9 @@ def test_mixed_radicands_raise_what_the_dense_loop_raises(rng):
             cases = (
                 (lambda: (ma @ mb).rows, lambda: as_tuples(dense_matmul(a, b))),
                 (lambda: (ma + mb).rows,
-                 lambda: as_tuples(dense_entrywise(a, b, lambda x, y: x + y))),
+                 lambda: as_tuples(dense_entrywise(a, b, lambda x, y: (Q(x) + y).value))),
                 (lambda: (ma - mb).rows,
-                 lambda: as_tuples(dense_entrywise(a, b, lambda x, y: x - y))),
+                 lambda: as_tuples(dense_entrywise(a, b, lambda x, y: (Q(x) - y).value))),
             )
             for sparse, dense in cases:
                 assert_same_or_both_mix_radicands(sparse, dense, radicands)

@@ -37,6 +37,7 @@ from sl2deform.scalars import (
 
 import reference_solvers as reference
 from conftest import rand_fraction
+from exact_field import Q
 from published_cases import PUBLISHED
 
 
@@ -388,7 +389,7 @@ def test_case3_splits_off_the_middle_state():
     assert blocks[1].c_label == sol.c
 
 
-# -- the numerator solvers against the Fraction and QuadExt reference ------------------
+# -- the numerator solvers against the Fraction-pair reference ------------------------
 
 _Q = st.builds(Fr, st.integers(-12, 12), st.integers(1, 8))
 # Q, Q(sqrt 2) and Q(sqrt 3): quadext folds sqrt(1) into the rational part
@@ -415,8 +416,8 @@ def _normal_gamma(data, alpha, beta, tau, rho):
     s1, s2, s3 = data.label_sums
     a, b = 3 * s1, 3 * s2
     p = ((b * b - 4 * a * a * tau * tau * rho) / (4 * a) - s3) / s1
-    s = beta / (3 * alpha)
-    return alpha * (p + 3 * s * s)
+    s = Q(beta) / (3 * alpha)
+    return (alpha * (p + 3 * s * s)).value
 
 
 def _outcome(fn, *args):
@@ -488,7 +489,7 @@ def test_the_numerator_solvers_equal_the_fraction_reference(
 
 
 def test_each_solver_outcome_equals_the_fraction_reference():
-    root2, root3 = quadext(0, 1, 2), quadext(0, 1, 3)
+    root2, root3, one_root2 = quadext(0, 1, 2), quadext(0, 1, 3), quadext(1, 1, 2)
     case1, case2, case3 = (case.data for case in CaseId)
     flat = derive_case(MonomialSpace((0, 1, 2)), 0, 2)
     expected = [
@@ -500,22 +501,22 @@ def test_each_solver_outcome_equals_the_fraction_reference():
         (flat, 0, 1, 1, "upper", ValueError),
         (case1, 1, 0, 0, "middle", ValueError),
         (case1, 1, 0, 100, "upper", NegativeRadicandError),
-        (case1, 3, root3, Fr(1, 2) + root3, "lower", ScalarDomainError),  # irrational radicand
+        (case1, 3, root3, quadext(Fr(1, 2), 1, 3), "lower", ScalarDomainError),  # irrational radicand
         # beta over sqrt(2) meets a root over sqrt(3) where c is summed
         (case3, Fr(-2), root2, _normal_gamma(case3, Fr(-2), root2, Fr(1), 3), "upper",
          ScalarDomainError),
-        (case3, Fr(5, 3), 1 + root2, _normal_gamma(case3, Fr(5, 3), 1 + root2, Fr(2), 2),
+        (case3, Fr(5, 3), one_root2, _normal_gamma(case3, Fr(5, 3), one_root2, Fr(2), 2),
          "lower", QuadExt),
         (case1, Fr(1, 2), root3, _normal_gamma(case1, Fr(1, 2), root3, Fr(3), 1), "upper",
          QuadExt),
-        (case2, 0, root2, 1 + root2, "middle", QuadExt),
+        (case2, 0, root2, one_root2, "middle", QuadExt),
         (case1, 2, 3, Fr(-19, 8), "lower", Fr),
     ]
     for data, alpha, beta, gamma, branch, kind in expected:
         outcome = _same_as_reference(data, alpha, beta, gamma, branch, root2)
         assert outcome[0] is kind if isinstance(outcome, tuple) else outcome[0][0] is kind, (
             alpha, beta, gamma, outcome)
-    assert _same_as_reference(case2, 0, root2, 1 + root2, "upper", 1)[0] == (
+    assert _same_as_reference(case2, 0, root2, one_root2, "upper", 1)[0] == (
         QuadExt, quadext(Fr(-5, 8), Fr(-1, 4), 2))
 
 
@@ -548,8 +549,8 @@ _FRACTION_OPERATORS = (
 def test_verify_case_solves_without_fraction_or_quadext_operators(monkeypatch, capsys):
     # intrinsic, explicit rational and explicit irrational gamma, and alpha = 0
     # with beta and gamma over sqrt(2), on each case: the solvers, the
-    # realization and the flagged label compute on numerators, so no QuadExt
-    # operator is called, and no Fraction operator from reps, cases or cli
+    # realization and the flagged label compute on numerators, so no Fraction
+    # operator is called from reps, cases or cli (QuadExt has no operators)
     callers = []
 
     def nearest_caller():
@@ -568,9 +569,8 @@ def test_verify_case_solves_without_fraction_or_quadext_operators(monkeypatch, c
         monkeypatch.setattr(owner, name, spied)
 
     # off the locus, with beta and gamma over sqrt(2) and the root sqrt(2)/2
-    irrational = [render_scalar(_normal_gamma(case.data, 1, 1 + quadext(0, 1, 2), Fr(1, 2), 2))
+    irrational = [render_scalar(_normal_gamma(case.data, 1, quadext(1, 1, 2), Fr(1, 2), 2))
                   for case in CaseId]
-    spy(QuadExt, "_arith", "QuadExt")
     for name in _FRACTION_OPERATORS:
         spy(Fr, name, "Fraction")
     reports = []
@@ -586,5 +586,5 @@ def test_verify_case_solves_without_fraction_or_quadext_operators(monkeypatch, c
     assert Fr(1, 2) + 1 == Fr(3, 2)  # the spy sees Fraction arithmetic
     monkeypatch.undo()
     assert ("Fraction", "test_reps.py") in callers
-    assert [c for c in callers if c[0] == "QuadExt" or c[1] in ("reps.py", "cases.py", "cli.py")] == []
+    assert [c for c in callers if c[1] in ("reps.py", "cases.py", "cli.py")] == []
     assert sum("sqrt(2)" in report["sections"][1]["values"]["c"] for report in reports) == 9

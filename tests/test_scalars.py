@@ -12,17 +12,22 @@ from sl2deform.scalars import (
     NegativeRadicandError,
     QuadExt,
     ScalarDomainError,
+    from_numerator,
     num_add,
     num_mul,
     num_sub,
     parse_int,
     parse_scalar,
     quadext,
+    quotient,
     render_scalar,
     scalar_is_zero,
     sqrt_exact,
     squarefree_split,
+    to_numerators,
 )
+
+from exact_field import Q
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -32,47 +37,59 @@ def test_rational_addition():
     assert Fr(1, 2) + Fr(1, 3) == Fr(5, 6)
 
 
+def _apply(op, x, y):
+    """The scalar x op y, for op one of num_add, num_sub, num_mul and
+    quotient, formed on the numerators of x and y over one denominator."""
+    (u, v), den = to_numerators((x, y))
+    if op is quotient:
+        return quotient(u, v)
+    return from_numerator(op(u, v), den * den if op is num_mul else den)
+
+
 def test_conjugate_product_demotes_to_rational():
-    product = quadext(1, 1, 3) * quadext(1, -1, 3)
-    assert isinstance(product, Fr)
-    assert product == -2
+    product = num_mul((1, 1, 3), (1, -1, 3))
+    assert type(product) is int and product == -2
+    value = _apply(num_mul, quadext(1, 1, 3), quadext(1, -1, 3))
+    assert type(value) is Fr and value == -2
 
 
 def test_inverse_of_one_plus_sqrt3():
-    x = quadext(1, 1, 3)
-    inv = Fr(1) / x
-    # independent check: multiplying back must give exactly 1
-    assert inv * x == Fr(1)
+    inv = quotient(1, (1, 1, 3))
     assert inv == quadext(Fr(-1, 2), Fr(1, 2), 3)
+    # independent check: multiplying back must give exactly 1
+    assert (Q(inv) * quadext(1, 1, 3)).value == Fr(1)
+    assert _apply(num_mul, inv, quadext(1, 1, 3)) == Fr(1)
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Fr(1) / Fr(0)
+    for x in (1, (1, 1, 3)):
+        with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+            quotient(x, 0)
     with pytest.raises(ZeroDivisionError):
-        quadext(1, 1, 3) / Fr(0)
-    with pytest.raises(ZeroDivisionError):
-        quadext(1, 1, 3) / 0
+        _apply(quotient, quadext(1, 1, 3), Fr(0))
 
 
 def test_mixed_radicands_error():
     with pytest.raises(ScalarDomainError):
-        quadext(0, 1, 2) + quadext(0, 1, 3)
+        num_add((0, 1, 2), (0, 1, 3))
     with pytest.raises(ScalarDomainError):
-        quadext(0, 1, 2) * quadext(0, 1, 5)
-    # the radicands are named in operand order
+        num_mul((0, 1, 2), (0, 1, 5))
+    # the radicands are named in operand order, whichever function meets them
     root2, root3 = sqrt_exact(2), sqrt_exact(3)
-    with pytest.raises(ScalarDomainError, match=r"^mixed radicands sqrt\(2\) and sqrt\(3\)$"):
-        root2 * root3
-    with pytest.raises(ScalarDomainError, match=r"^mixed radicands sqrt\(3\) and sqrt\(2\)$"):
-        root3 * root2
+    for op in (num_add, num_sub, num_mul, quotient):
+        with pytest.raises(ScalarDomainError, match=r"^mixed radicands sqrt\(2\) and sqrt\(3\)$"):
+            _apply(op, root2, root3)
+        with pytest.raises(ScalarDomainError, match=r"^mixed radicands sqrt\(3\) and sqrt\(2\)$"):
+            _apply(op, root3, root2)
 
 
 def test_rational_and_quadext_mix_freely():
     x = quadext(0, 1, 2)
-    assert Fr(1, 2) + x == quadext(Fr(1, 2), 1, 2)
-    assert 3 * x == quadext(0, 3, 2)
-    assert x / 2 == quadext(0, Fr(1, 2), 2)
+    assert _apply(num_add, Fr(1, 2), x) == quadext(Fr(1, 2), 1, 2)
+    assert num_mul(3, (0, 1, 2)) == (0, 3, 2) and _apply(num_mul, 3, x) == quadext(0, 3, 2)
+    assert quotient((0, 1, 2), 2) == _apply(quotient, x, 2) == quadext(0, Fr(1, 2), 2)
 
 
 def test_sqrt_perfect_square():
@@ -88,7 +105,7 @@ def test_sqrt_with_square_factor():
     # 12 = 4 * 3, so the root is 2*sqrt(3)
     root = sqrt_exact(12)
     assert root == quadext(0, 2, 3)
-    assert root * root == Fr(12)
+    assert (Q(root) * root).value == Fr(12)
 
 
 def test_integers_are_read_in_ascii_digits_only():
@@ -196,7 +213,8 @@ def test_squarefree_split_refuses_a_radicand_past_the_budget_quickly():
 def test_sqrt_squares_back(v):
     v = abs(v)
     root = sqrt_exact(v)
-    assert root * root == v
+    square = (Q(root) * root).value
+    assert type(square) is Fr and square == v
 
 
 @given(rationals, rationals, rationals)
@@ -236,27 +254,75 @@ def _assert_canonical(value, d):
 @given(rationals, rationals, rationals, rationals, rationals, rationals,
        st.sampled_from(_RADICANDS))
 def test_quadext_field_axioms_same_radicand(a1, b1, a2, b2, a3, b3, d):
+    # the field Q(sqrt(d)) as the package computes in it: num_* on numerators
+    # over one denominator, and quotient
     x, y, z = quadext(a1, b1, d), quadext(a2, b2, d), quadext(a3, b3, d)
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert scalar_is_zero(x + (-x)) or x + (-x) == 0
+
+    def add(u, v):
+        return _apply(num_add, u, v)
+
+    def mul(u, v):
+        return _apply(num_mul, u, v)
+
+    assert add(add(x, y), z) == add(x, add(y, z))
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+    assert scalar_is_zero(add(x, mul(x, -1)))
     if not scalar_is_zero(y):
-        assert (x / y) * y == x
+        assert mul(_apply(quotient, x, y), y) == x
     # every result is canonical, keeps d and equals sympy's value in QQ<sqrt(d)>
     fx, fy = _in_field(x, d), _in_field(y, d)
-    results = [(x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy), (-x, -fx),
-               (x**0, fx**0), (x**3, fx**3), (x + a2, fx + _in_field(a2, d)),
-               (a2 - x, _in_field(a2, d) - fx), (a2 * x, _in_field(a2, d) * fx)]
+    results = [(add(x, y), fx + fy), (_apply(num_sub, x, y), fx - fy), (mul(x, y), fx * fy),
+               (mul(x, -1), -fx), (mul(mul(x, x), x), fx**3), (add(x, a2), fx + _in_field(a2, d)),
+               (_apply(num_sub, a2, x), _in_field(a2, d) - fx), (mul(a2, x), _in_field(a2, d) * fx)]
     if not scalar_is_zero(y):
-        results.append((x / y, fx / fy))
-        results.append((a1 / y, _in_field(a1, d) / fy))
+        results.append((_apply(quotient, x, y), fx / fy))
+        results.append((_apply(quotient, a1, y), _in_field(a1, d) / fy))
     if isinstance(x, QuadExt):
-        results.append((x.conjugate(), 2 * _in_field(x.a, d) - fx))
-        results.append((x.norm(), fx * (2 * _in_field(x.a, d) - fx)))
+        # the conjugate and the norm, on x's numerator (p, q, d) over n
+        conjugate = (x.p, -x.q, x.d)
+        results.append((from_numerator(conjugate, x.n), 2 * _in_field(x.a, d) - fx))
+        results.append((quotient(num_mul((x.p, x.q, x.d), conjugate), x.n * x.n),
+                        fx * (2 * _in_field(x.a, d) - fx)))
     for value, expected in results:
         _assert_canonical(value, d)
         assert _in_field(value, d) == expected
+
+
+_TEST_SIDE_D = st.sampled_from((1, 2, 3, 5))  # 1: a rational operand
+
+
+@given(rationals, nonzero_rationals, _TEST_SIDE_D, rationals, nonzero_rationals, _TEST_SIDE_D,
+       st.booleans(), st.integers(0, 4))
+@example(Fr(1), Fr(1), 2, Fr(1), Fr(-1), 2, False, 2)  # (1 + sqrt 2)(1 - sqrt 2) = -1
+@example(Fr(0), Fr(1), 3, Fr(0), Fr(0), 1, True, 0)  # a zero divisor
+def test_the_test_side_arithmetic_matches_sympy(a1, b1, d1, a2, b2, d2, lifted_left, k):
+    # exact_field.Q, the test oracles' own arithmetic, against QQ<sqrt(d)>,
+    # with the package's scalar or a Q on the left
+    x = a1 if d1 == 1 else quadext(a1, b1, d1)
+    y = a2 if d2 == 1 else quadext(a2, b2, d2)
+    left = Q(x) if lifted_left else x
+    ops = {"+": lambda u, v: u + v, "-": lambda u, v: u - v,
+           "*": lambda u, v: u * v, "/": lambda u, v: u / v}
+    d = max(d1, d2, 2)
+    for name, op in ops.items():
+        if d1 != 1 and d2 != 1 and d1 != d2:
+            with pytest.raises(ScalarDomainError,
+                               match=rf"^mixed radicands sqrt\({d1}\) and sqrt\({d2}\)$"):
+                op(left, Q(y))
+        elif name == "/" and scalar_is_zero(y):
+            with pytest.raises(ZeroDivisionError):
+                op(left, Q(y))
+        else:
+            value = op(left, Q(y))
+            assert type(value) is Q and value == Q(value.value), (x, name, y)
+            _assert_canonical(value.value, d)
+            assert _in_field(value.value, d) == op(_in_field(x, d), _in_field(y, d))
+    dx = max(d1, 2)
+    fx = _in_field(x, dx)
+    for value, expected in ((-Q(x), -fx), (Q(x) ** k, fx**k)):
+        _assert_canonical(value.value, dx)
+        assert _in_field(value.value, dx) == expected
 
 
 @given(rationals, nonzero_rationals)
@@ -299,22 +365,25 @@ def _assert_integer_form(value):
 
 def _routes(a, b, d, k, w):
     """a + b*sqrt(d) built every way the package offers; k > 0 and w != 0."""
+    x = quadext(a, b, d)
+    (v,), den = to_numerators((x,))
     routes = [
-        quadext(a, b, d),
+        x,
         quadext(a, b / k, d * k * k),  # square factors folded into b
         parse_scalar(f"{a} + {b}*sqrt({d})"),
         parse_scalar(f"{a} - {-b}*sqrt({d})"),
-        a + b * sqrt_exact(d),
-        a + b / k * sqrt_exact(d * k * k),
-        sqrt_exact(Fr(d * k * k, 4)) * (2 * b / k) + a,
-        (quadext(a, b, d) + w) - w,
-        (quadext(a, b, d) * w) / w,
-        -(-quadext(a, b, d)),
+        from_numerator(num_mul(v, k), den * k),  # a numerator not in lowest terms
+        _apply(num_add, a, _apply(num_mul, b, sqrt_exact(d))),
+        _apply(num_add, a, _apply(num_mul, b / k, sqrt_exact(d * k * k))),
+        _apply(num_add, _apply(num_mul, sqrt_exact(Fr(d * k * k, 4)), 2 * b / k), a),
+        _apply(num_sub, _apply(num_add, x, w), w),
+        _apply(quotient, _apply(num_mul, x, w), w),
+        _apply(num_mul, _apply(num_mul, x, -1), -1),
     ]
     if a or b:
-        routes.append(w / (w / quadext(a, b, d)))
+        routes.append(_apply(quotient, w, _apply(quotient, w, x)))
     if b:
-        routes += [QuadExt(a, b, d), quadext(a, b, d).conjugate().conjugate()]
+        routes.append(QuadExt(a, b, d))
     return routes
 
 
@@ -331,9 +400,11 @@ def test_every_route_to_a_value_gives_one_canonical_integer_form(a, b, d, k, wa,
         assert value == first and hash(value) == hash(first), (value, first)
     assert (type(first) is Fr) == (not b)
     # results of every operation are in integer form too
-    for value in (first + w, first - w, first * w, w - first, wa - first, first * wb,
-                  first / w, first / wb, wb / w, first ** 2, -first):
-        _assert_integer_form(value)
+    for op, x, y in ((num_add, first, w), (num_sub, first, w), (num_mul, first, w),
+                     (num_sub, w, first), (num_sub, wa, first), (num_mul, first, wb),
+                     (quotient, first, w), (quotient, first, wb), (quotient, wb, w),
+                     (num_mul, first, first), (num_mul, first, -1)):
+        _assert_integer_form(_apply(op, x, y))
 
 
 _OPERAND_D = st.sampled_from((1, 2, 3, 5))  # 1: a rational operand
@@ -344,8 +415,10 @@ _OPERAND_D = st.sampled_from((1, 2, 3, 5))  # 1: a rational operand
 def test_scalar_domain_error_exactly_for_mixed_radicands(a1, b1, d1, a2, b2, d2, op):
     x = a1 if d1 == 1 else quadext(a1, b1, d1)
     y = a2 if d2 == 1 else quadext(a2, b2, d2)
-    apply = {"+": lambda: x + y, "-": lambda: x - y,
-             "*": lambda: x * y, "/": lambda: x / y}[op]
+    fn = {"+": num_add, "-": num_sub, "*": num_mul, "/": quotient}[op]
+
+    def apply():
+        return _apply(fn, x, y)
     if d1 != 1 and d2 != 1 and d1 != d2:
         with pytest.raises(ScalarDomainError,
                            match=rf"^mixed radicands sqrt\({d1}\) and sqrt\({d2}\)$"):
@@ -462,3 +535,65 @@ def test_numerator_arithmetic_matches_sympy_and_never_stores_a_zero_radical(a, b
     d = radicands[0] if radicands else 2
     assert _numerator_in_field(value, d) == _NUM_OPS[op](
         _numerator_in_field(a, d), _numerator_in_field(b, d))
+
+
+@settings(deadline=None)
+@given(_numerators, _numerators)
+@example((1, 2, 3), 0)  # a zero divisor
+@example(0, 0)
+@example(1, (1, 1, 3))  # 1/(1 + sqrt 3) = -1/2 + sqrt(3)/2
+@example((1, 2, 2), (1, 2, 2))
+@example((0, 1, 2), (0, 1, 3))
+def test_quotient_of_two_numerators_matches_sympy(x, y):
+    radicands = [v[2] for v in (x, y) if type(v) is tuple]
+    if len(set(radicands)) == 2:
+        with pytest.raises(ScalarDomainError,
+                           match=rf"^mixed radicands sqrt\({x[2]}\) and sqrt\({y[2]}\)$"):
+            quotient(x, y)
+        return
+    if y == 0:
+        with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+            quotient(x, y)
+        return
+    value = quotient(x, y)
+    _assert_integer_form(value)
+    d = radicands[0] if radicands else 2
+    assert _in_field(value, d) == _numerator_in_field(x, d) / _numerator_in_field(y, d)
+
+
+@given(rationals, nonzero_rationals, st.sampled_from((2, 3, 6)), st.integers(1, 5))
+def test_equal_quadexts_have_one_hash_and_dedupe(a, b, d, k):
+    (v,), den = to_numerators((quadext(a, b, d),))
+    values = [parse_scalar(f"{a} + {b}*sqrt({d})"), quadext(a, b, d),
+              quadext(a, b / k, d * k * k), QuadExt(a, b, d),
+              from_numerator(v, den), from_numerator(num_mul(v, k), den * k)]
+    assert all(value == values[0] for value in values)
+    assert {hash(value) for value in values} == {hash(values[0])}
+    assert len(set(values)) == 1
+    # a different value lands apart
+    assert len(set(values) | {quadext(a + 1, b, d), quadext(a, b, 5)}) == 3
+
+
+def test_quadext_has_no_arithmetic():
+    x = quadext(1, 1, 2)
+    binary = (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v,
+              lambda u, v: u / v, lambda u, v: u // v, lambda u, v: u % v,
+              lambda u, v: u ** v)
+    for other in (2, Fr(1, 3), quadext(0, 1, 2), quadext(1, 1, 3)):
+        for op in binary:
+            for u, v in ((x, other), (other, x)):
+                with pytest.raises(TypeError):
+                    op(u, v)
+    with pytest.raises(TypeError):
+        -x
+    with pytest.raises(TypeError):
+        x ** 2
+    for name in ("_arith", "conjugate", "norm", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "__neg__"):
+        assert not hasattr(QuadExt, name), name
+    # it is still a value: parsed, rendered, compared and hashed
+    assert parse_scalar("1 + sqrt(2)") == x == QuadExt(1, 1, 2)
+    assert render_scalar(x) == str(x) == "1 + 1*sqrt(2)"
+    assert x != quadext(1, -1, 2) and x != 1 and x != Fr(1)
+    assert hash(x) == hash(parse_scalar(render_scalar(x)))
+    assert {x: "v"}[QuadExt(1, 1, 2)] == "v"

@@ -43,6 +43,7 @@ def test_bench_count_hooks_read_irrational_matrices_and_operators():
     # and terms, whatever the stored form; on ladders over several radicands
     # and operators over sqrt(2) they must give the counts those give
     from collections import Counter
+    from fractions import Fraction
 
     from sl2deform.algebra import build_classic_sl2_matrices
     from sl2deform.diffops import DiffOp
@@ -64,7 +65,7 @@ def test_bench_count_hooks_read_irrational_matrices_and_operators():
     assert len(radicands) > 1, radicands
 
     root2 = quadext(0, 1, 2)
-    a = DiffOp({(1, 1): root2, (0, 0): 1 + root2, (2, 1): -3})
-    b = DiffOp({(0, 2): root2 / 6, (3, 1): 5})
+    a = DiffOp({(1, 1): root2, (0, 0): quadext(1, 1, 2), (2, 1): -3})
+    b = DiffOp({(0, 2): quadext(0, Fraction(1, 6), 2), (3, 1): 5})
     assert hooks["_pairs"]((a, b), a.compose(b)) == {"term_pairs": len(a.terms) * len(b.terms)}
     assert len(a.terms) * len(b.terms) == 6
