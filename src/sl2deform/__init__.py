@@ -39,7 +39,6 @@ from .diffops import (
 from .matrices import (
     BlockSplit,
     Matrix,
-    commutator,
     coordinate_block_split,
     is_scalar_multiple_of_identity,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "check_deformed_relations",
     "classic_norm_squares",
     "closure_check",
-    "commutator",
     "constraint_residuals",
     "coordinate_block_split",
     "cubic",

@@ -232,9 +232,13 @@ class DiffOp:
 
     # -- ring structure ---------------------------------------------------------
     def __add__(self, other: "DiffOp") -> "DiffOp":
+        if not isinstance(other, DiffOp):
+            return NotImplemented
         return _lowest(*_sum(dict(self._num), self._den, other._num, other._den))
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
+        if not isinstance(other, DiffOp):
+            return NotImplemented
         return _lowest(*_sum(dict(self._num), self._den, other._num, other._den, -1))
 
     def __neg__(self) -> "DiffOp":
@@ -565,7 +569,8 @@ def _bracket(a: list[dict], b: list[dict]) -> list[dict]:
     """AB - BA of two matrices given as rows {column: nonzero numerator},
     columns ascending, in that form.  AB and then BA are formed whole by ``Matrix @``'s
     :func:`~sl2deform.matrices.row_product`, and BA's nonzero entries are
-    subtracted from AB's in ``-``'s order, so any ScalarDomainError is theirs.
+    subtracted from AB's row by row, columns ascending: any ScalarDomainError
+    is raised by a product or by that difference, in this order.
     """
     out = []
     for ab, ba in zip(row_product(a, b), row_product(b, a)):

@@ -1,11 +1,11 @@
 """Small sparse square matrices over exact scalars.
 
-Just enough linear algebra for representation checking: ring operations, the
-commutator, the scalar-multiple-of-identity test, and the coordinate block
-decomposition used to split reducible representations.  A matrix stores only
-its nonzero entries, so every operation costs time in proportion to them:
-the ladder matrices of this package have one entry per column.  No
-inversion, no eigensolving; entries stay exact throughout.
+Just enough linear algebra for representation checking: the product ``@``,
+the scalar-multiple-of-identity test, and the coordinate block decomposition
+used to split reducible representations.  A matrix stores only its nonzero
+entries, so every operation costs time in proportion to them: the ladder
+matrices of this package have one entry per column.  No sum, no scalar
+multiple, no inversion, no eigensolving; entries stay exact throughout.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .scalars import (
     Scalar,
@@ -39,29 +38,20 @@ class Matrix:
     ``_rows[i]`` maps each column of a nonzero entry of row i to that entry's
     numerator (``scalars.to_numerators``), columns ascending, and ``_den`` is
     their common positive denominator, in lowest terms, as a ``DiffOp``
-    stores its terms; entries go in and come out as Fractions and QuadExts.
-    Entries may live in different quadratic extensions; compatibility is
-    enforced lazily, by the numerator arithmetic of whatever operation
-    actually combines two entries.  ``@`` multiplies the rows by
-    :func:`row_product`, which the Lie closure probe applies to its rows with
-    no Matrix.
+    stores its terms.  Values enter only through :meth:`from_entries` and
+    :meth:`diagonal`, as Fractions and QuadExts, and leave as those through
+    :attr:`rows`, :meth:`entries` and indexing.  ``@`` is the one operation:
+    it multiplies the rows by :func:`row_product`, which the Lie closure
+    probe applies to its rows with no Matrix.  Entries may live in different
+    quadratic extensions; compatibility is enforced lazily, by the numerator
+    arithmetic of a product that actually combines two entries.  Any other
+    operator, and ``Matrix(rows)``, raises ``TypeError``.
     """
 
     __slots__ = ("dimension", "_rows", "_den")
 
-    def __init__(self, rows: Iterable[Iterable]):
-        rows = [[as_scalar(x) for x in row] for row in rows]
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square")
-        self._init(n, *_numerator_rows(n, [
-            (i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)
-            if not scalar_is_zero(x)]))
-
-    def _init(self, n: int, rows: Sequence[dict], den: int) -> None:
-        object.__setattr__(self, "dimension", n)
-        object.__setattr__(self, "_rows", tuple(rows))
-        object.__setattr__(self, "_den", den)
+    def __new__(cls, *_):
+        raise TypeError("a Matrix is built by Matrix.from_entries or Matrix.diagonal")
 
     @classmethod
     def _of(cls, n: int, rows: Sequence[dict], den: int) -> "Matrix":
@@ -73,7 +63,9 @@ class Matrix:
         :meth:`entries` rely on it.
         """
         out = object.__new__(cls)
-        out._init(n, rows, den)
+        object.__setattr__(out, "dimension", n)
+        object.__setattr__(out, "_rows", tuple(rows))
+        object.__setattr__(out, "_den", den)
         return out
 
     @classmethod
@@ -101,14 +93,6 @@ class Matrix:
             if not scalar_is_zero(x):
                 nonzero.append((i, j, x))
         return cls._of(n, *_numerator_rows(n, nonzero))
-
-    @classmethod
-    def zeros(cls, n: int) -> "Matrix":
-        return cls.from_entries(n, {})
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls.diagonal([Fraction(1)] * n)
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "Matrix":
@@ -144,53 +128,6 @@ class Matrix:
         v = self._rows[i].get(j)
         return _ZERO if v is None else from_numerator(v, self._den)
 
-    def _check_dim(self, other: "Matrix"):
-        if self.dimension != other.dimension:
-            raise ValueError(
-                f"dimension mismatch: {self.dimension} vs {other.dimension}"
-            )
-
-    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
-        """self + sign * other, entrywise over the lcm of the denominators."""
-        self._check_dim(other)
-        den = lcm(self._den, other._den)
-        fa, fb = den // self._den, den // other._den * sign
-        rows = []
-        for ra, rb in zip(self._rows, other._rows):
-            out = {}
-            for j in sorted(ra.keys() | rb.keys()):
-                if j not in rb:
-                    out[j] = num_mul(ra[j], fa)
-                elif j not in ra:
-                    out[j] = num_mul(rb[j], fb)
-                else:
-                    x = num_add(num_mul(ra[j], fa), num_mul(rb[j], fb))
-                    if x:
-                        out[j] = x
-            rows.append(out)
-        return Matrix._lowest(rows, den)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix._of(self.dimension,
-                          [{j: num_mul(v, -1) for j, v in row.items()} for row in self._rows],
-                          self._den)
-
-    def __mul__(self, scalar) -> "Matrix":
-        s = as_scalar(scalar)
-        if scalar_is_zero(s):
-            return Matrix.zeros(self.dimension)
-        (s,), den = to_numerators([s])
-        return Matrix._lowest(
-            [{j: num_mul(v, s) for j, v in row.items()} for row in self._rows], self._den * den)
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Product; entry (i, j) sums a_ik * b_kj in ascending k.
 
@@ -202,7 +139,10 @@ class Matrix:
         the loop would, though where several entries mix radicands it may
         name another of them.
         """
-        self._check_dim(other)
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.dimension != other.dimension:
+            raise ValueError(f"dimension mismatch: {self.dimension} vs {other.dimension}")
         return Matrix._lowest([
             {j: acc[j] for j in sorted(acc) if acc[j]}
             for acc in row_product(self._rows, other._rows)
@@ -250,11 +190,6 @@ def row_product(a: Sequence[dict], b: Sequence[dict]) -> list[dict]:
                 acc[j] = num_add(acc[j], xy) if j in acc else xy
         rows.append(acc)
     return rows
-
-
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    """AB - BA, exactly."""
-    return (a @ b) - (b @ a)
 
 
 def is_scalar_multiple_of_identity(m: Matrix) -> Optional[Scalar]:

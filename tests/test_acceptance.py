@@ -37,7 +37,7 @@ from sl2deform.diffops import (
     enumerate_preserving_operators,
     lie_closure_probe,
 )
-from sl2deform.matrices import Matrix, is_scalar_multiple_of_identity
+from sl2deform.matrices import is_scalar_multiple_of_identity
 from sl2deform.reps import (
     RepSpec,
     build_new_rep_matrices,
@@ -356,9 +356,9 @@ def test_criterion_5_preserving_operator_count():
     )
 
 
-def _matrix_span(mats: list[Matrix]):
+def _matrix_span():
+    """The span of dense n x n matrices of Fractions, as (rows, add, contains)."""
     rows: list[list[Fr]] = []
-    n = mats[0].dimension
 
     def reduce(vec):
         vec = list(vec)
@@ -370,7 +370,7 @@ def _matrix_span(mats: list[Matrix]):
         return vec
 
     def add(mat):
-        vec = reduce([mat.rows[i][j] for i in range(n) for j in range(n)])
+        vec = reduce([x for row in mat for x in row])
         piv = next((i for i, v in enumerate(vec) if v), None)
         if piv is None:
             return False
@@ -378,9 +378,16 @@ def _matrix_span(mats: list[Matrix]):
         return True
 
     def contains(mat):
-        return all(v == 0 for v in reduce([mat.rows[i][j] for i in range(n) for j in range(n)]))
+        return all(v == 0 for v in reduce([x for row in mat for x in row]))
 
     return rows, add, contains
+
+
+def _dense_bracket(a, b):
+    """AB - BA of two dense n x n matrices of Fractions."""
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
 
 
 def test_criterion_6_ladders_generate_but_do_not_close():
@@ -402,8 +409,8 @@ def test_criterion_6_ladders_generate_but_do_not_close():
     dim_ok = full_report.matrix_lie_span_dimension >= 8
 
     # saturate the matrix span in-test and check sl(3) containment directly
-    mats = [op.matrix_on_space(V3) for op in with_diagonals]
-    rows, add, contains = _matrix_span(mats)
+    mats = [op.matrix_on_space(V3).rows for op in with_diagonals]
+    rows, add, contains = _matrix_span()
     basis = []
     for m in mats:
         if add(m):
@@ -412,20 +419,16 @@ def test_criterion_6_ladders_generate_but_do_not_close():
         grew = False
         snapshot = list(basis)
         for a, b in product(snapshot, snapshot):
-            br = (a @ b) - (b @ a)
+            br = _dense_bracket(a, b)
             if add(br):
                 basis.append(br)
                 grew = True
         if not grew:
             break
-    sl3 = []
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                sl3.append(Matrix([[int(r == i and cix == j) for cix in range(3)]
-                                   for r in range(3)]))
-    sl3.append(Matrix.diagonal([1, -1, 0]))
-    sl3.append(Matrix.diagonal([0, 1, -1]))
+    sl3 = [[[int((r, c) == (i, j)) for c in range(3)] for r in range(3)]
+           for i in range(3) for j in range(3) if i != j]
+    sl3 += [[[h[r] if r == c else 0 for c in range(3)] for r in range(3)]
+            for h in ((1, -1, 0), (0, 1, -1))]
     traceless_contained = all(contains(m) for m in sl3)
 
     ok = not_closed and dim_ok and traceless_contained

@@ -19,15 +19,25 @@ from sl2deform.algebra import (
 )
 from sl2deform.cases import CaseId, build_case_realization
 from sl2deform.diffops import V3
-from sl2deform.matrices import Matrix, commutator
+from sl2deform.matrices import Matrix
 from sl2deform.reps import case_rep_spec, intrinsic_gamma_and_product, solve_case
-from sl2deform.scalars import QuadExt, from_numerator, quadext, sqrt_exact
+from sl2deform.scalars import QuadExt, from_numerator, quadext, scalar_is_zero, sqrt_exact
 
 from conftest import assert_names_two_radicands, rand_fraction
 from exact_field import Q
 from test_diffops import _two_radicand_families
+from test_matrices import as_tuples, dense_entrywise, dense_matmul, matrix
 
 CLASSIC = AlgebraParams(0, 0, 2, 0)
+
+
+def zeros(n):
+    return Matrix.from_entries(n, {})
+
+
+def scalar_matrix(n, s):
+    """s times the n x n identity."""
+    return Matrix.diagonal([s] * n)
 
 
 def solved_case_matrices(case, alpha, beta):
@@ -98,14 +108,14 @@ def test_classic_diffops_match_matrices_on_normalized_basis():
 
 
 def test_zero_matrices_zero_params():
-    zeros = MatrixTriple(Matrix.zeros(3), Matrix.zeros(3), Matrix.zeros(3))
-    assert check_deformed_relations(zeros, AlgebraParams(0, 0, 0, 0)).all_zero
+    zeros3 = MatrixTriple(zeros(3), zeros(3), zeros(3))
+    assert check_deformed_relations(zeros3, AlgebraParams(0, 0, 0, 0)).all_zero
 
 
 def test_constant_term_cannot_vanish_on_zero_matrices():
-    zeros = MatrixTriple(Matrix.zeros(3), Matrix.zeros(3), Matrix.zeros(3))
-    res = check_deformed_relations(zeros, AlgebraParams(0, 0, 0, 1))
-    assert res.bracket == -Matrix.identity(3)
+    zeros3 = MatrixTriple(zeros(3), zeros(3), zeros(3))
+    res = check_deformed_relations(zeros3, AlgebraParams(0, 0, 0, 1))
+    assert res.bracket == scalar_matrix(3, -1)
     assert not res.all_zero
 
 
@@ -125,7 +135,7 @@ def test_casimir_commutes_when_relations_hold(rng):
         assert check_deformed_relations(triple, params).all_zero
         cas = casimir_matrix(triple, params)
         for gen in (triple.j0, triple.jplus, triple.jminus):
-            assert commutator(cas, gen).is_zero()
+            assert cas @ gen == gen @ cas
 
 
 def test_case2_casimir_vanishes_at_beta_zero():
@@ -136,18 +146,19 @@ def test_case2_casimir_vanishes_at_beta_zero():
 def test_case3_casimir_value_at_unit_alpha():
     triple, params = solved_case_matrices(CaseId.CASE3, Fr(1), Fr(0))
     cas = casimir_matrix(triple, params)
-    assert cas == Matrix.identity(3) * Fr(-1045, 82944)
+    assert cas == scalar_matrix(3, Fr(-1045, 82944))
 
 
 def test_case1_casimir_value_at_unit_alpha():
     triple, params = solved_case_matrices(CaseId.CASE1, Fr(1), Fr(0))
-    assert casimir_matrix(triple, params) == Matrix.identity(3) * Fr(315, 1024)
+    assert casimir_matrix(triple, params) == scalar_matrix(3, Fr(315, 1024))
 
 
 def test_gauge_scaling_leaves_bracket_and_casimir_alone(rng):
     triple, params = solved_case_matrices(CaseId.CASE1, Fr(2), Fr(3))
     for lam in (Fr(2), Fr(-1, 3), Fr(7, 5)):
-        scaled = MatrixTriple(triple.j0, triple.jplus * lam, triple.jminus * (1 / lam))
+        scaled = MatrixTriple(triple.j0, matrix(_times(triple.jplus.rows, lam)),
+                              matrix(_times(triple.jminus.rows, 1 / lam)))
         res0 = check_deformed_relations(triple, params)
         res1 = check_deformed_relations(scaled, params)
         assert res1.bracket == res0.bracket
@@ -159,22 +170,23 @@ def test_bracket_residual_is_the_commutator_less_the_direct_cubic(rng):
     for n in range(1, 6):
         j0 = Matrix.diagonal([rand_fraction(rng) for _ in range(n)])
         plus, minus = (
-            Matrix([[rand_fraction(rng) if rng.random() < 0.4 else 0 for _ in range(n)]
+            matrix([[rand_fraction(rng) if rng.random() < 0.4 else 0 for _ in range(n)]
                     for _ in range(n)])
             for _ in range(2)
         )
         params = AlgebraParams(
             rand_fraction(rng), rand_fraction(rng), rand_fraction(rng), rand_fraction(rng)
         )
-        direct = (
-            (j0 @ j0 @ j0) * params.alpha
-            + (j0 @ j0) * params.beta
-            + j0 * params.gamma
-            + Matrix.identity(n) * params.delta
-        )
+        d = j0.rows
+        direct = _plus(_plus(_plus(
+            _times(dense_matmul(dense_matmul(d, d), d), params.alpha),
+            _times(dense_matmul(d, d), params.beta)),
+            _times(d, params.gamma)),
+            _times(_identity(n), params.delta))
         residuals = check_deformed_relations(MatrixTriple(j0, plus, minus), params)
-        assert residuals.bracket == commutator(plus, minus) - direct
-        assert Matrix.diagonal(cubic([j0[i, i] for i in range(n)], params)) == direct
+        assert residuals.bracket.rows == as_tuples(
+            _minus(_commutator(plus.rows, minus.rows), direct))
+        assert Matrix.diagonal(cubic([j0[i, i] for i in range(n)], params)).rows == as_tuples(direct)
 
 
 def test_relations_and_casimir_form_two_matrix_products(monkeypatch):
@@ -193,7 +205,7 @@ def test_relations_and_casimir_form_two_matrix_products(monkeypatch):
     assert products == [(triple.jplus, triple.jminus), (triple.jminus, triple.jplus)]
     monkeypatch.undo()
     assert residuals.all_zero
-    assert casimir == Matrix.identity(3) * casimir[0, 0]
+    assert casimir == scalar_matrix(3, casimir[0, 0])
     assert triple.ladder_product == triple.jplus @ triple.jminus
 
 
@@ -330,52 +342,79 @@ def test_diffops_does_no_quadext_arithmetic():
 def test_a_non_diagonal_j0_is_refused_in_one_line():
     j0 = Matrix.from_entries(3, {(0, 0): 1, (2, 1): Fr(1, 2)})
     with pytest.raises(ValueError, match=r"^J0 must be diagonal, but its entry \(2, 1\) is nonzero$"):
-        MatrixTriple(j0, Matrix.zeros(3), Matrix.zeros(3))
+        MatrixTriple(j0, zeros(3), zeros(3))
     # J+ and J- may hold any entries, on the diagonal too
-    triple = MatrixTriple(Matrix.identity(3), j0, j0)
+    triple = MatrixTriple(scalar_matrix(3, 1), j0, j0)
     assert triple.diagonal == (1, 1, 1)
 
 
 # -- oracle: the relations and the Casimir element as whole-matrix expressions --
 #
 # These are the general matrix expressions the entrywise code replaced, with
-# J0 multiplied as a matrix.  The entrywise code must give the same matrices,
-# entries in the same order, or raise ScalarDomainError where they do; where
-# several entries mix radicands, either side may name any of them.
+# J0 multiplied as a matrix, on dense lists of rows in the tests' own
+# arithmetic (exact_field.Q): products by test_matrices.dense_matmul, sums,
+# differences and scalar multiples entry by entry, row-major, passing a zero
+# operand's partner through, as a zero never meets a radicand.  They read a
+# Matrix's entries and nothing else of it.  The entrywise code must give the
+# same matrices, entries in the same order, or raise ScalarDomainError where
+# they do; where several entries mix radicands, either side may name any of
+# them.
+
+
+def _identity(n):
+    return [[Fr(i == j) for j in range(n)] for i in range(n)]
+
+
+def _times(m, s):
+    return [[x if scalar_is_zero(x) else (Q(x) * s).value for x in row] for row in m]
+
+
+def _plus(a, b):
+    return dense_entrywise(a, b, lambda x, y: y if scalar_is_zero(x) else (Q(x) + y).value)
+
+
+def _minus(a, b):
+    return dense_entrywise(a, b, lambda x, y: x if scalar_is_zero(y) else (Q(x) - y).value)
+
+
+def _commutator(a, b):
+    return _minus(dense_matmul(a, b), dense_matmul(b, a))
 
 
 def _matrix_cubic(m, params):
-    ident = Matrix.identity(m.dimension)
-    acc = m * params.alpha + ident * params.beta
-    acc = acc @ m + ident * params.gamma
-    return acc @ m + ident * params.delta
+    ident = _identity(len(m))
+    acc = _plus(_times(m, params.alpha), _times(ident, params.beta))
+    acc = _plus(dense_matmul(acc, m), _times(ident, params.gamma))
+    return _plus(dense_matmul(acc, m), _times(ident, params.delta))
 
 
 def _matrix_relations(rep, params):
+    j0, jplus, jminus = rep.j0.rows, rep.jplus.rows, rep.jminus.rows
     return (
-        commutator(rep.j0, rep.jplus) - rep.jplus,
-        commutator(rep.j0, rep.jminus) + rep.jminus,
-        commutator(rep.jplus, rep.jminus) - _matrix_cubic(rep.j0, params),
+        _minus(_commutator(j0, jplus), jplus),
+        _plus(_commutator(j0, jminus), jminus),
+        _minus(_commutator(jplus, jminus), _matrix_cubic(j0, params)),
     )
 
 
 def _matrix_casimir(rep, params):
     a, b, g, d = (Q(x) for x in (params.alpha, params.beta, params.gamma, params.delta))
-    j0 = rep.j0
-    j0sq = j0 @ j0
-    return (
-        rep.jplus @ rep.jminus
-        + (j0sq @ j0sq) * (a / 4).value
-        + (j0sq @ j0) * (b / 3 - a / 2).value
-        + j0sq * (a / 4 - b / 2 + g / 2).value
-        + j0 * (b / 6 - g / 2 + d).value
-    )
+    j0 = rep.j0.rows
+    j0sq = dense_matmul(j0, j0)
+    return _plus(_plus(_plus(_plus(
+        dense_matmul(rep.jplus.rows, rep.jminus.rows),
+        _times(dense_matmul(j0sq, j0sq), (a / 4).value)),
+        _times(dense_matmul(j0sq, j0), (b / 3 - a / 2).value)),
+        _times(j0sq, (a / 4 - b / 2 + g / 2).value)),
+        _times(j0, (b / 6 - g / 2 + d).value))
 
 
 def _outcome(fn):
-    """The nonzero entries of each matrix fn() gives, or its error's type and message."""
+    """The nonzero entries of each matrix fn() gives as dense rows, row-major,
+    or its error's type and message."""
     try:
-        return [list(m.entries()) for m in fn()]
+        return [[(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)
+                 if not scalar_is_zero(x)] for rows in fn()]
     except ArithmeticError as exc:
         return (type(exc).__name__, str(exc))
 
@@ -444,12 +483,12 @@ def test_entrywise_relations_and_casimir_match_the_matrix_expressions(field):
 
         def entrywise():
             res = check_deformed_relations(rep, params)
-            return res.raising, res.lowering, res.bracket
+            return res.raising.rows, res.lowering.rows, res.bracket.rows
 
         got = _outcome(entrywise)
         _assert_same_or_both_mix_radicands(
             got, _outcome(lambda: _matrix_relations(rep, params)), radicands)
-        casimir = _outcome(lambda: [casimir_matrix(rep, params)])
+        casimir = _outcome(lambda: [casimir_matrix(rep, params).rows])
         _assert_same_or_both_mix_radicands(
             casimir, _outcome(lambda: [_matrix_casimir(rep, params)]), radicands)
         errors += isinstance(got, tuple) + isinstance(casimir, tuple)
@@ -462,7 +501,7 @@ def test_entrywise_relations_and_casimir_match_the_matrix_expressions(field):
 
 def test_triple_dimension_validation():
     with pytest.raises(ValueError):
-        MatrixTriple(Matrix.zeros(2), Matrix.zeros(3), Matrix.zeros(3))
+        MatrixTriple(zeros(2), zeros(3), zeros(3))
 
 
 # -- oracle: the bracket's cubic by Horner's scheme on the scalars themselves --

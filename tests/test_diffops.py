@@ -26,7 +26,7 @@ from sl2deform.diffops import (
     lie_closure_probe,
     parse_diffop,
 )
-from sl2deform.matrices import Matrix, commutator
+from sl2deform.matrices import Matrix
 from sl2deform.reps import (
     build_new_rep_matrices,
     case_rep_spec,
@@ -301,6 +301,17 @@ def test_operator_arithmetic_equals_the_validating_oracle(rng):
                 assert all(t in (Fr, QuadExt) for _, _, t in got), got
                 results += bool(got)
     assert raised > 50 and results > 2000, (raised, results)
+
+
+def test_a_sum_with_a_foreign_operand_raises_type_error():
+    # + and - decline what is not a DiffOp, so Python raises TypeError rather
+    # than an AttributeError from inside the sum
+    euler = DiffOp.euler()
+    for other in (1, Fr(1, 2), quadext(1, 1, 2), Matrix.diagonal([1, 2])):
+        for op in (lambda x, y: x + y, lambda x, y: x - y):
+            for left, right in ((euler, other), (other, euler)):
+                with pytest.raises(TypeError, match="unsupported operand type"):
+                    op(left, right)
 
 
 def test_every_route_to_an_operator_gives_one_stored_form(rng):
@@ -1345,10 +1356,38 @@ def _scalar_rows(rows, den):
     return [{j: from_numerator(v, den) for j, v in row.items()} for row in rows]
 
 
+def _dense_commutator(a, b):
+    """AB - BA of two square lists of dense rows, in the tests' arithmetic
+    (exact_field.Q), as rows {column: nonzero value}.  Each product is formed
+    in ``Matrix @``'s documented order: row by row, the inner index ascending,
+    zero factors skipped; BA is then subtracted from AB entry by entry,
+    row-major."""
+    n = len(a)
+
+    def product(x, y):
+        out = []
+        for i in range(n):
+            acc = [Q(0)] * n
+            for k in range(n):
+                if scalar_is_zero(x[i][k]):
+                    continue
+                for j in range(n):
+                    if not scalar_is_zero(y[k][j]):
+                        acc[j] = acc[j] + Q(x[i][k]) * y[k][j]
+            out.append(acc)
+        return out
+
+    rows = []
+    for ab, ba in zip(product(a, b), product(b, a)):
+        diff = [p - q for p, q in zip(ab, ba)]
+        rows.append({j: v.value for j, v in enumerate(diff) if v})
+    return rows
+
+
 def test_bracket_rows_equal_the_matrix_commutator(rng):
     # sparse matrices over Q, Q(sqrt 2), Q(sqrt 3) or both, bracketed as their
-    # numerator rows and as Matrix: the same entries of the same types, or
-    # the same error
+    # numerator rows and as dense rows of their entries: the same entries of
+    # the same types, or the same error
     root3 = QuadExt(0, 1, 3)
     fields = [(), (ROOT2,), (root3,), (ROOT2, root3)]
     raised = results = 0
@@ -1379,7 +1418,7 @@ def test_bracket_rows_equal_the_matrix_commutator(rng):
     pairs += [(e12, e21), (flip, mixed)]
     for a, b in pairs:
         got = _bracket_outcome(lambda: bracket(a, b))
-        want = _bracket_outcome(lambda: _scalar_rows(commutator(a, b)._rows, commutator(a, b)._den))
+        want = _bracket_outcome(lambda: _dense_commutator(a.rows, b.rows))
         assert got == want, (a, b)
         if isinstance(got, str):
             raised += 1

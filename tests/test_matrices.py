@@ -5,7 +5,6 @@ import pytest
 from sl2deform.matrices import (
     BlockSplit,
     Matrix,
-    commutator,
     coordinate_block_split,
     is_scalar_multiple_of_identity,
 )
@@ -21,51 +20,60 @@ from conftest import assert_names_two_radicands, rand_fraction
 from exact_field import Q
 
 
+def matrix(rows):
+    """The Matrix of a square list of dense rows, through ``from_entries``."""
+    return Matrix.from_entries(
+        len(rows), {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)})
+
+
 def rand_matrix(rng, n):
-    return Matrix([[rand_fraction(rng) for _ in range(n)] for _ in range(n)])
+    return matrix([[rand_fraction(rng) for _ in range(n)] for _ in range(n)])
+
+
+def bracket(a, b):
+    """AB - BA: the two products of ``@``, subtracted in the tests' arithmetic."""
+    return matrix(dense_entrywise((a @ b).rows, (b @ a).rows, lambda x, y: (Q(x) - y).value))
 
 
 def test_defining_sl2_commutator():
     h = Matrix.diagonal([1, -1])
-    e12 = Matrix([[0, 1], [0, 0]])
-    assert commutator(h, e12) == e12 * 2
+    e12 = matrix([[0, 1], [0, 0]])
+    assert bracket(h, e12) == matrix([[0, 2], [0, 0]])
 
 
 def test_identity_commutes(rng):
     b = rand_matrix(rng, 4)
-    assert commutator(Matrix.identity(4), b).is_zero()
+    one = Matrix.diagonal([1] * 4)
+    assert one @ b == b @ one == b
 
 
 def test_spin_half_ladder_bracket():
     # 2x2 spin matrices: [j+, j-] = 2 j0
-    j0 = Matrix.diagonal([Fr(-1, 2), Fr(1, 2)])
-    jp = Matrix([[0, 0], [1, 0]])
-    jm = Matrix([[0, 1], [0, 0]])
-    assert commutator(jp, jm) == j0 * 2
+    jp = matrix([[0, 0], [1, 0]])
+    jm = matrix([[0, 1], [0, 0]])
+    assert bracket(jp, jm) == Matrix.diagonal([-1, 1])
 
 
 def test_commutator_antisymmetry_and_jacobi(rng):
     for _ in range(10):
         a, b, c = (rand_matrix(rng, 3) for _ in range(3))
-        assert commutator(a, b) == -commutator(b, a)
-        jacobi = (
-            commutator(a, commutator(b, c))
-            + commutator(b, commutator(c, a))
-            + commutator(c, commutator(a, b))
-        )
-        assert jacobi.is_zero()
+        assert bracket(a, b).rows == as_tuples(
+            [[(-Q(x)).value for x in row] for row in bracket(b, a).rows])
+        terms = (bracket(a, bracket(b, c)), bracket(b, bracket(c, a)), bracket(c, bracket(a, b)))
+        jacobi = [Q(x) + y + z for rows in zip(*(t.rows for t in terms)) for x, y, z in zip(*rows)]
+        assert not any(jacobi)
 
 
 def test_quadext_entries_multiply():
     root2 = sqrt_exact(2)
-    m = Matrix([[0, root2], [root2, 0]])
-    assert (m @ m) == Matrix.identity(2) * 2
+    m = matrix([[0, root2], [root2, 0]])
+    assert (m @ m) == Matrix.diagonal([2, 2])
 
 
 def test_is_scalar_multiple_of_identity():
     assert is_scalar_multiple_of_identity(Matrix.diagonal([5, 5, 5])) == Fr(5)
     assert is_scalar_multiple_of_identity(Matrix.diagonal([1, 2])) is None
-    assert is_scalar_multiple_of_identity(Matrix([[1, 1], [0, 1]])) is None
+    assert is_scalar_multiple_of_identity(matrix([[1, 1], [0, 1]])) is None
 
 
 def test_block_split_diagonals_are_singletons():
@@ -74,13 +82,13 @@ def test_block_split_diagonals_are_singletons():
 
 
 def test_block_split_dense_is_single_block(rng):
-    dense = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    dense = matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert coordinate_block_split([dense]).blocks == ((0, 1, 2),)
 
 
 def test_block_split_permutation_invariant(rng):
-    a = Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
-    b = Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 1]])
+    a = matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    b = matrix([[0, 0, 0], [1, 0, 0], [0, 0, 1]])
     c = Matrix.diagonal([1, 1, 1])
     expected = ((0, 1), (2,))
     for ops in ([a, b, c], [c, b, a], [b, a, c]):
@@ -89,21 +97,52 @@ def test_block_split_permutation_invariant(rng):
 
 def test_block_split_needs_matching_dimensions():
     with pytest.raises(ValueError):
-        coordinate_block_split([Matrix.identity(2), Matrix.identity(3)])
+        coordinate_block_split([Matrix.diagonal([1] * 2), Matrix.diagonal([1] * 3)])
     with pytest.raises(ValueError):
         coordinate_block_split([])
 
 
 def test_dimension_mismatch():
-    with pytest.raises(ValueError):
-        Matrix.identity(2) + Matrix.identity(3)
-    with pytest.raises(ValueError):
-        Matrix.identity(2) @ Matrix.identity(3)
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+        Matrix.diagonal([1] * 2) @ Matrix.diagonal([1] * 3)
 
 
-def test_matrix_is_square():
-    with pytest.raises(ValueError):
-        Matrix([[1, 2, 3], [4, 5, 6]])
+def test_matrix_has_no_ring_arithmetic():
+    # values enter through from_entries and diagonal, and @ is the one
+    # operation: every other operator raises Python's own TypeError, in both
+    # operand orders, against a scalar of each kind and against a Matrix
+    root2 = sqrt_exact(2)
+    m = matrix([[1, root2], [0, Fr(-1, 2)]])
+    binary = (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+              lambda x, y: x / y, lambda x, y: x ** y)
+    for other in (2, Fr(1, 3), quadext(1, 1, 2), m, Matrix.diagonal([1, 1])):
+        for op in binary:
+            for left, right in ((m, other), (other, m)):
+                with pytest.raises(TypeError):
+                    op(left, right)
+    with pytest.raises(TypeError):
+        -m
+    for args in ([[1, 0], [0, 1]],), ():
+        with pytest.raises(TypeError, match="^a Matrix is built by Matrix.from_entries"):
+            Matrix(*args)
+    # what a Matrix does
+    assert m @ m == matrix([[1, quadext(0, Fr(1, 2), 2)], [0, Fr(1, 4)]])
+    assert m == matrix([[1, root2], [0, Fr(-1, 2)]]) and m != Matrix.diagonal([1, 1])
+    assert hash(m) == hash(Matrix.from_entries(2, {(1, 1): Fr(-1, 2), (0, 0): 1, (0, 1): root2}))
+    assert (m[0, 1], m[1, 0]) == (root2, 0)
+    assert list(m.entries()) == [(0, 0, 1), (0, 1, root2), (1, 1, Fr(-1, 2))]
+    assert m.rows == ((1, root2), (0, Fr(-1, 2)))
+    assert m.to_strings() == [["1", "1*sqrt(2)"], ["0", "-1/2"]]
+
+
+def test_a_product_with_a_foreign_operand_raises_type_error():
+    # @ declines what is not a Matrix, so Python raises TypeError rather
+    # than an AttributeError from inside the product
+    m = Matrix.diagonal([1, 2])
+    for other in (2, Fr(1, 3), quadext(1, 1, 2), [[1, 0], [0, 1]]):
+        for left, right in ((m, other), (other, m)):
+            with pytest.raises(TypeError, match="unsupported operand type"):
+                left @ right
 
 
 def test_block_split_validation():
@@ -114,7 +153,7 @@ def test_block_split_validation():
 
 
 def test_to_strings_row_major():
-    m = Matrix([[Fr(1, 2), 0], [sqrt_exact(3), 1]])
+    m = matrix([[Fr(1, 2), 0], [sqrt_exact(3), 1]])
     assert m.to_strings() == [["1/2", "0"], ["1*sqrt(3)", "1"]]
 
 
@@ -196,27 +235,17 @@ FIELDS = ((1,), (1, 2))  # Q, and Q(sqrt 2) with rational entries mixed in
 
 @pytest.mark.parametrize("radicands", FIELDS)
 def test_sparse_matches_the_dense_loop(rng, radicands):
-    scalars = [Fr(0), Fr(-3, 2), quadext(1, 1, 2) if 2 in radicands else Fr(5)]
     for n in range(13):
         for density in (0.0, 0.1, 0.3, 0.6, 1.0):
             a, b = (rand_sparse(rng, n, density, radicands) for _ in range(2))
-            ma, mb = Matrix(a), Matrix(b)
+            ma, mb = matrix(a), matrix(b)
             assert ma.dimension == n and ma.rows == as_tuples(a)
             assert ma.to_strings() == [[render_scalar(x) for x in row] for row in a]
             assert ma.is_zero() == all(scalar_is_zero(x) for row in a for x in row)
-            assert (ma + mb).rows == as_tuples(dense_entrywise(a, b, lambda x, y: (Q(x) + y).value))
-            assert (ma - mb).rows == as_tuples(dense_entrywise(a, b, lambda x, y: (Q(x) - y).value))
-            assert (-ma).rows == as_tuples([[(-Q(x)).value for x in row] for row in a])
-            for s in scalars:
-                expected = as_tuples([[(Q(x) * s).value for x in row] for row in a])
-                assert (ma * s).rows == expected and (s * ma).rows == expected
-            ab, ba = dense_matmul(a, b), dense_matmul(b, a)
-            assert (ma @ mb).rows == as_tuples(ab)
-            assert commutator(ma, mb).rows == as_tuples(
-                dense_entrywise(ab, ba, lambda x, y: (Q(x) - y).value))
+            assert (ma @ mb).rows == as_tuples(dense_matmul(a, b))
             assert (ma == mb) == (a == b)
-            assert ma == Matrix(a) and hash(ma) == hash(Matrix(a))
-            assert (ma == Matrix.zeros(n)) == ma.is_zero()
+            assert ma == matrix(a) and hash(ma) == hash(matrix(a))
+            assert (ma == Matrix.from_entries(n, {})) == ma.is_zero()
             if n:
                 assert coordinate_block_split([ma, mb]).blocks == dense_blocks([a, b], n)
                 assert is_scalar_multiple_of_identity(ma) == dense_scalar_of(a)
@@ -225,7 +254,7 @@ def test_sparse_matches_the_dense_loop(rng, radicands):
 @pytest.mark.parametrize("radicands", FIELDS)
 def test_scalar_multiples_of_identity_match_the_dense_test(rng, radicands):
     with pytest.raises(IndexError):
-        is_scalar_multiple_of_identity(Matrix([]))
+        is_scalar_multiple_of_identity(matrix([]))
     with pytest.raises(IndexError):
         dense_scalar_of([])
     for n in range(1, 13):
@@ -237,9 +266,9 @@ def test_scalar_multiples_of_identity_match_the_dense_test(rng, radicands):
             bumped[i][j] = (Q(bumped[i][j]) + rand_entry(rng, radicands)).value
             variants.append(bumped)
             for rows in variants:
-                got = is_scalar_multiple_of_identity(Matrix(rows))
+                got = is_scalar_multiple_of_identity(matrix(rows))
                 assert got == dense_scalar_of(rows)
-            assert is_scalar_multiple_of_identity(Matrix(a)) == lam
+            assert is_scalar_multiple_of_identity(matrix(a)) == lam
 
 
 def assert_same_or_both_mix_radicands(sparse, dense, radicands):
@@ -261,32 +290,25 @@ def test_mixed_radicands_raise_what_the_dense_loop_raises(rng):
     a = [[r2, Fr(0), r3], [Fr(0)] * 3, [Fr(0)] * 3]
     b = [[Fr(1), Fr(0), Fr(0)], [Fr(0)] * 3, [Fr(1), Fr(0), Fr(0)]]
     with pytest.raises(ScalarDomainError, match=r"sqrt\(2\) and sqrt\(3\)"):
-        Matrix(a) @ Matrix(b)
+        matrix(a) @ matrix(b)
     # ... and the other way round when k runs the other way
     a = [[r3, Fr(0), r2], [Fr(0)] * 3, [Fr(0)] * 3]
     with pytest.raises(ScalarDomainError, match=r"sqrt\(3\) and sqrt\(2\)"):
-        Matrix(a) @ Matrix(b)
+        matrix(a) @ matrix(b)
     # entry (0, 0) meets a clash at k = 2, entry (0, 1) at k = 1: the product
     # raises, naming either
     a = [[r2, r3, r5], [Fr(0)] * 3, [Fr(0)] * 3]
     b = [[Fr(1), Fr(1), Fr(0)], [Fr(0), Fr(1), Fr(0)], [Fr(1), Fr(0), Fr(0)]]
     with pytest.raises(ScalarDomainError):
-        Matrix(a) @ Matrix(b)
+        matrix(a) @ matrix(b)
     # random matrices over three fields: the same value, or both raise
     radicands = (1, 2, 3, 5)
     for n in range(1, 9):
         for density in (0.2, 0.5, 1.0):
             a, b = (rand_sparse(rng, n, density, radicands) for _ in range(2))
-            ma, mb = Matrix(a), Matrix(b)
-            cases = (
-                (lambda: (ma @ mb).rows, lambda: as_tuples(dense_matmul(a, b))),
-                (lambda: (ma + mb).rows,
-                 lambda: as_tuples(dense_entrywise(a, b, lambda x, y: (Q(x) + y).value))),
-                (lambda: (ma - mb).rows,
-                 lambda: as_tuples(dense_entrywise(a, b, lambda x, y: (Q(x) - y).value))),
-            )
-            for sparse, dense in cases:
-                assert_same_or_both_mix_radicands(sparse, dense, radicands)
+            ma, mb = matrix(a), matrix(b)
+            assert_same_or_both_mix_radicands(
+                lambda: (ma @ mb).rows, lambda: as_tuples(dense_matmul(a, b)), radicands)
 
 
 def test_from_entries_matches_dense_rows(rng):
@@ -294,7 +316,10 @@ def test_from_entries_matches_dense_rows(rng):
         rows = rand_sparse(rng, n, 0.4, (1, 2))
         entries = {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)}
         built = Matrix.from_entries(n, entries)
-        assert built == Matrix(rows)
+        assert built.rows == as_tuples(rows)
+        nonzero = {key: x for key, x in reversed(entries.items()) if not scalar_is_zero(x)}
+        assert built == Matrix.from_entries(n, nonzero)
+        assert hash(built) == hash(Matrix.from_entries(n, nonzero))
         assert list(built.entries()) == [
             (i, j, x) for (i, j), x in sorted(entries.items()) if not scalar_is_zero(x)
         ]
@@ -314,4 +339,4 @@ def test_classic_spin_twenty_exactly():
     triple = build_classic_sl2_matrices(40)
     assert check_deformed_relations(triple, classic).all_zero
     j = Fr(20)
-    assert casimir_matrix(triple, classic) == Matrix.identity(41) * (j * (j + 1))
+    assert casimir_matrix(triple, classic) == Matrix.diagonal([j * (j + 1)] * 41)

@@ -47,12 +47,16 @@ def test_bench_count_hooks_read_irrational_matrices_and_operators():
 
     from sl2deform.algebra import build_classic_sl2_matrices
     from sl2deform.diffops import DiffOp
+    from sl2deform.matrices import Matrix
     from sl2deform.scalars import QuadExt, quadext
 
     hooks = runpy.run_path(str(ROOT / "bench" / "layers.py"))
     triple = build_classic_sl2_matrices(6)
+    # J+ + J0: J+ lies below the diagonal, so the two share no entry
+    plus_j0 = Matrix.from_entries(triple.dimension, {
+        (i, j): x for m in (triple.jplus, triple.j0) for i, j, x in m.entries()})
     pairs = [(triple.jplus, triple.jminus), (triple.jminus, triple.jplus),
-             (triple.jplus + triple.j0, triple.jminus @ triple.jplus)]
+             (plus_j0, triple.jminus @ triple.jplus)]
     for a, b in pairs:
         n = a.dimension
         col_nnz = Counter(k for _, k, _ in a.entries())
