@@ -31,7 +31,8 @@ from .diffops import (
 )
 from .matrices import Matrix, is_scalar_multiple_of_identity
 from .reps import carried_label, decompose_rep, intrinsic_gamma_and_product, solve_case
-from .scalars import digit_limit, parse_int, parse_scalar, render_scalar, scalar_is_zero
+from .scalars import (digit_limit, parse_int, parse_numerator, parse_scalar, render_numerator,
+                      render_scalar, scalar_is_zero)
 
 PASS, FAIL, ERROR = "pass", "fail", "error"
 _EXIT = {PASS: 0, FAIL: 1, ERROR: 2}
@@ -255,12 +256,13 @@ def _write_rep_file(path: str, triple: MatrixTriple, params: AlgebraParams) -> N
     # [src, dst, coefficient], (src, dst) ascending: J+ below the diagonal
     # and J- above it, each entry at row dst and column src
     ladders = sorted(
-        [[src, dst, render_scalar(x)] for dst, src, x in triple.jplus.entries() if dst > src]
-        + [[src, dst, render_scalar(x)] for dst, src, x in triple.jminus.entries() if dst < src]
+        [[src, dst, x] for dst, src, x in triple.jplus.entries(render_numerator) if dst > src]
+        + [[src, dst, x] for dst, src, x in triple.jminus.entries(render_numerator) if dst < src]
     )
+    ts, h = triple.diagonal_numerators
     payload = {
         "dimension": n,
-        "diagonal": [render_scalar(x) for x in triple.diagonal],
+        "diagonal": [render_numerator(t, h) for t in ts],
         "ladders": ladders,
         "params": {
             "alpha": render_scalar(params.alpha),
@@ -296,13 +298,13 @@ def _is_index(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _scalar_field(value, where: str):
+def _scalar_text(value, where: str) -> str:
     if not isinstance(value, str):
         raise ValueError(
             f'{where} must be a scalar string such as "-1/2" or "3*sqrt(2)", '
             f"got {json.dumps(value)}"
         )
-    return parse_scalar(value)
+    return value
 
 
 def _read_rep_check_input(rep, params) -> tuple[MatrixTriple, AlgebraParams]:
@@ -314,7 +316,7 @@ def _read_rep_check_input(rep, params) -> tuple[MatrixTriple, AlgebraParams]:
     ladder entry is a list [src, dst, coefficient] of two distinct in-range
     indices, no (src, dst) pair given twice; every scalar is a string.
     Anything else raises ValueError (KeyError for a missing field) with a
-    one-line message.
+    one-line message.  Entries are parsed to numerators, parameters to values.
     """
     if not isinstance(rep, dict):
         raise ValueError("the rep file must hold a JSON object")
@@ -330,7 +332,7 @@ def _read_rep_check_input(rep, params) -> tuple[MatrixTriple, AlgebraParams]:
     diag = rep["diagonal"]
     if not isinstance(diag, list) or len(diag) != n:
         raise ValueError("diagonal length does not match dimension")
-    j0 = Matrix.diagonal([_scalar_field(x, "diagonal entry") for x in diag])
+    j0 = {(i, i): parse_numerator(_scalar_text(x, "diagonal entry")) for i, x in enumerate(diag)}
     ladders = rep.get("ladders", [])
     if not isinstance(ladders, list):
         raise ValueError("ladders must be a list of [src, dst, coefficient] entries")
@@ -348,17 +350,15 @@ def _read_rep_check_input(rep, params) -> tuple[MatrixTriple, AlgebraParams]:
         ladder = plus if dst > src else minus
         if (dst, src) in ladder:
             raise ValueError(f"duplicate ladder entry ({src}, {dst})")
-        ladder[(dst, src)] = _scalar_field(text, f"ladder entry ({src}, {dst})")
-    triple = MatrixTriple(
-        j0=j0, jplus=Matrix.from_entries(n, plus), jminus=Matrix.from_entries(n, minus)
-    )
-    values = {name: _scalar_field(params[name], name)
+        ladder[(dst, src)] = parse_numerator(_scalar_text(text, f"ladder entry ({src}, {dst})"))
+    triple = MatrixTriple(*[Matrix.from_numerators(n, m) for m in (j0, plus, minus)])
+    values = {name: parse_scalar(_scalar_text(params[name], name))
               for name in ("alpha", "beta", "gamma", "delta")}
     return triple, AlgebraParams(**values)
 
 
 def _nonzero_positions(matrix: Matrix) -> list[list]:
-    return [[i, j, render_scalar(x)] for i, j, x in matrix.entries()]
+    return [[i, j, x] for i, j, x in matrix.entries(render_numerator)]
 
 
 def _load_json(path: str):

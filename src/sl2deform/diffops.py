@@ -52,9 +52,10 @@ from .scalars import (
     num_mul,
     num_sub,
     parse_scalar,
-    render_scalar,
+    render_numerator,
     scalar_is_zero,
     sqrt_exact,
+    to_numerator,
     to_numerators,
 )
 
@@ -339,9 +340,9 @@ class DiffOp:
         entries = {}
         for r, row in enumerate(rows):
             for c, v in row.items():
-                (x,), q = to_numerators([sqrt_exact(ns[c] / ns[r])])
-                entries[(r, c)] = from_numerator(num_mul(v, x), self._den * q)
-        return Matrix.from_entries(space.dimension, entries)
+                x, q = to_numerator(sqrt_exact(ns[c] / ns[r]))
+                entries[(r, c)] = num_mul(v, x), self._den * q
+        return Matrix.from_numerators(space.dimension, entries)
 
     # -- identity ------------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -368,7 +369,7 @@ class DiffOp:
         for n, m in sorted([(n, m) for m, n in num], reverse=True):
             v = num[(m, n)]
             if type(v) is not int:
-                value = f"+ ({render_scalar(from_numerator(v, den))})"
+                value = f"+ ({render_numerator(v, den)})"
             elif den == 1:
                 value = f"- {-v}" if v < 0 else f"+ {v}"
             else:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .scalars import (
@@ -23,9 +24,9 @@ from .scalars import (
     num_div,
     num_gcd,
     num_mul,
-    render_scalar,
+    render_numerator,
     scalar_is_zero,
-    to_numerators,
+    to_numerator,
 )
 
 _ZERO = Fraction(0)
@@ -38,14 +39,17 @@ class Matrix:
     ``_rows[i]`` maps each column of a nonzero entry of row i to that entry's
     numerator (``scalars.to_numerators``), columns ascending, and ``_den`` is
     their common positive denominator, in lowest terms, as a ``DiffOp``
-    stores its terms.  Values enter only through :meth:`from_entries` and
-    :meth:`diagonal`, as Fractions and QuadExts, and leave as those through
-    :attr:`rows`, :meth:`entries` and indexing.  ``@`` is the one operation:
-    it multiplies the rows by :func:`row_product`, which the Lie closure
-    probe applies to its rows with no Matrix.  Entries may live in different
-    quadratic extensions; compatibility is enforced lazily, by the numerator
-    arithmetic of a product that actually combines two entries.  Any other
-    operator, and ``Matrix(rows)``, raises ``TypeError``.
+    stores its terms.  Entries enter as (numerator, den) pairs through one
+    builder, :meth:`from_numerators`: ``rep-check`` parses them from text,
+    :meth:`from_entries` and :meth:`diagonal` take them from values.  They
+    leave as values through :attr:`rows`, :meth:`entries` and indexing, and as
+    text rendered from the numerators, no value built, through
+    :meth:`to_strings` and ``entries(render_numerator)``.  ``@`` is the one
+    operation: it multiplies the rows by :func:`row_product`, which the Lie
+    closure probe applies to its rows with no Matrix.  Entries may live in
+    different quadratic extensions; compatibility is enforced lazily, by the
+    numerator arithmetic of a product that actually combines two entries.  Any
+    other operator, and ``Matrix(rows)``, raises ``TypeError``.
     """
 
     __slots__ = ("dimension", "_rows", "_den")
@@ -81,18 +85,30 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def from_entries(cls, n: int, entries: Mapping[tuple[int, int], object]) -> "Matrix":
-        """The n x n matrix with the given {(row, column): value} entries, zero elsewhere."""
+    def from_numerators(cls, n: int, entries: Mapping[tuple[int, int], tuple]) -> "Matrix":
+        """The n x n matrix with the entries {(row, column): (numerator, den)},
+        den > 0, zero elsewhere: the one builder.  The pairs need not be in
+        lowest terms; the nonzero numerators are scaled to the lcm of their
+        denominators and the matrix is reduced once."""
         if n < 0:
             raise ValueError("dimension must be nonnegative")
         nonzero = []
-        for (i, j), x in sorted(entries.items()):
+        for (i, j), (v, d) in sorted(entries.items()):
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"entry ({i}, {j}) lies outside a {n} x {n} matrix")
-            x = as_scalar(x)
-            if not scalar_is_zero(x):
-                nonzero.append((i, j, x))
-        return cls._of(n, *_numerator_rows(n, nonzero))
+            if v:
+                nonzero.append((i, j, v, d))
+        den = lcm(*[d for _, _, _, d in nonzero])
+        rows: list[dict] = [{} for _ in range(n)]
+        for i, j, v, d in nonzero:
+            f = den // d
+            rows[i][j] = v * f if type(v) is int else (v[0] * f, v[1] * f, v[2])
+        return cls._lowest(rows, den)
+
+    @classmethod
+    def from_entries(cls, n: int, entries: Mapping[tuple[int, int], object]) -> "Matrix":
+        """The n x n matrix with the given {(row, column): value} entries, zero elsewhere."""
+        return cls.from_numerators(n, {k: to_numerator(as_scalar(x)) for k, x in entries.items()})
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "Matrix":
@@ -101,24 +117,25 @@ class Matrix:
     @property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
         """Dense row-major view, zeros included."""
-        return tuple([tuple(row) for row in self._dense(_ZERO, lambda x: x)])
+        return tuple([tuple(row) for row in self._dense(_ZERO, from_numerator)])
 
-    def _dense(self, zero, render) -> list[list]:
+    def _dense(self, zero, value) -> list[list]:
         out = []
         den = self._den
         for row in self._rows:
             dense = [zero] * self.dimension
             for j, v in row.items():
-                dense[j] = render(from_numerator(v, den))
+                dense[j] = value(v, den)
             out.append(dense)
         return out
 
-    def entries(self) -> Iterator[tuple[int, int, Scalar]]:
-        """The nonzero entries as (row, column, value), row-major."""
+    def entries(self, value=from_numerator) -> Iterator[tuple[int, int, object]]:
+        """The nonzero entries as (row, column, value(numerator, den)),
+        row-major: the values, or with ``scalars.render_numerator`` their text."""
         den = self._den
         for i, row in enumerate(self._rows):
             for j, v in row.items():
-                yield i, j, from_numerator(v, den)
+                yield i, j, value(v, den)
 
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         i, j = key
@@ -162,20 +179,10 @@ class Matrix:
 
     def to_strings(self) -> list[list[str]]:
         """Row-major rendering for reports."""
-        return self._dense(render_scalar(_ZERO), render_scalar)
+        return self._dense("0", render_numerator)
 
     def __repr__(self):
         return f"Matrix({self.to_strings()})"
-
-
-def _numerator_rows(n: int, entries: Sequence[tuple[int, int, Scalar]]) -> tuple[list, int]:
-    """The n rows {column: numerator} and the denominator of the nonzero
-    entries (row, column, value), given row-major."""
-    nums, den = to_numerators([x for _, _, x in entries])
-    rows: list[dict] = [{} for _ in range(n)]
-    for (i, j, _), v in zip(entries, nums):
-        rows[i][j] = v
-    return rows, den
 
 
 def row_product(a: Sequence[dict], b: Sequence[dict]) -> list[dict]:

@@ -2,10 +2,11 @@
 
 A value of this package is either a ``fractions.Fraction`` or a ``QuadExt``
 value ``a + b*sqrt(D)`` with rational ``a``, ``b`` and squarefree integer
-``D >= 2``: that is what parsing gives and rendering, ``DiffOp.terms`` and the
-entries of a ``Matrix`` take.  A ``QuadExt`` stores integers,
-``(p + q*sqrt(D))/n`` in lowest terms with ``n > 0``; it is parsed, rendered,
-compared and hashed, and has no arithmetic operators.
+``D >= 2``: what :func:`parse_scalar`, ``DiffOp.terms`` and ``Matrix.entries``
+give, and :func:`render_scalar` and ``Matrix.from_entries`` take.  A
+``QuadExt`` stores integers, ``(p + q*sqrt(D))/n`` in lowest terms with
+``n > 0``; it is parsed, rendered, compared and hashed, and has no arithmetic
+operators.
 
 Arithmetic runs on numerators over one positive denominator instead
 (:func:`to_numerators`, :func:`from_numerator`).  A numerator is an int, or,
@@ -22,9 +23,14 @@ silent coercion: ``num_add``, ``num_sub`` and ``num_mul`` raise the one
 a matrix computation mixes them at several entries, which entry's clash is
 reported is not fixed.
 
+Text goes to and from numerators with no value in between: the one grammar,
+:func:`parse_numerator`, and the one renderer, :func:`render_numerator`, which
+:func:`parse_scalar` and :func:`render_scalar` wrap for values.  So
+``rep-check`` reads its input and writes its matrices building no value.
+
 A radicand is split into its square and squarefree parts once, where a value
-enters: by :func:`parse_scalar`, :func:`sqrt_exact`, :func:`quadext` or the
-validating ``QuadExt`` constructor.  Arithmetic keeps the radicand its
+enters: by :func:`parse_numerator`, :func:`sqrt_exact`, :func:`quadext` or
+the validating ``QuadExt`` constructor.  Arithmetic keeps the radicand its
 operands were built with and never factors it again.
 """
 
@@ -227,6 +233,13 @@ def quadext(a, b, d: int) -> Scalar:
     )
 
 
+def to_numerator(value: Scalar) -> tuple[object, int]:
+    """A value's numerator over its own denominator, in lowest terms."""
+    if isinstance(value, QuadExt):
+        return (value._p, value._q, value._d), value._n
+    return value.numerator, value.denominator
+
+
 def to_numerators(values: Sequence) -> tuple[list, int]:
     """The values over the lcm ``den`` of their denominators: their numerators
     and ``den``, in lowest terms: no prime divides ``den`` and every numerator.
@@ -392,11 +405,14 @@ def _ratio(text: str) -> tuple[int, int]:
     return num, den
 
 
-def parse_scalar(text: str) -> Scalar:
+def parse_numerator(text: str) -> tuple[object, int]:
+    """The numerator and positive denominator, not reduced, of the scalar
+    ``text`` writes: ``"2/4"`` gives (2, 4), ``"3*sqrt(8)"`` ((0, 6, 2), 1)
+    and ``"0*sqrt(2)"`` or ``"sqrt(9)"`` an int numerator."""
     try:  # not a with block: this runs for every scalar of every input
         m = _RAT_RE.match(text)
         if m:
-            return Fraction(*_ratio(m["r"]))
+            return _ratio(m["r"])
         m = _SQRT_RE.match(text)
         if m:
             # a + b*sqrt(D) = (an*bd + bn*sqrt(D)*ad) / (ad*bd), in integers
@@ -408,25 +424,41 @@ def parse_scalar(text: str) -> Scalar:
             if m["sign"] == "-":
                 bn = -bn
             s, d = squarefree_split(int(m["d"]))
+            p, q = an * bd, bn * s * ad
             if d == 1:  # D was a perfect square (or 0): sqrt(D) = s
-                return Fraction(an * bd + bn * s * ad, ad * bd)
-            return _quad(an * bd, bn * s * ad, ad * bd, d)
+                return p + q, ad * bd
+            return (p, q, d) if q else p, ad * bd
     except ValueError:
         with digit_limit("an input scalar"):
             raise
     raise ValueError(f"cannot parse scalar {text!r}")
 
 
-def render_scalar(value: Scalar) -> str:
-    value = as_scalar(value)
+def parse_scalar(text: str) -> Scalar:
+    return from_numerator(*parse_numerator(text))
+
+
+def _ratio_text(p: int, n: int) -> str:
+    """p/n, n > 0, as ``str`` of its ``Fraction`` writes it."""
+    g = gcd(p, n)
+    return str(p // g) if n == g else f"{p // g}/{n // g}"
+
+
+def render_numerator(v, den: int) -> str:
+    """The text of the scalar v / den of a numerator v, den > 0 and the pair
+    not necessarily in lowest terms; no value is built."""
     try:  # not a with block: this runs for every scalar of every report
-        if isinstance(value, Fraction):
-            return str(value)
-        radical = f"{Fraction(abs(value.q), value.n)}*sqrt({value.d})"
-        if not value.p:
-            return radical if value.q > 0 else f"-{radical}"
-        joiner = " + " if value.q > 0 else " - "
-        return f"{value.a}{joiner}{radical}"
+        if type(v) is int:
+            return _ratio_text(v, den)
+        p, q, d = v
+        radical = f"{_ratio_text(abs(q), den)}*sqrt({d})"
+        if not p:
+            return radical if q > 0 else f"-{radical}"
+        return f"{_ratio_text(p, den)}{' + ' if q > 0 else ' - '}{radical}"
     except ValueError:
         with digit_limit("a report value"):
             raise
+
+
+def render_scalar(value: Scalar) -> str:
+    return render_numerator(*to_numerator(as_scalar(value)))

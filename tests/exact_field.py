@@ -11,7 +11,11 @@ Where two irrationals over different radicands meet, it raises the package's
 error, ``scalars.mixed_radicands(d1, d2)``, naming the left operand's first,
 so that an oracle compares messages too.  A result whose radical part cancels
 is rational and meets any radicand.  :attr:`Q.value` gives the package's
-scalar, through ``quadext``.
+scalar: the ``Fraction`` part of a rational, and ``quadext`` of an irrational.
+
+Where an operand is rational, the products and sums with its zero radical
+part are left out: they are zero, so the values are those of the full
+formulas, formed with fewer ``Fraction`` operations.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from fractions import Fraction
 
 from sl2deform.scalars import QuadExt, mixed_radicands, quadext
 
+_ZERO = Fraction(0)
+
 
 class Q:
     """a + b*sqrt(d), held as two Fractions and d; d == 0 exactly when b == 0."""
@@ -27,10 +33,12 @@ class Q:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, x):
-        if isinstance(x, (Q, QuadExt)):
+        if type(x) is Fraction:
+            self.a, self.b, self.d = x, _ZERO, 0
+        elif isinstance(x, (Q, QuadExt)):
             self.a, self.b, self.d = x.a, x.b, x.d
         elif isinstance(x, (int, Fraction)):
-            self.a, self.b, self.d = Fraction(x), Fraction(0), 0
+            self.a, self.b, self.d = Fraction(x), _ZERO, 0
         else:
             raise TypeError(f"not an exact scalar: {x!r}")
 
@@ -43,7 +51,7 @@ class Q:
     @property
     def value(self):
         """The package's scalar: a ``Fraction``, or a ``QuadExt`` when b != 0."""
-        return quadext(self.a, self.b, self.d)
+        return quadext(self.a, self.b, self.d) if self.d else self.a
 
     def _pair(self, other, reflected: bool):
         """(left, right, d): self and other lifted, in operand order, and
@@ -55,10 +63,17 @@ class Q:
 
     def _add(self, other, sign: int, reflected: bool = False):
         x, y, d = self._pair(other, reflected)
-        return Q._of(x.a + sign * y.a, x.b + sign * y.b, d)
+        a = x.a + y.a if sign > 0 else x.a - y.a
+        if not d:
+            return Q._of(a, _ZERO, 0)
+        return Q._of(a, x.b + y.b if sign > 0 else x.b - y.b, d)
 
     def _mul(self, other, reflected: bool = False):
         x, y, d = self._pair(other, reflected)
+        if not x.d:
+            return Q._of(x.a * y.a, x.a * y.b if d else _ZERO, d)
+        if not y.d:
+            return Q._of(x.a * y.a, x.b * y.a, d)
         return Q._of(x.a * y.a + x.b * y.b * d, x.a * y.b + x.b * y.a, d)
 
     def _div(self, other, reflected: bool = False):

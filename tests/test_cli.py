@@ -454,6 +454,63 @@ def test_rep_check_spin_reports_equal_the_closed_form(tmp_path, capsys):
             assert code == (1 if perturb else 0)
 
 
+def _unreduced(value, k: int) -> str:
+    """A spelling of ``value`` that is not in lowest terms: each part times
+    k/k, the radicand times 4 with its coefficient halved, and a zero as
+    "-0", "0*sqrt(2)" or "0/5"."""
+    if not isinstance(value, Fr):
+        a, b = value.a, value.b
+        return (f"{a.numerator * k}/{a.denominator * k} + "
+                f"{b.numerator * k}/{b.denominator * k * 2}*sqrt({4 * value.d})")
+    if not value:
+        return ("-0", "0*sqrt(2)", "0/5")[k % 3]
+    return f"{value.numerator * k}/{value.denominator * k}"
+
+
+def test_rep_check_reads_unreduced_spellings_as_their_reduced_twins(tmp_path, capsys):
+    # a clean spin-3 table, one with a ladder entry scaled and one with h_0
+    # moved (irrational residual entries): written in lowest terms and
+    # unreduced, with zero ladder entries added, the reports are one text
+    from sl2deform.scalars import render_scalar, sqrt_exact
+
+    two_j, j = 6, Fr(3)
+    for perturb, moved in ((None, 0), ((3, 2, Fr(5, 3)), 0), (None, Fr(1, 3))):
+        diagonal = [Fr(t, 2) + (moved if t == -two_j else 0)
+                    for t in range(-two_j, two_j + 1, 2)]
+        ladders = []
+        for low in range(two_j):
+            m = -j + low
+            for src, dst in ((low, low + 1), (low + 1, low)):
+                factor = perturb[2] if perturb and perturb[:2] == (src, dst) else 1
+                ladders.append((src, dst, (Q(sqrt_exact((j - m) * (j + m + 1)))
+                                           * factor).value))
+        params = {"alpha": "0", "beta": "0", "gamma": "2", "delta": "0"}
+        reduced = {"dimension": two_j + 1,
+                   "diagonal": [render_scalar(h) for h in diagonal],
+                   "ladders": [[src, dst, render_scalar(x)] for src, dst, x in ladders],
+                   "params": params}
+        unreduced = {"dimension": two_j + 1,
+                     "diagonal": [_unreduced(h, 2 + i) for i, h in enumerate(diagonal)],
+                     "ladders": [[src, dst, _unreduced(x, 2 + i)]
+                                 for i, (src, dst, x) in enumerate(ladders)]
+                     + [[0, 2, "0*sqrt(2)"], [5, 1, "-0"], [6, 4, "0/3"]],
+                     "params": {"alpha": "-0", "beta": "0*sqrt(3)", "gamma": "4/2",
+                                "delta": "0/7"}}
+        for key in ("diagonal", "ladders"):
+            assert all(u != r for u, r in zip(unreduced[key], reduced[key]))
+        outs = []
+        for payload in (reduced, unreduced):
+            path = tmp_path / "rep.json"
+            path.write_text(json.dumps(payload))
+            code = main(["rep-check", "--rep", str(path)])
+            outs.append((code, capsys.readouterr().out))
+        assert outs[0] == outs[1], (perturb, moved)
+        assert outs[0][0] == (0 if perturb is None and not moved else 1)
+        if moved:
+            raising = section(json.loads(outs[0][1]), "relation-residuals")
+            assert any("sqrt(" in x for _, _, x in raising["raising_nonzero_entries"])
+
+
 def test_rep_check_rejects_malformed_input_in_one_line(tmp_path, capsys):
     good = {"dimension": 2, "diagonal": ["-1/2", "1/2"],
             "ladders": [[0, 1, "1"], [1, 0, "1"]],

@@ -323,8 +323,30 @@ def test_from_entries_matches_dense_rows(rng):
         assert list(built.entries()) == [
             (i, j, x) for (i, j), x in sorted(entries.items()) if not scalar_is_zero(x)
         ]
-    with pytest.raises(ValueError):
-        Matrix.from_entries(2, {(0, 2): 1})
+    # a position outside the matrix is refused in either index, zero or not
+    for i, j in ((0, 2), (2, 0), (-1, 1), (1, -1)):
+        for value in (1, 0):
+            with pytest.raises(ValueError, match=rf"^entry \({i}, {j}\) lies outside a 2 x 2 matrix$"):
+                Matrix.from_entries(2, {(i, j): value})
+
+
+def test_from_numerators_reads_unreduced_pairs_in_any_order(rng):
+    # each nonzero entry as its numerator and denominator times k, zeros as
+    # (0, k) pairs, the entries shuffled: the matrix of the dense rows
+    for n in range(6):
+        rows = rand_sparse(rng, n, 0.5, (1, 2, 3))
+        pairs = []
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                k = rng.randint(1, 4)
+                if isinstance(x, Fr):
+                    pairs.append(((i, j), (x.numerator * k, x.denominator * k)))
+                else:
+                    pairs.append(((i, j), ((x.p * k, x.q * k, x.d), x.n * k)))
+        rng.shuffle(pairs)
+        built = Matrix.from_numerators(n, dict(pairs))
+        assert built.rows == as_tuples(rows)
+        assert built == matrix(rows) and hash(built) == hash(matrix(rows))
 
 
 def test_classic_spin_twenty_exactly():

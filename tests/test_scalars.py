@@ -17,9 +17,11 @@ from sl2deform.scalars import (
     num_mul,
     num_sub,
     parse_int,
+    parse_numerator,
     parse_scalar,
     quadext,
     quotient,
+    render_numerator,
     render_scalar,
     scalar_is_zero,
     sqrt_exact,
@@ -597,3 +599,112 @@ def test_quadext_has_no_arithmetic():
     assert x != quadext(1, -1, 2) and x != 1 and x != Fr(1)
     assert hash(x) == hash(parse_scalar(render_scalar(x)))
     assert {x: "v"}[QuadExt(1, 1, 2)] == "v"
+
+
+# -- text <-> numerators: parse_numerator and render_numerator --
+
+
+def _root(big_d: int) -> Q:
+    """sqrt(big_d) in Q, its square factor found by trial: s*sqrt(d)."""
+    s = max(k for k in range(1, big_d + 2) if big_d % (k * k) == 0) if big_d else 0
+    d = big_d // (s * s) if big_d else 1
+    return Q(s) if d == 1 else Q(s) * Q._of(Fr(0), Fr(1), d)
+
+
+def _numerator_q(v, den: int) -> Q:
+    """The numerator v over den as a Q, read off its integers alone."""
+    if type(v) is int:
+        return Q(Fr(v, den))
+    p, q, d = v
+    return Q._of(Fr(p, den), Fr(q, den), d)
+
+
+def _ratio_spelling(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _spellings(an, ad, bn, bd, big_d):
+    """(text, value) pairs writing an/ad + bn/bd*sqrt(big_d) in every form of
+    the grammar, the parts left unreduced as given."""
+    a, b, root = Fr(an, ad), Fr(bn, bd), _root(big_d)
+    out = [(_ratio_spelling(an, ad), Q(a)),
+           (f"{_ratio_spelling(bn, bd)}*sqrt({big_d})", Q(b) * root),
+           (f"{_ratio_spelling(an, ad)} + {_ratio_spelling(bn, bd)}*sqrt({big_d})",
+            Q(a) + Q(b) * root),
+           (f"{_ratio_spelling(an, ad)}-{_ratio_spelling(bn, bd)}sqrt({big_d})",
+            Q(a) - Q(b) * root),
+           (f" sqrt({big_d}) ", root),
+           (f"{_ratio_spelling(an, ad)} - sqrt({big_d})", Q(a) - root)]
+    return out
+
+
+def _check_text(text: str, want: Q) -> None:
+    v, den = parse_numerator(text)
+    assert type(den) is int and den > 0, (text, den)
+    if type(v) is not int:
+        p, q, d = v
+        assert type(p) is int and type(q) is int and q != 0, (text, v)
+        assert d >= 2 and all(d % (k * k) for k in range(2, d)), (text, v)
+    assert _numerator_q(v, den) == want, (text, v, den)
+    value = parse_scalar(text)
+    assert value == from_numerator(v, den) and type(value) is type(from_numerator(v, den))
+    assert Q(value) == want, text
+    rendered = render_numerator(v, den)
+    assert rendered == render_scalar(from_numerator(v, den)), (text, rendered)
+    assert rendered == render_scalar(value)
+    # the text written reads back to the same value, whatever den was
+    assert _numerator_q(*parse_numerator(rendered)) == want, (text, rendered)
+    for k in (2, 3, 12):
+        assert render_numerator(num_mul(v, k), den * k) == rendered, (text, k)
+
+
+_SPELLED_D = (0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 18, 25, 36, 50, 72, 98)
+
+
+def test_parse_and_render_numerator_match_the_value_path_on_seeded_spellings():
+    # unreduced parts, negative parts, zero parts and perfect-square radicands
+    rng = random.Random("parse-and-render-numerator")
+    for _ in range(400):
+        an = rng.choice((0, rng.randint(-40, 40)))
+        bn = rng.choice((0, rng.randint(-40, 40)))
+        ad, bd = rng.randint(1, 12), rng.randint(1, 12)
+        for text, want in _spellings(an, ad, bn, bd, rng.choice(_SPELLED_D)):
+            _check_text(text, want)
+    for text, want in (("2/4", Q(Fr(1, 2))), ("-0", Q(0)), ("0/7", Q(0)),
+                       ("3*sqrt(8)", Q(6) * _root(2)), ("0*sqrt(2)", Q(0)),
+                       ("-6/8 + 0*sqrt(5)", Q(Fr(-3, 4))), ("3*sqrt(4)", Q(6)),
+                       ("sqrt(9)", Q(3)), ("-sqrt(0)", Q(0)),
+                       ("0 + 2/6*sqrt(12)", Q(Fr(2, 3)) * _root(3)),
+                       ("-4/6 - -10/4*sqrt(50)", Q(Fr(-2, 3)) + Q(Fr(25, 2)) * _root(2))):
+        _check_text(text, want)
+    assert parse_numerator("2/4") == (2, 4)
+    assert parse_numerator("3*sqrt(8)") == ((0, 6, 2), 1)
+    assert parse_numerator("0*sqrt(2)") == (0, 1)
+    assert parse_numerator("sqrt(9)") == (3, 1)
+    assert render_numerator((0, -6, 2), 4) == "-3/2*sqrt(2)"
+    assert render_numerator((-4, 6, 3), 4) == "-1 + 3/2*sqrt(3)"
+
+
+@given(st.integers(-60, 60), st.integers(1, 15), st.integers(-60, 60), st.integers(1, 15),
+       st.sampled_from(_SPELLED_D))
+def test_parse_and_render_numerator_match_the_value_path(an, ad, bn, bd, big_d):
+    for text, want in _spellings(an, ad, bn, bd, big_d):
+        _check_text(text, want)
+
+
+def test_parse_and_render_numerator_name_the_digit_limit():
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    for text in ("9" * (limit + 1), f"1/{'3' * (limit + 1)}", f"2*sqrt({'7' * (limit + 1)})",
+                 f"1 - 1/{'7' * (limit + 1)}*sqrt(2)"):
+        with pytest.raises(ValueError, match=f"^an input scalar has an integer of more than {limit} digits"):
+            parse_numerator(text)
+    for v, den in ((10 ** limit, 1), (1, 10 ** limit), ((10 ** limit, 1, 2), 1),
+                   ((1, 10 ** limit, 2), 3), ((1, 1, 2), 10 ** limit)):
+        with pytest.raises(ValueError, match=f"^a report value has an integer of more than {limit} digits"):
+            render_numerator(v, den)
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(3, 0\)$"):
+        parse_numerator("3/0")
+    with pytest.raises(ValueError, match="^cannot parse scalar 'x'$"):
+        parse_numerator("x")
