@@ -35,6 +35,7 @@ from .diffops import (
     enumerate_preserving_operators,
     lie_closure_probe,
     parse_diffop,
+    preserving_basis_text,
 )
 from .matrices import (
     BlockSplit,
@@ -111,6 +112,7 @@ __all__ = [
     "lie_closure_probe",
     "parse_diffop",
     "parse_scalar",
+    "preserving_basis_text",
     "quadext",
     "render_scalar",
     "scalar_is_zero",

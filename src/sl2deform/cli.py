@@ -27,7 +27,7 @@ from .diffops import (
     ClosureReport,
     MonomialSpace,
     closure_check,
-    enumerate_preserving_operators,
+    preserving_basis_text,
 )
 from .matrices import Matrix, is_scalar_multiple_of_identity
 from .reps import carried_label, decompose_rep, intrinsic_gamma_and_product, solve_case
@@ -279,7 +279,7 @@ def cmd_enumerate_preserving(args) -> dict:
     with digit_limit("an input exponent"):
         exponents = tuple([parse_int(e) for e in args.space.split(",")])
     space = MonomialSpace(exponents)
-    basis = enumerate_preserving_operators(space, args.max_order)
+    basis = preserving_basis_text(space, args.max_order)
     sections = [
         _section(
             "preserving-operators",
@@ -287,7 +287,7 @@ def cmd_enumerate_preserving(args) -> dict:
                 "space": _render_space(space),
                 "max_order": args.max_order,
                 "dimension": len(basis),
-                "basis": [op.to_text() for op in basis],
+                "basis": basis,
             },
         )
     ]

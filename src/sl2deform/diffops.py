@@ -365,21 +365,32 @@ class DiffOp:
         num, den = self._num, self._den
         if not num:
             return "0"
-        pieces = []
-        for n, m in sorted([(n, m) for m, n in num], reverse=True):
-            v = num[(m, n)]
-            if type(v) is not int:
-                value = f"+ ({render_numerator(v, den)})"
-            elif den == 1:
-                value = f"- {-v}" if v < 0 else f"+ {v}"
-            else:
-                g = math.gcd(v, den)
-                value = f"{'-' if v < 0 else '+'} {abs(v) // g}"
-                if g != den:
-                    value += f"/{den // g}"
-            pieces.append(f" {value} * x^{m} * D^{n}")
-        text = "".join(pieces)
-        return "-" + text[3:] if text[1] == "-" else text[3:]
+        return _joined([_term(_coefficient(num[(m, n)], den), m, n)
+                        for n, m in sorted([(n, m) for m, n in num], reverse=True)])
+
+
+def _coefficient(v, den: int) -> str:
+    """The signed text of the coefficient v / den of one term, e.g. ``+ 1/3``,
+    ``- 2`` or ``+ (-1 + 1*sqrt(2))``."""
+    if type(v) is not int:
+        return f"+ ({render_numerator(v, den)})"
+    if den == 1:
+        return f"- {-v}" if v < 0 else f"+ {v}"
+    g = math.gcd(v, den)
+    value = f"{'-' if v < 0 else '+'} {abs(v) // g}"
+    return value if g == den else f"{value}/{den // g}"
+
+
+def _term(coefficient: str, m: int, n: int) -> str:
+    """One term of the operator text format, led by its signed coefficient."""
+    return f" {coefficient} * x^{m} * D^{n}"
+
+
+def _joined(pieces: list[str]) -> str:
+    """An operator's text from its term pieces, highest order first: the first
+    piece's ``+`` is dropped and its ``-`` closed up to the number."""
+    text = "".join(pieces)
+    return "-" + text[3:] if text[1] == "-" else text[3:]
 
 
 _TERM_RE = re.compile(
@@ -529,9 +540,9 @@ def closure_check(
 #: Largest accepted (max_order + 1) * window width * dimension, the size of
 #: the dense preservation system.  It bounds the per-shift blocks and the
 #: basis size alike.  The slowest accepted inputs found, (0,) and (3,) at
-#: order 198, take about 0.6 s through the CLI in-process, nearly all of it
-#: building and printing their bases of about 79,000 operators; the dense
-#: 0..29 at order 29 takes about 0.02 s (2-vCPU VM, Python 3.11).
+#: order 198, take about 0.22 s through the CLI in-process, nearly all of it
+#: solving and writing their bases of 79,198 operators as text; the dense
+#: 0..29 at order 29 takes about 0.012 s (2-vCPU VM, Python 3.11).
 MAX_ENUMERATION_SIZE = 80_000
 
 
@@ -675,22 +686,20 @@ def _null_vectors(a: int, w: int, escaping: Sequence[int]) -> list[list[tuple[in
     return vectors
 
 
-def enumerate_preserving_operators(
+def _preserving_terms(
     space: MonomialSpace, max_order: int
-) -> list[DiffOp]:
-    """Basis of the operators sum c_(m,n) x^m D^n, n <= max_order, preserving the space.
+) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """The basis of :func:`enumerate_preserving_operators` as plain integers.
 
-    The x-power window is [-max_order, max(exponents) + max_order]; preservation
-    is the exact linear condition that every image exponent outside the space
-    (negative ones included) carries a zero total coefficient.  The basis spans
-    the whole windowed solution space, the identity and the operators that
-    annihilate every basis monomial included, so its length is the dimension
-    of that space, not a number of generators.
+    Each basis operator is its shift s = m - n and its terms, the pairs
+    (n, coefficient) with n ascending, the term of order n being
+    coefficient * x^(s+n) * D^n.  Inputs over :data:`MAX_ENUMERATION_SIZE`
+    raise ValueError before any work.
 
-    A term x^m D^n sends x^k only to x^(k+s), s = m - n, so the system splits
-    into one block per shift with at most max_order + 1 unknowns.  A block
-    depends on the shift only through its derivative range and the exponents
-    it sends out of the space, so shifts that agree in both share one
+    A term x^m D^n sends x^k only to x^(k+s), so the system splits into one
+    block per shift with at most max_order + 1 unknowns.  A block depends
+    on the shift only through its derivative range and the exponents it
+    sends out of the space, so shifts that agree in both share one
     solution; nothing is kept from one call to the next.  Each block's null
     vectors are the RREF ones, in closed form (:func:`_null_vectors`),
     ordered by their free term in (n, m) order, so the basis is that of the
@@ -710,23 +719,60 @@ def enumerate_preserving_operators(
     members = set(space.exponents)
     # the block of shift s is fixed by its derivative range [a, b] and the
     # exponents it sends out of the space, so each distinct block is solved
-    # once; a null vector is kept as (column, coefficient) pairs, column i
-    # being the term x^(s+a+i) D^(a+i)
-    blocks: dict[tuple, list[list[tuple[int, int]]]] = {}
+    # once; column i of a null vector is the term of order a + i
+    blocks: dict[tuple, list[tuple[tuple[int, int], ...]]] = {}
     found = []
     for s in range(lo - max_order, hi + 1):
         a, b = max(0, lo - s), min(max_order, hi - s)
         escaping = tuple([k for k in space.exponents if k + s not in members])
         vectors = blocks.get((a, b, escaping))
         if vectors is None:
-            vectors = blocks[(a, b, escaping)] = _null_vectors(a, b - a + 1, escaping)
-        for vec in vectors:
-            free_n = a + vec[-1][0]
-            found.append(((free_n, s + free_n), s + a, a, vec))
-    found.sort(key=lambda item: item[0])
-    return [
-        DiffOp._of({(m + i, n + i): v for i, v in vec}, 1) for _, m, n, vec in found
-    ]
+            vectors = blocks[(a, b, escaping)] = [
+                tuple([(a + i, v) for i, v in vec])
+                for vec in _null_vectors(a, b - a + 1, escaping)
+            ]
+        for terms in vectors:
+            free_n = terms[-1][0]
+            # the free term (n, m) is one basis operator's alone
+            found.append((free_n, s + free_n, s, terms))
+    found.sort()
+    return [(s, terms) for _, _, s, terms in found]
+
+
+def enumerate_preserving_operators(
+    space: MonomialSpace, max_order: int
+) -> list[DiffOp]:
+    """Basis of the operators sum c_(m,n) x^m D^n, n <= max_order, preserving the space.
+
+    The x-power window is [-max_order, max(exponents) + max_order]; preservation
+    is the exact linear condition that every image exponent outside the space
+    (negative ones included) carries a zero total coefficient.  The basis spans
+    the whole windowed solution space, the identity and the operators that
+    annihilate every basis monomial included, so its length is the dimension
+    of that space, not a number of generators.
+
+    The basis is solved block by block in closed form
+    (:func:`_preserving_terms`), and each operator is built from its integer
+    terms over the denominator 1.  The operators are for callers that compute
+    with them, such as :func:`lie_closure_probe`; ``enumerate-preserving``
+    writes its report with :func:`preserving_basis_text` and builds no DiffOp.
+    """
+    return [DiffOp._of({(s + n, n): v for n, v in terms}, 1)
+            for s, terms in _preserving_terms(space, max_order)]
+
+
+def preserving_basis_text(space: MonomialSpace, max_order: int) -> list[str]:
+    """``[op.to_text() for op in enumerate_preserving_operators(space, max_order)]``,
+    written straight from the blocks' integer terms (:func:`_preserving_terms`)
+    with no DiffOp.
+
+    Each operator is its terms' pieces for its own shift, highest order
+    first, with the coefficient text, term piece and leading-sign rule of
+    :meth:`DiffOp.to_text`.  The size guard, and its ValueError, are
+    :func:`_preserving_terms`'s.
+    """
+    return [_joined([_term(_coefficient(v, 1), s + n, n) for n, v in reversed(terms)])
+            for s, terms in _preserving_terms(space, max_order)]
 
 
 # -- Lie closure probing -----------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sl2deform.cli import _join_value_flags, build_parser, main, to_json
-from sl2deform.diffops import V3, enumerate_preserving_operators
+from sl2deform.diffops import V3, DiffOp, MonomialSpace, enumerate_preserving_operators
 from sl2deform.scalars import parse_scalar
 
 from exact_field import Q
@@ -203,6 +203,37 @@ def test_enumerate_bounds_the_system_size_not_the_order(capsys):
     assert code == 2
     assert section(report, "error")["message"] == (
         "ValueError: exponents must be distinct, sorted and nonnegative")
+
+
+def test_enumerate_preserving_builds_no_operator(monkeypatch, capsys):
+    # the report is written from the blocks' integer terms: a spy on both ways
+    # a DiffOp is made sees none, and the basis is still the operators' text
+    spaces = (("0,1,3", 3), ("0,1,3", 7), ("2,5,6,11", 4), ("3", 40))
+    want = [[op.to_text() for op in enumerate_preserving_operators(
+        MonomialSpace(tuple(int(e) for e in space.split(","))), order)]
+        for space, order in spaces]
+    built = []
+    of, init = DiffOp._of.__func__, DiffOp.__init__
+
+    def spy_of(cls, *args):
+        built.append("_of")
+        return of(cls, *args)
+
+    def spy_init(self, *args):
+        built.append("__init__")
+        init(self, *args)
+
+    monkeypatch.setattr(DiffOp, "_of", classmethod(spy_of))
+    monkeypatch.setattr(DiffOp, "__init__", spy_init)
+    reports = [run_cli(capsys, "enumerate-preserving", "--space", space,
+                       "--max-order", str(order)) for space, order in spaces]
+    assert built == []
+    assert [section(report, "preserving-operators")["basis"] for _, report in reports] == want
+    assert {code for code, _ in reports} == {0}
+    # the spy does see the operators that the enumerator and the constructor build
+    enumerate_preserving_operators(V3, 1)
+    DiffOp({(0, 0): 1})
+    assert set(built) == {"_of", "__init__"}
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -25,6 +25,7 @@ from sl2deform.diffops import (
     enumerate_preserving_operators,
     lie_closure_probe,
     parse_diffop,
+    preserving_basis_text,
 )
 from sl2deform.matrices import Matrix
 from sl2deform.reps import (
@@ -909,12 +910,45 @@ def test_block_null_vectors_are_the_sympy_rref_ones():
 
 
 def test_enumerate_rejects_an_over_budget_system_at_once():
-    # (max_order + 1) * window * dimension for (0, top) at order 0 is 2 * (top + 1)
+    # (max_order + 1) * window * dimension for (0, top) at order 0 is 2 * (top + 1);
+    # the operators and their text share one guard, and so one message
     top = MAX_ENUMERATION_SIZE // 2
-    with pytest.raises(ValueError, match="exceeds"):
-        enumerate_preserving_operators(MonomialSpace((0, top)), 0)
-    with pytest.raises(ValueError, match="exceeds"):
-        enumerate_preserving_operators(MonomialSpace((0, 1, 10**6)), 2)
+    over = (((0, top), 0, 2 * (top + 1)), ((0, 1, 10**6), 2, 3 * (10**6 + 5) * 3))
+    for space, order, size in over:
+        want = f"(max_order + 1) * window * dimension = {size} exceeds {MAX_ENUMERATION_SIZE}"
+        for enumerate_basis in (enumerate_preserving_operators, preserving_basis_text):
+            with pytest.raises(ValueError) as info:
+                enumerate_basis(MonomialSpace(space), order)
+            assert str(info.value) == want, enumerate_basis
+    # one step under the bound is accepted by both
+    space = MonomialSpace((0, top - 1))
+    assert preserving_basis_text(space, 0) == [
+        op.to_text() for op in enumerate_preserving_operators(space, 0)]
+
+
+def test_basis_text_is_the_operators_text_on_seeded_spaces():
+    # the text written from the blocks' integer terms is, string for string and
+    # in order, what each enumerated operator renders as, and parses back to it
+    rng = random.Random("basis-text")
+    grid = []
+    for _ in range(12):
+        top = rng.randint(7, 30)
+        exps = sorted(rng.sample(range(top), rng.randint(2, 7))) + [top]
+        grid += [(tuple(exps), order) for order in range(10)]
+    # the size bound's largest basis, 79,198 operators, and the dense 0..29
+    grid += [((3,), 198), (tuple(range(30)), 29)]
+    leads, coefficients = set(), set()
+    for exps, order in grid:
+        space = MonomialSpace(exps)
+        ops = enumerate_preserving_operators(space, order)
+        texts = preserving_basis_text(space, order)
+        assert texts == [op.to_text() for op in ops], (exps, order)
+        assert all(parse_diffop(text) == op for text, op in zip(texts, ops)), (exps, order)
+        leads.update(text[0] for text in texts)
+        coefficients.update(v for op in ops for v in op._num.values())
+    assert len(texts) == 900
+    # leading terms of either sign, and coefficients other than 1 and -1
+    assert leads == {"1", "-"} and any(abs(v) > 1 for v in coefficients)
 
 
 def test_enumerate_is_deterministic():
