@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .diffops import V3, DiffOp, MonomialSpace, _lowest
+from .diffops import V3, DiffOp, MonomialSpace, _lowest, _shift_polynomials
 from .scalars import Scalar, as_scalar, num_mul, num_sub, to_numerators
 
 Fr = Fraction
@@ -39,17 +39,19 @@ def _ladder(exponents: tuple[int, ...], k_from: int, k_to: int) -> DiffOp:
 
     Its polynomial in k is the Lagrange interpolant that is 1 at k_from and 0
     at the other exponents; the coefficient of x^(n + shift) D^n is the n-th
-    forward difference of that polynomial at 0, over n!.
+    forward difference of that polynomial at 0, over n!.  Both are formed on
+    integers: the values prod(t - k) and their differences, times
+    (len - 1)!/n!, over prod(k_from - k) * (len - 1)!, its sign made positive.
     """
-    values = [
-        math.prod(Fr(t - k, k_from - k) for k in exponents if k != k_from)
-        for t in range(len(exponents))
-    ]
+    others = [k for k in exponents if k != k_from]
+    top, den = math.factorial(len(others)), math.prod([k_from - k for k in others])
+    sign = 1 if den > 0 else -1
+    values = [sign * math.prod([t - k for k in others]) for t in range(len(exponents))]
     terms = {}
     for n in range(len(exponents)):
-        terms[(n + k_to - k_from, n)] = values[0] / math.factorial(n)
+        terms[(n + k_to - k_from, n)] = values[0] * (top // math.factorial(n))
         values = [b - a for a, b in zip(values, values[1:])]
-    return DiffOp(terms)
+    return _lowest(terms, abs(den) * top)
 
 
 @dataclass(frozen=True)
@@ -93,33 +95,30 @@ def derive_case(space: MonomialSpace, k_src: int, k_dst: int) -> CaseData:
         )
     step, k_mid = k_dst - k_src, exponents[1]
     label = dict(zip(exponents, (-1, 0, 1)))
-    src, dst = label[k_src], label[k_dst]
-    (oth,) = (m for m in label.values() if m not in (src, dst))
-    energy = {m: Fr(k - k_mid, step) for k, m in label.items()}
+    # step * e(M) at the raised label, the source label and the third label
+    d, s, o = k_dst - k_mid, k_src - k_mid, sum(exponents) - k_src - k_dst - k_mid
     raise_op = _ladder(exponents, k_src, k_dst)
     lower_op = _ladder(exponents, k_dst, k_src)
     # [raise, lower] has shift 0 only, and its k^3 coefficient is -4 * shift
     # times the k^2 coefficients of the two ladders, so it is always cubic
-    bracket = raise_op.commutator(lower_op).symbolic_action()
+    bracket = raise_op.commutator(lower_op)
+    poly, den = _shift_polynomials(bracket._num)[0], bracket._den  # Q(k) = poly(k) / den
     # the intrinsic point: fg* Q(k) = t^3 + p* t + r at t = (k - k_mid)/step + c*
-    _, q1, q2, q3 = bracket[0]
-    fg = 1 / (step ** 3 * q3)
-    u = fg * q2 * step * step / 3  # c* - k_mid/step
+    _, b1, b2, b3 = poly
     return CaseData(
         space=space,
-        q=dst - src,
-        two_m1=2 * src,
+        q=label[k_dst] - label[k_src],
+        two_m1=2 * label[k_src],
         step=step,
         k_mid=k_mid,
-        a=(energy[1] + energy[-1]) / 2,
-        energies=(energy[dst], energy[src], energy[oth]),
-        label_sums=tuple(
-            energy[dst] ** n + energy[src] ** n - 2 * energy[oth] ** n for n in (1, 2, 3)
-        ),
+        a=Fr(exponents[0] + exponents[2] - 2 * k_mid, 2 * step),
+        energies=(Fr(d, step), Fr(s, step), Fr(o, step)),
+        label_sums=tuple(Fr(d ** n + s ** n - 2 * o ** n, step ** n) for n in (1, 2, 3)),
         raise_op=raise_op,
         lower_op=lower_op,
-        bracket_poly=bracket[0],
-        intrinsic=(fg * q1 * step - 3 * u * u, u + Fr(k_mid, step), fg),
+        bracket_poly=tuple(Fr(b, den) for b in poly),
+        intrinsic=(Fr(3 * b1 * b3 - b2 * b2, 3 * step * step * b3 * b3),
+                   Fr(b2 + 3 * k_mid * b3, 3 * step * b3), Fr(den, step ** 3 * b3)),
     )
 
 

@@ -6,16 +6,16 @@ derivative order ``n``, and exact scalar coefficients.  Composition normal
 orders all derivatives to the right, so operator equality is term-by-term.
 
 An operator is its terms, and it is evaluated on x^k directly: the term
-x^m D^n sends x^k to ``k(k-1)...(k-n+1) x^(k+m-n)`` (:meth:`DiffOp.image`), and
-its matrix on a monomial space is read off those images' numerators, as integer
-rows that the Lie closure probe brackets with no Matrix and
-:meth:`DiffOp.matrix_on_space` divides by the denominator.  The terms of one
-exponent shift s = m - n carry falling factorials of distinct degrees, each
-with leading coefficient 1, so an operator vanishes on every monomial exactly
-when it has no terms.  An operator identity therefore holds "intrinsically"
-(for every monomial, hence independently of any chosen module) exactly when
-the two sides have the same terms.  :meth:`DiffOp.symbolic_action` writes the
-per-shift polynomials in k out, for reports only.
+x^m D^n sends x^k to ``k(k-1)...(k-n+1) x^(k+m-n)``, and its matrix on a
+monomial space is read off those images' numerators, as integer rows that the
+Lie closure probe brackets with no Matrix and :meth:`DiffOp.matrix_on_space`
+divides by the denominator.  The terms of one exponent shift s = m - n carry
+falling factorials of distinct degrees, each with leading coefficient 1, so an
+operator vanishes on every monomial exactly when it has no terms.  An operator
+identity therefore holds "intrinsically" (for every monomial, hence
+independently of any chosen module) exactly when the two sides have the same
+terms.  :meth:`DiffOp.symbolic_action` writes the per-shift polynomials in k
+out, for reports; ``cases`` reads the bracket's cubic off their numerators.
 
 An operator is stored as numerators over one positive denominator, in lowest
 terms: an int per rational coefficient and the integer coordinates (p, q, d)
@@ -120,7 +120,7 @@ def _sum(acc: dict, den: int, terms: dict, tden: int, sign: int = 1) -> tuple[di
 
     ``acc`` is updated in place and returned with the new denominator; each
     numerator of ``terms`` is added with ``acc``'s numerator on the left, in
-    their order, as :meth:`DiffOp.__add__` adds them.
+    their order, as the sum of the two operators adds them term by term.
     """
     m = math.lcm(den, tden)
     f, t = m // den, m // tden * sign
@@ -145,14 +145,28 @@ def _commutator(a: "DiffOp", b: "DiffOp") -> tuple[dict, int]:
     Each product has its own accumulator, a . b first, and the terms of
     b . a are subtracted from a . b's in ascending key order.  A zero sum
     meets nothing it could clash with, so each product and the difference
-    form the sums, and raise the ScalarDomainError, that :meth:`DiffOp.compose`
-    and ``-`` would; one shared accumulator would form sums they never form.
+    form the sums, and raise the ScalarDomainError, of the operator expression
+    a . b - b . a; one shared accumulator would form sums it never forms.
     """
     ab = _products({}, a._num, b._num)
     ba = _products({}, b._num, a._num)
     for key, v in sorted(ba.items()):
         ab[key] = num_sub(ab.get(key, 0), v)
     return ab, a._den * b._den
+
+
+def _shift_polynomials(num: dict) -> dict[int, list]:
+    """{shift: numerators of P_s in powers of k, constant first} of the operator
+    with numerators ``num``, over its denominator (:meth:`DiffOp.symbolic_action`)."""
+    per_shift: dict[int, list] = {}
+    for (m, n), v in num.items():
+        ff = _falling_coefficients(n)
+        poly = per_shift.setdefault(m - n, [])
+        poly.extend([0] * (len(ff) - len(poly)))
+        for i, f in enumerate(ff):
+            if f:
+                poly[i] = num_add(poly[i], num_mul(v, f))
+    return per_shift
 
 
 def _matrix_rows(op: "DiffOp", space: "MonomialSpace") -> list[dict]:
@@ -178,6 +192,8 @@ class DiffOp:
     def __init__(self, terms: Mapping[tuple[int, int], object] = ()):
         keys, values = [], []
         for (m, n), c in terms.items() if isinstance(terms, Mapping) else terms:
+            if type(m) is not int or type(n) is not int:
+                raise ValueError(f"term exponents must be ints, got {(m, n)!r}")
             if n < 0:
                 raise ValueError("derivative order must be nonnegative")
             keys.append((m, n))
@@ -199,24 +215,6 @@ class DiffOp:
         den = self._den
         return MappingProxyType({key: from_numerator(v, den) for key, v in self._num.items()})
 
-    # -- constructors ---------------------------------------------------------
-    @classmethod
-    def identity(cls) -> "DiffOp":
-        return cls({(0, 0): Fraction(1)})
-
-    @classmethod
-    def x_power(cls, m: int) -> "DiffOp":
-        return cls({(m, 0): Fraction(1)})
-
-    @classmethod
-    def derivative(cls, n: int = 1) -> "DiffOp":
-        return cls({(0, n): Fraction(1)})
-
-    @classmethod
-    def euler(cls) -> "DiffOp":
-        """x * D, the degree operator on monomials."""
-        return cls({(1, 1): Fraction(1)})
-
     @classmethod
     def _of(cls, num: dict[tuple[int, int], object], den: int) -> "DiffOp":
         """An operator from numerators over ``den`` in the form ``__init__`` leaves, unchecked.
@@ -231,20 +229,7 @@ class DiffOp:
         object.__setattr__(out, "_den", den)
         return out
 
-    # -- ring structure ---------------------------------------------------------
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return _lowest(*_sum(dict(self._num), self._den, other._num, other._den))
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return _lowest(*_sum(dict(self._num), self._den, other._num, other._den, -1))
-
-    def __neg__(self) -> "DiffOp":
-        return DiffOp._of({key: num_mul(v, -1) for key, v in self._num.items()}, self._den)
-
+    # -- arithmetic -------------------------------------------------------------
     def scale(self, s) -> "DiffOp":
         s = as_scalar(s)
         if scalar_is_zero(s):
@@ -252,11 +237,6 @@ class DiffOp:
         (s_num,), s_den = to_numerators([s])
         return _lowest({key: num_mul(v, s_num) for key, v in self._num.items()},
                        self._den * s_den)
-
-    def __mul__(self, s):
-        return self.scale(s)
-
-    __rmul__ = __mul__
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Operator product self . other, normal ordered.
@@ -274,8 +254,8 @@ class DiffOp:
         on the numerators over the product of the denominators and reduced
         once.  Each product has its own accumulator and the difference is
         taken in ascending key order (:func:`_commutator`), so a
-        ScalarDomainError of mixed radicands is the one that composing and
-        subtracting raise."""
+        ScalarDomainError of mixed radicands is the one of the operator
+        expression, two compositions and their difference."""
         return _lowest(*_commutator(self, other))
 
     # -- action -----------------------------------------------------------------
@@ -290,14 +270,6 @@ class DiffOp:
                 out[e] = num_add(out[e], vw) if e in out else vw
         return out
 
-    def image(self, k: int) -> dict[int, Scalar]:
-        """Exact image of x^k, {exponent: nonzero coefficient}.
-
-        The term c x^m D^n sends x^k to c k!/(k-n)! x^(k+m-n); a negative
-        exponent is kept like any other.
-        """
-        return {e: from_numerator(v, self._den) for e, v in self._image_numerators(k).items() if v}
-
     def symbolic_action(self) -> dict[int, tuple[Scalar, ...]]:
         """The action on x^k with k left indeterminate, for display.
 
@@ -306,14 +278,7 @@ class DiffOp:
         the falling factorials have distinct degrees and leading coefficient
         1, so a nonzero operator has a nonzero P_s for each shift it uses.
         """
-        per_shift: dict[int, list] = {}
-        for (m, n), v in self._num.items():
-            ff = _falling_coefficients(n)
-            poly = per_shift.setdefault(m - n, [])
-            poly.extend([0] * (len(ff) - len(poly)))
-            for i, f in enumerate(ff):
-                if f:
-                    poly[i] = num_add(poly[i], num_mul(v, f))
+        per_shift = _shift_polynomials(self._num)
         return {s: tuple([from_numerator(v, self._den) for v in per_shift[s]])
                 for s in sorted(per_shift)}
 
@@ -513,9 +478,9 @@ def closure_check(
     Horner's scheme, ((alpha J0 + beta) J0 + gamma) J0 + delta, with the
     parameters as numerators over one denominator; then [J0, J+] - J+,
     [J0, J-] + J- and [J+, J-] - F(J0).  These are the sums and products of
-    ``scale``, ``compose``, ``commutator``, ``+`` and ``-``, in their order and
-    with the same left operands; only the reductions between them are left
-    out.  Each partial result is the reduced one times a nonzero integer, so
+    that operator expression, each step an operator in lowest terms, in its
+    order and with the same left operands; only the reductions between the
+    steps are left out.  Each partial result is the reduced one times a nonzero integer, so
     the residuals, and any ScalarDomainError, are theirs.
     """
     j0, jp, jm = triple

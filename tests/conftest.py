@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -6,6 +7,8 @@ import pytest
 
 from sl2deform.cases import build_case_realization
 from sl2deform.reps import intrinsic_gamma_and_product
+
+from exact_field import Q
 
 
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9,
@@ -22,6 +25,16 @@ def assert_names_two_radicands(message: str, radicands) -> None:
     m = re.fullmatch(r"mixed radicands sqrt\((\d+)\) and sqrt\((\d+)\)", message)
     assert m, message
     assert m[1] != m[2] and {int(m[1]), int(m[2])} <= set(radicands), message
+
+
+def image(op, k: int) -> dict:
+    """The image of x^k under ``op``, {exponent: nonzero coefficient}, summed
+    from ``op.terms`` in ``exact_field.Q``: the term c x^m D^n sends x^k to
+    c k(k-1)...(k-n+1) x^(k+m-n), a negative exponent kept like any other."""
+    out: dict = {}
+    for (m, n), c in op.terms.items():
+        out[k + m - n] = out.get(k + m - n, Q(0)) + Q(c) * math.prod(range(k - n + 1, k + 1))
+    return {e: v.value for e, v in out.items() if v}
 
 
 def intrinsic_realization(data, alpha, beta, f=1, g=1):

@@ -1,7 +1,9 @@
-"""The case solvers and the ladder constraints in Fraction-pair arithmetic.
+"""The case derivation, the case solvers and the ladder constraints in
+Fraction-pair arithmetic.
 
-A reference implementation for ``test_reps``' differential oracle: the forms
-that ``reps`` and ``cases`` had before they computed on integer numerators,
+A reference implementation for the differential oracles of ``test_reps`` and
+``test_cases``: the forms that ``reps`` and ``cases`` had before they computed
+on integers and integer numerators,
 kept operator for operator, so that the oracle compares values and also which
 error is raised, with which message, in which order.  Irrational values are
 computed with ``exact_field.Q``, which shares no arithmetic with the package,
@@ -10,17 +12,67 @@ and handed back as the package's scalars.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from sl2deform.algebra import AlgebraParams
 from sl2deform.cases import CaseData
-from sl2deform.diffops import DiffOp
+from sl2deform.diffops import DiffOp, MonomialSpace
 from sl2deform.reps import CaseSolution, IntrinsicData, RepSpec, TrivialAlgebraError
 from sl2deform.scalars import as_scalar, scalar_is_zero, sqrt_exact
 
 from exact_field import Q
 
 Fr = Fraction
+
+
+def ladder(exponents: tuple[int, ...], k_from: int, k_to: int) -> DiffOp:
+    """The Lagrange polynomial that is 1 at k_from and 0 at the other exponents,
+    in Fractions; its n-th forward difference at 0, over n!, is the
+    coefficient of x^(n + k_to - k_from) D^n."""
+    values = [
+        math.prod(Fr(t - k, k_from - k) for k in exponents if k != k_from)
+        for t in range(len(exponents))
+    ]
+    terms = {}
+    for n in range(len(exponents)):
+        terms[(n + k_to - k_from, n)] = values[0] / math.factorial(n)
+        values = [b - a for a, b in zip(values, values[1:])]
+    return DiffOp(terms)
+
+
+def derive_case(space: MonomialSpace, k_src: int, k_dst: int) -> CaseData:
+    """The case data of a valid ladder, the energies, sums and intrinsic point
+    formed with Fraction operators and the bracket's cubic read off
+    ``symbolic_action``."""
+    exponents = space.exponents
+    step, k_mid = k_dst - k_src, exponents[1]
+    label = dict(zip(exponents, (-1, 0, 1)))
+    src, dst = label[k_src], label[k_dst]
+    (oth,) = (m for m in label.values() if m not in (src, dst))
+    energy = {m: Fr(k - k_mid, step) for k, m in label.items()}
+    raise_op = ladder(exponents, k_src, k_dst)
+    lower_op = ladder(exponents, k_dst, k_src)
+    bracket = raise_op.commutator(lower_op).symbolic_action()
+    _, q1, q2, q3 = bracket[0]
+    fg = 1 / (step ** 3 * q3)
+    u = fg * q2 * step * step / 3  # c* - k_mid/step
+    return CaseData(
+        space=space,
+        q=dst - src,
+        two_m1=2 * src,
+        step=step,
+        k_mid=k_mid,
+        a=(energy[1] + energy[-1]) / 2,
+        energies=(energy[dst], energy[src], energy[oth]),
+        label_sums=tuple(
+            energy[dst] ** n + energy[src] ** n - 2 * energy[oth] ** n for n in (1, 2, 3)
+        ),
+        raise_op=raise_op,
+        lower_op=lower_op,
+        bracket_poly=bracket[0],
+        intrinsic=(fg * q1 * step - 3 * u * u, u + Fr(k_mid, step), fg),
+    )
 
 
 def _cubic(ts, alpha, beta, gamma, delta) -> list[Q]:

@@ -1,15 +1,19 @@
 """The case data derived from the exponent pairs, against the published constants."""
 
+import dataclasses
+import fractions
 import itertools
 import random
+import sys
 from fractions import Fraction as Fr
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+from sl2deform import cases
 from sl2deform.algebra import AlgebraParams, MatrixTriple, check_deformed_relations
-from sl2deform.cases import CaseId, build_case_realization, derive_case
+from sl2deform.cases import CaseData, CaseId, build_case_realization, derive_case
 from sl2deform.diffops import V3, DiffOp, MonomialSpace, closure_check
 from sl2deform.reps import (
     RepSpec,
@@ -22,7 +26,8 @@ from sl2deform.reps import (
 )
 from sl2deform.scalars import NegativeRadicandError, ScalarDomainError, quadext, scalar_is_zero
 
-from conftest import rand_fraction
+import reference_solvers as reference
+from conftest import image, rand_fraction
 from exact_field import Q
 from published_cases import PUBLISHED, published_intrinsic, published_solution
 
@@ -61,11 +66,63 @@ def test_every_ladder_moves_one_monomial_and_brackets_to_a_cubic():
         for k_src, k_dst in itertools.combinations(space.exponents, 2):
             data = derive_case(space, k_src, k_dst)
             for k in space.exponents:
-                assert data.raise_op.image(k) == ({k_dst: 1} if k == k_src else {})
-                assert data.lower_op.image(k) == ({k_src: 1} if k == k_dst else {})
+                assert image(data.raise_op, k) == ({k_dst: 1} if k == k_src else {})
+                assert image(data.lower_op, k) == ({k_src: 1} if k == k_dst else {})
             bracket = data.raise_op.commutator(data.lower_op).symbolic_action()
             assert list(bracket) == [0] and bracket[0] == data.bracket_poly
             assert len(data.bracket_poly) == 4 and data.bracket_poly[3] != 0
+
+
+def _atlas():
+    """The 360 ladders of the spaces {0, a, b} with 0 < a < b <= 16."""
+    return [(MonomialSpace((0, a, b)), k_src, k_dst)
+            for b in range(2, 17) for a in range(1, b)
+            for k_src, k_dst in itertools.combinations((0, a, b), 2)]
+
+
+def _typed(value):
+    """A field value with the type of every scalar in it."""
+    if isinstance(value, tuple):
+        return tuple(_typed(v) for v in value)
+    return value, type(value)
+
+
+def test_the_integer_derivation_is_the_fraction_one_on_every_atlas_ladder():
+    atlas = _atlas()
+    assert len(atlas) == 360
+    for space, k_src, k_dst in atlas:
+        got = derive_case(space, k_src, k_dst)
+        want = reference.derive_case(space, k_src, k_dst)
+        for field in dataclasses.fields(CaseData):
+            name = field.name
+            assert _typed(getattr(got, name)) == _typed(getattr(want, name)), (space, name)
+        assert got.raise_op.to_text() == want.raise_op.to_text()
+        assert got.lower_op.to_text() == want.lower_op.to_text()
+        assert got.numerators == want.numerators
+
+
+def test_deriving_the_cases_enters_no_fraction_arithmetic():
+    # the cases are derived on integers: from a cases.py frame a Fraction is
+    # only made, read, compared or hashed, never added, multiplied or divided
+    allowed = {"__new__", "numerator", "denominator", "__eq__", "__hash__"}
+    entered: dict = {}
+
+    def spy(frame, event, _arg):
+        if (event == "call" and frame.f_code.co_filename == fractions.__file__
+                and frame.f_back is not None
+                and frame.f_back.f_code.co_filename == cases.__file__):
+            entered[frame.f_code.co_name] = entered.get(frame.f_code.co_name, 0) + 1
+
+    ladders = [(space, k_src, k_dst) for space in [V3, *_seeded_spaces()]
+               for k_src, k_dst in itertools.combinations(space.exponents, 2)]
+    sys.setprofile(spy)
+    try:
+        for space, k_src, k_dst in ladders:
+            derive_case(space, k_src, k_dst)
+    finally:
+        sys.setprofile(None)
+    assert entered.get("__new__", 0) >= 12 * len(ladders), entered
+    assert set(entered) <= allowed, entered
 
 
 def test_the_three_labels_are_the_derivable_ones():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction as Fr
 
@@ -45,7 +46,7 @@ from sl2deform.scalars import (
     to_numerators,
 )
 
-from conftest import intrinsic_realization, rand_fraction
+from conftest import image, intrinsic_realization, rand_fraction
 from exact_field import Q
 
 CASE1_RAISE = DiffOp({(3, 2): Fr(1, 3), (2, 1): -1, (1, 0): 1})
@@ -65,27 +66,27 @@ def rand_op(rng, nterms=3, mrange=(-2, 3), nmax=2):
 
 def test_apply_second_derivative_with_power():
     op = DiffOp({(3, 2): Fr(1, 3)})
-    assert op.image(3) == {4: Fr(2)}  # (1/3) * 3*2 * x^4
+    assert image(op, 3) == {4: Fr(2)}  # (1/3) * 3*2 * x^4
 
 
 def test_case1_raising_kills_x():
-    assert CASE1_RAISE.image(1) == {}
-    assert CASE1_RAISE.image(3) == {}
-    assert CASE1_RAISE.image(0) == {1: Fr(1)}
+    assert image(CASE1_RAISE, 1) == {}
+    assert image(CASE1_RAISE, 3) == {}
+    assert image(CASE1_RAISE, 0) == {1: Fr(1)}
 
 
 def test_inverse_power_lowering():
     op = DiffOp({(-1, 2): Fr(1, 6)})
-    assert op.image(3) == {0: Fr(1)}
-    assert op.image(1) == {}
+    assert image(op, 3) == {0: Fr(1)}
+    assert image(op, 1) == {}
 
 
 def test_image_keeps_negative_exponents_and_drops_cancellations():
-    assert DiffOp({(-1, 0): 1}).image(0) == {-1: Fr(1)}
+    assert image(DiffOp({(-1, 0): 1}), 0) == {-1: Fr(1)}
     # x^-1 D^3 - x^-2 D^2 sends x^k to k(k-1)(k-3) x^(k-4): x^3 to 0
     cancelling = DiffOp({(-1, 3): 1, (-2, 2): -1})
-    assert cancelling.image(3) == {}
-    assert cancelling.image(4) == {0: Fr(24 - 12)}
+    assert image(cancelling, 3) == {}
+    assert image(cancelling, 4) == {0: Fr(24 - 12)}
 
 
 # -- symbolic action ----------------------------------------------------------------
@@ -101,7 +102,7 @@ def test_falling_factorial_is_built_once_per_order_and_has_the_right_values():
 
 
 def test_euler_symbolic_action():
-    assert DiffOp.euler().symbolic_action() == {0: (0, 1)}
+    assert DiffOp({(1, 1): 1}).symbolic_action() == {0: (0, 1)}
 
 
 def test_case1_raising_polynomial():
@@ -143,9 +144,9 @@ def test_image_equals_the_sympy_derivative(rng):
                 _sympy_scalar(c) * x ** m * sympy.diff(x ** k, x, n)
                 for (m, n), c in op.terms.items()
             ))
-            got = sum(_sympy_scalar(v) * x ** e for e, v in op.image(k).items())
+            got = sum(_sympy_scalar(v) * x ** e for e, v in image(op, k).items())
             assert sympy.expand(want - got) == 0, (op, k)
-            assert all(not scalar_is_zero(v) for v in op.image(k).values())
+            assert all(not scalar_is_zero(v) for v in image(op, k).values())
 
 
 def test_symbolic_action_equals_the_sympy_falling_factorials(rng):
@@ -173,32 +174,32 @@ def test_apply_agrees_with_symbolic(rng):
                 value = sum((Q(c) * k ** i for i, c in enumerate(coeffs)), Q(0))
                 if value:
                     expected[k + s] = value.value
-            assert op.image(k) == expected
+            assert image(op, k) == expected
 
 
 # -- composition and normal ordering ---------------------------------------------------
 
 
 def test_weyl_relation():
-    d = DiffOp.derivative()
-    x = DiffOp.x_power(1)
-    assert d.commutator(x) == DiffOp.identity()
+    d = DiffOp({(0, 1): 1})
+    x = DiffOp({(1, 0): 1})
+    assert d.commutator(x) == DiffOp({(0, 0): 1})
 
 
 def test_classic_bracket_at_spin_one():
     j0, jp, jm = build_classic_sl2_diffops(2)
-    assert jp.commutator(jm) == j0 * 2
+    assert jp.commutator(jm) == j0.scale(2)
 
 
 def test_euler_square_normal_orders():
-    e = DiffOp.euler()
+    e = DiffOp({(1, 1): 1})
     assert e.compose(e) == DiffOp({(2, 2): 1, (1, 1): 1})
 
 
 def test_compose_handles_negative_powers():
     # D . x^-1 = -x^-2 + x^-1 D
-    d = DiffOp.derivative()
-    xinv = DiffOp.x_power(-1)
+    d = DiffOp({(0, 1): 1})
+    xinv = DiffOp({(-1, 0): 1})
     assert d.compose(xinv) == DiffOp({(-2, 0): -1, (-1, 1): 1})
 
 
@@ -208,11 +209,11 @@ def test_symbolic_action_is_a_homomorphism(rng):
         a, b = rand_scalar_op(rng), rand_scalar_op(rng)
         for k in range(7):
             applied: dict = {}
-            for e, v in b.image(k).items():
-                for e2, w in a.image(e).items():
+            for e, v in image(b, k).items():
+                for e2, w in image(a, e).items():
                     applied[e2] = applied.get(e2, Q(0)) + Q(v) * w
             applied = {e: v.value for e, v in applied.items() if v}
-            assert a.compose(b).image(k) == applied, (a, b, k)
+            assert image(a.compose(b), k) == applied, (a, b, k)
 
 
 # -- oracle: operator arithmetic through the validating constructor ----------------------
@@ -289,8 +290,6 @@ def test_operator_arithmetic_equals_the_validating_oracle(rng):
         for got, want in (
             (_outcome(DiffOp.compose, a, b), _outcome(_oracle_compose, a, b)),
             (_outcome(DiffOp.commutator, a, b), _outcome(_oracle_commutator, a, b)),
-            (_outcome(DiffOp.__add__, a, b), _outcome(_oracle_add, a, b)),
-            (_outcome(DiffOp.__sub__, a, b), _outcome(_oracle_sub, a, b)),
             (_outcome(DiffOp.scale, a, s), _outcome(_oracle_scale, a, s)),
         ):
             assert got == want, (fa, fb, a, b, s)
@@ -301,24 +300,37 @@ def test_operator_arithmetic_equals_the_validating_oracle(rng):
             else:
                 assert all(t in (Fr, QuadExt) for _, _, t in got), got
                 results += bool(got)
-    assert raised > 50 and results > 2000, (raised, results)
+    assert raised > 50 and results > 1000, (raised, results)
 
 
 def test_a_sum_with_a_foreign_operand_raises_type_error():
-    # + and - decline what is not a DiffOp, so Python raises TypeError rather
-    # than an AttributeError from inside the sum
-    euler = DiffOp.euler()
-    for other in (1, Fr(1, 2), quadext(1, 1, 2), Matrix.diagonal([1, 2])):
-        for op in (lambda x, y: x + y, lambda x, y: x - y):
-            for left, right in ((euler, other), (other, euler)):
+    # an operator has no + - * or unary -, whatever the other operand, so
+    # Python raises TypeError, as it does for QuadExt and Matrix
+    op = DiffOp({(1, 1): 1, (0, 0): Fr(-1, 2)})
+    for other in (op, 1, 2, Fr(1, 2), quadext(1, 1, 2), Matrix.diagonal([1, 2])):
+        for fn in (operator.add, operator.sub, operator.mul):
+            for left, right in ((op, other), (other, op)):
                 with pytest.raises(TypeError, match="unsupported operand type"):
-                    op(left, right)
+                    fn(left, right)
+    with pytest.raises(TypeError, match="bad operand type for unary -"):
+        -op
+
+
+def test_term_exponents_must_be_ints():
+    # a float or bool exponent would give text that parse_diffop refuses
+    for key in ((0, 1.0), (0.5, 1), (True, 1), (0, False), (Fr(1), 0)):
+        with pytest.raises(ValueError, match=r"^term exponents must be ints, got \("):
+            DiffOp({key: 1})
+        with pytest.raises(ValueError, match="^term exponents must be ints"):
+            DiffOp([((-1, 0), 2), (key, 1)])
+    op = DiffOp({(-1, 0): 2, (0, 1): Fr(1, 3)})
+    assert parse_diffop(op.to_text()) == op
 
 
 def test_every_route_to_an_operator_gives_one_stored_form(rng):
     # the stored form is numerators over one denominator in lowest terms, so
     # equality, hashing and text must not depend on how an operator was built
-    ident = DiffOp.identity()
+    ident = DiffOp({(0, 0): 1})
     for field in ("Q", "Q(sqrt 2)"):
         for _ in range(60):
             op = _field_op(rng, _FIELDS[field])
@@ -332,7 +344,8 @@ def test_every_route_to_an_operator_gives_one_stored_form(rng):
                 op.compose(ident),
                 op.scale(s).scale(1 / s),
                 op.scale(root_s).scale((1 / Q(root_s)).value),
-                op + other - other,
+                diffops._lowest(*diffops._sum(*diffops._sum(
+                    dict(op._num), op._den, other._num, other._den), other._num, other._den, -1)),
                 DiffOp(op.terms),
             ]
             for built in routes:
@@ -341,7 +354,7 @@ def test_every_route_to_an_operator_gives_one_stored_form(rng):
                 assert list(built.terms) == sorted(op.terms)
                 assert all(type(c) in (Fr, QuadExt) for c in built.terms.values())
     # a radical that cancels leaves the rational operator, not a QuadExt form of it
-    half = DiffOp({(1, 1): quadext(Fr(1, 2), 1, 2)}) + DiffOp({(1, 1): quadext(0, -1, 2)})
+    half = DiffOp([((1, 1), quadext(Fr(1, 2), 1, 2)), ((1, 1), quadext(0, -1, 2))])
     assert half == DiffOp({(1, 1): Fr(1, 2)}) and hash(half) == hash(DiffOp({(1, 1): Fr(1, 2)}))
     assert half.terms == {(1, 1): Fr(1, 2)} and type(half.terms[(1, 1)]) is Fr
 
@@ -365,7 +378,7 @@ def test_an_empty_space_is_refused_with_a_one_line_message():
 
 def test_preserves_space_examples():
     assert CASE1_RAISE.preserves_space(V3)
-    assert not DiffOp.derivative().preserves_space(V3)
+    assert not DiffOp({(0, 1): 1}).preserves_space(V3)
     assert DiffOp({(0, 2): Fr(1, 6)}).preserves_space(V3)
 
 
@@ -391,7 +404,7 @@ def test_matrix_on_space_case1_diagonal():
 
 def test_matrix_on_space_rejects_escapes():
     with pytest.raises(SpaceEscapeError):
-        DiffOp.derivative().matrix_on_space(V3)
+        DiffOp({(0, 1): 1}).matrix_on_space(V3)
 
 
 def _matrix_by_terms(op, space):
@@ -452,7 +465,7 @@ def test_matrix_rows_are_the_matrix_times_the_denominator(rng):
                 c = rand_fraction(rng, nonzero=True)
                 if roots and rng.random() < 0.5:
                     c = quadext(c, rand_fraction(rng, nonzero=True), 2)
-                op = op + basis_op * c
+                op = _oracle_add(op, basis_op.scale(c))
         else:
             op = _field_op(rng, roots)
         cases.append((op, space))
@@ -567,22 +580,28 @@ def test_on_space_check_fails_on_any_nonzero_residual():
     assert {name for name, op in report.residuals if not op.is_zero()} >= {"raising", "lowering"}
 
 
+ONE = DiffOp({(0, 0): 1})
+
+
 def _power(op, exponent):
-    out = DiffOp.identity()
+    out = ONE
     for _ in range(exponent):
-        out = out.compose(op)
+        out = _oracle_compose(out, op)
     return out
 
 
 def _residuals_from_powers(triple, params):
-    """The three residuals, F(J0) summed from powers of J0 built by compose."""
+    """The three residuals, F(J0) summed from powers of J0, in the oracles'
+    arithmetic."""
     j0, jp, jm = triple
-    rhs = (_power(j0, 3).scale(params.alpha) + _power(j0, 2).scale(params.beta)
-           + j0.scale(params.gamma) + DiffOp.identity().scale(params.delta))
+    powers = [_power(j0, i) for i in (3, 2, 1, 0)]
+    rhs = DiffOp()
+    for power, coeff in zip(powers, (params.alpha, params.beta, params.gamma, params.delta)):
+        rhs = _oracle_add(rhs, _oracle_scale(power, coeff))
     return [
-        ("raising", j0.compose(jp) - jp.compose(j0) - jp),
-        ("lowering", j0.compose(jm) - jm.compose(j0) + jm),
-        ("bracket", jp.compose(jm) - jm.compose(jp) - rhs),
+        ("raising", _oracle_sub(_oracle_commutator(j0, jp), jp)),
+        ("lowering", _oracle_add(_oracle_commutator(j0, jm), jm)),
+        ("bracket", _oracle_sub(_oracle_commutator(jp, jm), rhs)),
     ]
 
 
@@ -647,13 +666,13 @@ def test_intrinsic_pass_implies_on_space_pass(rng):
 
 def _closure_by_operators(triple, params):
     j0, jp, jm = triple
-    ident = DiffOp.identity()
-    rhs = (j0.scale(params.alpha) + ident.scale(params.beta)).compose(j0)
-    rhs = (rhs + ident.scale(params.gamma)).compose(j0) + ident.scale(params.delta)
+    rhs = _oracle_add(_oracle_scale(j0, params.alpha), _oracle_scale(ONE, params.beta))
+    rhs = _oracle_add(_oracle_compose(rhs, j0), _oracle_scale(ONE, params.gamma))
+    rhs = _oracle_add(_oracle_compose(rhs, j0), _oracle_scale(ONE, params.delta))
     return (
-        ("raising", j0.compose(jp) - jp.compose(j0) - jp),
-        ("lowering", j0.compose(jm) - jm.compose(j0) + jm),
-        ("bracket", jp.compose(jm) - jm.compose(jp) - rhs),
+        ("raising", _oracle_sub(_oracle_sub(_oracle_compose(j0, jp), _oracle_compose(jp, j0)), jp)),
+        ("lowering", _oracle_add(_oracle_sub(_oracle_compose(j0, jm), _oracle_compose(jm, j0)), jm)),
+        ("bracket", _oracle_sub(_oracle_sub(_oracle_compose(jp, jm), _oracle_compose(jm, jp)), rhs)),
     )
 
 
@@ -771,7 +790,7 @@ def brute_force_preserving_dimension(space, max_order):
 def test_enumerate_max_order_zero_is_identity_line():
     basis = enumerate_preserving_operators(V3, 0)
     assert len(basis) == 1
-    assert basis[0] == DiffOp.identity()
+    assert basis[0] == DiffOp({(0, 0): 1})
 
 
 def test_enumerate_two_state_space_matches_brute_force():
@@ -1127,7 +1146,7 @@ def six_ladders():
 
 def test_single_derivative_is_abelian():
     space = MonomialSpace((0, 1, 2, 3))
-    report = lie_closure_probe([DiffOp.derivative()], space)
+    report = lie_closure_probe([DiffOp({(0, 1): 1})], space)
     assert report.closed_as_operators
     assert report.failing_pairs == ()
 
@@ -1312,11 +1331,11 @@ def test_probe_forms_no_bracket_once_the_span_is_full(monkeypatch):
 def _failing_pairs_by_sympy_rank(ops):
     """Pairs whose bracket leaves span(ops, (xD)^0 .. (xD)^3), by sympy rank
     on term coordinates; the powers of x*D are built by compose."""
-    euler = DiffOp.euler()
-    allowance = [DiffOp.identity()]
+    euler = DiffOp({(1, 1): 1})
+    allowance = [DiffOp({(0, 0): 1})]
     for _ in range(3):
         allowance.append(allowance[-1].compose(euler))
-    brackets = {(i, j): ops[i].compose(ops[j]) - ops[j].compose(ops[i])
+    brackets = {(i, j): _oracle_commutator(ops[i], ops[j])
                 for i, j in itertools.combinations(range(len(ops)), 2)}
     base = list(ops) + allowance
     keys = sorted(set().union(*(op.terms for op in base + list(brackets.values()))))
@@ -1366,12 +1385,12 @@ def test_dense_order_2_probe_spans_every_matrix(n, depth):
 
 def _two_radicand_families():
     r2, r3 = quadext(0, 1, 2), quadext(0, 1, 3)
-    xd, one = DiffOp.euler(), DiffOp.identity()
+    xd, one = DiffOp({(1, 1): 1}), DiffOp({(0, 0): 1})
     return [
         [DiffOp({(1, 1): r2, (0, 0): r3}), xd],
-        [xd * r2, one * r3],
-        [one * r3, xd * r2],
-        [one * quadext(1, 1, 2), xd * quadext(1, 1, 3)],
+        [xd.scale(r2), one.scale(r3)],
+        [one.scale(r3), xd.scale(r2)],
+        [one.scale(quadext(1, 1, 2)), xd.scale(quadext(1, 1, 3))],
         # one operator, so no bracket: on {1, x} the radicands meet only in its span row
         [DiffOp({(1, 1): r2, (2, 2): r3})],
     ]
@@ -1496,7 +1515,7 @@ def test_probe_computes_no_symbolic_action(monkeypatch):
 
 def test_probe_requires_preserving_inputs():
     with pytest.raises(SpaceEscapeError):
-        lie_closure_probe([DiffOp.derivative()], V3)
+        lie_closure_probe([DiffOp({(0, 1): 1})], V3)
 
 
 # -- text format -----------------------------------------------------------------------------------
@@ -1534,7 +1553,7 @@ def test_text_equals_a_renderer_from_the_terms(rng):
     ops = [DiffOp(), CASE1_RAISE, DiffOp({(-1, 2): Fr(1, 6)})]
     ops += [rand_scalar_op(rng) for _ in range(150)]
     ops += [rand_op(rng, nterms=5, mrange=(-4, 4), nmax=4) for _ in range(150)]
-    ops += [op * rand_fraction(rng, nonzero=True)
+    ops += [op.scale(rand_fraction(rng, nonzero=True))
             for op in enumerate_preserving_operators(MonomialSpace((0, 2, 3)), 3)]
     ops += [DiffOp({(rng.randint(-3, 3), rng.randint(0, 3)):
                     quadext(rand_fraction(rng), rand_fraction(rng, nonzero=True), 5)

@@ -36,7 +36,7 @@ from sl2deform.scalars import (
 )
 
 import reference_solvers as reference
-from conftest import rand_fraction
+from conftest import image, rand_fraction
 from exact_field import Q
 from published_cases import PUBLISHED
 
@@ -62,7 +62,7 @@ def test_the_cases_are_the_three_ladders_of_v3():
     assert [(case.data.q, Fr(case.data.two_m1, 2)) for case in CaseId] == [
         (1, Fr(-1)), (1, Fr(0)), (2, Fr(-1))
     ]
-    assert [case.data.raise_op.image(k) for case, k in zip(CaseId, (0, 1, 0))] == [
+    assert [image(case.data.raise_op, k) for case, k in zip(CaseId, (0, 1, 0))] == [
         {1: 1}, {3: 1}, {3: 1}
     ]
 

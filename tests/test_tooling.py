@@ -1,6 +1,8 @@
-"""The README's library quickstart runs as printed, and every function the
-bench traces still exists under the name it is traced by."""
+"""The README's library quickstart runs as printed, every function the bench
+traces still exists under the name it is traced by, and every public operator
+attribute has a caller outside the tests."""
 
+import ast
 import importlib
 import os
 import re
@@ -36,6 +38,36 @@ def test_every_bench_trace_target_resolves_in_sl2deform():
         if class_name is not None:
             owner = getattr(owner, class_name)
         assert callable(getattr(owner, attr, None)), name
+
+
+def _names_outside_own_def(tree):
+    """Each attribute name and each string constant in ``tree``, except those
+    inside the ``DiffOp`` method of the same name."""
+    def walk(node, own):
+        if isinstance(node, ast.Attribute) and node.attr != own:
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value != own:
+            yield node.value
+        in_class = isinstance(node, ast.ClassDef) and node.name == "DiffOp"
+        for child in ast.iter_child_nodes(node):
+            is_method = in_class and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from walk(child, child.name if is_method else own)
+
+    return set(walk(tree, None))
+
+
+def test_every_public_operator_attribute_is_called_by_the_package_or_the_bench():
+    # an attribute that only the tests name is test-only surface: each public
+    # DiffOp attribute is named, as an attribute or a string such as the
+    # bench's trace targets, in src/ outside its own def, or in bench/
+    from sl2deform.diffops import DiffOp
+
+    named = set()
+    for path in [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]:
+        named |= _names_outside_own_def(ast.parse(path.read_text(encoding="utf-8")))
+    public = sorted(name for name in vars(DiffOp) if not name.startswith("_"))
+    assert {"compose", "scale", "preserves_space", "to_text"} <= set(public)
+    assert [name for name in public if name not in named] == []
 
 
 def test_bench_count_hooks_read_irrational_matrices_and_operators():
