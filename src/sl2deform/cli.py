@@ -38,6 +38,11 @@ PASS, FAIL, ERROR = "pass", "fail", "error"
 _EXIT = {PASS: 0, FAIL: 1, ERROR: 2}
 
 
+# the writers of the plain values that a dict's loop writes inline, by exact type
+_LEAVES = {str: _json_string, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+           type(None): {None: "null"}.__getitem__}
+
+
 def to_json(value, indent: str = "\n") -> str:
     """``value`` as JSON, byte for byte as ``json.dumps`` writes it with ``indent=2``.
 
@@ -57,21 +62,26 @@ def to_json(value, indent: str = "\n") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     inner = indent + "  "
+    sep = "," + inner
     if isinstance(value, list):
         if not value:
             return "[]"
-        try:  # a list of strings, the common case, in one pass
-            body = ("," + inner).join(map(_json_string, value))
-        except TypeError:
-            body = ("," + inner).join([to_json(v, inner) for v in value])
-        return "[" + inner + body + indent + "]"
+        # a list of strings in one join; one that starts with another value skips the join
+        if type(value[0]) is str:
+            try:
+                return "[" + inner + sep.join(map(_json_string, value)) + indent + "]"
+            except TypeError:
+                pass
+        return "[" + inner + sep.join([to_json(v, inner) for v in value]) + indent + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
-        # a key that is not a str makes _json_string raise TypeError
-        body = ("," + inner).join([_json_string(k) + ": " + to_json(v, inner)
-                                   for k, v in value.items()])
-        return "{" + inner + body + indent + "}"
+        # a plain value is written here; a key that is not a str makes _json_string raise
+        parts = []
+        for k, v in value.items():
+            leaf = _LEAVES.get(type(v))
+            parts.append(_json_string(k) + ": " + (leaf(v) if leaf else to_json(v, inner)))
+        return "{" + inner + sep.join(parts) + indent + "}"
     raise TypeError(f"not a report value: {value!r}")
 
 
@@ -298,10 +308,10 @@ def _is_index(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _scalar_text(value, where: str) -> str:
+def _scalar_text(value, where: str, *where_args) -> str:
     if not isinstance(value, str):
         raise ValueError(
-            f'{where} must be a scalar string such as "-1/2" or "3*sqrt(2)", '
+            f'{where.format(*where_args)} must be a scalar string such as "-1/2" or "3*sqrt(2)", '
             f"got {json.dumps(value)}"
         )
     return value
@@ -350,7 +360,7 @@ def _read_rep_check_input(rep, params) -> tuple[MatrixTriple, AlgebraParams]:
         ladder = plus if dst > src else minus
         if (dst, src) in ladder:
             raise ValueError(f"duplicate ladder entry ({src}, {dst})")
-        ladder[(dst, src)] = parse_numerator(_scalar_text(text, f"ladder entry ({src}, {dst})"))
+        ladder[(dst, src)] = parse_numerator(_scalar_text(text, "ladder entry ({}, {})", src, dst))
     triple = MatrixTriple(*[Matrix.from_numerators(n, m) for m in (j0, plus, minus)])
     values = {name: parse_scalar(_scalar_text(params[name], name))
               for name in ("alpha", "beta", "gamma", "delta")}
@@ -409,7 +419,7 @@ def _int(text: str) -> int:
 _int.__name__ = "int"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parser_tree() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="sl2deform",
         description="Exact verification of cubic deformations of sl(2,R) on monomial modules",
@@ -437,16 +447,20 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--params", default=None, metavar="PATH")
     rc.add_argument("--report", default=None, metavar="PATH")
     rc.set_defaults(func=cmd_rep_check)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parser_tree()[0]
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of every main() call in this process, built on first use.
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The one parser tree of every main() call in this process, built on first use.
 
-    Parsing keeps no state in the parser, so one tree serves every call.
+    Parsing keeps no state in the parsers, so one tree serves every call.
     """
-    return build_parser()
+    return _parser_tree()
 
 
 _VALUE_FLAGS = ("--alpha", "--beta", "--gamma", "--space")
@@ -465,8 +479,24 @@ def _join_value_flags(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` on the cached tree: argv after a subcommand's
+    name goes straight to its parser, and a token left over is the top-level parser's
+    error, as parse_args reports it.  Any other argv goes through the top-level parser."""
+    parser, subparsers = _parser()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, rest = sub.parse_known_args(argv[1:])
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(_join_value_flags(sys.argv[1:] if argv is None else argv))
+    """Run the subcommand that argv names (default ``sys.argv[1:]``), parsed by ``_parse_args``."""
+    args = _parse_args(_join_value_flags(sys.argv[1:] if argv is None else argv))
     path = getattr(args, "report", None)
     try:
         try:

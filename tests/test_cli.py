@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sl2deform.cli import _join_value_flags, build_parser, main, to_json
+from sl2deform.cli import _join_value_flags, _parse_args, build_parser, main, to_json
 from sl2deform.diffops import V3, DiffOp, MonomialSpace, enumerate_preserving_operators
 from sl2deform.scalars import parse_scalar
 
@@ -678,6 +678,38 @@ def test_usage_errors_exit_2_with_the_same_text_on_every_call(capsys):
         assert texts[0].startswith("usage: sl2deform") and words in texts[0], texts[0]
 
 
+_DISPATCHED_ARGV = [
+    ["verify-case", "--case=1", "--alpha=2", "--beta", "-1"],
+    ["verify-case", "--cas", "1", "--alpha", "1", "--beta", "0"],
+    ["verify-case", "--case", "1", "--alpha", "1", "--beta", "0", "--", "x"],
+    ["verify-case", "--case", "1", "--alpha", "1", "--beta", "0", "stray"],
+    ["verify-case", "--case", "3", "--alpha", "-7/3", "--beta", "1/2", "--gamma", "5",
+     "--branch", "lower", "--emit-rep", "rep.json", "--report", "out.json"],
+    ["enumerate-preserving", "--space", "-1,2", "--max-order", "3", "--report", "out.json"],
+    ["rep-check", "--rep", "rep.json", "--params", "params.json", "--report", "out.json"],
+    ["rep-check", "--params", "params.json"],
+    ["-h"], ["--help"], ["verify-case", "-h"], ["enumerate-preserving", "--help"],
+    ["rep-check", "--rep", "rep.json", "-h"], ["-h", "verify-case"],
+    [], ["bogus"], ["bogus", "--case", "1"], ["--", "rep-check", "--rep", "rep.json"],
+]
+
+
+@pytest.mark.parametrize("argv", _DISPATCHED_ARGV, ids=" ".join)
+def test_main_parses_each_argv_as_the_full_parser_does(argv, capsys):
+    # main() hands argv after a subcommand's name straight to that
+    # subcommand's parser; what it parses, prints and exits with must be what
+    # the top-level parser gives for the same argv
+    outcomes = []
+    for parse in (_parse_args, lambda a: build_parser().parse_args(a)):
+        try:
+            outcome = parse(_join_value_flags(argv))
+        except SystemExit as exc:
+            outcome = ("exit", exc.code)
+        captured = capsys.readouterr()
+        outcomes.append((outcome, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_rep_check_refuses_a_radicand_past_the_budget_in_one_line(tmp_path, capsys):
     n = 1000000000000000000000007  # a 25-digit prime
     rep = {"dimension": 2, "diagonal": ["-1/2", "1/2"],
@@ -904,13 +936,16 @@ def test_report_writer_matches_json_dumps_on_edge_values():
         deep_list, deep_dict = [deep_list, "x"], {"k": deep_dict, "": [1, {}]}
     for value in ([], {}, [[]], [{}], {"": []}, [True, False, None, 0, -1], "",
                   ["a", 1], [1, "a"], ["a", ["b"]], 2 ** 64, -(2 ** 64) - 1, 10 ** 100,
-                  [["\U0001f600", "\x00\"\\"]], deep_list, deep_dict):
+                  [["\U0001f600", "\x00\"\\"]], [[1, 2], ["a"]], [{"k": [1]}, "x"],
+                  ["a", None, True, -2], {"s": "x", "i": -3, "t": True, "f": False, "n": None},
+                  deep_list, deep_dict):
         assert to_json(value) == json.dumps(value, indent=2)
 
 
 @pytest.mark.parametrize("value", [
     1.5, float("nan"), (1, 2), {1: "a"}, {None: 1}, {("a",): 1}, {"a", "b"}, b"x",
     Fr(1, 2), [1, 2.0], ["a", (1,)], {"a": ["b", 0.5]}, {"a": {2: "b"}},
+    {"a": 1.5}, {"a": (1,)}, {"a": Fr(1, 2)}, {"a": "b", "c": 1.5}, [1.5], [(1,)], ["a", 1.5],
 ])
 def test_report_writer_refuses_what_is_not_a_report_value(value):
     with pytest.raises(TypeError):
