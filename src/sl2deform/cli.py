@@ -38,7 +38,7 @@ PASS, FAIL, ERROR = "pass", "fail", "error"
 _EXIT = {PASS: 0, FAIL: 1, ERROR: 2}
 
 
-# the writers of the plain values that a dict's loop writes inline, by exact type
+# the writers of the plain values that a dict's or a list's loop writes inline, by exact type
 _LEAVES = {str: _json_string, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
            type(None): {None: "null"}.__getitem__}
 
@@ -66,13 +66,18 @@ def to_json(value, indent: str = "\n") -> str:
     if isinstance(value, list):
         if not value:
             return "[]"
-        # a list of strings in one join; one that starts with another value skips the join
+        # a list of strings in one join; one that starts with another value
+        # skips the join.  Otherwise a plain value is written here, as in a dict
         if type(value[0]) is str:
             try:
                 return "[" + inner + sep.join(map(_json_string, value)) + indent + "]"
             except TypeError:
                 pass
-        return "[" + inner + sep.join([to_json(v, inner) for v in value]) + indent + "]"
+        parts = []
+        for v in value:
+            leaf = _LEAVES.get(type(v))
+            parts.append(leaf(v) if leaf else to_json(v, inner))
+        return "[" + inner + sep.join(parts) + indent + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"

@@ -21,12 +21,16 @@ An operator is stored as numerators over one positive denominator, in lowest
 terms: an int per rational coefficient and the integer coordinates (p, q, d)
 of p + q*sqrt(d) per irrational one (``scalars.to_numerators``).  Sums,
 products, images, matrices and the probe's rank kernel are formed on the
-numerators by the ``scalars.num_*`` functions, one path for every field, and
+numerators by the ``scalars.num_*`` functions, the same for every field, and
 only they raise the ScalarDomainError of mixed radicands.
 :attr:`DiffOp.terms` gives the coefficients back as Fraction and QuadExt
 values.  Results in lowest terms by construction skip the
 validating constructor (:meth:`DiffOp._of`).  A commutator, and each residual
 of :func:`closure_check`, is formed on unreduced numerators and reduced once.
+Over at most one radicand a commutator is one pass over the term pairs that
+never forms the terms c1 c2 x^(m1+m2) D^(n1+n2) that the two products share
+and that cancel; over two it is the two products and their difference, whose
+clashes are the operator expression's (:func:`_commutator`).
 """
 
 from __future__ import annotations
@@ -142,17 +146,52 @@ def _terms(acc: dict) -> dict:
 def _commutator(a: "DiffOp", b: "DiffOp") -> tuple[dict, int]:
     """a . b - b . a on the numerators, over a._den * b._den, unreduced.
 
-    Each product has its own accumulator, a . b first, and the terms of
+    Over at most one radicand no ``num_*`` call can raise, and the bracket
+    is taken in one pass over the term pairs.  The pair x^m1 D^n1 and
+    x^m2 D^n2 puts its i-th exchange term at (m1 + m2 - i, n1 + n2 - i) in
+    both orders, with the weights w1 = C(n1, i) m2^(i falling) in a . b and
+    w2 = C(n2, i) m1^(i falling) in b . a.  So the i = 0 terms, c1 c2 in
+    both, cancel and are not formed, and for i >= 1 only c1 c2 (w1 - w2) is
+    added, when it is nonzero; a weight that reaches 0 stays 0, and the
+    pair is done once both have.  The sums are exact, so they are the
+    expression's.
+
+    Over two or more radicands a clash may lie in terms that cancel, so
+    each product gets its own accumulator, a . b first, and the terms of
     b . a are subtracted from a . b's in ascending key order.  A zero sum
     meets nothing it could clash with, so each product and the difference
     form the sums, and raise the ScalarDomainError, of the operator expression
     a . b - b . a; one shared accumulator would form sums it never forms.
     """
-    ab = _products({}, a._num, b._num)
-    ba = _products({}, b._num, a._num)
-    for key, v in sorted(ba.items()):
-        ab[key] = num_sub(ab.get(key, 0), v)
-    return ab, a._den * b._den
+    left, right = a._num, b._num
+    if len({v[2] for num in (left, right) for v in num.values() if type(v) is not int}) > 1:
+        ab = _products({}, left, right)
+        for key, v in sorted(_products({}, right, left).items()):
+            ab[key] = num_sub(ab.get(key, 0), v)
+        return ab, a._den * b._den
+    acc: dict = {}
+    for (m1, n1), c1 in left.items():
+        for (m2, n2), c2 in right.items():
+            w1, w2 = n1 * m2, n2 * m1
+            if not (w1 or w2):
+                continue
+            c = num_mul(c1, c2)
+            m, n, i = m1 + m2, n1 + n2, 1
+            while w1 or w2:
+                if w1 != w2:
+                    key = (m - i, n - i)
+                    cw = num_mul(c, w1 - w2)
+                    acc[key] = num_add(acc[key], cw) if key in acc else cw
+                w1 = w1 * (n1 - i) * (m2 - i) // (i + 1)
+                w2 = w2 * (n2 - i) * (m1 - i) // (i + 1)
+                i += 1
+    return acc, a._den * b._den
+
+
+def _require_diffop(other, method: str) -> None:
+    """TypeError unless ``other``, the operand of DiffOp.``method``, is a DiffOp."""
+    if not isinstance(other, DiffOp):
+        raise TypeError(f"DiffOp.{method} needs a DiffOp, not {type(other).__name__}")
 
 
 def _shift_polynomials(num: dict) -> dict[int, list]:
@@ -244,18 +283,22 @@ class DiffOp:
         Derivatives exchange past powers by D^n x^m = sum_i C(n,i) m(m-1)..(m-i+1)
         x^(m-i) D^(n-i); the falling factorial also handles negative m.  The
         product is formed on the numerators, over the product of the two
-        denominators, and reduced by one gcd, whatever the field.
+        denominators, and reduced by one gcd, whatever the field.  An
+        ``other`` that is not a DiffOp raises TypeError.
         """
+        _require_diffop(other, "compose")
         acc = _products({}, self._num, other._num)
         return _lowest(acc, self._den * other._den)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
-        """self . other - other . self: two products and a difference, formed
-        on the numerators over the product of the denominators and reduced
-        once.  Each product has its own accumulator and the difference is
-        taken in ascending key order (:func:`_commutator`), so a
-        ScalarDomainError of mixed radicands is the one of the operator
-        expression, two compositions and their difference."""
+        """self . other - other . self, formed on the numerators over the
+        product of the denominators and reduced once (:func:`_commutator`).
+        Over one field it is one pass over the term pairs that forms none of
+        the i = 0 exchange terms, which cancel; over two radicands it is two
+        products and a difference, so a ScalarDomainError of mixed radicands
+        is the one of the operator expression, two compositions and their
+        difference.  An ``other`` that is not a DiffOp raises TypeError."""
+        _require_diffop(other, "commutator")
         return _lowest(*_commutator(self, other))
 
     # -- action -----------------------------------------------------------------
@@ -480,8 +523,13 @@ def closure_check(
     [J0, J-] + J- and [J+, J-] - F(J0).  These are the sums and products of
     that operator expression, each step an operator in lowest terms, in its
     order and with the same left operands; only the reductions between the
-    steps are left out.  Each partial result is the reduced one times a nonzero integer, so
-    the residuals, and any ScalarDomainError, are theirs.
+    steps are left out, and, in a commutator of two operators over at most
+    one radicand, the terms of its two products that cancel: the i = 0
+    exchange terms c1 c2 x^(m1+m2) D^(n1+n2) of each term pair, and the
+    exchange terms of equal weight in both orders (:func:`_commutator`).
+    Over one field no sum of a commutator can raise, and over two it forms
+    the expression's products.  Each partial result is the reduced one times a
+    nonzero integer, so the residuals, and any ScalarDomainError, are theirs.
     """
     j0, jp, jm = triple
     (a, b, g, d), p = params.numerators
@@ -771,8 +819,9 @@ def lie_closure_probe(ops: Sequence[DiffOp], space: MonomialSpace) -> LieClosure
     matrix has a nonzero trace.  Once the span reaches that bound no bracket
     can add to it: saturation stops there.  Rank and membership do not change
     under nonzero scaling, so each operator bracket is taken as its
-    unreduced numerators (:func:`_commutator`), each matrix times its
-    operator's denominator, as rows read off the numerators
+    unreduced numerators (:func:`_commutator`, over one field one pass over
+    the term pairs that skips the terms its two products cancel), each
+    matrix times its operator's denominator, as rows read off the numerators
     (:func:`_matrix_rows`), and the matrices are bracketed as rows
     (:func:`_bracket`).  The span takes each matrix as its nonzero entries
     keyed (i, j), and each operator as its numerators keyed (m, n).

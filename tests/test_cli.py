@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sl2deform import cli
 from sl2deform.cli import _join_value_flags, _parse_args, build_parser, main, to_json
 from sl2deform.diffops import V3, DiffOp, MonomialSpace, enumerate_preserving_operators
 from sl2deform.scalars import parse_scalar
@@ -942,10 +943,25 @@ def test_report_writer_matches_json_dumps_on_edge_values():
         assert to_json(value) == json.dumps(value, indent=2)
 
 
+def test_report_writer_writes_the_plain_values_of_a_list_inline(monkeypatch):
+    # a list that does not start with a str writes its str, int, bool and
+    # None values in its own loop, as a dict does, so only the lists and
+    # dicts in it are written by a call of their own
+    calls = []
+    write = cli.to_json
+    monkeypatch.setattr(cli, "to_json", lambda v, indent="\n": calls.append(v) or write(v, indent))
+    value = {"indices": [0, 1, 2], "entries": [[0, 1, "x"], [1, 0, "sqrt(2)"]],
+             "flags": [True, None, "a", -3, [False]]}
+    assert cli.to_json(value) == json.dumps(value, indent=2)
+    assert calls == [value, value["indices"], value["entries"], *value["entries"],
+                     value["flags"], [False]]
+
+
 @pytest.mark.parametrize("value", [
     1.5, float("nan"), (1, 2), {1: "a"}, {None: 1}, {("a",): 1}, {"a", "b"}, b"x",
     Fr(1, 2), [1, 2.0], ["a", (1,)], {"a": ["b", 0.5]}, {"a": {2: "b"}},
     {"a": 1.5}, {"a": (1,)}, {"a": Fr(1, 2)}, {"a": "b", "c": 1.5}, [1.5], [(1,)], ["a", 1.5],
+    [1, 1.5], [None, (1,)], [True, Fr(1, 2)],
 ])
 def test_report_writer_refuses_what_is_not_a_report_value(value):
     with pytest.raises(TypeError):

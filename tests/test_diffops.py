@@ -2,10 +2,12 @@ import itertools
 import math
 import operator
 import random
+import re
 from fractions import Fraction as Fr
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from sl2deform import diffops
@@ -40,6 +42,7 @@ from sl2deform.scalars import (
     ScalarDomainError,
     from_numerator,
     num_gcd,
+    num_sub,
     quadext,
     render_scalar,
     scalar_is_zero,
@@ -750,6 +753,107 @@ def test_a_commutator_is_reduced_once(reductions):
             reductions.clear()
             a.commutator(b)
             assert len(reductions) == 1
+
+
+# -- the one-pass commutator against the two products and their difference -------------
+
+
+def _products_difference(a, b):
+    """a . b - b . a as two ``_products`` and a difference in ascending key
+    order, unreduced: the operator expression that the one pass replaces."""
+    ab = diffops._products({}, a._num, b._num)
+    for key, v in sorted(diffops._products({}, b._num, a._num).items()):
+        ab[key] = num_sub(ab.get(key, 0), v)
+    return ab
+
+
+def _one_field_ops(d):
+    """Operators of up to five terms x^m D^n, m in -4..8 and n in 0..6, over
+    Q, or over Q(sqrt d) with about half the coefficients irrational."""
+    ratio = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    coeff = ratio if d is None else st.one_of(
+        ratio, st.tuples(ratio, ratio.filter(bool)).map(lambda ab: quadext(ab[0], ab[1], d)))
+    key = st.tuples(st.integers(-4, 8), st.integers(0, 6))
+    return st.dictionaries(key, coeff, max_size=5).map(DiffOp)
+
+
+@st.composite
+def _one_field_pairs(draw):
+    """(a, b, whether a and b commute by construction) over one field."""
+    d = draw(st.sampled_from([None, 2, 3, 7]))
+    a = draw(_one_field_ops(d))
+    kind = draw(st.sampled_from(["any", "same", "scaled", "euler", "vanishing"]))
+    if kind == "same":
+        return a, a, True
+    if kind == "scaled":
+        return a, a.scale(draw(st.fractions(min_value=-5, max_value=5, max_denominator=4))), True
+    if kind == "euler":  # polynomials in x D commute, and x^i D^i is (xD)^(i falling)
+        euler = st.dictionaries(st.integers(0, 6), st.integers(-9, 9), max_size=4).map(
+            lambda cs: DiffOp({(i, i): c for i, c in cs.items()}))
+        return draw(euler), draw(euler), True
+    b = draw(_one_field_ops(d))
+    if kind == "vanishing":  # 0 <= m2 < n1: a . b's weight C(n1, i) m2^(i falling) dies early
+        n1 = draw(st.integers(1, 6))
+        a = DiffOp({**a.terms, (draw(st.integers(-4, 8)), n1): 1})
+        b = DiffOp({**b.terms, (draw(st.integers(0, n1 - 1)), draw(st.integers(0, 6))): -2})
+    return a, b, False
+
+
+@settings(max_examples=400, deadline=None)
+@given(_one_field_pairs())
+@example((CASE1_RAISE, CASE1_LOWER, False))
+@example((DiffOp({(3, 2): 1}), DiffOp({(1, 4): 1}), False))  # m2 = 1 < n1 = 2, m1 = 3 < n2 = 4
+@example((DiffOp({(2, 2): ROOT2}), DiffOp({(1, 1): quadext(1, 1, 2)}), True))
+def test_one_pass_commutator_equals_the_two_products_on_one_field(case):
+    a, b, commuting = case
+    acc, den = diffops._commutator(a, b)
+    want = _products_difference(a, b)
+    # the same nonzero unreduced sums, so the same reduced operator
+    assert diffops._terms(acc) == diffops._terms(want), (a, b)
+    got, want = diffops._lowest(acc, den), diffops._lowest(want, den)
+    assert (got._den, list(got._num.items())) == (want._den, list(want._num.items()))
+    if commuting:
+        assert got.is_zero()
+
+
+def test_a_clash_only_in_the_cancelling_products_raises_the_expressions_error():
+    # each pair of terms over sqrt(2) and sqrt(3) has no exchange term
+    # (n1 m2 = n2 m1 = 0): the only sums that mix the radicands are the
+    # products c1 c2 x^(m1+m2) D^(n1+n2), which cancel in the difference
+    a = DiffOp({(0, 0): quadext(1, 1, 2), (1, 1): 1})
+    b = DiffOp({(3, 0): quadext(1, 1, 3), (2, 0): 5})
+    for left, right, message in ((a, b, "mixed radicands sqrt(2) and sqrt(3)"),
+                                 (b, a, "mixed radicands sqrt(3) and sqrt(2)")):
+        assert _outcome(DiffOp.commutator, left, right) == (ScalarDomainError, message)
+        assert _outcome(_oracle_commutator, left, right) == (ScalarDomainError, message)
+        with pytest.raises(ScalarDomainError, match=re.escape(message)):
+            diffops._commutator(left, right)
+
+
+def test_one_pass_commutator_halves_the_products_of_the_v3_ladder_probe(monkeypatch):
+    # the six case ladders and two diagonals of acceptance 6, bracketed
+    # pairwise as lie_closure_probe brackets them
+    ops = six_ladders() + [intrinsic_realization(case.data, 1, 0)[0]
+                           for case in (CaseId.CASE1, CaseId.CASE2)]
+    calls = []
+    num_mul = diffops.num_mul
+    monkeypatch.setattr(diffops, "num_mul", lambda x, y: calls.append(1) or num_mul(x, y))
+    counts = []
+    for bracket in (diffops._commutator, _products_difference):
+        calls.clear()
+        for a, b in itertools.combinations(ops, 2):
+            bracket(a, b)
+        counts.append(len(calls))
+    one_pass, expression = counts
+    assert 0 < 2 * one_pass <= expression, counts
+
+
+def test_compose_and_commutator_refuse_what_is_not_an_operator():
+    op = DiffOp({(1, 1): 1, (0, 0): Fr(-1, 2)})
+    for other in (2, None, Matrix.diagonal([1, 2])):
+        for method in ("compose", "commutator"):
+            with pytest.raises(TypeError, match=rf"^DiffOp\.{method} needs a DiffOp, not "):
+                getattr(op, method)(other)
 
 
 # -- enumeration of preserving operators ------------------------------------------------------
