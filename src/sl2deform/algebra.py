@@ -1,11 +1,10 @@
-"""The cubic deformation of sl(2,R) and its classic undeformed baseline.
+"""The relations of the cubic deformation of sl(2,R) on concrete matrices.
 
 The deformed algebra is generated by a diagonal operator J0 and ladder
 operators J+- with [J0, J+-] = +-J+- and [J+, J-] equal to a cubic polynomial
-alpha*J0^3 + beta*J0^2 + gamma*J0 + delta.  The classic algebra is the special
-point (0, 0, 2, 0).  This module builds the classic spin matrices and their
-first-order differential realization, evaluates relation residuals for any
-concrete matrix triple, and forms the Casimir element.  J0 must be diagonal
+alpha*J0^3 + beta*J0^2 + gamma*J0 + delta; the classic algebra is the special
+point (0, 0, 2, 0).  This module evaluates the relation residuals of a
+concrete matrix triple and forms its Casimir element.  J0 must be diagonal
 (every representation here is given in a weight basis), which
 ``MatrixTriple`` checks once; the relations then need no matrix products
 beyond J+J- and J-J+, and the Casimir element none beyond J+J-, which the
@@ -42,21 +41,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .diffops import DiffOp
 from .matrices import Matrix
-from .scalars import (
-    Scalar,
-    as_scalar,
-    from_numerator,
-    num_add,
-    num_mul,
-    num_sub,
-    sqrt_exact,
-    to_numerators,
-)
+from .scalars import Scalar, as_scalar, num_add, num_mul, num_sub, to_numerators
 
 
 @dataclass(frozen=True)
@@ -108,11 +96,6 @@ class MatrixTriple:
         return self.jplus @ self.jminus
 
     @functools.cached_property
-    def diagonal(self) -> tuple[Scalar, ...]:
-        """J0's entries h_0 .. h_(n-1), formed on first use."""
-        return tuple([self.j0[i, i] for i in range(self.dimension)])
-
-    @functools.cached_property
     def diagonal_numerators(self) -> tuple[list, int]:
         """(T, H): the h_i as J0 stores them, numerators T_i over its
         denominator H; the relations and the Casimir element share them."""
@@ -139,21 +122,15 @@ class RelationResiduals:
         return self.raising.is_zero() and self.lowering.is_zero() and self.bracket.is_zero()
 
 
-def cubic(ts: Sequence[Scalar], params: AlgebraParams) -> list[Scalar]:
-    """alpha*t^3 + beta*t^2 + gamma*t + delta at each t of ``ts``.
-
-    With t = T/h and the parameters A/p, B/p, G/p, D/p over common
-    denominators, the value is ((T*A + B*h)*T + G*h^2)*T + D*h^3 over p*h^3:
-    Horner's scheme on numerators, T on the left of A and on the right of each
-    partial sum, then one division.
-    """
-    values, den = _cubic(*to_numerators(ts), params)
-    return [from_numerator(v, den) for v in values]
-
-
 def _cubic(nums: Sequence, h: int, params: AlgebraParams) -> tuple[list, int]:
-    """``cubic`` at the values T/h of the numerators T of ``nums``, undivided:
-    the numerators and their common denominator."""
+    """alpha*t^3 + beta*t^2 + gamma*t + delta at each t = T/h, for the
+    numerators T of ``nums``, undivided: the numerators and their common
+    denominator.
+
+    With the parameters A/p, B/p, G/p, D/p over common denominators, the value
+    is ((T*A + B*h)*T + G*h^2)*T + D*h^3 over p*h^3: Horner's scheme on
+    numerators, T on the left of A and on the right of each partial sum.
+    """
     (a, b, g, d), p = params.numerators
     b, g, d = num_mul(b, h), num_mul(g, h * h), num_mul(d, h * h * h)
     return [num_add(num_mul(num_add(num_mul(num_add(num_mul(t, a), b), t), g), t), d)
@@ -270,56 +247,3 @@ def casimir_matrix(rep: MatrixTriple, params: AlgebraParams) -> Matrix:
             out = dict(sorted(out.items()))
         rows.append(out)
     return Matrix._lowest(rows, den)
-
-
-def _half(two_m: int) -> Fraction:
-    return Fraction(two_m, 2)
-
-
-def _check_two_j(two_j: int) -> None:
-    if two_j < 0:
-        raise ValueError("two_j must be nonnegative")
-
-
-def build_classic_sl2_matrices(two_j: int) -> MatrixTriple:
-    """The (2j+1)-dimensional spin-j matrices, basis ordered m = -j .. +j.
-
-    J0 is diagonal with entries m; ladder entries are the exact square roots
-    sqrt((j -+ m)(j +- m + 1)), one quadratic extension per entry as needed.
-    """
-    _check_two_j(two_j)
-    j = _half(two_j)
-    ms = [_half(t) for t in range(-two_j, two_j + 1, 2)]
-    n = len(ms)
-    plus, minus = {}, {}
-    for col, m in enumerate(ms):
-        if m < j:
-            plus[(col + 1, col)] = sqrt_exact((j - m) * (j + m + 1))
-        if m > -j:
-            minus[(col - 1, col)] = sqrt_exact((j + m) * (j - m + 1))
-    return MatrixTriple(
-        j0=Matrix.diagonal(ms),
-        jplus=Matrix.from_entries(n, plus),
-        jminus=Matrix.from_entries(n, minus),
-    )
-
-
-def build_classic_sl2_diffops(two_j: int) -> tuple[DiffOp, DiffOp, DiffOp]:
-    """First-order realization on monomials: x*D - j, -x^2*D + 2j*x, D."""
-    _check_two_j(two_j)
-    j = _half(two_j)
-    j0 = DiffOp({(1, 1): Fraction(1), (0, 0): -j})
-    jp = DiffOp({(2, 1): Fraction(-1), (1, 0): 2 * j})
-    jm = DiffOp({(0, 1): Fraction(1)})
-    return j0, jp, jm
-
-
-def classic_norm_squares(two_j: int) -> list[Fraction]:
-    """Squared normalizations (2j)! / ((j+m)!(j-m)!) aligning x^(j+m) with |j,m>."""
-    _check_two_j(two_j)
-    out = []
-    for t in range(-two_j, two_j + 1, 2):
-        jpm = (two_j + t) // 2
-        out.append(Fraction(math.factorial(two_j),
-                            math.factorial(jpm) * math.factorial(two_j - jpm)))
-    return out

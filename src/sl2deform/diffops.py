@@ -37,15 +37,12 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .matrices import Matrix, row_product
 from .scalars import (
-    DIGITS,
     Scalar,
     as_scalar,
     digit_limit,
@@ -55,11 +52,8 @@ from .scalars import (
     num_gcd,
     num_mul,
     num_sub,
-    parse_scalar,
     render_numerator,
     scalar_is_zero,
-    sqrt_exact,
-    to_numerator,
     to_numerators,
 )
 
@@ -332,25 +326,10 @@ class DiffOp:
         return all(e in members for k in space.exponents
                    for e, v in self._image_numerators(k).items() if v)
 
-    def matrix_on_space(
-        self, space: "MonomialSpace", norm_squares: Optional[Sequence] = None
-    ) -> Matrix:
-        """Matrix in the basis x^e of ``space``, which must be preserved.
-
-        With ``norm_squares`` the basis vector i is sqrt(norm_squares[i]) * x^e_i;
-        each entry picks up sqrt(N_col / N_row), taken exactly per entry so no
-        shared quadratic extension is ever needed.
-        """
-        rows = _matrix_rows(self, space)
-        if norm_squares is None:
-            return Matrix._lowest(rows, self._den)
-        ns = [Fraction(x) for x in norm_squares]
-        entries = {}
-        for r, row in enumerate(rows):
-            for c, v in row.items():
-                x, q = to_numerator(sqrt_exact(ns[c] / ns[r]))
-                entries[(r, c)] = num_mul(v, x), self._den * q
-        return Matrix.from_numerators(space.dimension, entries)
+    def matrix_on_space(self, space: "MonomialSpace") -> Matrix:
+        """Matrix in the basis x^e of ``space``; ``SpaceEscapeError`` unless
+        the operator preserves it."""
+        return Matrix._lowest(_matrix_rows(self, space), self._den)
 
     # -- identity ------------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -399,57 +378,6 @@ def _joined(pieces: list[str]) -> str:
     piece's ``+`` is dropped and its ``-`` closed up to the number."""
     text = "".join(pieces)
     return "-" + text[3:] if text[1] == "-" else text[3:]
-
-
-_TERM_RE = re.compile(
-    rf"^\s*(?P<coeff>\(.*\)|[^*]*?)\s*\*\s*x\^(?P<m>-?{DIGITS})\s*\*\s*D\^(?P<n>{DIGITS})\s*$"
-)
-
-
-def parse_diffop(text: str) -> DiffOp:
-    """Parse the operator text format produced by :meth:`DiffOp.to_text`."""
-    text = text.strip()
-    if text == "0":
-        return DiffOp()
-    # split on top-level +/- (not inside parentheses, not at position 0, and not
-    # the sign of an exponent as in "x^-1")
-    pieces: list[str] = []
-    signs: list[int] = []
-    depth = 0
-    start = 0
-    sign = 1
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > start:
-            prev = text[:i].rstrip()
-            if prev.endswith("^"):
-                continue
-            pieces.append(text[start:i])
-            signs.append(sign)
-            sign = 1 if ch == "+" else -1
-            start = i + 1
-    pieces.append(text[start:])
-    signs.append(sign)
-    if text.startswith("-"):
-        signs[0] = -1
-        pieces[0] = pieces[0].lstrip("-").strip()
-    terms: list[tuple[tuple[int, int], Scalar]] = []
-    for sgn, piece in zip(signs, pieces):
-        m = _TERM_RE.match(piece)
-        if not m:
-            raise ValueError(f"cannot parse operator term {piece!r}")
-        coeff_text = m.group("coeff").strip()
-        if coeff_text.startswith("("):
-            coeff_text = coeff_text[1:-1]
-        coeff = parse_scalar(coeff_text) if coeff_text else Fraction(1)
-        if sgn < 0:
-            (v,), den = to_numerators((coeff,))
-            coeff = from_numerator(num_mul(v, -1), den)
-        terms.append(((int(m.group("m")), int(m.group("n"))), coeff))
-    return DiffOp(terms)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,14 @@
-"""Single-step ladder representations and the solved three-dimensional cases.
+"""The three-dimensional cases solved exactly, and the blocks of a representation.
 
-The representation class handled here acts on basis states labeled
-M = -J .. +J (stored doubled so half-integer spins stay in integers):
-the diagonal generator has eigenvalues a*M^2 + (1/q - a*q - 2*a*M1)*M + c,
-the raising operator moves only M1 -> M1 + q with coefficient f, and the
-lowering operator moves only M1 + q -> M1 with coefficient g.  The linear
-coefficient is pinned by the unit-shift relation [J0, J+] = J+, so the whole
-relation system reduces to 2J + 1 diagonal constraints; only the product
-f*g is ever constrained, never the split.
+A case acts on the labels M = -1, 0, 1 of its three exponents: J0 takes the
+value c + e_M at label M, for the case's energies e_M (``CaseData.energies``),
+the raising operator moves only the source label to the raised one, with
+coefficient f, and the lowering operator moves it back, with coefficient g.
+[J0, J+-] = +-J+- then holds for every c, so the relations reduce to one
+cubic constraint per label; only the product f*g is ever constrained, never
+the split.
 
-The three-dimensional cases are solved in normal form, on numerators
+The cases are solved in normal form, on numerators
 (``scalars.num_*``), each result reduced once.  J0 -> J0 + s and J+ ->
 J+/alpha keep [J0, J+-] = +-J+- and turn the cubic into t^3 + p t + r
 (s = beta/(3 alpha), p = gamma/alpha - 3 s^2), so the quadratic in c + s has
@@ -27,60 +26,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Union
 
-from .algebra import AlgebraParams, MatrixTriple, _check_two_j, _cubic
+from .algebra import AlgebraParams, MatrixTriple, _cubic
 from .cases import CaseData
-from .matrices import Matrix, coordinate_block_split
+from .matrices import coordinate_block_split
 from .scalars import (Scalar, as_scalar, from_numerator, num_add, num_mul, num_sub, quotient,
                       scalar_is_zero, sqrt_exact, to_numerators)
-
-Fr = Fraction
 
 
 class TrivialAlgebraError(ValueError):
     """alpha = beta = 0 forces gamma = delta = 0; nothing to solve."""
-
-
-@dataclass(frozen=True)
-class RepSpec:
-    """Labels and ladder coefficients of one single-step representation."""
-
-    two_j: int
-    q: int
-    two_m1: int
-    a: Scalar
-    c: Scalar
-    f: Scalar
-    g: Scalar
-
-    def __post_init__(self):
-        for name in ("a", "c", "f", "g"):
-            object.__setattr__(self, name, as_scalar(getattr(self, name)))
-        _check_two_j(self.two_j)
-        if self.q < 1 or self.q > self.two_j:
-            raise ValueError(f"q must lie in 1..{self.two_j}, got {self.q}")
-        if (self.two_m1 - self.two_j) % 2 != 0:
-            raise ValueError("two_m1 must have the parity of two_j")
-        if self.two_m1 < -self.two_j or self.two_m1 + 2 * self.q > self.two_j:
-            raise ValueError("both ladder endpoints must lie in -J..J")
-
-    @property
-    def linear_coeff(self) -> Scalar:
-        """1/q - a*q - 2*a*M1, forced by the unit shift of the raising relation."""
-        (a,), den = to_numerators([self.a])
-        return from_numerator(num_sub(den, num_mul(a, self.q * (self.q + self.two_m1))), self.q * den)
-
-    def diagonal_value(self, m: Union[Fraction, int]) -> Scalar:
-        (v,), den = self._diagonal([Fr(m)])
-        return from_numerator(v, den)
-
-    def _diagonal(self, ms: Sequence[Fraction]) -> tuple[list, int]:
-        """The values at the labels ``ms``, numerators over one denominator."""
-        (a, lin, c), den = to_numerators((self.a, self.linear_coeff, self.c))
-        ms, md = to_numerators(ms)
-        return [num_add(num_add(num_mul(a, m * m), num_mul(lin, m * md)), num_mul(c, md * md))
-                for m in ms], den * md * md
 
 
 @dataclass(frozen=True)
@@ -105,38 +61,6 @@ class IntrinsicData:
     fg: Scalar
     c: Scalar
     branch: str  # "upper" | "lower"
-
-
-def build_new_rep_matrices(spec: RepSpec) -> MatrixTriple:
-    """Concrete matrices of a ladder representation, basis ordered M = -J .. +J."""
-    two_ms = list(range(-spec.two_j, spec.two_j + 1, 2))
-    pos = {t: i for i, t in enumerate(two_ms)}
-    diag = [spec.diagonal_value(Fr(t, 2)) for t in two_ms]
-    n = len(two_ms)
-    src, dst = pos[spec.two_m1], pos[spec.two_m1 + 2 * spec.q]
-    return MatrixTriple(
-        j0=Matrix.diagonal(diag),
-        jplus=Matrix.from_entries(n, {(dst, src): spec.f}),
-        jminus=Matrix.from_entries(n, {(src, dst): spec.g}),
-    )
-
-
-def constraint_residuals(spec: RepSpec, params: AlgebraParams) -> list[Scalar]:
-    """The 2J+1 diagonal constraint residuals, raised state first.
-
-    Order: the raised-state residual cubic(h(M1+q)) - f*g, then the source
-    residual cubic(h(M1)) + f*g, then one residual cubic(h(M)) per remaining
-    basis label M, ascending.  All zero exactly when the built matrices
-    satisfy the deformed relations.  Formed on numerators, each reduced once.
-    """
-    (f, g), fd = to_numerators((spec.f, spec.g))
-    fg = num_mul(f, g)
-    raised, src = spec.two_m1 + 2 * spec.q, spec.two_m1
-    labels = [raised, src] + [t for t in range(-spec.two_j, spec.two_j + 1, 2) if t not in (raised, src)]
-    values, den = _cubic(*spec._diagonal([Fr(t, 2) for t in labels]), params)
-    values, fg = [num_mul(v, fd * fd) for v in values], num_mul(fg, den)
-    values[0], values[1] = num_sub(values[0], fg), num_add(values[1], fg)
-    return [from_numerator(v, den * fd * fd) for v in values]
 
 
 def _case_parameters(alpha, beta, gamma) -> AlgebraParams:
@@ -262,26 +186,10 @@ def decompose_rep(rep: MatrixTriple) -> list[RepBlock]:
     a single c is not determined.
     """
     split = coordinate_block_split([rep.j0, rep.jplus, rep.jminus])
+    ts, h = rep.diagonal_numerators
     out = []
     for block in split.blocks:
-        eigs = tuple([rep.diagonal[i] for i in block])
+        eigs = tuple([from_numerator(ts[i], h) for i in block])
         label: Union[Scalar, tuple[Scalar, ...]] = eigs[0] if len(eigs) == 1 else eigs
         out.append(RepBlock(indices=block, two_j_label=len(block) - 1, c_label=label))
     return out
-
-
-def case_rep_spec(data: CaseData, solution: CaseSolution, f: Optional[Scalar] = None) -> RepSpec:
-    """RepSpec for a solved case, splitting the product as f = 1, g = f*g by default."""
-    f = as_scalar(1 if f is None else f)
-    if scalar_is_zero(f):
-        raise ValueError("the raising coefficient of the split must be nonzero")
-    (fg, f_num), _ = to_numerators((solution.fg, f))
-    return RepSpec(
-        two_j=2,
-        q=data.q,
-        two_m1=data.two_m1,
-        a=data.a,
-        c=solution.c,
-        f=f,
-        g=quotient(fg, f_num),
-    )

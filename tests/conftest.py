@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 
 from sl2deform.cases import build_case_realization
+from sl2deform.diffops import MonomialSpace
+from sl2deform.matrices import Matrix
 from sl2deform.reps import intrinsic_gamma_and_product
+from sl2deform.scalars import sqrt_exact
 
 from exact_field import Q
 
@@ -41,6 +44,16 @@ def intrinsic_realization(data, alpha, beta, f=1, g=1):
     """The case triple at the intrinsic label c of (alpha, beta)."""
     c = intrinsic_gamma_and_product(data, alpha, beta).c
     return build_case_realization(data, f, g, c)
+
+
+def normalized_matrix(op, two_j: int) -> Matrix:
+    """The matrix of ``op`` on x^0 .. x^(2j) in the basis sqrt(N_k) x^k,
+    N_k = C(2j, k): ``matrix_on_space`` scaled entry by entry by
+    sqrt(N_c / N_r), in ``exact_field.Q``."""
+    space = MonomialSpace(tuple(range(two_j + 1)))
+    return Matrix.from_entries(two_j + 1, {
+        (r, c): (Q(x) * sqrt_exact(Fraction(math.comb(two_j, c), math.comb(two_j, r)))).value
+        for r, c, x in op.matrix_on_space(space).entries()})
 
 
 @pytest.fixture

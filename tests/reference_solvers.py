@@ -1,5 +1,5 @@
 """The case derivation, the case solvers and the ladder constraints in
-Fraction-pair arithmetic.
+Fraction-pair arithmetic, and the representations the tests build.
 
 A reference implementation for the differential oracles of ``test_reps`` and
 ``test_cases``: the forms that ``reps`` and ``cases`` had before they computed
@@ -8,22 +8,48 @@ kept operator for operator, so that the oracle compares values and also which
 error is raised, with which message, in which order.  Irrational values are
 computed with ``exact_field.Q``, which shares no arithmetic with the package,
 and handed back as the package's scalars.
+
+The tests' representations live here too, as the package ships none: the
+single-step ladder representations (``RepSpec``), the classic spin-j
+matrices and their first-order realization, and a reader of the operator
+text that ``DiffOp.to_text`` writes.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
-from sl2deform.algebra import AlgebraParams
+from sl2deform.algebra import AlgebraParams, MatrixTriple
 from sl2deform.cases import CaseData
 from sl2deform.diffops import DiffOp, MonomialSpace
-from sl2deform.reps import CaseSolution, IntrinsicData, RepSpec, TrivialAlgebraError
-from sl2deform.scalars import as_scalar, scalar_is_zero, sqrt_exact
+from sl2deform.matrices import Matrix
+from sl2deform.reps import CaseSolution, IntrinsicData, TrivialAlgebraError
+from sl2deform.scalars import as_scalar, parse_scalar, scalar_is_zero, sqrt_exact
 
 from exact_field import Q
 
 Fr = Fraction
+
+
+@dataclass(frozen=True)
+class RepSpec:
+    """A single-step ladder representation on the labels M = -J .. J, doubled.
+
+    J0 is a*M^2 + linear_coeff*M + c at M (``diagonal_value``), J+ moves only
+    M1 to M1 + q, with coefficient f, and J- moves it back, with coefficient
+    g.  A plain record: nothing is checked.
+    """
+
+    two_j: int
+    q: int
+    two_m1: int
+    a: object
+    c: object
+    f: object
+    g: object
 
 
 def ladder(exponents: tuple[int, ...], k_from: int, k_to: int) -> DiffOp:
@@ -77,7 +103,7 @@ def derive_case(space: MonomialSpace, k_src: int, k_dst: int) -> CaseData:
 
 def _cubic(ts, alpha, beta, gamma, delta) -> list[Q]:
     """alpha*t^3 + beta*t^2 + gamma*t + delta at each t, by Horner's scheme with
-    t on the left of alpha, as ``algebra.cubic`` forms it."""
+    t on the left of alpha, as ``algebra._cubic`` forms it."""
     return [((Q(t) * alpha + beta) * t + gamma) * t + delta for t in ts]
 
 
@@ -179,3 +205,55 @@ def build_case_realization(data: CaseData, f, g, c) -> tuple[DiffOp, DiffOp, Dif
 def printed_label(label: Fraction, alpha, beta):
     """The published label less the shift, as ``cli.cmd_verify_case`` formed it."""
     return (label - Q(beta) / (3 * alpha)).value
+
+
+def build_new_rep_matrices(spec: RepSpec) -> MatrixTriple:
+    """The matrices of ``spec``, basis ordered M = -J .. +J."""
+    n = spec.two_j + 1
+    src = (spec.two_j + spec.two_m1) // 2
+    return MatrixTriple(
+        j0=Matrix.diagonal([diagonal_value(spec, Fr(t, 2)) for t in range(-spec.two_j, n, 2)]),
+        jplus=Matrix.from_entries(n, {(src + spec.q, src): spec.f}),
+        jminus=Matrix.from_entries(n, {(src, src + spec.q): spec.g}),
+    )
+
+
+def build_classic_sl2_matrices(two_j: int) -> MatrixTriple:
+    """The spin-j matrices, basis ordered m = -j .. +j: J0 = diag(m), and the
+    ladders sqrt((j -+ m)(j +- m + 1)), each entry over its own radicand."""
+    j = Fr(two_j, 2)
+    ms = [Fr(t, 2) for t in range(-two_j, two_j + 1, 2)]
+    return MatrixTriple(
+        j0=Matrix.diagonal(ms),
+        jplus=Matrix.from_entries(len(ms), {
+            (i + 1, i): sqrt_exact((j - m) * (j + m + 1)) for i, m in enumerate(ms[:-1])}),
+        jminus=Matrix.from_entries(len(ms), {
+            (i - 1, i): sqrt_exact((j + m) * (j - m + 1)) for i, m in enumerate(ms) if i}),
+    )
+
+
+def build_classic_sl2_diffops(two_j: int) -> tuple[DiffOp, DiffOp, DiffOp]:
+    """The first-order realization on x^0 .. x^(2j): x*D - j, -x^2*D + 2j*x, D.
+    On the basis sqrt(C(2j, j + m)) x^(j+m) its matrices are the spin-j ones."""
+    j = Fr(two_j, 2)
+    return (DiffOp({(1, 1): 1, (0, 0): -j}), DiffOp({(2, 1): -1, (1, 0): 2 * j}),
+            DiffOp({(0, 1): 1}))
+
+
+_TERM = re.compile(r"(^-?| [+-] )(\(.*?\)|[0-9]+(?:/[0-9]+)?) \* x\^(-?[0-9]+) \* D\^([0-9]+)")
+
+
+def read_diffop(text: str) -> DiffOp:
+    """The operator that ``DiffOp.to_text`` writes as ``text``; ``ValueError``
+    unless ``text`` is ``0`` or a run of such terms."""
+    terms, end = {}, 0
+    for m in _TERM.finditer(text):
+        if m.start() != end:
+            break
+        sign, coefficient, x, d = m.groups()
+        value = Q(parse_scalar(coefficient[1:-1] if coefficient[0] == "(" else coefficient))
+        terms[(int(x), int(d))] = (-value if "-" in sign else value).value
+        end = m.end()
+    if text != "0" and (end != len(text) or not terms):
+        raise ValueError(f"not an operator text: {text!r}")
+    return DiffOp(terms)

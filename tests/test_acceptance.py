@@ -20,14 +20,7 @@ from itertools import product
 
 import sympy
 
-from sl2deform.algebra import (
-    AlgebraParams,
-    build_classic_sl2_diffops,
-    build_classic_sl2_matrices,
-    casimir_matrix,
-    check_deformed_relations,
-    classic_norm_squares,
-)
+from sl2deform.algebra import AlgebraParams, MatrixTriple, casimir_matrix, check_deformed_relations
 from sl2deform.cases import CaseId, build_case_realization
 from sl2deform.diffops import (
     DiffOp,
@@ -38,19 +31,20 @@ from sl2deform.diffops import (
     lie_closure_probe,
 )
 from sl2deform.matrices import is_scalar_multiple_of_identity
-from sl2deform.reps import (
+from sl2deform.reps import decompose_rep, intrinsic_gamma_and_product, solve_case
+from sl2deform.scalars import scalar_is_zero
+
+from conftest import image, intrinsic_realization, normalized_matrix, rand_fraction
+from published_cases import PUBLISHED
+from reference_solvers import (
     RepSpec,
+    build_classic_sl2_diffops,
+    build_classic_sl2_matrices,
     build_new_rep_matrices,
     case_rep_spec,
     constraint_residuals,
-    decompose_rep,
-    intrinsic_gamma_and_product,
-    solve_case,
+    diagonal_value,
 )
-from sl2deform.scalars import scalar_is_zero
-
-from conftest import image, intrinsic_realization, rand_fraction
-from published_cases import PUBLISHED
 
 
 def announce(number: int, description: str, ok: bool, detail: str = "") -> bool:
@@ -107,10 +101,7 @@ def test_criterion_1_classic_baseline():
     for two_j in range(0, 7):
         triple = build_classic_sl2_matrices(two_j)
         ok = ok and check_deformed_relations(triple, CLASSIC).all_zero
-    ops = build_classic_sl2_diffops(2)
-    space = MonomialSpace((0, 1, 2))
-    norms = classic_norm_squares(2)
-    built = [op.matrix_on_space(space, norm_squares=norms) for op in ops]
+    built = [normalized_matrix(op, 2) for op in build_classic_sl2_diffops(2)]
     classic = build_classic_sl2_matrices(2)
     entrywise = built == [classic.j0, classic.jplus, classic.jminus]
     ok = ok and entrywise
@@ -145,20 +136,24 @@ def test_criterion_2_case_reproduction():
             part_c = sol.delta == BRACKET_CONSTANT[case](alpha, beta) and closure_check(
                 ops, params, None
             ).passed
-            # (d) casimir is the closed-form multiple of the identity
-            triple = build_new_rep_matrices(spec)
-            lam = is_scalar_multiple_of_identity(casimir_matrix(triple, params))
-            part_d = lam == CASIMIR_SCALAR[case](alpha, beta)
-            # (e) decomposition: sizes {2, 1}, the right separated state, its label
-            blocks = decompose_rep(triple)
-            sizes = sorted(len(b.indices) for b in blocks)
-            singles = [b for b in blocks if len(b.indices) == 1]
-            part_e = (
-                sizes == [1, 2]
-                and len(singles) == 1
-                and singles[0].indices[0] == SEPARATED_INDEX[case]
-                and singles[0].c_label == SINGLETON_LABEL[case](alpha, beta)
-            )
+            # (d) casimir is the closed-form multiple of the identity and
+            # (e) decomposition: sizes {2, 1}, the right separated state, its
+            #     label; on the ladder matrices and on the realization's
+            #     matrices, which verify-case uses
+            part_d = part_e = True
+            realized = MatrixTriple(*(op.matrix_on_space(V3) for op in ops))
+            for triple in (build_new_rep_matrices(spec), realized):
+                lam = is_scalar_multiple_of_identity(casimir_matrix(triple, params))
+                part_d = part_d and lam == CASIMIR_SCALAR[case](alpha, beta)
+                blocks = decompose_rep(triple)
+                sizes = sorted(len(b.indices) for b in blocks)
+                singles = [b for b in blocks if len(b.indices) == 1]
+                part_e = part_e and (
+                    sizes == [1, 2]
+                    and len(singles) == 1
+                    and singles[0].indices[0] == SEPARATED_INDEX[case]
+                    and singles[0].c_label == SINGLETON_LABEL[case](alpha, beta)
+                )
             if not (part_a and part_b and part_c and part_d and part_e):
                 ok = False
                 detail = (f"case {case.value} at alpha={alpha}, beta={beta}: "
@@ -453,9 +448,10 @@ def _random_spec(rng) -> RepSpec:
 
 def test_criterion_7_equivalence_oracle():
     """On 100 mixed samples the scalar constraint residuals vanish exactly
-    when the matrix relation residuals do."""
+    when the matrix relation residuals do; for a solved case, also those of
+    the matrices of its realization, which verify-case checks."""
     rng = random.Random(707)
-    samples = []
+    samples = []  # (spec, params, the realization's matrices for a solved case)
     # satisfying: solved cases with assorted product splits
     for case in CaseId:
         for _ in range(5):
@@ -464,37 +460,36 @@ def test_criterion_7_equivalence_oracle():
             intr = intrinsic_gamma_and_product(case.data, alpha, beta)
             sol = solve_case(case.data, alpha, beta, intr.gamma, intr.branch)
             f = rand_fraction(rng, nonzero=True)
-            samples.append(
-                (case_rep_spec(case.data, sol, f=f),
-                 AlgebraParams(alpha, beta, intr.gamma, sol.delta))
-            )
+            spec = case_rep_spec(case.data, sol, f=f)
+            ops = build_case_realization(case.data, f=spec.f, g=spec.g, c=sol.c)
+            realized = MatrixTriple(*(op.matrix_on_space(V3) for op in ops))
+            samples.append((spec, AlgebraParams(alpha, beta, intr.gamma, sol.delta), [realized]))
     # satisfying: two-dimensional ladders closed by the choice of delta
     for _ in range(15):
         a, c = rand_fraction(rng), rand_fraction(rng)
         alpha, beta, gamma = (rand_fraction(rng) for _ in range(3))
         probe = RepSpec(two_j=1, q=1, two_m1=-1, a=a, c=c, f=1, g=1)
         poly = lambda t: alpha * t**3 + beta * t**2 + gamma * t
-        h_hi, h_lo = probe.diagonal_value(Fr(1, 2)), probe.diagonal_value(Fr(-1, 2))
+        h_hi, h_lo = diagonal_value(probe, Fr(1, 2)), diagonal_value(probe, Fr(-1, 2))
         delta = -(poly(h_hi) + poly(h_lo)) / 2
         fg = poly(h_hi) + delta
         samples.append(
             (RepSpec(two_j=1, q=1, two_m1=-1, a=a, c=c, f=1, g=fg),
-             AlgebraParams(alpha, beta, gamma, delta))
+             AlgebraParams(alpha, beta, gamma, delta), [])
         )
     # generic, almost surely violating
     while len(samples) < 100:
         samples.append(
             (_random_spec(rng),
-             AlgebraParams(*(rand_fraction(rng) for _ in range(4))))
+             AlgebraParams(*(rand_fraction(rng) for _ in range(4))), [])
         )
     ok = True
     satisfied = violated = 0
-    for spec, params in samples:
+    for spec, params, realized in samples:
         by_scalars = all(scalar_is_zero(r) for r in constraint_residuals(spec, params))
-        by_matrices = check_deformed_relations(
-            build_new_rep_matrices(spec), params
-        ).all_zero
-        ok = ok and (by_scalars == by_matrices)
+        for triple in (build_new_rep_matrices(spec), *realized):
+            by_matrices = check_deformed_relations(triple, params).all_zero
+            ok = ok and (by_scalars == by_matrices)
         satisfied += by_scalars
         violated += not by_scalars
     ok = ok and satisfied >= 20 and violated >= 20

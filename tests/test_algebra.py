@@ -7,24 +7,17 @@ from fractions import Fraction as Fr
 import pytest
 
 from sl2deform import algebra, cli, diffops, scalars
-from sl2deform.algebra import (
-    AlgebraParams,
-    MatrixTriple,
-    build_classic_sl2_diffops,
-    build_classic_sl2_matrices,
-    casimir_matrix,
-    check_deformed_relations,
-    classic_norm_squares,
-    cubic,
-)
+from sl2deform.algebra import AlgebraParams, MatrixTriple, casimir_matrix, check_deformed_relations
 from sl2deform.cases import CaseId, build_case_realization
 from sl2deform.diffops import V3
 from sl2deform.matrices import Matrix
-from sl2deform.reps import case_rep_spec, intrinsic_gamma_and_product, solve_case
-from sl2deform.scalars import QuadExt, from_numerator, quadext, scalar_is_zero, sqrt_exact
+from sl2deform.reps import intrinsic_gamma_and_product, solve_case
+from sl2deform.scalars import (QuadExt, from_numerator, quadext, scalar_is_zero, sqrt_exact,
+                               to_numerators)
 
-from conftest import assert_names_two_radicands, image, rand_fraction
+from conftest import assert_names_two_radicands, image, normalized_matrix, rand_fraction
 from exact_field import Q
+from reference_solvers import build_classic_sl2_diffops, build_classic_sl2_matrices
 from test_diffops import _two_radicand_families
 from test_matrices import as_tuples, dense_entrywise, dense_matmul, matrix
 
@@ -40,11 +33,17 @@ def scalar_matrix(n, s):
     return Matrix.diagonal([s] * n)
 
 
+def cubic(ts, params):
+    """The bracket's cubic at each t of ``ts``: the shipped kernel,
+    ``algebra._cubic``, on the numerators of ``ts``, divided."""
+    values, den = algebra._cubic(*to_numerators(ts), params)
+    return [from_numerator(v, den) for v in values]
+
+
 def solved_case_matrices(case, alpha, beta):
     intr = intrinsic_gamma_and_product(case.data, alpha, beta)
     sol = solve_case(case.data, alpha, beta, intr.gamma, intr.branch)
-    spec = case_rep_spec(case.data, sol)
-    ops = build_case_realization(case.data, f=spec.f, g=spec.g, c=sol.c)
+    ops = build_case_realization(case.data, f=1, g=sol.fg, c=sol.c)
     triple = MatrixTriple(*(op.matrix_on_space(V3) for op in ops))
     params = AlgebraParams(alpha, beta, intr.gamma, sol.delta)
     return triple, params
@@ -54,14 +53,6 @@ def test_classic_spin_zero_is_trivial():
     triple = build_classic_sl2_matrices(0)
     assert triple.dimension == 1
     assert triple.j0.is_zero() and triple.jplus.is_zero() and triple.jminus.is_zero()
-
-
-@pytest.mark.parametrize(
-    "build", [build_classic_sl2_matrices, build_classic_sl2_diffops, classic_norm_squares]
-)
-def test_classic_builders_refuse_a_negative_spin(build):
-    with pytest.raises(ValueError, match="two_j must be nonnegative"):
-        build(-1)
 
 
 def test_classic_spin_half_ladders_are_unit():
@@ -93,18 +84,9 @@ def test_classic_diffop_diagonal_action():
 
 
 def test_classic_diffops_match_matrices_on_normalized_basis():
-    two_j = 2
-    ops = build_classic_sl2_diffops(two_j)
-    norms = classic_norm_squares(two_j)
-    space_exponents = tuple(range(two_j + 1))
-    from sl2deform.diffops import MonomialSpace
-
-    space = MonomialSpace(space_exponents)
-    built = [op.matrix_on_space(space, norm_squares=norms) for op in ops]
-    classic = build_classic_sl2_matrices(two_j)
-    assert built[0] == classic.j0
-    assert built[1] == classic.jplus
-    assert built[2] == classic.jminus
+    for two_j in (0, 1, 2, 6):
+        built = [normalized_matrix(op, two_j) for op in build_classic_sl2_diffops(two_j)]
+        assert MatrixTriple(*built) == build_classic_sl2_matrices(two_j), two_j
 
 
 def test_zero_matrices_zero_params():
@@ -228,12 +210,12 @@ def test_relations_multiply_quadexts_only_in_the_two_products(monkeypatch):
 
 def test_bracket_builds_no_scalar_on_a_valid_table(monkeypatch):
     # the bracket residual is formed on numerators: no entry builds a
-    # scalar, on a valid table or on a wrong one
+    # scalar, on a valid table or on a wrong one; algebra does not even
+    # import scalars.from_numerator, which makes values of numerators
+    assert not hasattr(algebra, "from_numerator")
     triples = [build_classic_sl2_matrices(two_j) for two_j in range(1, 32)]
     wrong = AlgebraParams(0, 0, 3, 0)
     built = []
-    monkeypatch.setattr(algebra, "from_numerator",
-                        lambda v, den: built.append(v) or from_numerator(v, den))
     quad = scalars._quad
     monkeypatch.setattr(scalars, "_quad", lambda *args: built.append(args) or quad(*args))
     for triple in triples:
@@ -243,7 +225,7 @@ def test_bracket_builds_no_scalar_on_a_valid_table(monkeypatch):
     residual = algebra._bracket_residual(triple, wrong)
     assert built == []
     monkeypatch.undo()
-    assert list(residual.entries()) == [(i, i, -h) for i, h in enumerate(triple.diagonal) if h]
+    assert list(residual.entries()) == [(i, i, -h) for i, _, h in triple.j0.entries()]
 
 
 def test_no_quadext_is_built_in_operator_products_matrix_products_or_residuals(
@@ -287,7 +269,7 @@ def test_no_quadext_is_built_in_operator_products_matrix_products_or_residuals(
     rep, moved = tmp_path / "spin.json", tmp_path / "moved.json"
     spin = build_classic_sl2_matrices(5)
     cli._write_rep_file(str(rep), spin, CLASSIC)
-    j0 = Matrix.diagonal([h + Fr(1, 3) * (i == 0) for i, h in enumerate(spin.diagonal)])
+    j0 = Matrix.diagonal([spin.j0[i, i] + Fr(1, 3) * (i == 0) for i in range(spin.dimension)])
     cli._write_rep_file(str(moved), MatrixTriple(j0, spin.jplus, spin.jminus), CLASSIC)
     argvs = (
         ["verify-case", "--case", "1", "--alpha", "3", "--beta", "-1/4",
@@ -319,29 +301,20 @@ def test_no_quadext_is_built_in_operator_products_matrix_products_or_residuals(
 
 
 def test_diffops_does_no_quadext_arithmetic():
-    # the probe's kernel on a sqrt(2)-scaled basis, the parser's signs, the
-    # constructor's sums of repeated keys and the normalized matrices of the
-    # classic spin 3 compute on numerators, as QuadExt has no operator to call
-    # (test_scalars' test_quadext_has_no_arithmetic), and give the values
+    # the probe's kernel on a sqrt(2)-scaled basis and the constructor's sums
+    # of repeated keys compute on numerators, as QuadExt has no operator to
+    # call (test_scalars' test_quadext_has_no_arithmetic), and give the values
     # they gave when they called QuadExt operators
     rng = random.Random("diffops-does-no-quadext-arithmetic")
     space = diffops.MonomialSpace(tuple(range(rng.randint(4, 8))))
     unit = quadext(1, 1, 2)
     basis = diffops.enumerate_preserving_operators(space, 1)
     scaled = [op.scale((Q(unit) * rng.choice((-3, -1, 1, 2))).value) for op in basis]
-    classic = build_classic_sl2_diffops(6)
-    spin = diffops.MonomialSpace(tuple(range(7)))
     report = diffops.lie_closure_probe(scaled, space)
-    parsed = diffops.parse_diffop(
-        "- (1/2 + 3*sqrt(2)) * x^2 * D^1 + (sqrt(2)) * x^1 * D^0 - 1 * x^0 * D^0")
     summed = diffops.DiffOp([((1, 1), unit), ((0, 0), 1), ((1, 1), unit)])
-    mats = [op.matrix_on_space(spin, norm_squares=classic_norm_squares(6)) for op in classic]
     assert any(isinstance(c, QuadExt) for op in scaled for c in op.terms.values())
     assert report == diffops.lie_closure_probe(basis, space)
-    assert dict(parsed.terms) == {(0, 0): -1, (1, 0): quadext(0, 1, 2),
-                                  (2, 1): quadext(Fr(-1, 2), -3, 2)}
     assert dict(summed.terms) == {(0, 0): 1, (1, 1): quadext(2, 2, 2)}
-    assert MatrixTriple(*mats) == build_classic_sl2_matrices(6)
 
 
 def test_a_non_diagonal_j0_is_refused_in_one_line():
@@ -350,7 +323,7 @@ def test_a_non_diagonal_j0_is_refused_in_one_line():
         MatrixTriple(j0, zeros(3), zeros(3))
     # J+ and J- may hold any entries, on the diagonal too
     triple = MatrixTriple(scalar_matrix(3, 1), j0, j0)
-    assert triple.diagonal == (1, 1, 1)
+    assert triple.diagonal_numerators == ([1, 1, 1], 1)
 
 
 # -- oracle: the relations and the Casimir element as whole-matrix expressions --

@@ -15,15 +15,7 @@ from sl2deform import cases
 from sl2deform.algebra import AlgebraParams, MatrixTriple, check_deformed_relations
 from sl2deform.cases import CaseData, CaseId, build_case_realization, derive_case
 from sl2deform.diffops import V3, DiffOp, MonomialSpace, closure_check
-from sl2deform.reps import (
-    RepSpec,
-    TrivialAlgebraError,
-    build_new_rep_matrices,
-    case_rep_spec,
-    constraint_residuals,
-    intrinsic_gamma_and_product,
-    solve_case,
-)
+from sl2deform.reps import TrivialAlgebraError, intrinsic_gamma_and_product, solve_case
 from sl2deform.scalars import NegativeRadicandError, ScalarDomainError, quadext, scalar_is_zero
 
 import reference_solvers as reference
@@ -56,9 +48,11 @@ def test_every_label_sits_on_its_exponent():
     for space in _seeded_spaces():
         for k_src, k_dst in itertools.combinations(space.exponents, 2):
             data = derive_case(space, k_src, k_dst)
-            spec = RepSpec(two_j=2, q=data.q, two_m1=data.two_m1, a=data.a, c=0, f=1, g=1)
+            spec = reference.RepSpec(two_j=2, q=data.q, two_m1=data.two_m1, a=data.a, c=0, f=1,
+                                     g=1)
             for m, k in zip((-1, 0, 1), space.exponents):
-                assert spec.diagonal_value(m) == Fr(k - data.k_mid, data.step), (space, m)
+                assert reference.diagonal_value(spec, m) == Fr(k - data.k_mid, data.step), (
+                    space, m)
 
 
 def test_every_ladder_moves_one_monomial_and_brackets_to_a_cubic():
@@ -415,9 +409,9 @@ def test_derived_cases_off_v3_solve_and_close_on_the_intrinsic_locus():
         assert closure_check(ops, params, space).passed
         mats = MatrixTriple(*[op.matrix_on_space(space) for op in ops])
         assert check_deformed_relations(mats, params).all_zero
-        spec = case_rep_spec(data, sol)
-        assert all(scalar_is_zero(r) for r in constraint_residuals(spec, params))
-        assert build_new_rep_matrices(spec) == mats
+        spec = reference.case_rep_spec(data, sol)
+        assert all(scalar_is_zero(r) for r in reference.constraint_residuals(spec, params))
+        assert reference.build_new_rep_matrices(spec) == mats
         solved += 1
     assert solved >= 50
 

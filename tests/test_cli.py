@@ -274,8 +274,9 @@ def test_rep_check_with_two_radicands_exits_2_in_one_line(tmp_path, capsys):
 
 
 def test_rep_check_classic_tables(tmp_path, capsys):
-    from sl2deform.algebra import build_classic_sl2_matrices
     from sl2deform.scalars import render_scalar
+
+    from reference_solvers import build_classic_sl2_matrices
 
     triple = build_classic_sl2_matrices(2)
     rep = {

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from sl2deform import diffops
-from sl2deform.algebra import AlgebraParams, build_classic_sl2_diffops
+from sl2deform.algebra import AlgebraParams
 from sl2deform.cases import CaseId, build_case_realization
 from sl2deform.diffops import (
     MAX_ENUMERATION_SIZE,
@@ -27,16 +27,10 @@ from sl2deform.diffops import (
     closure_check,
     enumerate_preserving_operators,
     lie_closure_probe,
-    parse_diffop,
     preserving_basis_text,
 )
 from sl2deform.matrices import Matrix
-from sl2deform.reps import (
-    build_new_rep_matrices,
-    case_rep_spec,
-    intrinsic_gamma_and_product,
-    solve_case,
-)
+from sl2deform.reps import intrinsic_gamma_and_product, solve_case
 from sl2deform.scalars import (
     QuadExt,
     ScalarDomainError,
@@ -51,6 +45,12 @@ from sl2deform.scalars import (
 
 from conftest import image, intrinsic_realization, rand_fraction
 from exact_field import Q
+from reference_solvers import (
+    build_classic_sl2_diffops,
+    build_new_rep_matrices,
+    case_rep_spec,
+    read_diffop,
+)
 
 CASE1_RAISE = DiffOp({(3, 2): Fr(1, 3), (2, 1): -1, (1, 0): 1})
 CASE1_LOWER = DiffOp({(1, 2): Fr(-1, 2), (0, 1): 1})
@@ -320,14 +320,14 @@ def test_a_sum_with_a_foreign_operand_raises_type_error():
 
 
 def test_term_exponents_must_be_ints():
-    # a float or bool exponent would give text that parse_diffop refuses
+    # a float or bool exponent would give text that read_diffop refuses
     for key in ((0, 1.0), (0.5, 1), (True, 1), (0, False), (Fr(1), 0)):
         with pytest.raises(ValueError, match=r"^term exponents must be ints, got \("):
             DiffOp({key: 1})
         with pytest.raises(ValueError, match="^term exponents must be ints"):
             DiffOp([((-1, 0), 2), (key, 1)])
     op = DiffOp({(-1, 0): 2, (0, 1): Fr(1, 3)})
-    assert parse_diffop(op.to_text()) == op
+    assert read_diffop(op.to_text()) == op
 
 
 def test_every_route_to_an_operator_gives_one_stored_form(rng):
@@ -1066,7 +1066,7 @@ def test_basis_text_is_the_operators_text_on_seeded_spaces():
         ops = enumerate_preserving_operators(space, order)
         texts = preserving_basis_text(space, order)
         assert texts == [op.to_text() for op in ops], (exps, order)
-        assert all(parse_diffop(text) == op for text, op in zip(texts, ops)), (exps, order)
+        assert all(read_diffop(text) == op for text, op in zip(texts, ops)), (exps, order)
         leads.update(text[0] for text in texts)
         coefficients.update(v for op in ops for v in op._num.values())
     assert len(texts) == 900
@@ -1633,7 +1633,7 @@ def test_text_round_trip():
         DiffOp(),
     ]
     for op in ops:
-        assert parse_diffop(op.to_text()) == op
+        assert read_diffop(op.to_text()) == op
 
 
 def _text_by_terms(op):
@@ -1666,24 +1666,11 @@ def test_text_equals_a_renderer_from_the_terms(rng):
     for op in ops:
         text = op.to_text()
         assert text == _text_by_terms(op), op.terms
-        assert parse_diffop(text) == op
+        assert read_diffop(text) == op
         dens.add(op._den == 1)
     assert dens == {True, False}
 
 
 def test_text_format_example():
     assert CASE1_RAISE.to_text() == "1/3 * x^3 * D^2 - 1 * x^2 * D^1 + 1 * x^1 * D^0"
-    assert parse_diffop("1/3 * x^3 * D^2 - 1 * x^2 * D^1 + 1 * x^1 * D^0") == CASE1_RAISE
-
-
-def test_empty_operator_text_is_a_parse_error():
-    for text in ("", "  "):
-        with pytest.raises(ValueError, match="cannot parse operator term"):
-            parse_diffop(text)
-
-
-def test_operator_exponents_are_read_in_ascii_digits_only():
-    assert parse_diffop("2 * x^3 * D^1") == DiffOp({(3, 1): 2})
-    for text in ("2 * x^\u0663 * D^1", "2 * x^3 * D^\u0661", "2 * x^1_0 * D^1"):
-        with pytest.raises(ValueError, match="cannot parse operator term"):
-            parse_diffop(text)
+    assert read_diffop("1/3 * x^3 * D^2 - 1 * x^2 * D^1 + 1 * x^1 * D^0") == CASE1_RAISE

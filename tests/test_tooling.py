@@ -1,6 +1,6 @@
 """The README's library quickstart runs as printed, every function the bench
-traces still exists under the name it is traced by, and every public operator
-attribute has a caller outside the tests."""
+traces still exists under the name it is traced by, and every public name
+of the package has a caller outside the tests."""
 
 import ast
 import importlib
@@ -40,34 +40,57 @@ def test_every_bench_trace_target_resolves_in_sl2deform():
         assert callable(getattr(owner, attr, None)), name
 
 
-def _names_outside_own_def(tree):
-    """Each attribute name and each string constant in ``tree``, except those
-    inside the ``DiffOp`` method of the same name."""
+def _names_outside_own_def(tree, strings):
+    """Each name and attribute name in ``tree``, and with ``strings`` each
+    string constant, except those inside the def (function, method or class)
+    of the same name."""
     def walk(node, own):
-        if isinstance(node, ast.Attribute) and node.attr != own:
-            yield node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value != own:
-            yield node.value
-        in_class = isinstance(node, ast.ClassDef) and node.name == "DiffOp"
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            name = None
+        if name is not None and name != own:
+            yield name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = node.name
         for child in ast.iter_child_nodes(node):
-            is_method = in_class and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            yield from walk(child, child.name if is_method else own)
+            yield from walk(child, own)
 
     return set(walk(tree, None))
 
 
 def test_every_public_operator_attribute_is_called_by_the_package_or_the_bench():
-    # an attribute that only the tests name is test-only surface: each public
-    # DiffOp attribute is named, as an attribute or a string such as the
-    # bench's trace targets, in src/ outside its own def, or in bench/
-    from sl2deform.diffops import DiffOp
+    # a name that only the tests reach is test-only surface: each export of
+    # sl2deform, and each public attribute of the operator, matrix, triple
+    # and space classes, is named in src/ outside __init__.py and outside its
+    # own def, or in bench/, where a string such as a trace target counts
+    import dataclasses
+
+    import sl2deform
+    from sl2deform.algebra import MatrixTriple
+    from sl2deform.diffops import DiffOp, MonomialSpace
+    from sl2deform.matrices import Matrix
 
     named = set()
-    for path in [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]:
-        named |= _names_outside_own_def(ast.parse(path.read_text(encoding="utf-8")))
-    public = sorted(name for name in vars(DiffOp) if not name.startswith("_"))
-    assert {"compose", "scale", "preserves_space", "to_text"} <= set(public)
-    assert [name for name in public if name not in named] == []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name != "__init__.py":
+            named |= _names_outside_own_def(ast.parse(path.read_text(encoding="utf-8")), False)
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        named |= _names_outside_own_def(ast.parse(path.read_text(encoding="utf-8")), True)
+    public = set(sl2deform.__all__)
+    for cls in (DiffOp, Matrix, MatrixTriple, MonomialSpace):
+        fields = dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ()
+        members = {name for name in [*vars(cls), *(f.name for f in fields)]
+                   if not name.startswith("_")}
+        assert members, cls
+        public |= {f"{cls.__name__}.{name}" for name in members}
+    assert {"DiffOp.compose", "DiffOp.to_text", "Matrix.rows", "MatrixTriple.dimension",
+            "MonomialSpace.exponents", "solve_case"} <= public
+    assert sorted(name for name in public if name.rpartition(".")[2] not in named) == []
 
 
 def test_bench_count_hooks_read_irrational_matrices_and_operators():
@@ -77,10 +100,11 @@ def test_bench_count_hooks_read_irrational_matrices_and_operators():
     from collections import Counter
     from fractions import Fraction
 
-    from sl2deform.algebra import build_classic_sl2_matrices
     from sl2deform.diffops import DiffOp
     from sl2deform.matrices import Matrix
     from sl2deform.scalars import QuadExt, quadext
+
+    from reference_solvers import build_classic_sl2_matrices
 
     hooks = runpy.run_path(str(ROOT / "bench" / "layers.py"))
     triple = build_classic_sl2_matrices(6)
